@@ -282,17 +282,19 @@ func BenchmarkExpC_UnorderedMSI(b *testing.B) {
 	}
 }
 
-// BenchmarkExpD_TSOCCLitmus: §VI-D — generate TSO-CC and run the litmus
-// suite standing in for the Banks et al. TSO check.
+// BenchmarkExpD_TSOCCLitmus: §VI-D — generate TSO-CC and sample the
+// MP+acq litmus shape standing in for the Banks et al. TSO check.
 func BenchmarkExpD_TSOCCLitmus(b *testing.B) {
 	p := mustGen(b, protogen.BuiltinTSOCC, protogen.NonStalling())
+	tests, err := protogen.LitmusTestsByName([]string{"MP+acq"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ax := protogen.DefaultLitmusAxiom(p)
 	for i := 0; i < b.N; i++ {
-		r, err := protogen.RunLitmus(p, protogen.LitmusMP(true), 50, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Forbidden != 0 {
-			b.Fatal("TSO broken")
+		rep := protogen.RunLitmusOracle(p, tests, ax, protogen.LitmusOptions{Runs: 50, Seed: int64(i)})
+		if len(rep.Failures()) != 0 {
+			b.Fatal("TSO broken: ", rep.Summary())
 		}
 	}
 }

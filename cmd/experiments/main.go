@@ -350,15 +350,22 @@ func expD(w io.Writer) error {
 	if !res.OK() {
 		return fmt.Errorf("TSO-CC deadlocks")
 	}
-	for _, l := range []protogen.Litmus{protogen.LitmusMP(false), protogen.LitmusMP(true), protogen.LitmusSB(), protogen.LitmusCoRR()} {
-		r, err := protogen.RunLitmus(p, l, 400, 11)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  %s\n", r)
+	rep, err := eng.Litmus(context.Background(), protogen.LitmusJob{
+		Protocol: p, Tests: []string{"MP", "MP+acq", "SB", "CoRR"}, Exhaustive: true,
+	})
+	if err != nil {
+		return err
 	}
-	fmt.Fprintln(w, "\npaper §VI-D: TSO-CC generated from its SSP; TSO verified (here: litmus")
-	fmt.Fprintln(w, "falsification — forbidden outcomes absent, TSO-allowed relaxations present).")
+	for _, r := range rep.Results {
+		fmt.Fprintf(w, "  %-6s %3d states, %d outcomes, relaxed=%v forbidden=%v\n",
+			r.Test, r.States, len(r.Outcomes), r.Relaxed, r.Forbidden)
+	}
+	if len(rep.Failures()) > 0 {
+		return fmt.Errorf("TSO-CC litmus: %s", rep.Summary())
+	}
+	fmt.Fprintln(w, "\npaper §VI-D: TSO-CC generated from its SSP; TSO verified (here: every")
+	fmt.Fprintln(w, "schedule of each litmus shape enumerated — forbidden outcomes proven")
+	fmt.Fprintln(w, "absent, TSO-allowed relaxations reachable).")
 	return nil
 }
 

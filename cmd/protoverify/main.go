@@ -150,13 +150,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cfg.CheckValues = !*noVals
 	cfg.CheckLiveness = !*noLive
 	cfg.Symmetry = !*noSym
+	cfg.Fingerprint = *fpMode
+	cfg.CollisionAudit = *audit
 	cfg.Reduce = *reduce
 	cfg.CommuteAudit = *commute
 
 	eng := protogen.NewEngine(
 		protogen.WithParallelism(*parallel),
-		protogen.WithFingerprint(*fpMode),
-		protogen.WithCollisionAudit(*audit),
 		protogen.WithCacheDir(*cacheDir),
 		protogen.WithWarnings(func(msg string) {
 			// Generation-time lint findings arrive "lint:"-prefixed; they

@@ -63,18 +63,14 @@ func ChannelProgress(ch chan<- ProgressEvent) ProgressFunc {
 }
 
 // Engine runs verification, simulation and fuzzing jobs under a shared
-// configuration: worker parallelism, visited-set representation, one
-// verify result cache, and a default progress sink. The zero-option
-// engine behaves exactly like the flat package functions (which
-// delegate to DefaultEngine); options layer defaults over what a job
-// leaves unset. An Engine is safe for concurrent use — the service's
-// worker pool runs many jobs on one Engine to share its cache.
+// configuration: worker parallelism, one verify result cache, and a
+// default progress sink. The zero-option engine behaves exactly like
+// the flat package functions (which delegate to DefaultEngine); options
+// layer defaults over what a job leaves unset. An Engine is safe for
+// concurrent use — the service's worker pool runs many jobs on one
+// Engine to share its cache.
 type Engine struct {
 	parallelism int
-	fingerprint bool
-	audit       bool
-	reduce      bool
-	commute     bool
 	cacheDir    string
 	progress    ProgressFunc
 	warn        func(string)
@@ -92,39 +88,6 @@ type EngineOption func(*Engine)
 // cores).
 func WithParallelism(n int) EngineOption {
 	return func(e *Engine) { e.parallelism = n }
-}
-
-// WithFingerprint switches verification jobs to the hash-compacted
-// visited set by default (see VerifyConfig.Fingerprint). A job's
-// explicit VerifyConfig can also enable it; the engine default cannot
-// be overridden off per job.
-func WithFingerprint(enabled bool) EngineOption {
-	return func(e *Engine) { e.fingerprint = enabled }
-}
-
-// WithCollisionAudit enables fingerprint collision auditing by default
-// (see VerifyConfig.CollisionAudit). Audited runs bypass the result
-// cache: they must actually retain and compare keys.
-func WithCollisionAudit(enabled bool) EngineOption {
-	return func(e *Engine) { e.audit = enabled }
-}
-
-// WithReduction enables partial-order reduction by default for
-// verification jobs (see VerifyConfig.Reduce): verdicts are identical
-// to full exploration, state and edge counts are deterministically
-// smaller. Reduction silently falls back to full exploration for
-// protocols the dependence analysis refuses (Result.ReduceUnsafe).
-func WithReduction(enabled bool) EngineOption {
-	return func(e *Engine) { e.reduce = enabled }
-}
-
-// WithCommuteAudit enables the runtime commutation audit by default
-// (see VerifyConfig.CommuteAudit; implies reduction is meaningful only
-// with it). Audited runs bypass the result cache entirely — the audit's
-// whole point is to re-execute, and its "por-audit" violations must
-// never be laundered into (or served from) unaudited cached results.
-func WithCommuteAudit(enabled bool) EngineOption {
-	return func(e *Engine) { e.commute = enabled }
 }
 
 // WithCacheDir gives the engine a verify result cache persisted under
@@ -240,9 +203,8 @@ type VerifyJob struct {
 	// PendingLimit overrides the options' absorption limit L when > 0.
 	PendingLimit int
 
-	// Config tunes the checker; nil uses the engine's defaults
-	// (DefaultVerifyConfig plus the engine's fingerprint/audit options).
-	// The engine's parallelism fills in whenever Config.Parallelism is 0.
+	// Config tunes the checker; nil uses DefaultVerifyConfig. The
+	// engine's parallelism fills in whenever Config.Parallelism is 0.
 	Config *VerifyConfig
 
 	// NoCache skips the engine's result cache for this job.
@@ -368,10 +330,6 @@ func (e *Engine) verifyConfig(c *VerifyConfig) VerifyConfig {
 	} else {
 		cfg = verify.DefaultConfig()
 	}
-	cfg.Fingerprint = cfg.Fingerprint || e.fingerprint
-	cfg.CollisionAudit = cfg.CollisionAudit || e.audit
-	cfg.Reduce = cfg.Reduce || e.reduce
-	cfg.CommuteAudit = cfg.CommuteAudit || e.commute
 	if cfg.Parallelism == 0 && e.parallelism > 0 {
 		cfg.Parallelism = e.parallelism
 	}
@@ -409,27 +367,20 @@ func (e *Engine) Verify(ctx context.Context, job VerifyJob) (*VerifyResult, erro
 		}
 		if cache != nil {
 			key = verify.CacheKey(dsl.Format(spec), opts.KeyString(), cfg)
-			if !cfg.CollisionAudit {
-				if res, ok := cache.Get(key); ok {
-					res.Cached = true
-					return res, nil
-				}
-			}
 		}
 	}
-
-	if proto == nil {
-		if proto, err = core.GenerateWithWarnings(spec, opts, e.warn); err != nil {
-			return nil, err
+	res, writeErr, err := cache.CheckCtx(ctx, key, !cfg.CollisionAudit, cfg, func() (*Protocol, error) {
+		if proto != nil {
+			return proto, nil
 		}
+		return core.GenerateWithWarnings(spec, opts, e.warn)
+	})
+	if err != nil {
+		return nil, err
 	}
-	res := verify.CheckCtx(ctx, proto, cfg)
-	if cache != nil {
+	if writeErr != nil {
 		// A write failure only loses memoization; the verdict stands.
-		// (Put itself refuses canceled partial results.)
-		if err := cache.Put(key, res); err != nil {
-			e.warnf("result cache write failed (rerun will re-verify): %v", err)
-		}
+		e.warnf("result cache write failed (rerun will re-verify): %v", writeErr)
 	}
 	return res, nil
 }

@@ -159,12 +159,13 @@ func TestEngineCacheWriteWarning(t *testing.T) {
 	}
 }
 
-// TestEngineFingerprintOption: WithFingerprint applies to jobs without
-// an explicit config and overlays onto explicit configs, reproducing
-// exact-mode numbers either way.
+// TestEngineFingerprintOption: a job config asking for the
+// hash-compacted visited set runs through the engine (whose parallelism
+// still fills in) and reproduces the exact-mode numbers.
 func TestEngineFingerprintOption(t *testing.T) {
-	eng := protogen.NewEngine(protogen.WithFingerprint(true), protogen.WithParallelism(2))
+	eng := protogen.NewEngine(protogen.WithParallelism(2))
 	cfg := protogen.QuickVerifyConfig()
+	cfg.Fingerprint = true
 	res, err := eng.Verify(context.Background(), protogen.VerifyJob{
 		Source: protogen.BuiltinMSI, Mode: "nonstalling", Config: &cfg,
 	})

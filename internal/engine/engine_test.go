@@ -12,7 +12,13 @@ import (
 
 func msiSystem(t *testing.T, opts core.Options) *System {
 	t.Helper()
-	spec, err := dsl.Parse(protocols.MSI)
+	return system(t, protocols.MSI, opts)
+}
+
+// system generates src under opts and instantiates it with two caches.
+func system(t *testing.T, src string, opts core.Options) *System {
+	t.Helper()
+	spec, err := dsl.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -718,33 +718,23 @@ func checkMode(ctx context.Context, spec *ir.Spec, mode string, limit int, cfg C
 		return mr, Failure{Class: "generate", Kind: "mode", Mode: mode, Detail: err.Error()}
 	}
 	opts.PendingLimit = limit
-	vcfg := verify.Config{
-		Caches: cfg.Caches, Capacity: cfg.Capacity, Values: 2,
-		MaxStates: cfg.MaxStates, CheckSWMR: true, CheckValues: true,
-		CheckLiveness: true, Symmetry: true, MaxViolations: 1,
-		Parallelism: 1, // campaign workers provide the parallelism
-		Reduce:      reduce,
-	}
+	vcfg := verify.DefaultConfig()
+	vcfg.Caches, vcfg.Capacity, vcfg.MaxStates = cfg.Caches, cfg.Capacity, cfg.MaxStates
+	vcfg.Parallelism = 1 // campaign workers provide the parallelism
+	vcfg.Reduce = reduce
 	var key string
 	if cfg.Cache != nil {
 		key = verify.CacheKey(dsl.Format(spec), opts.KeyString(), vcfg)
-		if res, ok := cfg.Cache.Get(key); ok {
-			mr.fill(res)
-			mr.Cached = true
-			return mr, Failure{}
-		}
 	}
-	p, err := core.Generate(spec, opts)
+	// A cache write failure only loses memoization; the verdict stands.
+	res, _, err := cfg.Cache.CheckCtx(ctx, key, true, vcfg, func() (*ir.Protocol, error) {
+		return core.Generate(spec, opts)
+	})
 	if err != nil {
 		return mr, Failure{Class: "generate", Kind: "generate", Mode: mode, Detail: err.Error()}
 	}
-	res := verify.CheckCtx(ctx, p, vcfg)
-	if cfg.Cache != nil {
-		// A write failure only loses memoization; the verdict stands.
-		// (Put itself refuses canceled partial results.)
-		_ = cfg.Cache.Put(key, res)
-	}
 	mr.fill(res)
+	mr.Cached = res.Cached
 	return mr, Failure{}
 }
 

@@ -104,10 +104,10 @@ func outcomeSet(res Result) []string {
 	return out
 }
 
-// TestGoldenMP pins MP's exact outcome sets: the SWMR protocol admits
-// only SC outcomes, while TSO-CC's stale Shared copy yields exactly the
-// relaxed stale read (flag new, data old) — which the acquire variant
-// eliminates again.
+// TestGoldenMP pins MP's and SB's exact outcome sets: the SWMR protocol
+// admits only SC outcomes, while TSO-CC's stale Shared copy yields
+// exactly the relaxed stale read (flag new, data old) — which the
+// acquire variant eliminates again — and the store-buffering 0,0.
 func TestGoldenMP(t *testing.T) {
 	msi := gen(t, protocols.MSI, core.NonStallingOpts())
 	tsocc := gen(t, protocols.TSOCC, core.NonStallingOpts())
@@ -128,6 +128,13 @@ func TestGoldenMP(t *testing.T) {
 			[]string{"t1.rd=0 t1.rf=1"}},
 		{tsocc, "TSO_CC", MP(true), Weak,
 			[]string{"t1.rd=0 t1.rf=0", "t1.rd=1 t1.rf=0", "t1.rd=1 t1.rf=1"}, nil},
+		// SB: the SWMR protocol proves the relaxed 0,0 absent; TSO-CC's
+		// warmed stale copies make it the only reachable outcome.
+		{msi, "MSI", SB(), SC,
+			[]string{"t0.ry=0 t1.rx=1", "t0.ry=1 t1.rx=0", "t0.ry=1 t1.rx=1"}, nil},
+		{tsocc, "TSO_CC", SB(), Weak,
+			[]string{"t0.ry=0 t1.rx=0"},
+			[]string{"t0.ry=0 t1.rx=0"}},
 	}
 	for _, c := range cases {
 		r := RunTest(context.Background(), c.proto, c.test, c.ax, Options{Caches: 3, Exhaustive: true})
@@ -200,6 +207,23 @@ func TestSampleDeterminism(t *testing.T) {
 	// protocol the outcome histogram almost surely differs.
 	if reflect.DeepEqual(a.Outcomes, c.Outcomes) {
 		t.Logf("note: seeds 42 and 43 produced identical histograms %v (possible, but suspicious)", a.Outcomes)
+	}
+}
+
+// TestSeedHopDecorrelated: adjacent runs of one campaign seed must not
+// map to adjacent rand sources (seeding run i with seed+i makes it share
+// most of its schedule prefix with run i+1).
+func TestSeedHopDecorrelated(t *testing.T) {
+	seen := map[int64]bool{}
+	for i := 0; i < 1000; i++ {
+		s := seedHop(3, i)
+		if seen[s] {
+			t.Fatalf("seedHop collision at i=%d", i)
+		}
+		seen[s] = true
+		if s == 3+int64(i) {
+			t.Errorf("seedHop(3, %d) is the additive seed", i)
+		}
 	}
 }
 

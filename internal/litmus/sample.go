@@ -20,7 +20,7 @@ type Sampled struct {
 // seedHop derives the i-th per-run seed from the campaign seed with a
 // splitmix64 hop, so consecutive runs draw from unrelated streams
 // (seed+i as a rand.Source shares most of its schedule prefix with its
-// neighbors — the bug the old harness had).
+// neighbors, silently collapsing the sample's effective diversity).
 func seedHop(seed int64, i int) int64 {
 	return int64(splitmix64(uint64(seed) + uint64(i)*0x9e3779b97f4a7c15))
 }

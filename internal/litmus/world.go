@@ -89,7 +89,7 @@ func (r *runner) newWorld() (*world, error) {
 	}
 	for cache, addrs := range r.test.Warm {
 		for _, a := range addrs {
-			if err := warm(w.systems[a], cache); err != nil {
+			if err := w.systems[a].Warm(cache); err != nil {
 				return nil, fmt.Errorf("%s: warm cache %d addr %d: %w", r.test.Name, cache, a, err)
 			}
 		}
@@ -147,7 +147,7 @@ func (r *runner) choices(w *world, buf []choice) []choice {
 	for a, sys := range w.systems {
 		r.delBuf = sys.Net.AppendDeliverables(r.delBuf[:0])
 		for _, d := range r.delBuf {
-			if deliverable(sys, d) {
+			if sys.Accepts(d) {
 				buf = append(buf, choice{thread: -1, addr: a, del: d})
 			}
 		}
@@ -206,7 +206,7 @@ func (r *runner) apply(w *world, ch choice) error {
 			acc = ir.AccessStore
 		}
 		sys := w.systems[op.Addr]
-		if hit, val := tryHit(sys, t, acc); hit {
+		if hit, val := sys.TryHit(t, acc); hit {
 			r.record(w, t, op, val)
 			w.ts[t].pc++
 			break
@@ -295,8 +295,7 @@ func (r *runner) encode(w *world) []byte {
 }
 
 // stuckError describes a configuration with no enabled choice that is
-// not a completed quiescent run — the diagnostic the old harness
-// burned its step budget on instead of reporting.
+// not a completed quiescent run, naming the blocked threads.
 func (r *runner) stuckError(w *world) error {
 	var blocked []string
 	for t := range w.ts {
@@ -319,80 +318,4 @@ func (r *runner) stuckError(w *world) error {
 	}
 	return fmt.Errorf("litmus %s stuck: no enabled choice, %d messages in flight all stalled; blocked: %s",
 		r.test.Name, inflight, strings.Join(blocked, "; "))
-}
-
-// tryHit performs an access locally when the current state hits it (a
-// load/store hit or a silent transition that starts no transaction),
-// returning the performed value.
-func tryHit(sys *engine.System, cache int, a ir.AccessType) (bool, int) {
-	c := sys.Caches[cache]
-	ts := sys.P.Cache.Find(c.State, ir.AccessEvent(a))
-	if len(ts) != 1 || ts[0].Stall {
-		return false, 0
-	}
-	t := ts[0]
-	hit, sendsNothing := false, true
-	for _, act := range t.Actions {
-		switch act.Op {
-		case ir.AHit:
-			hit = true
-		case ir.ASend:
-			sendsNothing = false
-		}
-	}
-	if !hit && !(sendsNothing && t.Next != t.From) {
-		return false, 0
-	}
-	performs, err := sys.Apply(engine.Rule{Kind: engine.RuleAccess, Cache: cache, Access: a})
-	if err != nil {
-		return false, 0
-	}
-	val := 0
-	for _, pf := range performs {
-		val = pf.Value
-	}
-	return true, val
-}
-
-// deliverable reports whether d's target would accept it right now.
-func deliverable(sys *engine.System, d engine.Deliverable) bool {
-	var c *engine.Ctrl
-	if d.Msg.Dst == sys.DirID() {
-		c = sys.Dir
-	} else {
-		c = sys.Caches[d.Msg.Dst]
-	}
-	ts := sys.P.Machine(c.L.M.Kind).Find(c.State, ir.MsgEvent(ir.MsgType(d.Msg.Type)))
-	for _, t := range ts {
-		if t.Stall {
-			return false
-		}
-	}
-	return len(ts) > 0
-}
-
-// warm drives cache's load on sys to completion deterministically, so
-// the initial configuration holds a (potentially stale-able) Shared
-// copy.
-func warm(sys *engine.System, cache int) error {
-	if hit, _ := tryHit(sys, cache, ir.AccessLoad); hit {
-		return nil
-	}
-	if _, err := sys.Apply(engine.Rule{Kind: engine.RuleAccess, Cache: cache, Access: ir.AccessLoad}); err != nil {
-		return err
-	}
-	for i := 0; i < 1000; i++ {
-		st := sys.P.Cache.State(sys.Caches[cache].State)
-		if st != nil && st.Kind == ir.Stable && sys.Net.InFlight() == 0 {
-			return nil
-		}
-		ds := sys.Net.Deliverables()
-		if len(ds) == 0 {
-			return fmt.Errorf("warm-up stuck")
-		}
-		if _, err := sys.Apply(engine.Rule{Kind: engine.RuleDeliver, Del: ds[0]}); err != nil {
-			return err
-		}
-	}
-	return fmt.Errorf("warm-up did not converge")
 }

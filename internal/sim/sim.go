@@ -1,8 +1,9 @@
 // Package sim executes generated protocols under randomized schedules:
 // workload-driven performance comparison (stall counts, message counts,
-// transaction latency — quantifying the paper's "reduce stalling" claim),
-// a per-location sequential-consistency history checker, and multi-address
-// litmus tests standing in for the Banks et al. TSO verification of §VI-D.
+// transaction latency — quantifying the paper's "reduce stalling" claim)
+// and a per-location sequential-consistency history checker. The core-side
+// step rules it schedules with (System.TryHit, System.Accepts) live in
+// internal/engine; litmus testing lives in internal/litmus.
 package sim
 
 import (
@@ -132,7 +133,7 @@ func RunCtx(ctx context.Context, p *ir.Protocol, cfg Config) (Stats, error) {
 		// stalls them this step.
 		dels = sys.Net.AppendDeliverables(dels[:0])
 		for _, d := range dels {
-			if !deliverable(sys, d) {
+			if !sys.Accepts(d) {
 				st.StallEvents++
 			}
 		}
@@ -165,7 +166,7 @@ func RunCtx(ctx context.Context, p *ir.Protocol, cfg Config) (Stats, error) {
 				progressed = true
 				continue
 			}
-			if done, val := tryHit(sys, i, a); done {
+			if done, val := sys.TryHit(i, a); done {
 				st.Hits++
 				if a == ir.AccessLoad {
 					if !sc.observeLoad(i, val) {
@@ -181,11 +182,11 @@ func RunCtx(ctx context.Context, p *ir.Protocol, cfg Config) (Stats, error) {
 			}
 			rules = append(rules, engine.Rule{Kind: engine.RuleAccess, Cache: i, Access: a})
 		}
-		// Re-enumerate: tryHit may have applied rules that sent messages
+		// Re-enumerate: TryHit may have applied rules that sent messages
 		// since the stall-count snapshot above.
 		dels = sys.Net.AppendDeliverables(dels[:0])
 		for _, d := range dels {
-			if deliverable(sys, d) {
+			if sys.Accepts(d) {
 				rules = append(rules, engine.Rule{Kind: engine.RuleDeliver, Del: d})
 			}
 		}
@@ -260,65 +261,6 @@ func outstanding(started []int) int {
 		}
 	}
 	return n
-}
-
-// tryHit performs an access locally when the current state hits it
-// (load/store/acq hit or a silent transition that starts no transaction).
-func tryHit(sys *engine.System, cache int, a ir.AccessType) (bool, int) {
-	c := sys.Caches[cache]
-	ts := sys.P.Cache.Find(c.State, ir.AccessEvent(a))
-	if len(ts) != 1 || ts[0].Stall {
-		return false, 0
-	}
-	t := ts[0]
-	hit := false
-	for _, act := range t.Actions {
-		if act.Op == ir.AHit {
-			hit = true
-		}
-	}
-	sendsNothing := true
-	for _, act := range t.Actions {
-		if act.Op == ir.ASend {
-			sendsNothing = false
-		}
-	}
-	if !hit && !(sendsNothing && t.Next != t.From) {
-		return false, 0
-	}
-	performs, err := sys.Apply(engine.Rule{Kind: engine.RuleAccess, Cache: cache, Access: a})
-	if err != nil {
-		return false, 0
-	}
-	val := 0
-	for _, pf := range performs {
-		val = pf.Value
-	}
-	return true, val
-}
-
-// deliverable reports whether d's target would accept it right now.
-func deliverable(sys *engine.System, d engine.Deliverable) bool {
-	var c *engine.Ctrl
-	if d.Msg.Dst == sys.DirID() {
-		c = sys.Dir
-	} else {
-		c = sys.Caches[d.Msg.Dst]
-	}
-	ts := sys.P.Machine(c.L.M.Kind).Find(c.State, ir.MsgEvent(ir.MsgType(d.Msg.Type)))
-	for _, t := range ts {
-		if t.Stall {
-			m := d.Msg
-			if t.Guard == nil {
-				return false
-			}
-			// A guarded stall counts as blocked only when the guard holds;
-			// approximate by evaluating through the controller.
-			_ = m
-			return false
-		}
-	}
-	return len(ts) > 0
 }
 
 // scChecker verifies per-location sequential consistency over one block:

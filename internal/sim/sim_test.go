@@ -160,72 +160,6 @@ func TestRunDetectsDeadlock(t *testing.T) {
 	}
 }
 
-// TestLitmusMSIIsSC: an SWMR protocol with in-order cores shows neither
-// the MP stale read nor the SB relaxed outcome.
-func TestLitmusMSIIsSC(t *testing.T) {
-	p := gen(t, protocols.MSI, core.NonStallingOpts())
-	for _, l := range []Litmus{MP(false), MP(true), SB(), CoRR()} {
-		r, err := RunLitmus(p, l, 300, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", l.Name, err)
-		}
-		t.Log(r)
-		if r.Forbidden != 0 {
-			t.Errorf("%s: forbidden outcome appeared %d times on MSI", l.Name, r.Forbidden)
-		}
-		if r.Relaxed != 0 {
-			t.Errorf("%s: relaxed outcome appeared on SWMR MSI", l.Name)
-		}
-	}
-}
-
-// TestLitmusTSOCC reproduces the §VI-D verification substitute:
-//   - MP without acquire exhibits the stale read (the protocol really does
-//     relax physical SWMR, as TSO-CC is designed to);
-//   - MP with acquire never shows the forbidden outcome (self-invalidation
-//     restores ordering at synchronization, the TSO-CC contract);
-//   - SB shows the TSO-allowed (0,0) outcome;
-//   - CoRR never goes backward (per-location SC, mandatory under TSO).
-func TestLitmusTSOCC(t *testing.T) {
-	p := gen(t, protocols.TSOCC, core.NonStallingOpts())
-
-	mp, err := RunLitmus(p, MP(false), 400, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log(mp)
-	if mp.Relaxed == 0 {
-		t.Errorf("TSO-CC must exhibit the MP stale read without acquires")
-	}
-
-	mpa, err := RunLitmus(p, MP(true), 400, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log(mpa)
-	if mpa.Forbidden != 0 {
-		t.Errorf("MP+acq forbidden outcome appeared %d times: acquire ordering broken", mpa.Forbidden)
-	}
-
-	sb, err := RunLitmus(p, SB(), 400, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log(sb)
-	if sb.Relaxed == 0 {
-		t.Errorf("TSO-CC must exhibit the TSO-allowed SB outcome")
-	}
-
-	corr, err := RunLitmus(p, CoRR(), 400, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log(corr)
-	if corr.Forbidden != 0 {
-		t.Errorf("CoRR violated: per-location SC broken")
-	}
-}
-
 // TestPendingLimitSweep: deeper absorption budgets shed more stalls under
 // contention (or at least never stall more).
 func TestPendingLimitSweep(t *testing.T) {

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -10,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"protogen/internal/ir"
 )
 
 // cacheFile is the JSONL file a ResultCache persists under its
@@ -141,6 +144,34 @@ func (c *ResultCache) Get(key string) (*Result, bool) {
 	}
 	c.hits++
 	return cloneResult(r), true
+}
+
+// CheckCtx is the one cache-or-check sequence every memoizing caller
+// runs: serve key's entry when read is set and one exists (marked
+// Result.Cached; the hit skips generation too — the key needs only the
+// spec text and options), otherwise generate, CheckCtx, and Put the
+// result under key. A nil c generates and checks with no memoization.
+//
+// Policy stays with the caller: which runs may use a cache at all and
+// which may only write (read=false), and what a failed Put means —
+// writeErr reports it with the verdict in res intact, because a write
+// failure only loses memoization. err is generate's error.
+func (c *ResultCache) CheckCtx(ctx context.Context, key string, read bool, cfg Config, generate func() (*ir.Protocol, error)) (res *Result, writeErr, err error) {
+	if c != nil && read {
+		if hit, ok := c.Get(key); ok {
+			hit.Cached = true
+			return hit, nil, nil
+		}
+	}
+	p, err := generate()
+	if err != nil {
+		return nil, nil, err
+	}
+	res = CheckCtx(ctx, p, cfg)
+	if c != nil {
+		writeErr = c.Put(key, res) // Put itself refuses canceled partial results
+	}
+	return res, writeErr, nil
 }
 
 // Put records key's Result in memory and appends it to the cache file.

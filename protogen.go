@@ -5,8 +5,9 @@
 // the cache and directory controllers, deferred-response bookkeeping, and
 // per-state access permissions — together with the machinery the paper's
 // evaluation needs: an explicit-state model checker (the Murphi role), a
-// Murphi source backend, a randomized-schedule simulator with litmus
-// tests, paper-style table rendering, and a primer-baseline diff engine.
+// Murphi source backend, a randomized-schedule simulator, a weak-memory
+// litmus oracle, paper-style table rendering, and a primer-baseline diff
+// engine.
 //
 // Quick start:
 //
@@ -88,11 +89,6 @@ type (
 	SimStats = sim.Stats
 	// Workload generates per-cache access streams.
 	Workload = sim.Workload
-	// Litmus is a multi-address litmus test (the randomized harness's
-	// form; the exhaustive oracle uses LitmusTest).
-	Litmus = sim.Litmus
-	// LitmusResult aggregates litmus outcomes.
-	LitmusResult = sim.LitmusResult
 )
 
 // Litmus oracle: exhaustive weak-memory litmus testing with
@@ -278,21 +274,6 @@ func Simulate(p *Protocol, cfg SimConfig) (SimStats, error) {
 // StandardWorkloads returns the contended / producer-consumer /
 // read-mostly / migratory suite.
 func StandardWorkloads() []Workload { return sim.Workloads() }
-
-// RunLitmus executes a litmus test over many randomized schedules.
-func RunLitmus(p *Protocol, l Litmus, runs int, seed int64) (LitmusResult, error) {
-	return sim.RunLitmus(p, l, runs, seed)
-}
-
-// LitmusMP builds the message-passing test (§VI-D substitute), optionally
-// with an acquire between the two loads.
-func LitmusMP(withAcquire bool) Litmus { return sim.MP(withAcquire) }
-
-// LitmusSB builds the store-buffering test with warmed Shared copies.
-func LitmusSB() Litmus { return sim.SB() }
-
-// LitmusCoRR builds the per-location coherence read-read test.
-func LitmusCoRR() Litmus { return sim.CoRR() }
 
 // FuzzShapes lists the shipped fuzz family members; FuzzBrokenShapes the
 // deliberately defective demonstration families; FuzzBoundaryShapes the
