@@ -150,15 +150,15 @@ func TestRunVerifyUnknownProtocol(t *testing.T) {
 }
 
 // TestRunVerifyFingerprint: -fingerprint explores the same space as the
-// exact run, and -audit-collisions reports a clean audit.
+// exact run, and the exact run — the one that keeps full keys — is the
+// one that reports how many states fingerprinting would have merged.
 func TestRunVerifyFingerprint(t *testing.T) {
 	var exact, fp strings.Builder
 	if err := runBG([]string{"-protocol", "MSI", "-mode", "stalling", "-caches", "2", "-parallel", "1"}, &exact); err != nil {
 		t.Fatal(err)
 	}
 	err := runBG([]string{
-		"-protocol", "MSI", "-mode", "stalling", "-caches", "2", "-parallel", "1",
-		"-fingerprint", "-audit-collisions",
+		"-protocol", "MSI", "-mode", "stalling", "-caches", "2", "-parallel", "1", "-fingerprint",
 	}, &fp)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, fp.String())
@@ -167,8 +167,11 @@ func TestRunVerifyFingerprint(t *testing.T) {
 	if !strings.Contains(fp.String(), wantCounts) {
 		t.Errorf("fingerprint run diverged from exact:\nexact: %s\nfp:    %s", exact.String(), fp.String())
 	}
-	if !strings.Contains(fp.String(), "collision audit: 0 false merges") {
-		t.Errorf("audit line missing or dirty:\n%s", fp.String())
+	if !strings.Contains(exact.String(), "fingerprint collisions: 0 over ") {
+		t.Errorf("exact run must report a clean collision count:\n%s", exact.String())
+	}
+	if strings.Contains(fp.String(), "fingerprint collisions") {
+		t.Errorf("a -fingerprint run cannot see its own collisions and must not claim to:\n%s", fp.String())
 	}
 }
 
@@ -200,33 +203,5 @@ func TestRunVerifyCacheDir(t *testing.T) {
 	}
 	if strings.Contains(other.String(), "(cached)") {
 		t.Errorf("different generation options hit the same cache entry:\n%s", other.String())
-	}
-}
-
-// TestRunVerifyAuditRequiresFingerprint: -audit-collisions without
-// -fingerprint is a vacuous always-zero audit; reject it. And an audit
-// run must never be served from the cache (whose key ignores the audit
-// flag) — it has to actually retain and compare keys.
-func TestRunVerifyAuditRequiresFingerprint(t *testing.T) {
-	var out strings.Builder
-	if err := runBG([]string{"-protocol", "MSI", "-caches", "2", "-audit-collisions"}, &out); err == nil {
-		t.Error("-audit-collisions without -fingerprint must error")
-	}
-	dir := t.TempDir()
-	warmArgs := []string{"-protocol", "MSI", "-mode", "stalling", "-caches", "2", "-parallel", "1",
-		"-fingerprint", "-cache-dir", dir}
-	out.Reset()
-	if err := runBG(warmArgs, &out); err != nil { // cold, no audit
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := runBG(append(warmArgs, "-audit-collisions"), &out); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out.String(), "(cached)") {
-		t.Errorf("audit run served from cache — no keys were compared:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "collision audit: 0 false merges") {
-		t.Errorf("audit line missing:\n%s", out.String())
 	}
 }

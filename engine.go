@@ -351,14 +351,11 @@ func (e *Engine) Verify(ctx context.Context, job VerifyJob) (*VerifyResult, erro
 		cfg.Progress = func(p verify.Progress) { fn(p) }
 	}
 
-	// A collision-audit run must actually retain and compare keys, so it
-	// never consults the cache (whose key deliberately ignores
-	// CollisionAudit); its result is still written back for future
-	// non-audit runs. A commutation-audit run bypasses the cache in BOTH
-	// directions: a cached verdict would skip the very re-execution the
-	// audit exists to perform, and an audited result (which may carry
-	// "por-audit" violations no plain run produces) must never be served
-	// to one.
+	// A commutation-audit run bypasses the cache in BOTH directions: a
+	// cached verdict would skip the very re-execution the audit exists
+	// to perform, and an audited result (which may carry "por-audit"
+	// violations no plain run produces) must never be served to a plain
+	// run.
 	var cache *VerifyResultCache
 	var key string
 	if spec != nil && !job.NoCache && !cfg.CommuteAudit {
@@ -369,7 +366,7 @@ func (e *Engine) Verify(ctx context.Context, job VerifyJob) (*VerifyResult, erro
 			key = verify.CacheKey(dsl.Format(spec), opts.KeyString(), cfg)
 		}
 	}
-	res, writeErr, err := cache.CheckCtx(ctx, key, !cfg.CollisionAudit, cfg, func() (*Protocol, error) {
+	res, writeErr, err := cache.CheckCtx(ctx, key, cfg, func() (*Protocol, error) {
 		if proto != nil {
 			return proto, nil
 		}

@@ -727,7 +727,7 @@ func checkMode(ctx context.Context, spec *ir.Spec, mode string, limit int, cfg C
 		key = verify.CacheKey(dsl.Format(spec), opts.KeyString(), vcfg)
 	}
 	// A cache write failure only loses memoization; the verdict stands.
-	res, _, err := cfg.Cache.CheckCtx(ctx, key, true, vcfg, func() (*ir.Protocol, error) {
+	res, _, err := cfg.Cache.CheckCtx(ctx, key, vcfg, func() (*ir.Protocol, error) {
 		return core.Generate(spec, opts)
 	})
 	if err != nil {

@@ -41,8 +41,9 @@ func Explore(ctx context.Context, p *ir.Protocol, t *Test, caches, maxStates int
 	}
 	res := &Explored{Outcomes: map[string]Outcome{}, Complete: true}
 	visited := vstore.New()
-	k0 := r.encode(w0)
-	visited.Insert(engine.Fingerprint(k0), string(k0), 0)
+	// The table is used as a set: the state index it stores is never
+	// read back, so every state goes in under 0.
+	visited.Insert(engine.Fingerprint(r.encode(w0)), "", 0)
 
 	frontier := []*world{w0}
 	for len(frontier) > 0 {
@@ -73,12 +74,9 @@ func Explore(ctx context.Context, p *ir.Protocol, t *Test, caches, maxStates int
 			if err := r.apply(n, ch); err != nil {
 				return res, err
 			}
-			k := r.encode(n)
-			fp := engine.Fingerprint(k)
-			if _, seen := visited.Lookup(fp, k); seen {
+			if _, fresh := visited.Insert(engine.Fingerprint(r.encode(n)), "", 0); !fresh {
 				continue
 			}
-			visited.Insert(fp, string(k), int32(visited.Len()))
 			frontier = append(frontier, n)
 			// chBuf is stable across apply: it belongs to the runner and
 			// apply never calls choices.

@@ -1,18 +1,24 @@
-// Package store provides the model checker's memory-lean visited-set
-// storage: a sharded, lock-striped, power-of-two open-addressing hash
-// table over 64-bit state fingerprints.
+// Package store provides the model checker's visited set: one sharded,
+// lock-striped, power-of-two open-addressing hash table over 64-bit
+// state fingerprints, built by one of two constructors.
 //
-// The exact visited set keeps every state's full canonical encoding
-// (~60-150 bytes each, plus Go map overhead) so membership answers are
-// certain. At millions of states that dominates the checker's memory.
-// Explicit-state tools for this domain (Murphi's hash compaction, the
-// visited sets in directory-protocol verification flows) instead retain
+// New is hash compaction. Explicit-state tools for this domain (Murphi's
+// -b, the visited sets in directory-protocol verification flows) retain
 // only a fixed-width hash of each state: two states are merged when
 // their fingerprints collide, which is unsound in principle but with
 // 64-bit fingerprints has expected false-merge count n²/2⁶⁵ — below
-// 10⁻⁶ even at ten million states. Table stores one 12-byte slot pair
-// (fingerprint + state index) per state at ≤75% load, roughly a tenth
-// of the exact set's footprint.
+// 10⁻⁶ even at ten million states. The table stores one 12-byte slot
+// pair (fingerprint + state index) per state at ≤75% load.
+//
+// NewExact is the same table plus one column of full canonical keys
+// (~60-150 bytes each), indexed by state index. A fingerprint match
+// whose key differs is not a match — probing continues — so membership
+// is certain, and every state stored behind such a match is counted
+// (Collisions): an exact run measures how many states a fingerprint run
+// over the same space would falsely merge. The column is what exact
+// mode costs: measured 5.2-5.6x the plain table's bytes per state on
+// the 3-cache MSI exploration (149 vs 28.7 B/state, bench/README.md;
+// the ≥5x floor is pinned by verify's TestFingerprintBytesReduction).
 //
 // Layout: fingerprints are distributed over 64 shards by their top six
 // bits; within a shard, linear probing over a power-of-two slot array
@@ -21,15 +27,6 @@
 // across shards. Resizing is incremental at shard granularity: a shard
 // doubles independently when it passes the load bound, so any single
 // insert rehashes at most 1/64th of the table.
-//
-// The opt-in collision-audit mode (NewAudited) additionally retains
-// each fingerprint's full canonical key in a side map and counts the
-// distinct states whose fingerprint matched a different stored key —
-// measured false merges, for validating the fingerprint width on new
-// protocol families. Counting is per merged state, not per lookup: a
-// falsely merged state probed once per incoming edge still counts one
-// false merge. Audit mode keeps the table's merge behavior identical to
-// plain fingerprint mode; it only observes.
 package store
 
 import (
@@ -56,15 +53,17 @@ const zeroSub = 0x9e3779b97f4a7c15
 // run concurrently with each other; Insert must not run concurrently
 // with other operations on the same fingerprint's shard unless
 // externally ordered (the checker's level-synchronized BFS guarantees
-// this: workers only look up, the single-threaded merge inserts).
+// this: workers only look up, the single-threaded merge inserts). An
+// exact table asks for more — see NewExact.
 type Table struct {
 	shards [shardCount]shard
-	audit  bool
-	// merged records the distinct probe keys observed falsely merged
-	// (audit mode only). Guarded by auditMu, touched only on a detected
-	// collision — never on the clean lookup path.
-	auditMu sync.Mutex
-	merged  map[string]bool //protogen:guardedby auditMu
+	// The exact table's key column and its counters. Table-level, not
+	// per shard, so no shard lock covers them: written only by Insert,
+	// under the ordering NewExact demands.
+	exact      bool
+	keys       []string // state index → full canonical key
+	keyBytes   int64
+	collisions int
 }
 
 type shard struct {
@@ -72,33 +71,34 @@ type shard struct {
 	fps  []uint64 //protogen:guardedby mu
 	idxs []int32  //protogen:guardedby mu
 	n    int      //protogen:guardedby mu
-	// keys is audit mode only: fingerprint → first key.
-	keys map[uint64]string //protogen:guardedby mu
 }
 
-// New returns an empty fingerprint table.
-func New() *Table { return newTable(false) }
-
-// NewAudited returns a table that retains full keys alongside the
-// fingerprints and counts false merges (fingerprint matches whose keys
-// differ). Membership behavior is identical to New; only the
-// measurement differs. Audit mode costs the full-key memory the plain
-// table exists to avoid — use it to validate, not to run.
-func NewAudited() *Table { return newTable(true) }
-
-func newTable(audit bool) *Table {
-	t := &Table{audit: audit}
-	if audit {
-		t.merged = make(map[string]bool)
-	}
+// New returns an empty fingerprint table: states are identified by
+// fingerprint alone and keys are ignored.
+func New() *Table {
+	t := &Table{}
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.fps = make([]uint64, minSlots)
 		s.idxs = make([]int32, minSlots)
-		if audit {
-			s.keys = make(map[uint64]string)
-		}
 	}
+	return t
+}
+
+// NewExact returns a table that also retains every inserted state's
+// full key, in a column indexed by the state index passed to Insert
+// (keep indices dense: the column is as long as the largest one). States
+// are identified by key; the fingerprint only locates them.
+//
+// The key column belongs to the whole table, so the per-shard contract
+// above is not enough: on an exact table EVERY Insert must be ordered
+// against EVERY Lookup and every other Insert, whatever their shards.
+// The checker's BFS level barrier provides exactly that — workers only
+// look up while a level expands, and the single-threaded merge inserts
+// between levels.
+func NewExact() *Table {
+	t := New()
+	t.exact = true
 	return t
 }
 
@@ -113,71 +113,75 @@ func normalize(fp uint64) uint64 {
 	return fp
 }
 
-// Lookup reports the state index recorded for fp. key is examined only
-// in audit mode, to detect false merges; pass nil otherwise.
+// Lookup reports the state index recorded for the state with
+// fingerprint fp — and, on an exact table, key; a plain table ignores
+// key (pass nil).
 func (t *Table) Lookup(fp uint64, key []byte) (int32, bool) {
 	fp = normalize(fp)
 	s := t.shard(fp)
 	s.mu.RLock()
-	idx, ok := s.probeLocked(fp)
-	collided := false
-	if ok && t.audit {
-		if prev, have := s.keys[fp]; have && prev != string(key) {
-			collided = true
+	mask := uint64(len(s.fps) - 1)
+	for i := fp & mask; s.fps[i] != 0; i = (i + 1) & mask {
+		if s.fps[i] != fp {
+			continue
+		}
+		// On an exact table another state's fingerprint twin is no match.
+		if idx := s.idxs[i]; !t.exact || t.keys[idx] == string(key) {
+			s.mu.RUnlock()
+			return idx, true
 		}
 	}
 	s.mu.RUnlock()
-	if collided {
-		// Dedup by the probing state's key: a merged state is looked up
-		// once per incoming edge, but it is one false merge.
-		t.auditMu.Lock()
-		t.merged[string(key)] = true
-		t.auditMu.Unlock()
-	}
-	return idx, ok
+	return 0, false
 }
 
-// probeLocked scans the shard's slot array for fp; caller holds the
-// lock.
-func (s *shard) probeLocked(fp uint64) (int32, bool) {
-	mask := uint64(len(s.fps) - 1)
-	for i := fp & mask; ; i = (i + 1) & mask {
-		switch s.fps[i] {
-		case fp:
-			return s.idxs[i], true
-		case 0:
-			return 0, false
-		}
-	}
-}
-
-// Insert records idx for fp. A fingerprint already present keeps its
-// first index (state indices are stable). key is retained only in
-// audit mode; pass "" otherwise.
-func (t *Table) Insert(fp uint64, key string, idx int32) {
+// Insert records idx for the state (fp, key) and reports the index the
+// state is stored under and whether this call stored it: a state
+// already present keeps its first index (state indices are stable). A
+// plain table ignores key (pass ""). An exact table stores a state
+// whose fingerprint is held only by different keys alongside them, and
+// counts it once in Collisions.
+func (t *Table) Insert(fp uint64, key string, idx int32) (int32, bool) {
 	fp = normalize(fp)
 	s := t.shard(fp)
 	s.mu.Lock()
+	collided := false
+	mask := uint64(len(s.fps) - 1)
+	i := fp & mask
+	for ; s.fps[i] != 0; i = (i + 1) & mask {
+		if s.fps[i] != fp {
+			continue
+		}
+		if first := s.idxs[i]; !t.exact || t.keys[first] == key {
+			s.mu.Unlock()
+			return first, false
+		}
+		collided = true
+	}
+	// Growing only for a state known to be new keeps the footprint a
+	// function of the stored set, not of how often it was re-offered.
 	if (s.n+1)*maxLoadDen > len(s.fps)*maxLoadNum {
 		s.growLocked()
-	}
-	mask := uint64(len(s.fps) - 1)
-	for i := fp & mask; ; i = (i + 1) & mask {
-		switch s.fps[i] {
-		case fp:
-			s.mu.Unlock()
-			return
-		case 0:
-			s.fps[i] = fp
-			s.idxs[i] = idx
-			s.n++
-			if t.audit {
-				s.keys[fp] = key
-			}
-			s.mu.Unlock()
-			return
+		mask = uint64(len(s.fps) - 1)
+		for i = fp & mask; s.fps[i] != 0; {
+			i = (i + 1) & mask
 		}
 	}
+	s.fps[i] = fp
+	s.idxs[i] = idx
+	s.n++
+	if t.exact {
+		for int(idx) >= len(t.keys) {
+			t.keys = append(t.keys, "")
+		}
+		t.keys[idx] = key
+		t.keyBytes += int64(len(key))
+		if collided {
+			t.collisions++
+		}
+	}
+	s.mu.Unlock()
+	return idx, true
 }
 
 // growLocked doubles one shard's slot array and rehashes its entries;
@@ -201,7 +205,8 @@ func (s *shard) growLocked() {
 	}
 }
 
-// Len reports the number of distinct fingerprints stored.
+// Len reports the number of states stored: distinct fingerprints in a
+// plain table, distinct keys in an exact one.
 func (t *Table) Len() int {
 	n := 0
 	for i := range t.shards {
@@ -213,11 +218,10 @@ func (t *Table) Len() int {
 	return n
 }
 
-// Bytes reports the table's allocated slot-array footprint. Audit-mode
-// key retention is deliberately excluded: it measures the exact set's
-// cost, not the fingerprint table's.
+// Bytes reports the table's allocated footprint: the slot arrays, plus
+// — exact table only — the key column and the key bytes it points at.
 func (t *Table) Bytes() int64 {
-	var b int64
+	b := int64(cap(t.keys))*16 + t.keyBytes // 16: one string header
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.RLock()
@@ -227,18 +231,7 @@ func (t *Table) Bytes() int64 {
 	return b
 }
 
-// FalseMerges reports how many distinct states were observed merged
-// onto a fingerprint whose retained key differed from theirs — always 0
-// outside audit mode.
-func (t *Table) FalseMerges() int {
-	if !t.audit {
-		return 0
-	}
-	t.auditMu.Lock()
-	defer t.auditMu.Unlock()
-	return len(t.merged)
-}
-
-// Audited reports whether the table retains full keys for collision
-// auditing.
-func (t *Table) Audited() bool { return t.audit }
+// Collisions reports how many stored states share their fingerprint
+// with an earlier, different state — the states a plain table would
+// have merged away. Always 0 for a plain table, which cannot tell.
+func (t *Table) Collisions() int { return t.collisions }

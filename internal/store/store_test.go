@@ -70,44 +70,115 @@ func TestZeroFingerprint(t *testing.T) {
 	}
 }
 
-func TestCollisionAudit(t *testing.T) {
-	tbl := NewAudited()
-	if !tbl.Audited() {
-		t.Fatal("NewAudited not audited")
+// TestExactCollisions: on an exact table a fingerprint match is not a
+// membership answer. A colliding Lookup is absent, a colliding Insert is
+// fresh and counted once, re-offering a stored state never recounts, and
+// a plain table — which cannot tell — never counts.
+func TestExactCollisions(t *testing.T) {
+	tbl := NewExact()
+	if idx, fresh := tbl.Insert(77, "state-A", 0); idx != 0 || !fresh {
+		t.Fatalf("first insert = (%d, %v), want (0, true)", idx, fresh)
 	}
-	tbl.Insert(77, "state-A", 0)
-	if _, ok := tbl.Lookup(77, []byte("state-A")); !ok {
-		t.Fatal("state-A missing")
+	if idx, ok := tbl.Lookup(77, []byte("state-A")); !ok || idx != 0 {
+		t.Fatalf("state-A: got (%d, %v), want (0, true)", idx, ok)
 	}
-	if tbl.FalseMerges() != 0 {
-		t.Fatalf("false merges after true match: %d", tbl.FalseMerges())
+	if _, ok := tbl.Lookup(77, []byte("state-B")); ok {
+		t.Fatal("a different state on the same fingerprint must be absent")
 	}
-	// A different state colliding on the same fingerprint is a false
-	// merge: the probe still reports "visited".
-	if _, ok := tbl.Lookup(77, []byte("state-B")); !ok {
-		t.Fatal("colliding lookup must still merge")
+	if tbl.Collisions() != 0 {
+		t.Fatalf("lookups counted %d collisions; only stored states count", tbl.Collisions())
 	}
-	if tbl.FalseMerges() != 1 {
-		t.Fatalf("false merges = %d, want 1", tbl.FalseMerges())
+	if idx, fresh := tbl.Insert(77, "state-B", 1); idx != 1 || !fresh {
+		t.Fatalf("colliding insert = (%d, %v), want (1, true)", idx, fresh)
 	}
-	// Re-probing the same merged state (once per incoming edge in the
-	// checker) must not inflate the count: one merged state, one merge.
-	tbl.Lookup(77, []byte("state-B"))
-	tbl.Lookup(77, []byte("state-B"))
-	if tbl.FalseMerges() != 1 {
-		t.Fatalf("repeated lookups inflated false merges to %d", tbl.FalseMerges())
+	if tbl.Collisions() != 1 || tbl.Len() != 2 {
+		t.Fatalf("collisions/len = %d/%d, want 1/2", tbl.Collisions(), tbl.Len())
 	}
-	// A second distinct colliding state is a second false merge.
-	tbl.Lookup(77, []byte("state-C"))
-	if tbl.FalseMerges() != 2 {
-		t.Fatalf("false merges = %d, want 2", tbl.FalseMerges())
+	// Re-offering either state (once per incoming edge in the checker)
+	// finds it under its first index and counts nothing.
+	for i, key := range []string{"state-A", "state-B", "state-B"} {
+		want := int32(min(i, 1))
+		if idx, fresh := tbl.Insert(77, key, 9); idx != want || fresh {
+			t.Fatalf("re-insert %s = (%d, %v), want (%d, false)", key, idx, fresh, want)
+		}
 	}
-	// Plain mode never counts.
+	if tbl.Collisions() != 1 || tbl.Len() != 2 {
+		t.Fatalf("re-inserts moved collisions/len to %d/%d", tbl.Collisions(), tbl.Len())
+	}
+	// A third state on the fingerprint is one more collision, not two.
+	tbl.Insert(77, "state-C", 2)
+	if idx, ok := tbl.Lookup(77, []byte("state-C")); !ok || idx != 2 || tbl.Collisions() != 2 {
+		t.Fatalf("state-C: got (%d, %v) with %d collisions, want (2, true) with 2", idx, ok, tbl.Collisions())
+	}
+
 	plain := New()
-	plain.Insert(77, "", 0)
-	plain.Lookup(77, []byte("state-B"))
-	if plain.FalseMerges() != 0 {
-		t.Fatalf("plain table counted a false merge")
+	plain.Insert(77, "state-A", 0)
+	if idx, fresh := plain.Insert(77, "state-B", 1); idx != 0 || fresh {
+		t.Fatalf("plain table colliding insert = (%d, %v), want the merge (0, false)", idx, fresh)
+	}
+	if _, ok := plain.Lookup(77, []byte("state-B")); !ok || plain.Collisions() != 0 || plain.Len() != 1 {
+		t.Fatalf("plain table must merge on the fingerprint and count nothing (collisions %d, len %d)",
+			plain.Collisions(), plain.Len())
+	}
+}
+
+// TestExactMatchesMapOracle drives an exact table and a plain
+// map[string]int32 — the visited set exact mode used to be — with one
+// seeded stream of (fingerprint, key) pairs in which a third of the keys
+// are forced onto a handful of shared fingerprints, 0 and zeroSub among
+// them, through several doublings of the shards those land in. The
+// table must agree with the map on membership before every insert, on
+// first-index-wins, and on Len; and Collisions must equal exactly the
+// number of states hash compaction would lose: distinct keys minus
+// distinct (normalized) fingerprints. Merging a collider fails the
+// membership half, miscounting one fails the last.
+func TestExactMatchesMapOracle(t *testing.T) {
+	shared := []uint64{0, zeroSub, 1, 1 << 63, 0xdeadbeef}
+	const (
+		distinct = 12_000 // 4000 of them on the five shared fingerprints
+		offers   = 40_000
+	)
+	stateOf := func(k uint64) (uint64, string) {
+		fp := splitmix64(k)
+		if k%3 == 0 {
+			fp = shared[k/3%uint64(len(shared))]
+		}
+		return fp, fmt.Sprintf("state-%d", k)
+	}
+	tbl := NewExact()
+	oracle := make(map[string]int32)
+	fps := make(map[uint64]bool)
+	rng := uint64(2018)
+	for n := 0; n < offers; n++ {
+		rng = splitmix64(rng)
+		fp, key := stateOf(rng % distinct)
+		want, seen := oracle[key]
+		if idx, ok := tbl.Lookup(fp, []byte(key)); ok != seen || (ok && idx != want) {
+			t.Fatalf("offer %d: Lookup(%s) = (%d, %v), oracle (%d, %v)", n, key, idx, ok, want, seen)
+		}
+		// Offer the next free index, as the checker does: a state already
+		// stored must come back under its first one.
+		next := int32(len(oracle))
+		if !seen {
+			want, oracle[key], fps[normalize(fp)] = next, next, true
+		}
+		if idx, fresh := tbl.Insert(fp, key, next); fresh == seen || idx != want {
+			t.Fatalf("offer %d: Insert(%s) = (%d, %v), want (%d, %v)", n, key, idx, fresh, want, !seen)
+		}
+		if tbl.Len() != len(oracle) {
+			t.Fatalf("offer %d: Len = %d, oracle holds %d", n, tbl.Len(), len(oracle))
+		}
+	}
+	for k := uint64(0); k < distinct; k++ {
+		fp, key := stateOf(k)
+		want, seen := oracle[key]
+		if idx, ok := tbl.Lookup(fp, []byte(key)); ok != seen || (ok && idx != want) {
+			t.Fatalf("after the stream: Lookup(%s) = (%d, %v), oracle (%d, %v)", key, idx, ok, want, seen)
+		}
+	}
+	if got, want := tbl.Collisions(), len(oracle)-len(fps); got != want || want == 0 {
+		t.Fatalf("Collisions = %d, want %d distinct keys - %d distinct fingerprints = %d (non-zero)",
+			got, len(oracle), len(fps), want)
 	}
 }
 

@@ -25,8 +25,11 @@ const cacheFile = "verify-cache.jsonl"
 // strategy counters (CanonFast/CanonTieStates/CanonTieEncodes/
 // CanonFallbacks) — v1 entries would serve zeros for counts the
 // exploration did measure. v3: Config grew Reduce (in the key) and
-// Result grew the reduction counters.
-const cacheKeyVersion = "v3"
+// Result grew the reduction counters. v4: the Config part of the key is
+// derived from the struct rather than a hand-kept field list, and an
+// exact-mode Result's FalseMerges became a measurement (v3 entries all
+// stored 0).
+const cacheKeyVersion = "v4"
 
 // CacheKey derives the result-cache key for one verification:
 // SHA-256 over the canonical spec text (dsl.Format output, so
@@ -34,19 +37,13 @@ const cacheKeyVersion = "v3"
 // (core.Options.KeyString), and the checker configuration. Each part is
 // length-prefixed, so no concatenation of differing parts can collide.
 //
-// Config.Parallelism and Config.CollisionAudit are deliberately
-// excluded: they never change States, Edges, Depth, verdicts or traces
-// (pinned by the parallel and fingerprint equivalence tests), so runs
-// at any worker count share cached results. Config.Fingerprint IS part
-// of the key — exact and fingerprint explorations agree in practice but
-// not in principle (a fingerprint collision merges states), and a cache
-// must never launder one mode's result into the other's. Config.Reduce
-// is in the key for the same reason: verdicts match full exploration
-// but States/Edges/Depth do not. Config.CommuteAudit is excluded like
-// CollisionAudit (the audit never changes exploration results, only
-// adds por-audit violations on failure) — instead, audited runs bypass
-// the cache entirely at the engine layer, both read and write, so the
-// audit always actually executes.
+// Every Config field is in the key unless keyString names it as an
+// observer. Config.Fingerprint IS part of the key — exact and
+// fingerprint explorations agree in practice but not in principle (a
+// fingerprint collision merges states), and a cache must never launder
+// one mode's result into the other's. Config.Reduce is in the key for
+// the same reason: verdicts match full exploration but
+// States/Edges/Depth do not.
 func CacheKey(canonicalSpec, genOptions string, cfg Config) string {
 	h := sha256.New()
 	for _, part := range []string{cacheKeyVersion, canonicalSpec, genOptions, cfg.keyString()} {
@@ -55,16 +52,18 @@ func CacheKey(canonicalSpec, genOptions string, cfg Config) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// keyString renders every result-affecting Config field. Any field
-// added to Config must be appended here unless it provably cannot
-// change results (then document its exclusion in CacheKey).
-// Config.Progress is excluded like Parallelism: a pure observer of the
-// exploration, never an input to it.
+// keyString renders the result-affecting part of cfg: the whole struct,
+// so a field added to Config is in the key by default, minus the three
+// observers that provably cannot change a Result. Parallelism never
+// changes States, Edges, Depth, verdicts or traces (pinned by the
+// parallel equivalence tests), so runs at any worker count share
+// entries. CommuteAudit only adds por-audit violations on failure, and
+// audited runs bypass the cache entirely at the engine layer, both read
+// and write, so the audit always actually executes. Progress is a
+// callback the exploration reports to and never reads from.
 func (cfg Config) keyString() string {
-	return fmt.Sprintf("caches=%d capacity=%d values=%d maxstates=%d swmr=%t datavalue=%t liveness=%t symmetry=%t maxviolations=%d fingerprint=%t reduce=%t",
-		cfg.Caches, cfg.Capacity, cfg.Values, cfg.MaxStates,
-		cfg.CheckSWMR, cfg.CheckValues, cfg.CheckLiveness, cfg.Symmetry,
-		cfg.MaxViolations, cfg.Fingerprint, cfg.Reduce)
+	cfg.Parallelism, cfg.CommuteAudit, cfg.Progress = 0, false, nil
+	return fmt.Sprintf("%+v", cfg)
 }
 
 // cacheEntry is one persisted line of the JSONL cache file.
@@ -147,17 +146,17 @@ func (c *ResultCache) Get(key string) (*Result, bool) {
 }
 
 // CheckCtx is the one cache-or-check sequence every memoizing caller
-// runs: serve key's entry when read is set and one exists (marked
-// Result.Cached; the hit skips generation too — the key needs only the
-// spec text and options), otherwise generate, CheckCtx, and Put the
-// result under key. A nil c generates and checks with no memoization.
+// runs: serve key's entry when one exists (marked Result.Cached; the
+// hit skips generation too — the key needs only the spec text and
+// options), otherwise generate, CheckCtx, and Put the result under key.
+// A nil c generates and checks with no memoization.
 //
-// Policy stays with the caller: which runs may use a cache at all and
-// which may only write (read=false), and what a failed Put means —
-// writeErr reports it with the verdict in res intact, because a write
-// failure only loses memoization. err is generate's error.
-func (c *ResultCache) CheckCtx(ctx context.Context, key string, read bool, cfg Config, generate func() (*ir.Protocol, error)) (res *Result, writeErr, err error) {
-	if c != nil && read {
+// Policy stays with the caller: which runs may use a cache at all, and
+// what a failed Put means — writeErr reports it with the verdict in res
+// intact, because a write failure only loses memoization. err is
+// generate's error.
+func (c *ResultCache) CheckCtx(ctx context.Context, key string, cfg Config, generate func() (*ir.Protocol, error)) (res *Result, writeErr, err error) {
+	if c != nil {
 		if hit, ok := c.Get(key); ok {
 			hit.Cached = true
 			return hit, nil, nil
@@ -186,10 +185,6 @@ func (c *ResultCache) Put(key string, r *Result) error {
 	}
 	stored := cloneResult(r)
 	stored.Cached = false // Cached describes how a copy was served, not the result
-	// The cache key deliberately ignores CollisionAudit, so an audit
-	// run's entry will be served to non-audit runs; strip its audit
-	// measurement to honor FalseMerges' "0 unless you audited" contract.
-	stored.FalseMerges = 0
 	line, err := json.Marshal(cacheEntry{Key: key, Result: stored})
 	if err != nil {
 		return fmt.Errorf("result cache: %w", err)

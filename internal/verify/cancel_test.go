@@ -96,14 +96,13 @@ func TestCanceledResultNeverCached(t *testing.T) {
 		t.Fatal("canceled result served back")
 	}
 	// A cached-marked result stores clean: Cached describes the serving
-	// path, not the result. FalseMerges is stripped too — the key
-	// ignores CollisionAudit, so an audit run's entry serves non-audit
-	// consumers, whose contract is "0 unless you audited".
+	// path, not the result. FalseMerges is a measurement of the keyed
+	// exploration like any other count, and survives.
 	if err := c.Put("k2", &Result{Protocol: "X", States: 7, Complete: true, Cached: true, FalseMerges: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if r, ok := c.Get("k2"); !ok || r.Cached || r.FalseMerges != 0 {
-		t.Fatalf("stored result kept serving-path state: %+v", r)
+	if r, ok := c.Get("k2"); !ok || r.Cached || r.FalseMerges != 3 {
+		t.Fatalf("stored result kept serving-path state or lost a measurement: %+v", r)
 	}
 }
 

@@ -102,8 +102,9 @@ func TestSeedBaselinePinned(t *testing.T) {
 // visited set) to the same golden numbers as exact mode on every
 // registry protocol in both generation modes: identical States, Edges,
 // Depth and Quiescent, at sequential and parallel settings, with the
-// collision audit confirming zero false merges and the visited set at
-// least 3x leaner than exact mode's. (3x, not the headline 5x: these
+// exact run confirming that no reachable state shares a fingerprint
+// with another (so nothing was merged) and the visited set at least 3x
+// leaner than exact mode's. (3x, not the headline 5x: these
 // 2-cache spaces are small enough that the table's fixed 64-shard
 // minimum footprint and power-of-two resize granularity still show; the
 // ≥5x bound is asserted at 3-cache benchmark scale in
@@ -114,6 +115,9 @@ func TestFingerprintMatchesExact(t *testing.T) {
 		exact := QuickConfig()
 		exact.Parallelism = 1
 		er := Check(p, exact)
+		if er.FalseMerges != 0 {
+			t.Errorf("%s %s: %d reachable states collide on their fingerprint", g.protocol, g.mode, er.FalseMerges)
+		}
 		for _, par := range []int{1, 4} {
 			cfg := QuickConfig()
 			cfg.Fingerprint = true
@@ -129,18 +133,6 @@ func TestFingerprintMatchesExact(t *testing.T) {
 				t.Errorf("%s %s fingerprint P=%d: visited bytes %d not ≥3x below exact %d",
 					g.protocol, g.mode, par, r.VisitedBytes, er.VisitedBytes)
 			}
-		}
-		audit := QuickConfig()
-		audit.Fingerprint = true
-		audit.CollisionAudit = true
-		audit.Parallelism = 1
-		ar := Check(p, audit)
-		if ar.FalseMerges != 0 {
-			t.Errorf("%s %s: %d false merges under collision audit", g.protocol, g.mode, ar.FalseMerges)
-		}
-		if ar.States != g.states || ar.Edges != g.edges {
-			t.Errorf("%s %s audit: states/edges = %d/%d, want %d/%d",
-				g.protocol, g.mode, ar.States, ar.Edges, g.states, g.edges)
 		}
 	}
 }

@@ -396,7 +396,7 @@ func (w *worker) finishSucc(succ *engine.System, root engine.Rule, seedQ bool) s
 	so.dataViol, w.pendViol = w.pendViol, nil
 	key := w.enc.Canonical(succ, w.c.perms)
 	so.hash = engine.Fingerprint(key)
-	if idx, ok := w.c.visited.lookup(key, so.hash); ok {
+	if idx, ok := w.c.visited.Lookup(so.hash, key); ok {
 		so.knownIdx = idx
 		// The rule string is only needed for violation traces and new
 		// state records; a clean already-visited successor skips it.
@@ -406,7 +406,8 @@ func (w *worker) finishSucc(succ *engine.System, root engine.Rule, seedQ bool) s
 		w.recycle(succ)
 	} else {
 		so.rule = w.chainString(root)
-		if w.c.needKey {
+		if !w.c.cfg.Fingerprint {
+			// Skipping this copy is fingerprint mode's frontier memory win.
 			so.key = string(key)
 		}
 		so.sys = succ

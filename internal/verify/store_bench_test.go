@@ -41,10 +41,10 @@ func bench3CacheConfig(fingerprint bool) Config {
 	return cfg
 }
 
-// TestFingerprintBytesReduction asserts the tentpole's headline memory
-// claim at 3-cache MSI benchmark scale: the fingerprint visited set
-// retains at least 5x fewer bytes per state than the exact set, while
-// exploring the identical state space.
+// TestFingerprintBytesReduction asserts fingerprint mode's headline
+// memory claim at 3-cache MSI benchmark scale: the table without its
+// key column retains at least 5x fewer bytes per state than with it,
+// while exploring the identical state space.
 func TestFingerprintBytesReduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3-cache exploration in -short mode")
@@ -70,7 +70,7 @@ func TestFingerprintBytesReduction(t *testing.T) {
 }
 
 // BenchmarkVisitedStore measures the visited set's bytes/state on the
-// 3-cache MSI exploration in both backings. The bytes/state metric is
+// 3-cache MSI exploration in both modes. The bytes/state metric is
 // diffed against BENCH_baseline.json by CI (cmd/benchdiff); a >10%
 // regression fails the build.
 func BenchmarkVisitedStore(b *testing.B) {

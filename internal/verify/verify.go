@@ -23,13 +23,16 @@
 // would — so States, Edges, Depth, violations and witness traces are
 // identical for every Parallelism setting, including 1.
 //
-// The visited set has two backings (Config.Fingerprint): the exact set
-// keeps full canonical keys; fingerprint mode keeps only 64-bit state
-// fingerprints in internal/store's open-addressing table — about a
-// tenth of the memory, which is what bounds large cache counts. Verify
-// results can also be memoized across runs through ResultCache, keyed
-// by the canonical spec text plus generation and checker configuration
-// (see docs/CACHING.md).
+// The visited set is internal/store's open-addressing fingerprint
+// table, built by one of its two constructors (Config.Fingerprint):
+// exact mode adds a column of full canonical keys, so membership is
+// certain and fingerprint collisions are counted (Result.FalseMerges);
+// fingerprint mode keeps the 64-bit fingerprints alone — 5.2-5.6x less
+// visited-set memory as measured (≥5x pinned by
+// TestFingerprintBytesReduction), which is what bounds large cache
+// counts. Verify results can also be memoized across runs through
+// ResultCache, keyed by the canonical spec text plus generation and
+// checker configuration (see docs/CACHING.md).
 package verify
 
 import (
@@ -63,17 +66,13 @@ type Config struct {
 	Parallelism int
 	// Fingerprint switches the visited set from full canonical keys to
 	// 64-bit state fingerprints (hash compaction, as in Murphi's -b):
-	// ~10x less memory per state, at a false-merge probability of about
-	// n²/2⁶⁵ — negligible below tens of millions of states. States,
-	// Edges, Depth and traces match exact mode whenever no fingerprint
-	// collision occurs.
+	// 5.2-5.6x less memory per state as measured on 3-cache MSI (≥5x is
+	// pinned by TestFingerprintBytesReduction), at a false-merge
+	// probability of about n²/2⁶⁵ — negligible below tens of millions of
+	// states. States, Edges, Depth and traces match exact mode whenever
+	// no fingerprint collision occurs; to learn whether one does on a
+	// new protocol, run exact mode once and read Result.FalseMerges.
 	Fingerprint bool
-	// CollisionAudit (fingerprint mode only) retains every state's full
-	// key alongside its fingerprint and reports observed false merges in
-	// Result.FalseMerges. It spends the memory fingerprinting saves —
-	// use it to validate fingerprint mode on a new protocol, not to run
-	// at scale.
-	CollisionAudit bool
 	// Reduce enables partial-order reduction: states whose enabled rules
 	// at one cache node are statically invisible (internal/depend) and
 	// dynamically unreferenced by the rest of the system expand only that
@@ -85,9 +84,8 @@ type Config struct {
 	// CommuteAudit (requires Reduce) re-executes sampled (ample, skipped)
 	// rule pairs in both orders at every reduced state and asserts the
 	// final states agree — a runtime check of the static independence
-	// relation, in the spirit of CollisionAudit. Any discrepancy is a
-	// hard "por-audit" violation. Audited results are never served from
-	// or written to the result cache.
+	// relation. Any discrepancy is a hard "por-audit" violation. Audited
+	// results are never served from or written to the result cache.
 	CommuteAudit bool
 	// Progress, when non-nil, is called after each completed BFS depth
 	// level with a snapshot of the exploration. It runs on the merge
@@ -169,12 +167,13 @@ type Result struct {
 	// fresh exploration. Never persisted: the cache strips it on Put and
 	// the serving layer sets it on the returned copy.
 	Cached bool `json:"Cached,omitempty"`
-	// VisitedBytes is the visited set's retained footprint: exact for
-	// the fingerprint table (allocated slot arrays), a documented
-	// estimate for the exact set (key bytes + per-entry map overhead).
+	// VisitedBytes is the visited table's allocated footprint: its slot
+	// arrays, plus the key column and key bytes in exact mode.
 	VisitedBytes int64
-	// FalseMerges counts fingerprint matches whose full keys differed —
-	// populated only under Config.CollisionAudit, 0 otherwise.
+	// FalseMerges counts the states fingerprint mode would falsely merge:
+	// reachable states whose fingerprint equals an earlier, different
+	// state's. Measured by every exact-mode run (which keeps such states
+	// apart); always 0 in fingerprint mode, which cannot tell.
 	FalseMerges int
 	// Canonicalization strategy counters (see engine.CanonStats), summed
 	// over all workers: CanonFast states took a single encoding,
@@ -225,149 +224,6 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// visitedStore abstracts the visited table over its two backings: the
-// exact set (full canonical keys, certain membership) and the
-// fingerprint table (64-bit hash compaction, ~10x leaner). During a
-// level's expansion the workers only call lookup (earlier levels are
-// fully inserted before the level starts); the merge phase is the only
-// caller of lookupMerge and insert.
-type visitedStore interface {
-	// lookup probes a raw key during parallel expansion without
-	// copying it. hash is the key's engine.Fingerprint.
-	lookup(key []byte, hash uint64) (int32, bool)
-	// lookupMerge re-probes during the sequential merge (an earlier
-	// successor in the same level may have claimed the key). key is ""
-	// in fingerprint mode without audit.
-	lookupMerge(key string, hash uint64) (int32, bool)
-	// insert records a new state's index; merge phase only.
-	insert(key string, hash uint64, idx int32)
-	// count is the number of stored states; always equals the number
-	// of state records — the checker inserts exactly once per record.
-	count() int
-	// bytes is the store's retained footprint (see Result.VisitedBytes).
-	bytes() int64
-	// falseMerges reports audited fingerprint collisions (0 elsewhere).
-	falseMerges() int
-}
-
-// visitedShardBits fixes the exact set's shard count (64): enough to
-// keep per-shard lock contention negligible at any realistic GOMAXPROCS
-// without bloating small explorations.
-const visitedShardBits = 6
-
-// exactMapOverhead estimates the per-entry cost of a Go
-// map[string]int32 beyond the key bytes themselves: the 16-byte string
-// header plus the entry's amortized share of hash buckets (tophash,
-// value, overflow pointers, sub-unity load factor) — roughly 32 bytes.
-// bytes() is an accounting estimate for exact mode, not a measurement;
-// the fingerprint table reports its allocation exactly.
-const exactMapOverhead = 48
-
-// exactSet is the exact visited table: binary canonical keys sharded by
-// fingerprint, one RWMutex per shard.
-type exactSet struct {
-	shards [1 << visitedShardBits]exactShard
-}
-
-type exactShard struct {
-	mu       sync.RWMutex
-	m        map[string]int32 //protogen:guardedby mu
-	keyBytes int64            //protogen:guardedby mu
-}
-
-func newExactSet() *exactSet {
-	v := &exactSet{}
-	for i := range v.shards {
-		v.shards[i].m = make(map[string]int32)
-	}
-	return v
-}
-
-func (v *exactSet) shard(hash uint64) *exactShard {
-	return &v.shards[hash&(1<<visitedShardBits-1)]
-}
-
-func (v *exactSet) lookup(key []byte, hash uint64) (int32, bool) {
-	s := v.shard(hash)
-	s.mu.RLock()
-	idx, ok := s.m[string(key)]
-	s.mu.RUnlock()
-	return idx, ok
-}
-
-func (v *exactSet) lookupMerge(key string, hash uint64) (int32, bool) {
-	s := v.shard(hash)
-	s.mu.RLock()
-	idx, ok := s.m[key]
-	s.mu.RUnlock()
-	return idx, ok
-}
-
-func (v *exactSet) insert(key string, hash uint64, idx int32) {
-	s := v.shard(hash)
-	s.mu.Lock()
-	s.m[key] = idx
-	s.keyBytes += int64(len(key))
-	s.mu.Unlock()
-}
-
-func (v *exactSet) count() int {
-	n := 0
-	for i := range v.shards {
-		s := &v.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-func (v *exactSet) bytes() int64 {
-	var b int64
-	for i := range v.shards {
-		s := &v.shards[i]
-		s.mu.RLock()
-		b += s.keyBytes + int64(len(s.m))*exactMapOverhead
-		s.mu.RUnlock()
-	}
-	return b
-}
-
-func (v *exactSet) falseMerges() int { return 0 }
-
-// fpSet adapts store.Table to the visitedStore interface. Keys reach
-// the table only in audit mode (the plain table never sees them).
-type fpSet struct {
-	t *store.Table
-}
-
-func newFpSet(audit bool) *fpSet {
-	if audit {
-		return &fpSet{t: store.NewAudited()}
-	}
-	return &fpSet{t: store.New()}
-}
-
-func (v *fpSet) lookup(key []byte, hash uint64) (int32, bool) {
-	return v.t.Lookup(hash, key)
-}
-
-func (v *fpSet) lookupMerge(key string, hash uint64) (int32, bool) {
-	var k []byte
-	if v.t.Audited() {
-		k = []byte(key)
-	}
-	return v.t.Lookup(hash, k)
-}
-
-func (v *fpSet) insert(key string, hash uint64, idx int32) {
-	v.t.Insert(hash, key, idx)
-}
-
-func (v *fpSet) count() int       { return v.t.Len() }
-func (v *fpSet) bytes() int64     { return v.t.Bytes() }
-func (v *fpSet) falseMerges() int { return v.t.FalseMerges() }
-
 type stateRec struct {
 	parent int32
 	depth  int32
@@ -387,7 +243,7 @@ type succOut struct {
 	hasErr   bool
 	dataViol []string // data-value violations observed on performed loads
 	knownIdx int32    // visited index at expansion time; -1 if unseen then
-	key      string   // canonical key (set only when knownIdx < 0)
+	key      string   // canonical key (exact mode, and only when knownIdx < 0)
 	hash     uint64
 	sys      *engine.System // retained only when knownIdx < 0
 	quiet    bool
@@ -410,12 +266,7 @@ type checker struct {
 	cfg     Config
 	p       *ir.Protocol
 	res     *Result
-	visited visitedStore
-	// needKey: workers must copy unseen states' canonical keys out for
-	// the merge — always in exact mode, in fingerprint mode only under
-	// collision audit. Skipping the copy is fingerprint mode's frontier
-	// memory win.
-	needKey bool
+	visited *store.Table
 	// writerAt/readerAt classify the cache machine's stable states by
 	// permission, indexed by state index (Ctrl.StIdx) so checkState
 	// avoids per-cache map probes.
@@ -464,18 +315,15 @@ func CheckCtx(ctx context.Context, p *ir.Protocol, cfg Config) *Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var visited visitedStore
+	visited := store.NewExact()
 	if cfg.Fingerprint {
-		visited = newFpSet(cfg.CollisionAudit)
-	} else {
-		visited = newExactSet()
+		visited = store.New()
 	}
 	c := &checker{
 		cfg:     cfg,
 		p:       p,
 		res:     &Result{Protocol: p.Name, Complete: true},
 		visited: visited,
-		needKey: !cfg.Fingerprint || cfg.CollisionAudit,
 		workers: workers,
 	}
 	c.classifyPermissions()
@@ -499,11 +347,7 @@ func CheckCtx(ctx context.Context, p *ir.Protocol, cfg Config) *Result {
 		}
 	}
 	key := c.pool[0].enc.Canonical(init, c.perms)
-	initKey := ""
-	if c.needKey {
-		initKey = string(key)
-	}
-	c.visited.insert(initKey, engine.Fingerprint(key), 0)
+	c.visited.Insert(engine.Fingerprint(key), string(key), 0)
 	c.recs = append(c.recs, stateRec{parent: -1})
 	if cfg.CheckLiveness {
 		c.edgeOff = append(c.edgeOff, 0)
@@ -539,12 +383,11 @@ func CheckCtx(ctx context.Context, p *ir.Protocol, cfg Config) *Result {
 			cfg.Progress(pr)
 		}
 	}
-	// States comes from the visited store, not the record slice, so
-	// exact and fingerprint modes report through the same authority
-	// (they agree by construction: one insert per record).
-	c.res.States = c.visited.count()
-	c.res.VisitedBytes = c.visited.bytes()
-	c.res.FalseMerges = c.visited.falseMerges()
+	// States comes from the visited table, not the record slice (they
+	// agree by construction: one fresh insert per record).
+	c.res.States = c.visited.Len()
+	c.res.VisitedBytes = c.visited.Bytes()
+	c.res.FalseMerges = c.visited.Collisions()
 	var canon engine.CanonStats
 	for _, w := range c.pool {
 		canon.Add(w.enc.Stats())
@@ -756,25 +599,21 @@ func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierIte
 			if so.seedParent && c.cfg.CheckLiveness {
 				c.quiet[parent] = true
 			}
-			idx := so.knownIdx
-			if idx < 0 {
+			ni, fresh := so.knownIdx, false
+			if ni < 0 {
 				// Unseen at expansion time, but an earlier successor of
-				// this same level may have claimed the key since.
-				if j, ok := c.visited.lookupMerge(so.key, so.hash); ok {
-					idx = j
-				}
+				// this same level may have claimed the state since: the
+				// one probe either finds that claim or stakes this one.
+				ni, fresh = c.visited.Insert(so.hash, so.key, int32(len(c.recs)))
 			}
-			if idx >= 0 {
-				if c.cfg.CheckLiveness {
-					c.edgeDst = append(c.edgeDst, idx)
-				}
-				continue
-			}
-			ni := int32(len(c.recs))
-			c.visited.insert(so.key, so.hash, ni)
-			c.recs = append(c.recs, stateRec{parent: parent, rule: so.rule, depth: c.recs[parent].depth + 1})
 			if c.cfg.CheckLiveness {
 				c.edgeDst = append(c.edgeDst, ni)
+			}
+			if !fresh {
+				continue
+			}
+			c.recs = append(c.recs, stateRec{parent: parent, rule: so.rule, depth: c.recs[parent].depth + 1})
+			if c.cfg.CheckLiveness {
 				c.quiet = append(c.quiet, so.quiet)
 			}
 			if d := int(c.recs[ni].depth); d > c.res.Depth {
@@ -862,15 +701,8 @@ func (c *checker) checkState(s *engine.System, idx int) {
 // livenessCheck verifies that quiescence is reachable from every state
 // (AG EF quiescent): reverse reachability from the quiescent set; any
 // unreached state is a stuck transaction (livelock or partial deadlock).
-// The state count comes from the visited store — the same authority in
-// exact and fingerprint modes — so the "N of M states" report is
-// consistent across modes (the quiet/edge slices are index-aligned with
-// the store's insertion order in both).
 func (c *checker) livenessCheck() {
 	n := len(c.recs)
-	if c.visited != nil { // nil only in direct test-harness construction
-		n = c.visited.count()
-	}
 	// Invert the CSR successor graph into a CSR predecessor graph:
 	// count in-degrees, prefix-sum into row offsets, then fill — two
 	// passes, no per-state slices.

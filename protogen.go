@@ -257,9 +257,9 @@ func OpenVerifyCache(dir string) (*VerifyResultCache, error) { return verify.Ope
 
 // VerifyCacheKey derives the result-cache key for verifying spec
 // generated under o and checked under cfg: a hash of the canonical
-// (dsl.Format) spec text, every generation option, and every
-// result-affecting checker field — Parallelism and CollisionAudit are
-// excluded because they never change results.
+// (dsl.Format) spec text, every generation option, and every checker
+// field except the observers that never change results (Parallelism,
+// CommuteAudit, Progress).
 func VerifyCacheKey(s *Spec, o Options, cfg VerifyConfig) string {
 	return verify.CacheKey(dsl.Format(s), o.KeyString(), cfg)
 }
