@@ -52,7 +52,7 @@ import (
 // apply to — the allocation-free hot path carved out by the checker
 // performance work. Everything else is ignored.
 var hotFiles = map[string][]string{
-	"internal/engine": {"ctrl.go", "encode.go", "layout.go", "network.go", "system.go"},
+	"internal/engine": {"ctrl.go", "encode.go", "layout.go", "network.go", "snapshot.go", "system.go"},
 	"internal/verify": {"verify.go", "reduce.go"},
 	"internal/store":  {"store.go"},
 }

@@ -172,7 +172,7 @@ func TestHotTargets(t *testing.T) {
 	if hotTargets("protogen/internal/dsl") != nil {
 		t.Error("cold package matched")
 	}
-	if set := hotTargets("protogen/internal/engine"); !set["encode.go"] || set["encode_test.go"] {
+	if set := hotTargets("protogen/internal/engine"); !set["encode.go"] || !set["snapshot.go"] || set["encode_test.go"] {
 		t.Errorf("engine file set wrong: %v", set)
 	}
 }

@@ -52,9 +52,11 @@ func walkDiff(t *testing.T, label string, p *ir.Protocol, caches int, seed int64
 	return fast.Stats()
 }
 
-// TestCanonicalDiffRegistry sweeps every registry protocol in all three
-// generation modes at 2 and 3 caches.
-func TestCanonicalDiffRegistry(t *testing.T) {
+// eachRegistryProtocol generates every registry protocol in all three
+// generation modes and hands each to fn — the input set this test and the
+// snapshot/revert property test (snapshot_test.go) share.
+func eachRegistryProtocol(t *testing.T, fn func(label string, p *ir.Protocol)) {
+	t.Helper()
 	modes := []struct {
 		name string
 		opts core.Options
@@ -63,7 +65,6 @@ func TestCanonicalDiffRegistry(t *testing.T) {
 		{"nonstalling", core.NonStallingOpts()},
 		{"deferred", core.DeferredOpts()},
 	}
-	var total engine.CanonStats
 	for _, e := range protocols.Entries() {
 		spec, err := dsl.Parse(e.Source)
 		if err != nil {
@@ -74,26 +75,16 @@ func TestCanonicalDiffRegistry(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", e.Name, mode.name, err)
 			}
-			for _, caches := range []int{2, 3} {
-				for seed := int64(0); seed < 6; seed++ {
-					st := walkDiff(t, e.Name+"/"+mode.name, p, caches, seed, 60)
-					total.Add(st)
-				}
-			}
+			fn(e.Name+"/"+mode.name, p)
 		}
-	}
-	// The sweep must exercise every strategy, or the differential check
-	// proves less than it claims (deferred mode drives the impure-state
-	// fallback, near-initial states drive ties).
-	if total.Fast == 0 || total.TieStates == 0 || total.Fallbacks == 0 {
-		t.Errorf("sweep did not cover all canonicalization strategies: %+v", total)
 	}
 }
 
-// TestCanonicalDiffFuzzSpecs runs the differential walk over the fuzzer's
-// seed-indexed spec space — the same generator the campaign uses, so the
-// canonicalization is pinned on machine shapes nobody hand-picked.
-func TestCanonicalDiffFuzzSpecs(t *testing.T) {
+// eachFuzzProtocol does the same over the fuzzer's seed-indexed spec space
+// — the generator the campaign uses, so properties are pinned on machine
+// shapes nobody hand-picked. fn also gets the seed's simulator seed.
+func eachFuzzProtocol(t *testing.T, fn func(label string, p *ir.Protocol, simSeed int64)) {
+	t.Helper()
 	pool := append(fuzz.Shapes(), fuzz.BoundaryShapes()...)
 	for seed := uint64(0); seed < 24; seed++ {
 		params, limit, simSeed := fuzz.SpecForSeed(seed, pool)
@@ -108,10 +99,36 @@ func TestCanonicalDiffFuzzSpecs(t *testing.T) {
 			if err != nil {
 				continue // generator boundary shapes may reject a mode; covered elsewhere
 			}
-			label := fmt.Sprintf("fuzz seed %d (%s)", seed, params.Name())
-			walkDiff(t, label, p, 3, simSeed, 40)
+			fn(fmt.Sprintf("fuzz seed %d (%s)", seed, params.Name()), p, simSeed)
 		}
 	}
+}
+
+// TestCanonicalDiffRegistry sweeps every registry protocol in all three
+// generation modes at 2 and 3 caches.
+func TestCanonicalDiffRegistry(t *testing.T) {
+	var total engine.CanonStats
+	eachRegistryProtocol(t, func(label string, p *ir.Protocol) {
+		for _, caches := range []int{2, 3} {
+			for seed := int64(0); seed < 6; seed++ {
+				total.Add(walkDiff(t, label, p, caches, seed, 60))
+			}
+		}
+	})
+	// The sweep must exercise every strategy, or the differential check
+	// proves less than it claims (deferred mode drives the impure-state
+	// fallback, near-initial states drive ties).
+	if total.Fast == 0 || total.TieStates == 0 || total.Fallbacks == 0 {
+		t.Errorf("sweep did not cover all canonicalization strategies: %+v", total)
+	}
+}
+
+// TestCanonicalDiffFuzzSpecs runs the differential walk over the fuzzer's
+// seed-indexed spec space.
+func TestCanonicalDiffFuzzSpecs(t *testing.T) {
+	eachFuzzProtocol(t, func(label string, p *ir.Protocol, simSeed int64) {
+		walkDiff(t, label, p, 3, simSeed, 40)
+	})
 }
 
 // TestCanonicalHonorsPermSubset: a permutation list that is a proper

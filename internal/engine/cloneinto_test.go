@@ -7,7 +7,7 @@ import (
 
 // TestCloneIntoNoAliasing: a System recycled through CloneInto must share
 // no mutable memory with its source — the invariant the checker's
-// free-lists rest on. The test drives source and copy down different
+// scratch Systems rest on. The test drives source and copy down different
 // schedules after the copy and checks neither perturbs the other's key.
 func TestCloneIntoNoAliasing(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {

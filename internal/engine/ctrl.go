@@ -40,7 +40,7 @@ func (c *Ctrl) Clone() *Ctrl {
 
 // CloneInto deep-copies c's state into dst, reusing dst's backing arrays
 // where capacity allows. dst must be a controller of the same layout
-// (typically a recycled Clone of the same machine).
+// (typically a scratch Clone of the same machine).
 func (c *Ctrl) CloneInto(dst *Ctrl) {
 	dst.ID = c.ID
 	dst.L = c.L

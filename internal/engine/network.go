@@ -189,7 +189,7 @@ func (n *Network) Clone() *Network {
 
 // CloneInto deep-copies n's queues into dst, reusing dst's per-queue
 // backing arrays. dst must come from the same topology (same ordered
-// flag, node count and queue layout — typically a recycled Clone).
+// flag, node count and queue layout — typically a scratch Clone).
 func (n *Network) CloneInto(dst *Network) {
 	dst.Ordered = n.Ordered
 	dst.Nodes = n.Nodes

@@ -83,12 +83,27 @@ type System struct {
 	Net       *Network
 	LastWrite int
 	msgMeta   map[string]msgMeta
-	accesses  []ir.AccessType
-	accEvIdx  []int // dense cache-machine event index per accesses entry
+	accesses  []accessEv
 	// dstBuf is resolveDst's scratch, consumed within one execSend.
 	// Never shared: Clone drops it (a shallow struct copy would alias
 	// the array across systems) and CloneInto keeps the target's own.
 	dstBuf []int
+	// touchedCtrl has bit id set for every controller (node id), and
+	// touchedQ bit i%64 for every network queue i, that a rule has mutated
+	// since s was last synchronised (Clone, CloneInto, Restore, RevertTo);
+	// RevertTo copies back these and nothing else. One word each whatever
+	// the topology: the queue set is exact up to 64 queues (three caches
+	// ordered is 48), and past that a bit stands for every queue sharing
+	// it, which costs RevertTo a few spare copies and nothing else.
+	touchedCtrl uint64
+	touchedQ    uint64
+}
+
+// accessEv is one access type the cache machine fires on, with its dense
+// event index in the cache layout.
+type accessEv struct {
+	a  ir.AccessType
+	ev int
 }
 
 // NewSystem builds the initial system state.
@@ -112,8 +127,7 @@ func NewSystem(p *ir.Protocol, cfg Config) *System {
 	for _, t := range p.Cache.Trans {
 		if t.Ev.Kind == ir.EvAccess && !seen[t.Ev.Access] {
 			seen[t.Ev.Access] = true
-			s.accesses = append(s.accesses, t.Ev.Access)
-			s.accEvIdx = append(s.accEvIdx, s.CacheL.EvIndex(ir.AccessEvent(t.Ev.Access).String()))
+			s.accesses = append(s.accesses, accessEv{t.Ev.Access, s.CacheL.EvIndex(ir.AccessEvent(t.Ev.Access).String())})
 		}
 	}
 	return s
@@ -126,7 +140,9 @@ func (s *System) DirID() int { return s.Cfg.Caches }
 // Controllers land in one block and their int/mask slots in two shared
 // backing arrays (segment-capped, and neither ever grows after
 // construction), so a clone costs a handful of allocations rather than
-// several per controller — this runs once per state the checker retains.
+// several per controller. The checker clones only to build its workers'
+// scratch Systems (states at rest are snapshots, see snapshot.go); the
+// litmus explorer clones once per world it keeps.
 func (s *System) Clone() *System {
 	n := *s
 	nc := len(s.Caches)
@@ -158,16 +174,18 @@ func (s *System) Clone() *System {
 	n.Dir = &block[nc]
 	n.Net = s.Net.Clone()
 	n.dstBuf = nil
+	n.synced()
 	return &n
 }
 
 // CloneInto deep-copies s's mutable state into dst, reusing dst's
 // controller and network backing arrays, and returns dst — the
-// allocation-free Clone for checker free-lists. dst must be a System of
-// the same protocol and configuration (typically a recycled Clone of
-// another state); passing nil falls back to Clone. After the call dst
-// shares no mutable memory with s: every controller slice and network
-// queue is copied, so mutating either state never leaks into the other.
+// allocation-free Clone for scratch Systems. dst must be a System of
+// the same protocol and configuration (typically a Clone of another
+// state); passing nil falls back to Clone. After the call dst shares no
+// mutable memory with s: every controller slice and network queue is
+// copied, so mutating either state never leaks into the other, and dst is
+// synchronised with s (dst.RevertTo(s) undoes whatever dst applies next).
 func (s *System) CloneInto(dst *System) *System {
 	if dst == nil {
 		return s.Clone()
@@ -179,12 +197,12 @@ func (s *System) CloneInto(dst *System) *System {
 	dst.LastWrite = s.LastWrite
 	dst.msgMeta = s.msgMeta
 	dst.accesses = s.accesses
-	dst.accEvIdx = s.accEvIdx
 	for i, c := range s.Caches {
 		c.CloneInto(dst.Caches[i])
 	}
 	s.Dir.CloneInto(dst.Dir)
 	s.Net.CloneInto(dst.Net)
+	dst.synced()
 	return dst
 }
 
@@ -221,9 +239,9 @@ func (s *System) Rules() []Rule {
 // (queue index order, position order) so no intermediate slice is built.
 func (s *System) AppendRules(buf []Rule) []Rule {
 	for i, c := range s.Caches {
-		for j, a := range s.accesses {
-			if s.accessEnabled(c, a, s.accEvIdx[j]) {
-				buf = append(buf, Rule{Kind: RuleAccess, Cache: i, Access: a})
+		for _, ae := range s.accesses {
+			if s.accessEnabled(c, ae.a, ae.ev) {
+				buf = append(buf, Rule{Kind: RuleAccess, Cache: i, Access: ae.a})
 			}
 		}
 	}
@@ -251,7 +269,7 @@ func (s *System) AppendRules(buf []Rule) []Rule {
 // accessEnabled reports whether issuing access a at cache c makes progress
 // (starts a transaction, silently transitions, or is a store hit that
 // mutates data). Pure load hits are invariant-checked, not enumerated.
-// evi is a's dense event index in the cache layout (accEvIdx).
+// evi is a's dense event index in the cache layout (accessEv.ev).
 func (s *System) accessEnabled(c *Ctrl, a ir.AccessType, evi int) bool {
 	t, ok, err := c.matchEv(evi, nil)
 	if err != nil || !ok || t.Stall {
@@ -303,6 +321,7 @@ func (s *System) Apply(r Rule) ([]Perform, error) {
 		if t.Stall {
 			return nil, nil // blocked; state unchanged
 		}
+		s.touchedQ |= 1 << uint(r.Del.Queue&63)
 		s.Net.Remove(r.Del)
 		performs, err := s.exec(c, t, &m)
 		if err != nil {
@@ -340,6 +359,7 @@ func (s *System) drainDirDefers() ([]Perform, error) {
 			return out, nil
 		}
 		m := s.Dir.DeferQ[0]
+		s.touchedCtrl |= 1 << uint(s.Dir.ID)
 		s.Dir.DeferQ = s.Dir.DeferQ[1:]
 		t, ok, err := s.Dir.match(ir.MsgEvent(ir.MsgType(m.Type)), &m)
 		if err != nil {
@@ -366,6 +386,9 @@ func (s *System) drainDirDefers() ([]Perform, error) {
 func (s *System) exec(c *Ctrl, t *ir.Transition, m *Msg) ([]Perform, error) {
 	var performs []Perform
 	fromState := s.P.Machine(c.L.M.Kind).State(t.From)
+	// Before the first action: a failing action leaves c half-updated.
+	// (applyAccess's Pend write is covered too — it always gets here.)
+	s.touchedCtrl |= 1 << uint(c.ID)
 	for _, a := range t.Actions {
 		p, err := s.execAction(c, a, m, t, fromState)
 		if err != nil {
@@ -522,6 +545,7 @@ func (s *System) execSend(c *Ctrl, a ir.Action, m *Msg) error {
 	for _, d := range dsts {
 		mm := base
 		mm.Dst = d
+		s.touchedQ |= 1 << uint(s.Net.qidx(mm.Class, mm.Src, mm.Dst)&63)
 		if err := s.Net.Send(mm); err != nil {
 			return err
 		}

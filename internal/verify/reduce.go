@@ -272,6 +272,10 @@ type fuseLevel struct {
 	rules []engine.Rule // AppendRules scratch for this level's state
 	en    []int         // indices into rules of the fused node's rule set
 	node  int           // the fused cache node
+	// scr is the System this level's branches run on when the fused set
+	// has several rules (all but the last, which applies in place); built
+	// the first time the level branches.
+	scr *engine.System
 }
 
 // fusible finds the lowest cache node n whose entire enabled-rule set is
@@ -336,11 +340,12 @@ func (w *worker) fusible(sys *engine.System, depth int) []int {
 // collapse recursively normalizes sys — applying every rule of the
 // lowest fusible node, branching where that set has several rules — and
 // appends the resulting normal-form successors to out. root is the rule
-// that produced sys from the stored parent (the edge label's head);
+// that produced sys from stored state parent (the edge label's head);
 // seedQ accumulates "a quiescent state was fused through on this path",
 // which finishSucc hands to merge as the parent's liveness witness. sys
-// is consumed (applied in place on the last branch, recycled on error).
-func (w *worker) collapse(sys *engine.System, root engine.Rule, it frontierItem, depth int, seedQ bool, out []succOut) []succOut {
+// is consumed: the last branch applies in place, the others run on the
+// level's own scratch, and whoever owns sys reverts it afterwards.
+func (w *worker) collapse(sys *engine.System, root engine.Rule, parent int32, depth int, seedQ bool, out []succOut) []succOut {
 	en := w.fusible(sys, depth)
 	if len(en) == 0 || depth >= maxFuseDepth {
 		return append(out, w.finishSucc(sys, root, seedQ))
@@ -351,15 +356,17 @@ func (w *worker) collapse(sys *engine.System, root engine.Rule, it frontierItem,
 		seedQ = quiescent(sys)
 	}
 	w.stateFused = true
-	lvl := &w.lvls[depth]
 	if w.c.cfg.CommuteAudit {
-		w.auditCollapse(sys, it, depth, lvl)
+		w.auditCollapse(sys, parent, depth, &w.lvls[depth])
 	}
-	for bi := 0; bi < len(lvl.en); bi++ {
-		r := lvl.rules[lvl.en[bi]]
+	// The recursion below may grow w.lvls; hold this level's slices, not
+	// a pointer into the array.
+	rules := w.lvls[depth].rules
+	for bi, ri := range en {
+		r := rules[ri]
 		child := sys
-		if bi < len(lvl.en)-1 {
-			child = w.getClone(sys)
+		if bi < len(en)-1 {
+			child = w.branch(sys, depth, bi == 0)
 		}
 		performs, err := child.Apply(r)
 		if err != nil {
@@ -370,7 +377,6 @@ func (w *worker) collapse(sys *engine.System, root engine.Rule, it frontierItem,
 				knownIdx: -1, rule: w.chainString(root), hasErr: true, applyErr: err.Error(),
 			})
 			w.chain = w.chain[:len(w.chain)-1]
-			w.recycle(child)
 			continue
 		}
 		for _, pf := range performs {
@@ -381,16 +387,37 @@ func (w *worker) collapse(sys *engine.System, root engine.Rule, it frontierItem,
 		}
 		w.fused++
 		w.chain = append(w.chain, r)
-		out = w.collapse(child, root, it, depth+1, seedQ, out)
+		out = w.collapse(child, root, parent, depth+1, seedQ, out)
 		w.chain = w.chain[:len(w.chain)-1]
 	}
 	return out
 }
 
+// branch returns level depth's scratch System holding a copy of sys, for
+// a branch that cannot apply in place. The level's first branch copies
+// sys whole (the scratch last served some other state); later ones only
+// revert what the previous branch — and every collapse level below it,
+// which applied in place on this scratch — touched, sys itself staying
+// unchanged until the last branch.
+func (w *worker) branch(sys *engine.System, depth int, first bool) *engine.System {
+	lvl := &w.lvls[depth]
+	switch {
+	case lvl.scr == nil:
+		lvl.scr = sys.Clone()
+	case first:
+		sys.CloneInto(lvl.scr)
+	default:
+		lvl.scr.RevertTo(sys)
+	}
+	return lvl.scr
+}
+
 // finishSucc canonicalizes one normal form and resolves it against the
-// visited store — the shared tail of successor generation. Pending
-// data-value violations (from the root apply or fused performs) attach
-// to the first normal form emitted after they were observed.
+// visited store — the shared tail of successor generation; an unseen one
+// is checked and snapshotted into the worker's slab while it is still
+// live on the scratch System. Pending data-value violations (from the
+// root apply or fused performs) attach to the first normal form emitted
+// after they were observed.
 func (w *worker) finishSucc(succ *engine.System, root engine.Rule, seedQ bool) succOut {
 	so := succOut{knownIdx: -1, seedParent: seedQ}
 	so.dataViol, w.pendViol = w.pendViol, nil
@@ -403,14 +430,16 @@ func (w *worker) finishSucc(succ *engine.System, root engine.Rule, seedQ bool) s
 		if len(so.dataViol) > 0 {
 			so.rule = w.chainString(root)
 		}
-		w.recycle(succ)
 	} else {
 		so.rule = w.chainString(root)
 		if !w.c.cfg.Fingerprint {
 			// Skipping this copy is fingerprint mode's frontier memory win.
 			so.key = string(key)
 		}
-		so.sys = succ
+		start := len(w.slab)
+		w.slab = succ.AppendSnapshot(w.slab)
+		so.snap = w.slab[start:len(w.slab):len(w.slab)]
+		so.stateViol = w.checkState(succ)
 		if w.c.cfg.CheckLiveness {
 			so.quiet = quiescent(succ)
 		}
@@ -448,23 +477,21 @@ const maxAuditPairs = 8
 // dynamic face of independence). Sampling is deterministic (seeded by
 // the stored parent's state index and the collapse depth), so audit
 // results are parallelism-independent.
-func (w *worker) auditCollapse(sys *engine.System, it frontierItem, depth int, lvl *fuseLevel) {
+func (w *worker) auditCollapse(sys *engine.System, parent int32, depth int, lvl *fuseLevel) {
 	for _, ri := range lvl.en {
 		t := lvl.rules[ri]
 		w.auditPairs++
-		s := w.getClone(sys)
+		s := sys.CloneInto(w.aud)
 		if _, err := s.Apply(t); err != nil {
-			w.recycle(s)
 			continue // surfaces as an error leaf; not a commutation fact
 		}
 		if why := w.monotoneViolation(sys, s, lvl.node); why != "" {
 			w.auditMism++
 			w.auditErrs = append(w.auditErrs, auditErr{
-				parent: it.idx,
+				parent: parent,
 				detail: fmt.Sprintf("fused rule %q is not valuation-monotone: %s", t.String(), why), // vethotpath:ignore — cold: audit violation path
 			})
 		}
-		w.recycle(s)
 	}
 	w.outIdx = w.outIdx[:0]
 	j := 0
@@ -484,7 +511,7 @@ func (w *worker) auditCollapse(sys *engine.System, it frontierItem, depth int, l
 		count = maxAuditPairs
 		stride = total / maxAuditPairs
 	}
-	offset := int(splitmix64(uint64(uint32(it.idx))^uint64(depth)<<40) % uint64(total))
+	offset := int(splitmix64(uint64(uint32(parent))^uint64(depth)<<40) % uint64(total))
 	for k := 0; k < count; k++ {
 		p := (offset + k*stride) % total
 		t := lvl.rules[lvl.en[p/len(w.outIdx)]]
@@ -495,7 +522,7 @@ func (w *worker) auditCollapse(sys *engine.System, it frontierItem, depth int, l
 		if r1 != r2 || r1 == auditDisabled || r2 == auditDisabled {
 			w.auditMism++
 			w.auditErrs = append(w.auditErrs, auditErr{
-				parent: it.idx,
+				parent: parent,
 				detail: fmt.Sprintf("rules %q and %q do not commute: [%s;%s] -> %s, [%s;%s] -> %s", // vethotpath:ignore — cold: audit violation path
 					t.String(), o.String(), t.String(), o.String(), r1, o.String(), t.String(), r2),
 			})
@@ -543,28 +570,24 @@ func (w *worker) monotoneViolation(pre, post *engine.System, n int) string {
 // each other).
 const auditDisabled = "second rule disabled"
 
-// applyPair runs a then b on a clone of parent and summarizes the
-// outcome: the final canonical state, an error (position-independent,
-// so symmetric errors compare equal), or auditDisabled. b is relocated
-// by content after a executes, because unordered-bag positions shift.
+// applyPair runs a then b on the audit scratch's copy of parent and
+// summarizes the outcome: the final canonical state, an error
+// (position-independent, so symmetric errors compare equal), or
+// auditDisabled. b is relocated by content after a executes, because
+// unordered-bag positions shift.
 func (w *worker) applyPair(parent *engine.System, a, b engine.Rule) string {
-	s := w.getClone(parent)
+	s := parent.CloneInto(w.aud)
 	if _, err := s.Apply(a); err != nil {
-		w.recycle(s)
 		return "error: " + err.Error()
 	}
 	b2, found := w.findRule(s, b)
 	if !found {
-		w.recycle(s)
 		return auditDisabled
 	}
 	if _, err := s.Apply(b2); err != nil {
-		w.recycle(s)
 		return "error: " + err.Error()
 	}
-	out := "state " + string(w.enc.Canonical(s, w.c.perms))
-	w.recycle(s)
-	return out
+	return "state " + string(w.enc.Canonical(s, w.c.perms))
 }
 
 // findRule locates r in s by content: accesses by (cache, access type),

@@ -16,12 +16,21 @@
 //     terminal-SCC formulation that also catches stuck transactions.
 //
 // Exploration is a level-synchronized parallel BFS: each depth level's
-// frontier is expanded by a worker pool (successor generation, binary
-// canonical keys, visited-set probes all run concurrently), then a
-// sequential merge assigns state indices, records edges and violations,
-// and builds the next frontier in the exact order the classic FIFO BFS
-// would — so States, Edges, Depth, violations and witness traces are
-// identical for every Parallelism setting, including 1.
+// frontier is expanded by a worker pool (successor generation, invariant
+// evaluation, binary canonical keys, visited-set probes all run
+// concurrently), then a sequential merge assigns state indices, records
+// edges and violations, and builds the next frontier in the exact order
+// the classic FIFO BFS would — so States, Edges, Depth, violations and
+// witness traces are identical for every Parallelism setting, including 1.
+//
+// States at rest are bytes: the frontier holds each state as a flat
+// engine snapshot (~50 B on 3-cache MSI) in the slab of the worker that
+// found it, and an engine.System exists only as a worker's scratch space —
+// one restored from the snapshot of the state being expanded, one that
+// every rule is applied to and then reverted from. The snapshot keeps the
+// concrete frame (cache identities, bag order) the state was discovered
+// in, so rule labels — and with them witness traces — are executions of
+// the real system, not paths through canonical representatives.
 //
 // The visited set is internal/store's open-addressing fingerprint
 // table, built by one of its two constructors (Config.Fingerprint):
@@ -230,10 +239,18 @@ type stateRec struct {
 	rule   string
 }
 
-// frontierItem is one state awaiting expansion.
+// frontierItem is one state awaiting expansion: its snapshot
+// (engine.AppendSnapshot; a slice of the discovering worker's slab) and
+// its state index.
 type frontierItem struct {
-	sys *engine.System
-	idx int32
+	snap []byte
+	idx  int32
+}
+
+// finding is one invariant failure observed on a state, before it has an
+// index to hang a trace on.
+type finding struct {
+	kind, detail string
 }
 
 // succOut is one successor computed during parallel expansion.
@@ -245,8 +262,12 @@ type succOut struct {
 	knownIdx int32    // visited index at expansion time; -1 if unseen then
 	key      string   // canonical key (exact mode, and only when knownIdx < 0)
 	hash     uint64
-	sys      *engine.System // retained only when knownIdx < 0
-	quiet    bool
+	// snap and stateViol describe the successor itself, and only when
+	// knownIdx < 0: its snapshot for the next frontier and what checkState
+	// found on it. Merge uses both only if the state turns out fresh.
+	snap      []byte
+	stateViol []finding
+	quiet     bool
 	// seedParent: the collapse fused through a quiescent intermediate on
 	// the way to this normal form. The quiescence witness belongs to the
 	// PARENT (which really reaches that intermediate), not the normal
@@ -281,13 +302,12 @@ type checker struct {
 	edgeOff []int32
 	edgeDst []int32
 	quiet   []bool
-	hits    []engine.LoadCheck // checkState scratch (merge phase only)
 	perms   [][]int
 	workers int
 	// pool holds one persistent worker per expansion goroutine: encoders,
-	// rule buffers and System free-lists survive across BFS levels, so
-	// the steady-state expansion loop allocates only for states that
-	// enter the frontier.
+	// rule buffers, scratch Systems and snapshot slabs survive across BFS
+	// levels, so the steady-state expansion loop allocates only labels,
+	// keys and slab growth for states that may enter the frontier.
 	pool []*worker
 	// red holds the partial-order reducer (reduce.go); nil when
 	// Config.Reduce is off or the dependence analysis refused the
@@ -330,18 +350,22 @@ func CheckCtx(ctx context.Context, p *ir.Protocol, cfg Config) *Result {
 	if cfg.Symmetry {
 		c.perms = engine.Permutations(cfg.Caches)
 	}
-	c.pool = make([]*worker, workers)
-	for i := range c.pool {
-		c.pool[i] = &worker{c: c, enc: engine.NewEncoder(p)}
-	}
-
 	init := engine.NewSystem(p, engine.Config{
 		Caches: cfg.Caches, Capacity: cfg.Capacity, Values: cfg.Values,
 	})
+	c.pool = make([]*worker, workers)
+	for i := range c.pool {
+		c.pool[i] = &worker{c: c, enc: engine.NewEncoder(p), par: init.Clone(), work: init.Clone()}
+	}
 	if cfg.Reduce {
 		dep := depend.New(p)
 		if dep.Safe() {
 			c.red = newReducer(dep, init)
+			if cfg.CommuteAudit {
+				for _, w := range c.pool {
+					w.aud = init.Clone()
+				}
+			}
 		} else {
 			c.res.ReduceUnsafe = dep.Unsafe
 		}
@@ -353,9 +377,11 @@ func CheckCtx(ctx context.Context, p *ir.Protocol, cfg Config) *Result {
 		c.edgeOff = append(c.edgeOff, 0)
 		c.quiet = append(c.quiet, quiescent(init))
 	}
-	c.checkState(init, 0)
+	for _, f := range c.pool[0].checkState(init) {
+		c.violate(f.kind, f.detail, 0)
+	}
 
-	frontier := []frontierItem{{sys: init, idx: 0}}
+	frontier := []frontierItem{{snap: init.AppendSnapshot(nil), idx: 0}}
 	for len(frontier) > 0 && len(c.res.Violations) < max(1, c.cfg.MaxViolations) && c.res.Complete {
 		if ctx.Err() != nil {
 			c.res.Canceled = true
@@ -415,8 +441,15 @@ func CheckCtx(ctx context.Context, p *ir.Protocol, cfg Config) *Result {
 // expand computes every frontier item's successors. Items are claimed in
 // batches from a shared cursor, so fast workers steal the remainder of
 // slow workers' share; each worker persists across levels, owning a
-// reusable binary encoder, a rule buffer and a System free-list.
+// reusable binary encoder, a rule buffer, its scratch Systems and its
+// snapshot slab.
 func (c *checker) expand(frontier []frontierItem) []expansion {
+	// This level's snapshots overwrite the slab half that held the
+	// frontier's own parents; the frontier itself sits in the other half,
+	// read-only from here to the merge.
+	for _, w := range c.pool {
+		w.slab, w.prev = w.prev[:0], w.slab
+	}
 	out := make([]expansion, len(frontier))
 	workers := min(c.workers, len(frontier))
 	if workers <= 1 {
@@ -449,33 +482,41 @@ func (c *checker) expand(frontier []frontierItem) []expansion {
 	return out
 }
 
-// maxFreeList bounds each worker's System free-list so a level with many
-// already-visited successors can't pin unbounded recycled memory. Sized
-// to carry recycled capacity across the BFS frontier's shrink/grow
-// phases: each System is roughly a kilobyte, so the cap costs at most a
-// few MB per worker while keeping steady-state expansion allocation-free.
-const maxFreeList = 4096
-
 // worker is one expansion goroutine's private state, persistent across
-// BFS levels.
+// BFS levels. A worker never holds a state as a System for longer than one
+// item: par is the state being expanded, restored from its snapshot once;
+// work is what every rule is applied to, canonicalized and probed on, and
+// then reverted to par (engine.RevertTo copies back only what the rule
+// touched).
 type worker struct {
 	c     *checker
 	enc   *engine.Encoder
-	rules []engine.Rule    // AppendRules scratch, reused every item
-	free  []*engine.System // recycled Systems for CloneInto
+	rules []engine.Rule // AppendRules scratch, reused every item
+	par   *engine.System
+	work  *engine.System
+	// slab collects the snapshots of the unseen successors this worker
+	// finds in the level being expanded; prev is the slab of the level
+	// before, which the frontier being expanded points into and every
+	// worker reads. expand swaps the two, so a level overwrites what its
+	// grandparent level wrote and no snapshot is ever written while
+	// another goroutine can read it.
+	slab, prev []byte
+	hits       []engine.LoadCheck // checkState scratch
 
 	// Partial-order reduction state (used only when checker.red != nil;
 	// see reduce.go). lvls is the collapse recursion's per-depth scratch
 	// (separate rule buffers, since w.rules stays live across the item's
-	// computeSuccs calls); chain is the current fused rule tail for edge
-	// labels; pendViol carries data-value violations to the next emitted
-	// normal form; outIdx / auditRules / auditErrs serve the commutation
+	// computeSuccs calls, and a System for the branches that cannot apply
+	// in place); chain is the current fused rule tail for edge labels;
+	// pendViol carries data-value violations to the next emitted normal
+	// form; aud / outIdx / auditRules / auditErrs serve the commutation
 	// audit; the counters feed Result and Progress.
 	lvls       []fuseLevel
 	chain      []engine.Rule
 	fuseCnt    []int
 	pendViol   []string
 	stateFused bool
+	aud        *engine.System
 	outIdx     []int
 	auditRules []engine.Rule
 	auditErrs  []auditErr
@@ -487,47 +528,26 @@ type worker struct {
 	auditMism  int64
 }
 
-// getClone clones src, reusing a free-listed System when one is available.
-func (w *worker) getClone(src *engine.System) *engine.System {
-	if n := len(w.free); n > 0 {
-		dst := w.free[n-1]
-		w.free = w.free[:n-1]
-		return src.CloneInto(dst)
-	}
-	return src.Clone()
-}
-
-// recycle returns a System whose state is no longer referenced to the
-// free-list. Safe because every Clone/CloneInto deep-copies: no other
-// live state aliases the recycled backing arrays.
-func (w *worker) recycle(s *engine.System) {
-	if len(w.free) < maxFreeList {
-		w.free = append(w.free, s)
-	}
-}
-
-// expandItem enumerates one state's enabled rules, applies each to a
-// clone, and canonicalizes the successors. Only reads shared checker
-// state; previously visited states resolve here, unseen keys are copied
-// out for the merge to adjudicate. Successors that resolve to visited
-// states — and the expanded parent itself, dead once its successors are
-// computed — are recycled into the worker's free-list, so steady-state
-// expansion allocates only for states that enter the frontier.
+// expandItem restores one state, enumerates its enabled rules, applies
+// each to the scratch copy and canonicalizes the successors. Only reads
+// shared checker state; previously visited states resolve here, unseen
+// ones are checked, snapshotted and copied out for the merge to
+// adjudicate.
 func (w *worker) expandItem(it frontierItem) expansion {
-	w.rules = it.sys.AppendRules(w.rules[:0])
+	w.par.Restore(it.snap)
+	w.rules = w.par.AppendRules(w.rules[:0])
 	rules := w.rules
-	if len(rules) == 0 && !quiescent(it.sys) {
-		inFlight := it.sys.Net.InFlight()
-		w.recycle(it.sys)
-		return expansion{deadlock: true, inFlight: inFlight}
+	if len(rules) == 0 && !quiescent(w.par) {
+		return expansion{deadlock: true, inFlight: w.par.Net.InFlight()}
 	}
+	w.par.CloneInto(w.work)
 	exp := expansion{succs: make([]succOut, 0, len(rules))}
 	if w.c.red != nil {
 		w.candTotal += int64(len(rules))
 		w.stateFused = false
 	}
 	for ri := range rules {
-		exp.succs = w.computeSuccs(it, rules[ri], exp.succs)
+		exp.succs = w.computeSuccs(it.idx, rules[ri], exp.succs)
 	}
 	if w.c.red != nil {
 		w.emitTotal += int64(len(exp.succs))
@@ -535,20 +555,19 @@ func (w *worker) expandItem(it frontierItem) expansion {
 			w.redStates++
 		}
 	}
-	w.recycle(it.sys)
 	return exp
 }
 
-// computeSuccs applies one rule to a clone of the item's state and
-// appends the resulting successor(s) to out. Without reduction that is
-// exactly one normal canonicalized successor; with reduction the
-// successor is collapsed to its normal forms first (reduce.go), which
-// can branch into several.
-func (w *worker) computeSuccs(it frontierItem, r engine.Rule, out []succOut) []succOut {
-	succ := w.getClone(it.sys)
+// computeSuccs applies one rule of state parent to the scratch copy,
+// appends the resulting successor(s) to out and reverts the scratch.
+// Without reduction that is exactly one normal canonicalized successor;
+// with reduction the successor is collapsed to its normal forms first
+// (reduce.go), which can branch into several.
+func (w *worker) computeSuccs(parent int32, r engine.Rule, out []succOut) []succOut {
+	succ := w.work
+	defer succ.RevertTo(w.par)
 	performs, err := succ.Apply(r)
 	if err != nil {
-		w.recycle(succ)
 		return append(out, succOut{knownIdx: -1, rule: r.String(), hasErr: true, applyErr: err.Error()})
 	}
 	w.pendViol = nil
@@ -562,7 +581,7 @@ func (w *worker) computeSuccs(it frontierItem, r engine.Rule, out []succOut) []s
 		return append(out, w.finishSucc(succ, r, false))
 	}
 	w.chain = w.chain[:0]
-	return w.collapse(succ, r, it, 0, false, out)
+	return w.collapse(succ, r, parent, 0, false, out)
 }
 
 // merge folds a level's expansions into the exploration in frontier
@@ -619,12 +638,14 @@ func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierIte
 			if d := int(c.recs[ni].depth); d > c.res.Depth {
 				c.res.Depth = d
 			}
-			c.checkState(so.sys, int(ni))
+			for _, f := range so.stateViol {
+				c.violate(f.kind, f.detail, int(ni))
+			}
 			if len(c.recs) >= c.cfg.MaxStates {
 				c.res.Complete = false
 				return nil
 			}
-			next = append(next, frontierItem{sys: so.sys, idx: ni})
+			next = append(next, frontierItem{snap: so.snap, idx: ni})
 		}
 		// Parent's successor run is complete; seal its CSR row. Rows are
 		// sealed in state-index order because the frontier is built in
@@ -663,8 +684,13 @@ func (c *checker) classifyPermissions() {
 	}
 }
 
-// checkState evaluates the per-state invariants.
-func (c *checker) checkState(s *engine.System, idx int) {
+// checkState evaluates the per-state invariants on s and returns what it
+// found — nil on a sound state. It runs on the worker that produced s;
+// merge turns the findings into violations if s proves fresh, in this
+// order.
+func (w *worker) checkState(s *engine.System) []finding {
+	c := w.c
+	var out []finding
 	if c.cfg.CheckSWMR {
 		writers, readers := 0, 0
 		for _, cc := range s.Caches {
@@ -678,24 +704,25 @@ func (c *checker) checkState(s *engine.System, idx int) {
 			}
 		}
 		if writers > 1 || (writers == 1 && readers > 0) {
-			c.violate("SWMR", fmt.Sprintf("%d writers, %d readers", writers, readers), idx) // vethotpath:ignore — cold: violation path
+			out = append(out, finding{"SWMR", fmt.Sprintf("%d writers, %d readers", writers, readers)}) // vethotpath:ignore — cold: violation path
 		}
 	}
 	if c.cfg.CheckValues {
 		for i, cc := range s.Caches {
 			if cc.StIdx >= 0 && (c.writerAt[cc.StIdx] || c.readerAt[cc.StIdx]) && cc.Data() != s.LastWrite {
-				c.violate("data-value",
-					fmt.Sprintf("cache %d in %s holds %d, last write is %d", i, cc.State, cc.Data(), s.LastWrite), idx) // vethotpath:ignore — cold: violation path
+				out = append(out, finding{"data-value",
+					fmt.Sprintf("cache %d in %s holds %d, last write is %d", i, cc.State, cc.Data(), s.LastWrite)}) // vethotpath:ignore — cold: violation path
 			}
 		}
-		c.hits = s.AppendHitLoads(c.hits[:0])
-		for _, h := range c.hits {
+		w.hits = s.AppendHitLoads(w.hits[:0])
+		for _, h := range w.hits {
 			if h.Value != s.LastWrite {
-				c.violate("data-value",
-					fmt.Sprintf("cache %d transient load hit in %s reads %d, last write is %d", h.Cache, h.State, h.Value, s.LastWrite), idx) // vethotpath:ignore — cold: violation path
+				out = append(out, finding{"data-value",
+					fmt.Sprintf("cache %d transient load hit in %s reads %d, last write is %d", h.Cache, h.State, h.Value, s.LastWrite)}) // vethotpath:ignore — cold: violation path
 			}
 		}
 	}
+	return out
 }
 
 // livenessCheck verifies that quiescence is reachable from every state

@@ -1,0 +1,265 @@
+package verify
+
+// Witness traces are executions, and they do not move.
+//
+// Two pins over the same failing configurations (the fuzz corpus
+// reproducers and the no-invalidate MSI, every generation mode, 2 and 3
+// caches, reduction on and off, Parallelism 1 and 4):
+//
+//   - TestWitnessGolden holds a digest of every violation's
+//     Kind|Detail|Trace against testdata/witness.golden. Traces are rule
+//     labels enumerated on the concrete state each parent was stored in,
+//     so the digest moves if the checker ever expands a state in another
+//     frame (a canonical representative, a re-ordered bag) than the one
+//     it discovered.
+//   - TestWitnessReplay re-executes every trace from engine.NewSystem,
+//     one enabled rule per label, and asserts the end state shows the
+//     reported violation by the checker's own predicate.
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"protogen/internal/core"
+	"protogen/internal/dsl"
+	"protogen/internal/engine"
+	"protogen/internal/ir"
+	"protogen/internal/protocols"
+)
+
+const witnessGolden = "testdata/witness.golden"
+
+// witnessCase is one (source, mode, caches, reduce) configuration; its
+// name is the golden file's key.
+type witnessCase struct {
+	name string
+	p    *ir.Protocol
+	cfg  Config
+}
+
+// witnessCases builds the configurations both tests run over. -short
+// keeps the 2-cache half.
+func witnessCases(t *testing.T) []witnessCase {
+	t.Helper()
+	type source struct{ name, text string }
+	files, err := filepath.Glob("../fuzz/corpus/*.ssp")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus reproducers found: %v", err)
+	}
+	sort.Strings(files)
+	var sources []source
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources = append(sources, source{strings.TrimSuffix(filepath.Base(f), ".ssp"), string(b)})
+	}
+	broken := strings.Replace(protocols.MSI,
+		"send Inv to sharers except src req src;\n    owner = src;",
+		"owner = src;", 1)
+	if broken == protocols.MSI {
+		t.Fatal("sabotage substitution failed")
+	}
+	sources = append(sources, source{"MSI_no_invalidate", broken})
+
+	cacheCounts := []int{2, 3}
+	if testing.Short() {
+		cacheCounts = []int{2}
+	}
+	var out []witnessCase
+	for _, src := range sources {
+		spec, err := dsl.Parse(src.text)
+		if err != nil {
+			t.Fatalf("%s: %v", src.name, err)
+		}
+		for _, mode := range []string{"stalling", "nonstalling", "deferred"} {
+			opts, err := core.OptionsForMode(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.PendingLimit = 1 // the limit the corpus replays under
+			p, err := core.Generate(spec, opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", src.name, mode, err)
+			}
+			for _, caches := range cacheCounts {
+				for _, reduce := range []bool{false, true} {
+					cfg := DefaultConfig()
+					cfg.Caches, cfg.Reduce = caches, reduce
+					// Several violations per run pin their order too; the
+					// cap bounds the configurations that pass.
+					cfg.MaxViolations, cfg.MaxStates = 3, 60_000
+					out = append(out, witnessCase{
+						name: fmt.Sprintf("%s/%s/caches=%d/reduce=%t", src.name, mode, caches, reduce),
+						p:    p,
+						cfg:  cfg,
+					})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// witnessLine renders one configuration's golden line: a digest of every
+// violation's Kind|Detail|Trace, then the first violation in the clear.
+func witnessLine(name string, r *Result) string {
+	h := sha256.New()
+	for _, v := range r.Violations {
+		fmt.Fprintf(h, "%s|%s|%s\n", v.Kind, v.Detail, strings.Join(v.Trace, "\n"))
+	}
+	first := "PASS"
+	if len(r.Violations) > 0 {
+		v := r.Violations[0]
+		first = fmt.Sprintf("%s (trace %d): %s", v.Kind, len(v.Trace), v.Detail)
+	}
+	return fmt.Sprintf("%s %x %d %s", name, h.Sum(nil)[:8], len(r.Violations), first)
+}
+
+// TestWitnessGolden: Kind, Detail and the full witness trace of every
+// violation are byte-identical to the recorded run, at Parallelism 1 and
+// 4. A missing golden file is recorded from this run (and the test fails,
+// so a recording is never mistaken for a pass).
+func TestWitnessGolden(t *testing.T) {
+	want := map[string]string{}
+	data, err := os.ReadFile(witnessGolden)
+	record := os.IsNotExist(err)
+	if err != nil && !record {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if name, _, ok := strings.Cut(line, " "); ok {
+			want[name] = line
+		}
+	}
+	var lines []string
+	failing := 0
+	for _, wc := range witnessCases(t) {
+		cfg := wc.cfg
+		cfg.Parallelism = 1
+		line := witnessLine(wc.name, Check(wc.p, cfg))
+		cfg.Parallelism = 4
+		if p4 := witnessLine(wc.name, Check(wc.p, cfg)); p4 != line {
+			t.Errorf("Parallelism 4 moved the witness:\n  P1: %s\n  P4: %s", line, p4)
+		}
+		if !strings.HasSuffix(line, " PASS") {
+			failing++
+		}
+		lines = append(lines, line)
+		if !record && line != want[wc.name] {
+			t.Errorf("witness moved:\n  got:  %s\n  want: %s", line, want[wc.name])
+		}
+	}
+	if failing < len(lines)/2 {
+		t.Errorf("only %d of %d configurations fail: the sweep pins fewer witnesses than it claims", failing, len(lines))
+	}
+	if record {
+		if testing.Short() {
+			t.Fatalf("%s is missing; record it with a full (non -short) run", witnessGolden)
+		}
+		if err := os.MkdirAll(filepath.Dir(witnessGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(witnessGolden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("recorded %d configurations into %s; run again to compare", len(lines), witnessGolden)
+	}
+}
+
+// replayWitness re-executes one violation's trace from the initial state
+// — each label names exactly one enabled rule (fused labels several, in
+// order) — and fails unless the end of the execution shows the violation.
+func replayWitness(t *testing.T, name string, p *ir.Protocol, cfg Config, v Violation) {
+	t.Helper()
+	sys := engine.NewSystem(p, engine.Config{Caches: cfg.Caches, Capacity: cfg.Capacity, Values: cfg.Values})
+	var lastErr error
+	var badLoads []string // what the last label's performed loads would be reported as
+	for li, label := range v.Trace {
+		badLoads = badLoads[:0]
+		for _, part := range strings.Split(label, " ; ") {
+			if lastErr != nil {
+				t.Fatalf("%s: trace continues past the failing rule at step %d (%q)", name, li, label)
+			}
+			var rule *engine.Rule
+			for _, r := range sys.Rules() {
+				if r.String() == part {
+					rule = &r
+					break
+				}
+			}
+			if rule == nil {
+				t.Fatalf("%s: step %d of %d: no enabled rule is labelled %q — the trace is not an execution", name, li, len(v.Trace), part)
+			}
+			performs, err := sys.Apply(*rule)
+			lastErr = err
+			for _, pf := range performs {
+				if pf.Access == ir.AccessLoad && !pf.Exempt && pf.Value != sys.LastWrite {
+					badLoads = append(badLoads, fmt.Sprintf("cache %d load returned %d, last write is %d", pf.Node, pf.Value, sys.LastWrite))
+				}
+			}
+		}
+	}
+	if lastErr != nil && v.Kind != "error" {
+		t.Fatalf("%s: replaying the %s witness failed: %v", name, v.Kind, lastErr)
+	}
+	contains := func(details []string) bool {
+		for _, d := range details {
+			if d == v.Detail {
+				return true
+			}
+		}
+		return false
+	}
+	c := &checker{cfg: cfg, p: p}
+	c.classifyPermissions()
+	var onState []string
+	for _, f := range (&worker{c: c}).checkState(sys) {
+		if f.kind == v.Kind {
+			onState = append(onState, f.detail)
+		}
+	}
+	shown := false
+	switch v.Kind {
+	case "SWMR":
+		shown = contains(onState)
+	case "data-value":
+		shown = contains(onState) || contains(badLoads)
+	case "deadlock":
+		shown = len(sys.Rules()) == 0 && !quiescent(sys)
+	case "error":
+		shown = lastErr != nil && lastErr.Error() == v.Detail
+	case "stuck":
+		shown = !quiescent(sys) // reachability of quiescence is the liveness pass's to judge
+	}
+	if !shown {
+		t.Fatalf("%s: the replayed end state does not show %s: %s\nstate findings: %q\nperformed loads: %q\nerror: %v",
+			name, v.Kind, v.Detail, onState, badLoads, lastErr)
+	}
+}
+
+// TestWitnessReplay: every reported trace is an execution of the concrete
+// system that ends in the reported violation.
+func TestWitnessReplay(t *testing.T) {
+	replayed := 0
+	for _, wc := range witnessCases(t) {
+		for _, par := range []int{1, 4} {
+			cfg := wc.cfg
+			cfg.Parallelism = par
+			for _, v := range Check(wc.p, cfg).Violations {
+				replayWitness(t, fmt.Sprintf("%s/P%d", wc.name, par), wc.p, cfg, v)
+				replayed++
+			}
+		}
+	}
+	if replayed == 0 {
+		t.Fatal("no witness was replayed")
+	}
+	t.Logf("replayed %d witnesses", replayed)
+}
