@@ -68,7 +68,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if w == nil {
 		return fmt.Errorf("unknown -workload %q", *workload)
 	}
-	st, err := protogen.DefaultEngine.Simulate(ctx, protogen.SimulateJob{
+	st, err := protogen.NewEngine().Simulate(ctx, protogen.SimulateJob{
 		Spec: spec,
 		Mode: *mode,
 		Config: protogen.SimConfig{

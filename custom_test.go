@@ -1,6 +1,7 @@
 package protogen_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -92,12 +93,18 @@ func TestCustomProtocol(t *testing.T) {
 	if src := protogen.EmitMurphi(p, protogen.DefaultMurphiOptions()); !strings.Contains(src, "cache_ISD") {
 		t.Errorf("murphi missing ISD")
 	}
-	res := protogen.Verify(p, protogen.QuickVerifyConfig())
+	eng := protogen.NewEngine()
+	cfg := protogen.QuickVerifyConfig()
+	res, err := eng.Verify(context.Background(), protogen.VerifyJob{Protocol: p, Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.OK() {
 		t.Fatalf("custom protocol failed verification: %v", res.Violations[0])
 	}
-	st, err := protogen.Simulate(p, protogen.SimConfig{
-		Caches: 3, Steps: 5000, Seed: 3, Workload: protogen.StandardWorkloads()[2],
+	st, err := eng.Simulate(context.Background(), protogen.SimulateJob{
+		Protocol: p,
+		Config:   protogen.SimConfig{Caches: 3, Steps: 5000, Seed: 3, Workload: protogen.StandardWorkloads()[2]},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,10 +3,9 @@ package protogen
 // This file is the job-oriented root API: a configurable Engine that
 // runs VerifyJob / SimulateJob / FuzzJob values under a context.Context,
 // emitting typed progress events and sharing one verify result cache.
-// The flat package functions in protogen.go delegate to DefaultEngine,
-// so both surfaces stay behaviorally identical; the service layer
-// (internal/service, cmd/protoserve) is built entirely on this API.
-// See docs/API.md for the design and migration notes.
+// Every binary, every example and the service layer (internal/service,
+// cmd/protoserve) run on it. See docs/API.md for the design and
+// migration notes.
 
 import (
 	"context"
@@ -64,9 +63,8 @@ func ChannelProgress(ch chan<- ProgressEvent) ProgressFunc {
 
 // Engine runs verification, simulation and fuzzing jobs under a shared
 // configuration: worker parallelism, one verify result cache, and a
-// default progress sink. The zero-option engine behaves exactly like
-// the flat package functions (which delegate to DefaultEngine); options
-// layer defaults over what a job leaves unset. An Engine is safe for
+// default progress sink. Options layer defaults over what a job leaves
+// unset; the zero-option engine adds none. An Engine is safe for
 // concurrent use — the service's worker pool runs many jobs on one
 // Engine to share its cache.
 type Engine struct {
@@ -129,8 +127,7 @@ func (e *Engine) warnf(format string, args ...any) {
 	}
 }
 
-// NewEngine builds an Engine. With no options it is indistinguishable
-// from the flat package functions.
+// NewEngine builds an Engine.
 func NewEngine(opts ...EngineOption) *Engine {
 	e := &Engine{}
 	for _, o := range opts {
@@ -138,10 +135,6 @@ func NewEngine(opts ...EngineOption) *Engine {
 	}
 	return e
 }
-
-// DefaultEngine is the zero-option engine behind the flat package
-// functions (Verify, Simulate, RunFuzzCampaign).
-var DefaultEngine = NewEngine()
 
 // Cache returns the engine's result cache, opening the WithCacheDir
 // directory on first call. It returns (nil, nil) when the engine has no

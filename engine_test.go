@@ -31,8 +31,7 @@ var engineGolden = []struct {
 
 // TestEngineGoldenNumbersEveryParallelism is the api_redesign acceptance
 // gate: every registry protocol reproduces its exact States/Edges/Depth
-// through Engine.Verify at every parallelism, identical to the flat
-// Verify path.
+// through Engine.Verify at every parallelism.
 func TestEngineGoldenNumbersEveryParallelism(t *testing.T) {
 	for _, g := range engineGolden {
 		e, ok := protogen.LookupBuiltin(g.protocol)
@@ -59,26 +58,6 @@ func TestEngineGoldenNumbersEveryParallelism(t *testing.T) {
 					g.states, g.edges, g.depth)
 			}
 		}
-	}
-}
-
-// TestFlatWrapperMatchesEngine: the flat Verify facade and an explicit
-// engine job agree exactly (they share one implementation now).
-func TestFlatWrapperMatchesEngine(t *testing.T) {
-	p, err := protogen.GenerateSource(protogen.BuiltinMSI, protogen.NonStalling())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := protogen.QuickVerifyConfig()
-	cfg.Parallelism = 2
-	flat := protogen.Verify(p, cfg)
-	job, err := protogen.NewEngine().Verify(context.Background(), protogen.VerifyJob{Protocol: p, Config: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.States != job.States || flat.Edges != job.Edges || flat.Depth != job.Depth ||
-		flat.Quiescent != job.Quiescent || flat.OK() != job.OK() {
-		t.Fatalf("flat %v vs engine %v", flat, job)
 	}
 }
 

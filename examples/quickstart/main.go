@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,11 @@ func main() {
 	fmt.Println(protogen.RenderTable(p.Cache, protogen.TableOptions{ShowGuards: true}))
 
 	// 4. Model-check it: SWMR, data values, deadlock freedom.
-	res := protogen.Verify(p, protogen.QuickVerifyConfig())
+	cfg := protogen.QuickVerifyConfig()
+	res, err := protogen.NewEngine().Verify(context.Background(), protogen.VerifyJob{Protocol: p, Config: &cfg})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println(res)
 	if !res.OK() {
 		log.Fatalf("verification failed: %v", res.Violations[0])

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,14 +21,16 @@ func main() {
 		log.Fatal(err)
 	}
 
+	eng := protogen.NewEngine()
 	fmt.Printf("%-18s %-12s %s\n", "workload", "mode", "result")
 	for _, w := range protogen.StandardWorkloads() {
 		for _, pc := range []struct {
 			name string
 			p    *protogen.Protocol
 		}{{"stalling", stalling}, {"non-stalling", nonstalling}} {
-			st, err := protogen.Simulate(pc.p, protogen.SimConfig{
-				Caches: 3, Steps: 50000, Seed: 7, Workload: w,
+			st, err := eng.Simulate(context.Background(), protogen.SimulateJob{
+				Protocol: pc.p,
+				Config:   protogen.SimConfig{Caches: 3, Steps: 50000, Seed: 7, Workload: w},
 			})
 			if err != nil {
 				log.Fatal(err)

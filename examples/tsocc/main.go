@@ -24,6 +24,7 @@ func main() {
 }
 
 func run(stdout io.Writer) error {
+	eng := protogen.NewEngine()
 	p, err := protogen.GenerateSource(protogen.BuiltinTSOCC, protogen.NonStalling())
 	if err != nil {
 		return err
@@ -35,7 +36,10 @@ func run(stdout io.Writer) error {
 	cfg := protogen.QuickVerifyConfig()
 	cfg.CheckSWMR = false
 	cfg.CheckValues = false
-	res := protogen.Verify(p, cfg)
+	res, err := eng.Verify(context.Background(), protogen.VerifyJob{Protocol: p, Config: &cfg})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(stdout, "deadlock freedom:", res)
 	if !res.OK() {
 		return fmt.Errorf("TSO-CC deadlock-freedom check failed: %s", res)
@@ -57,7 +61,7 @@ func run(stdout io.Writer) error {
 	for i, tc := range cases {
 		names[i] = tc.test
 	}
-	rep, err := protogen.DefaultEngine.Litmus(context.Background(), protogen.LitmusJob{
+	rep, err := eng.Litmus(context.Background(), protogen.LitmusJob{
 		Protocol: p, Tests: names, Exhaustive: true,
 	})
 	if err != nil {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,11 @@ func main() {
 	fmt.Println(protogen.RenderTable(p.Dir, protogen.TableOptions{ShowGuards: true}))
 
 	fmt.Println("Verifying on an unordered network (messages delivered in any order):")
-	res := protogen.Verify(p, protogen.QuickVerifyConfig())
+	cfg := protogen.QuickVerifyConfig()
+	res, err := protogen.NewEngine().Verify(context.Background(), protogen.VerifyJob{Protocol: p, Config: &cfg})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println(res)
 	if !res.OK() {
 		log.Fatalf("verification failed: %v", res.Violations[0])

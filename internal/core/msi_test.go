@@ -331,9 +331,17 @@ func TestDirectoryMSI(t *testing.T) {
 	}
 }
 
-// TestPendingLimit verifies L: with L=1 a second absorption stalls.
+// TestPendingLimit verifies L: the absorption depth sets the generated
+// size (L=0 is the stalling protocol's 11 states, L=3 Table VI's 19),
+// and with L=1 a second absorption stalls.
 func TestPendingLimit(t *testing.T) {
 	opts := NonStallingOpts()
+	for l, want := range map[int]int{0: 11, 1: 17, 3: 19} {
+		opts.PendingLimit = l
+		if got := len(genMSI(t, opts).Cache.Sts); got != want {
+			t.Errorf("L=%d: %d cache states, want %d", l, got, want)
+		}
+	}
 	opts.PendingLimit = 1
 	p := genMSI(t, opts)
 	// IMADS exists (first absorption) but its Inv must stall rather than

@@ -15,8 +15,8 @@ import (
 //	              ∧ (response not yet seen ∨ chain empty)
 //
 // which reproduces every Load cell of paper Table VI, including SM_AD_S
-// hitting while SM_A_S stalls (and therefore merges with IM_A_S); see
-// DESIGN.md §3.6. With TransientAccess disabled, everything stalls.
+// hitting while SM_A_S stalls (and therefore merges with IM_A_S). With
+// TransientAccess disabled, everything stalls.
 func (g *gen) permissions() {
 	accs := make([]ir.AccessType, 0, len(g.usedAcc))
 	for a := range g.usedAcc {

@@ -39,6 +39,9 @@ func TestGenerateAllBuiltins(t *testing.T) {
 // with Fwd_GetS arriving at both M and O gets the O copy renamed.
 func TestMOSIRenaming(t *testing.T) {
 	p := genProtocol(t, protocols.MOSI, NonStallingOpts())
+	if len(p.Renames) != 2 {
+		t.Errorf("renames = %v, want exactly Fwd_GetS and Fwd_GetM", p.Renames)
+	}
 	if got := p.Renames["Fwd_GetS"]; len(got) != 1 || got[0] != "O_Fwd_GetS" {
 		t.Errorf("Fwd_GetS renames = %v, want [O_Fwd_GetS] (Table IV)", got)
 	}
@@ -295,7 +298,7 @@ func TestStateCountsBand(t *testing.T) {
 	// primer's OM^AC/OM^A pair, and the model checker proves the
 	// late-forward states (O_Fwd_GetS overtaken by the upgrade response)
 	// are required — dropping them leaves reachable unhandled messages.
-	// See EXPERIMENTS.md §VI-B for the discussion.
+	// `experiments -run e-b` prints both operating points (paper §VI-B).
 	wantDefault := map[string]int{"MSI": 19, "MESI": 23, "MOSI": 37}
 	wantL1 := map[string]int{"MSI": 17, "MESI": 20, "MOSI": 23}
 	for _, name := range []string{"MSI", "MESI", "MOSI"} {

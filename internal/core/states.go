@@ -224,7 +224,9 @@ func (g *gen) newStateFor(p *position, route ir.StateName, chain []ir.StateName,
 	if p.txn.Trigger.Kind == ir.EvAccess {
 		st.Access = p.txn.Trigger.Access
 	}
-	// State set (paper §V-B with the shrinkage of §3.3 of DESIGN.md).
+	// State set (paper §V-B): the start and final classes while the
+	// response is outstanding, the final classes once it is seen, and a
+	// single class once a forward is absorbed or the transaction is stale.
 	switch {
 	case len(chain) > 0:
 		st.StateSet = []ir.StateName{g.cls[chain[len(chain)-1]]}

@@ -67,15 +67,16 @@ func TestCatalogExhaustiveRegistry(t *testing.T) {
 }
 
 // TestSampledSubsetOfExhaustive pins the agreement contract on 3-cache
-// MSI and MESI: a 10k-run randomized sample of every catalog shape
-// stays inside the complete exhaustive outcome set, with no forbidden
-// outcome observed by either mode.
+// MSI, MESI and TSO-CC (the one registry protocol with acquire fences,
+// held to the weak axiom): a 10k-run randomized sample of every catalog
+// shape stays inside the complete exhaustive outcome set, with no
+// forbidden outcome observed by either mode.
 func TestSampledSubsetOfExhaustive(t *testing.T) {
 	runs := 10000
 	if testing.Short() {
 		runs = 500
 	}
-	for _, name := range []string{"MSI", "MESI"} {
+	for _, name := range []string{"MSI", "MESI", "TSO_CC"} {
 		e, ok := protocols.Lookup(name)
 		if !ok {
 			t.Fatalf("registry is missing %s", name)

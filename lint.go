@@ -166,11 +166,6 @@ func (e *Engine) Lint(ctx context.Context, job LintJob) (*LintResult, error) {
 	return res, nil
 }
 
-// Lint runs a lint job on the DefaultEngine.
-func Lint(job LintJob) (*LintResult, error) {
-	return DefaultEngine.Lint(context.Background(), job)
-}
-
 // DependStats is the rule-dependence statistics record of one generated
 // protocol: class counts, how many cache classes are invisible to the
 // checked invariants and how many are collapse-fusible, id-tainted

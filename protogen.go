@@ -14,18 +14,16 @@
 //	spec, _ := protogen.Parse(protogen.BuiltinMSI)
 //	p, _ := protogen.Generate(spec, protogen.NonStalling())
 //	fmt.Println(protogen.RenderTable(p.Cache, protogen.TableOptions{ShowGuards: true}))
-//	res := protogen.Verify(p, protogen.QuickVerifyConfig())
+//	cfg := protogen.QuickVerifyConfig()
+//	res, _ := protogen.NewEngine().Verify(ctx, protogen.VerifyJob{Protocol: p, Config: &cfg})
 //	fmt.Println(res)
 //
-// For long-running work, the job-oriented Engine API (engine.go) runs
-// the same operations under a context.Context with typed progress
-// events and a shared result cache; the flat functions above delegate
-// to DefaultEngine. See docs/API.md.
+// Verification, simulation, litmus, lint and fuzz runs are jobs on an
+// Engine (engine.go): each takes a context.Context, emits typed progress
+// events and shares the engine's result cache. See docs/API.md.
 package protogen
 
 import (
-	"context"
-
 	"protogen/internal/compare"
 	"protogen/internal/core"
 	"protogen/internal/dsl"
@@ -123,12 +121,6 @@ func DefaultLitmusAxiom(p *Protocol) LitmusAxiom { return litmus.DefaultAxiom(p)
 
 // ParseLitmusAxiom resolves an axiom name (sc, tso, weak).
 func ParseLitmusAxiom(s string) (LitmusAxiom, error) { return litmus.ParseAxiom(s) }
-
-// RunLitmusOracle runs the exhaustive litmus oracle with the default
-// engine; use Engine.Litmus for progress events and cancellation.
-func RunLitmusOracle(p *Protocol, tests []*LitmusTest, ax LitmusAxiom, opts LitmusOptions) *LitmusReport {
-	return litmus.RunSuite(context.Background(), p, tests, ax, opts, nil)
-}
 
 // Fuzzing: randomized spec families with differential verification.
 type (
@@ -228,21 +220,6 @@ func Stalling() Options { return core.StallingOpts() }
 // Deferred returns the physical-SWMR deferred-response configuration.
 func Deferred() Options { return core.DeferredOpts() }
 
-// Verify model-checks a generated protocol (the paper's Murphi role).
-// Exploration runs on VerifyConfig.Parallelism workers (0 = all cores);
-// States, Edges, Depth and witness traces are identical at every setting.
-// It is a thin wrapper over DefaultEngine; use Engine.Verify for
-// context cancellation, progress events and result caching.
-func Verify(p *Protocol, cfg VerifyConfig) *VerifyResult {
-	res, err := DefaultEngine.Verify(context.Background(), VerifyJob{Protocol: p, Config: &cfg})
-	if err != nil {
-		// Unreachable with a Protocol subject and no engine cache; keep
-		// the legacy signature honest rather than swallow a future bug.
-		panic(err)
-	}
-	return res
-}
-
 // DefaultVerifyConfig is the paper's 3-cache setup with symmetry reduction.
 func DefaultVerifyConfig() VerifyConfig { return verify.DefaultConfig() }
 
@@ -264,13 +241,6 @@ func VerifyCacheKey(s *Spec, o Options, cfg VerifyConfig) string {
 	return verify.CacheKey(dsl.Format(s), o.KeyString(), cfg)
 }
 
-// Simulate runs a workload under randomized scheduling. It is a thin
-// wrapper over DefaultEngine; use Engine.Simulate for context
-// cancellation and progress events.
-func Simulate(p *Protocol, cfg SimConfig) (SimStats, error) {
-	return DefaultEngine.Simulate(context.Background(), SimulateJob{Protocol: p, Config: cfg})
-}
-
 // StandardWorkloads returns the contended / producer-consumer /
 // read-mostly / migratory suite.
 func StandardWorkloads() []Workload { return sim.Workloads() }
@@ -288,15 +258,6 @@ func FuzzShapeByName(name string) (FuzzParams, bool) { return fuzz.ShapeByName(n
 // DefaultFuzzConfig is the standard campaign scale (2-cache differential
 // checks, simulator cross-check, shrinking on failure).
 func DefaultFuzzConfig() FuzzConfig { return fuzz.DefaultConfig() }
-
-// RunFuzzCampaign executes the differential campaign over [first, last):
-// every seed's spec is generated in all three modes, model-checked in
-// each, verdict-cross-checked, and SC-checked in the simulator. It is a
-// thin wrapper over DefaultEngine; use Engine.Fuzz for context
-// cancellation and progress events.
-func RunFuzzCampaign(first, last uint64, cfg FuzzConfig) (*FuzzReport, error) {
-	return DefaultEngine.Fuzz(context.Background(), FuzzJob{First: first, Last: last, Config: &cfg})
-}
 
 // FuzzCheckSource runs the differential oracle on one spec source.
 func FuzzCheckSource(src string, limit int, simSeed int64, cfg FuzzConfig) FuzzSpecReport {

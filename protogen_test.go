@@ -1,6 +1,7 @@
 package protogen_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -22,7 +23,11 @@ func TestAPIQuickstart(t *testing.T) {
 	if !strings.Contains(out, "IMADS") {
 		t.Errorf("table missing IMADS")
 	}
-	res := protogen.Verify(p, protogen.QuickVerifyConfig())
+	cfg := protogen.QuickVerifyConfig()
+	res, err := protogen.NewEngine().Verify(context.Background(), protogen.VerifyJob{Protocol: p, Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.OK() {
 		t.Fatalf("verify: %v", res.Violations[0])
 	}
@@ -132,9 +137,11 @@ func TestQuickSimulationSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := protogen.NewEngine()
 	f := func(seed int64) bool {
-		st, err := protogen.Simulate(p, protogen.SimConfig{
-			Caches: 2, Steps: 2000, Seed: seed, Workload: protogen.StandardWorkloads()[0],
+		st, err := eng.Simulate(context.Background(), protogen.SimulateJob{
+			Protocol: p,
+			Config:   protogen.SimConfig{Caches: 2, Steps: 2000, Seed: seed, Workload: protogen.StandardWorkloads()[0]},
 		})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
