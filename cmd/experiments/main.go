@@ -12,23 +12,24 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"time"
 
 	"protogen"
+	"protogen/cmd/internal/cli"
 )
 
-// caches and eng are shared by every experiment; run() sets them from
-// flags before dispatching. eng carries the -parallel setting so every
-// model check and campaign inherits it without per-experiment plumbing.
+// caches, eng and ctx are shared by every experiment; run() sets them
+// before dispatching. eng carries the -parallel setting and ctx the
+// Ctrl-C cancellation, so every model check and campaign inherits both
+// without per-experiment plumbing.
 var (
 	caches = 2
 	eng    = protogen.NewEngine()
+	ctx    = context.Background()
 )
 
 type experiment struct {
@@ -36,26 +37,21 @@ type experiment struct {
 	run      func(w io.Writer) error
 }
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("experiments", run) }
 
-func run(args []string, w io.Writer) error {
+func run(sigCtx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(w)
-	var (
-		runFlag    = fs.String("run", "all", "experiment id: table1 table2 table3-4 table5 figure1 figure2 table6 e-a e-b e-c e-d e-e x-1 x-2 x-3 fuzz, or 'all'")
-		cachesFlag = fs.Int("caches", 2, "caches for model checking (paper uses 3; slower)")
-		parFlag    = fs.Int("parallel", 0, "model-checker workers (0 = all cores, 1 = sequential)")
-	)
+	check := cli.CheckFlags{Caches: 2} // the paper uses 3; minutes instead of seconds
+	check.Bind(fs, cli.Caches|cli.Parallel)
+	runFlag := fs.String("run", "all", "experiment id: table1 table2 table3-4 table5 figure1 figure2 table6 e-a e-b e-c e-d e-e x-1 x-2 x-3 fuzz, or 'all'")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	caches = *cachesFlag
-	eng = protogen.NewEngine(protogen.WithParallelism(*parFlag))
+	caches = check.Caches
+	var done func()
+	ctx, eng, done = check.Start(sigCtx, nil)
+	defer done()
 	exps := []experiment{
 		{"table1", "Table I: atomic MSI cache SSP", table1},
 		{"table2", "Table II: atomic MSI directory SSP", table2},
@@ -82,7 +78,13 @@ func run(args []string, w io.Writer) error {
 		}
 		ran = true
 		fmt.Fprintf(w, "\n================ %s — %s ================\n\n", strings.ToUpper(e.id), e.what)
-		if err := e.run(w); err != nil {
+		err := e.run(w)
+		if ctx.Err() != nil {
+			// Whatever an interrupted experiment printed or concluded
+			// covers a partial run only.
+			return fmt.Errorf("%s: interrupted", e.id)
+		}
+		if err != nil {
 			return fmt.Errorf("%s: %v", e.id, err)
 		}
 	}
@@ -101,7 +103,7 @@ func expFuzz(w io.Writer) error {
 	cfg.Caches = caches
 	cfg.SimSteps = 1500
 	cfg.Shrink = false
-	rep, err := eng.Fuzz(context.Background(), protogen.FuzzJob{First: 0, Last: 16, Config: &cfg})
+	rep, err := eng.Fuzz(ctx, protogen.FuzzJob{First: 0, Last: 16, Config: &cfg})
 	if err != nil {
 		return err
 	}
@@ -264,7 +266,7 @@ func verifyCfg() protogen.VerifyConfig {
 // verifyP model-checks an already-generated protocol on the shared
 // engine (which carries -parallel).
 func verifyP(p *protogen.Protocol, cfg protogen.VerifyConfig) *protogen.VerifyResult {
-	res, err := eng.Verify(context.Background(), protogen.VerifyJob{Protocol: p, Config: &cfg})
+	res, err := eng.Verify(ctx, protogen.VerifyJob{Protocol: p, Config: &cfg})
 	if err != nil {
 		panic(err) // unreachable: a Protocol-subject job cannot fail to resolve
 	}
@@ -347,7 +349,7 @@ func expD(w io.Writer) error {
 	if !res.OK() {
 		return fmt.Errorf("TSO-CC deadlocks")
 	}
-	rep, err := eng.Litmus(context.Background(), protogen.LitmusJob{
+	rep, err := eng.Litmus(ctx, protogen.LitmusJob{
 		Protocol: p, Tests: []string{"MP", "MP+acq", "SB", "CoRR"}, Exhaustive: true,
 	})
 	if err != nil {
@@ -383,13 +385,13 @@ func expE(w io.Writer) error {
 	return nil
 }
 
-// simulateP runs the extension experiments' 3-cache, 50 000-step
-// simulation on the shared engine; a per-location SC violation is an
-// error, not a statistic.
+// simulateP runs the extension experiments' simulation on the shared
+// engine at SimulateJob's default scale (3 caches, 50 000 steps); a
+// per-location SC violation is an error, not a statistic.
 func simulateP(p *protogen.Protocol, seed int64, wl protogen.Workload) (protogen.SimStats, error) {
-	st, err := eng.Simulate(context.Background(), protogen.SimulateJob{
+	st, err := eng.Simulate(ctx, protogen.SimulateJob{
 		Protocol: p,
-		Config:   protogen.SimConfig{Caches: 3, Steps: 50000, Seed: seed, Workload: wl},
+		Config:   protogen.SimConfig{Seed: seed, Workload: wl},
 	})
 	if err == nil && st.SCViolations != 0 {
 		err = fmt.Errorf("%s on %s: %d per-location SC violations", p.Name, wl.Name(), st.SCViolations)
@@ -433,16 +435,11 @@ func expX2(w io.Writer) error {
 }
 
 func expX3(w io.Writer) error {
-	for _, mode := range []string{"nonstalling", "stalling", "deferred"} {
+	for _, mode := range protogen.Modes {
 		for _, prune := range []bool{true, false} {
-			var o protogen.Options
-			switch mode {
-			case "stalling":
-				o = protogen.Stalling()
-			case "deferred":
-				o = protogen.Deferred()
-			default:
-				o = protogen.NonStalling()
+			o, err := protogen.OptionsForMode(mode)
+			if err != nil {
+				return err
 			}
 			o.PruneSharerOnStalePut = prune
 			p, err := protogen.GenerateSource(protogen.BuiltinMSI, o)

@@ -1,9 +1,16 @@
 package main
 
 import (
+	"context"
+	"io"
 	"strings"
 	"testing"
 )
+
+// runBG drives the CLI without cancellation.
+func runBG(args []string, out io.Writer) error {
+	return run(context.Background(), args, out)
+}
 
 // TestRunCheapExperiments: every experiment but the fuzz campaign (its
 // own test below) reproduces its artifact through the real CLI path at
@@ -37,7 +44,7 @@ func TestRunCheapExperiments(t *testing.T) {
 			continue
 		}
 		var out strings.Builder
-		if err := run([]string{"-run", c.id}, &out); err != nil {
+		if err := runBG([]string{"-run", c.id}, &out); err != nil {
 			t.Errorf("-run %s: %v", c.id, err)
 			continue
 		}
@@ -50,7 +57,7 @@ func TestRunCheapExperiments(t *testing.T) {
 // TestRunUnknownExperiment: dispatch errors surface as errors.
 func TestRunUnknownExperiment(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-run", "nope"}, &out); err == nil {
+	if err := runBG([]string{"-run", "nope"}, &out); err == nil {
 		t.Error("unknown experiment must error")
 	}
 }
@@ -62,7 +69,7 @@ func TestRunFuzzExperiment(t *testing.T) {
 		t.Skip("runs a 16-seed campaign")
 	}
 	var out strings.Builder
-	if err := run([]string{"-run", "fuzz"}, &out); err != nil {
+	if err := runBG([]string{"-run", "fuzz"}, &out); err != nil {
 		t.Fatalf("fuzz experiment: %v\n%s", err, out.String())
 	}
 	s := out.String()

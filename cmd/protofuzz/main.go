@@ -15,14 +15,12 @@
 //	protofuzz -seeds 0:5000 -timeout 10m -v   # bounded campaign with progress
 //	protofuzz -list                           # families, boundaries, corpus
 //	protofuzz -replay                         # replay the committed corpus
-//	protofuzz -seeds 0:200 -lint-filter       # skip statically-broken specs
 //
 // Every spec is also run through the static analyzer (protolint's
 // passes) as a third verdict dimension: the spec-layer lint verdict is
-// recorded per seed, a lint "broken" verdict on a spec the checker and
-// simulator pass clean is itself a campaign failure (lint-vs-checker),
-// and -lint-filter short-circuits statically-broken specs before any
-// model check. -no-lint turns the pre-pass off.
+// recorded per seed, and a lint "broken" verdict on a spec the checker
+// and simulator pass clean is itself a campaign failure
+// (lint-vs-checker). -no-lint turns the pre-pass off.
 //
 // A fourth dimension runs the exhaustive litmus oracle on the quick
 // suite: a forbidden weak-memory outcome on a spec the model checker
@@ -43,51 +41,40 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 	"time"
 
 	"protogen"
+	"protogen/cmd/internal/cli"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintln(os.Stderr, "protofuzz:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("protofuzz", run) }
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("protofuzz", flag.ContinueOnError)
 	fs.SetOutput(stdout)
+	check := cli.CheckFlags{Caches: 2} // the differential checks' scale; -parallel is campaign workers
+	check.Bind(fs, cli.Caches|cli.Parallel|cli.Timeout|cli.CacheDir)
 	var (
 		seeds    = fs.String("seeds", "0:100", "seed range first:last (half-open)")
 		family   = fs.String("family", "", "comma-separated family names (default: every shipped family; broken/boundary families must be named explicitly)")
-		caches   = fs.Int("caches", 2, "caches for the differential model checks")
 		maxSts   = fs.Int("max", 500_000, "per-mode state cap")
 		simSteps = fs.Int("sim-steps", 3000, "simulator SC-check steps (0 disables)")
-		parallel = fs.Int("parallel", 0, "campaign workers (0 = all cores)")
 		shrink   = fs.Bool("shrink", true, "shrink failing specs to minimal reproducers")
-		cacheDir = fs.String("cache-dir", "", "memoize verify results as JSONL under this directory, keyed by canonical spec + generation options + checker config; a rerun over the same seeds performs zero re-verifications (see docs/CACHING.md for the format and when to wipe it)")
 		corpus   = fs.String("corpus", "", "write minimized reproducers into this directory")
 		noLint   = fs.Bool("no-lint", false, "disable the static-analyzer pre-pass (no lint verdicts, no lint-vs-checker cross-check)")
 		noLit    = fs.Bool("no-litmus", false, "disable the litmus-oracle dimension (no litmus verdicts, no litmus-vs-checker cross-check)")
 		noPOR    = fs.Bool("no-por", false, "disable the por-vs-full dimension (no reduced-vs-full verdict cross-check)")
 		litSts   = fs.Int("litmus-states", 0, "per-test state cap for the litmus dimension (0 = package default; over budget the verdict is capped, not failed)")
-		lintFlt  = fs.Bool("lint-filter", false, "short-circuit specs the analyzer proves broken before any model check (counted as lint-rejected failures)")
 		jsonOut  = fs.String("json", "", "write one JSON report line per spec to this file (- = stdout)")
 		list     = fs.Bool("list", false, "list families, boundary shapes and corpus entries")
 		replay   = fs.Bool("replay", false, "replay the committed regression corpus")
 		verbose  = fs.Bool("v", false, "print every spec's outcome plus a progress line as seeds complete")
-		timeout  = fs.Duration("timeout", 0, "stop the campaign after this long and report completed seeds (0 = no limit)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -96,35 +83,20 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *list {
 		return listEntries(stdout)
 	}
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 
 	cfg := protogen.DefaultFuzzConfig()
-	cfg.Caches = *caches
+	cfg.Caches = check.Caches
 	cfg.MaxStates = *maxSts
 	cfg.SimSteps = *simSteps
 	cfg.Shrink = *shrink
 	cfg.NoLint = *noLint
-	cfg.LintFilter = *lintFlt
 	cfg.NoLitmus = *noLit
 	cfg.NoPOR = *noPOR
 	cfg.LitmusMaxStates = *litSts
-	if *noLint && *lintFlt {
-		return fmt.Errorf("-no-lint and -lint-filter are mutually exclusive")
-	}
-	if *family != "" {
-		cfg.Families = strings.Split(*family, ",")
-	}
+	cfg.Families = cli.Fields(*family)
 
-	eng := protogen.NewEngine(
-		protogen.WithParallelism(*parallel),
-		protogen.WithCacheDir(*cacheDir),
-		protogen.WithWarnings(func(msg string) { fmt.Fprintf(stdout, "warning: %s\n", msg) }),
-	)
-	defer eng.Close()
+	ctx, eng, done := check.Start(ctx, func(msg string) { fmt.Fprintf(stdout, "warning: %s\n", msg) })
+	defer done()
 
 	if *replay {
 		// Replay is a regression gate on the CURRENT binary: serving
@@ -155,7 +127,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "%s in %.1fs\n", rep.Summary(), time.Since(start).Seconds())
 		if cache, _ := eng.Cache(); cache != nil {
 			fmt.Fprintf(stdout, "result cache: %d hits, %d re-verifications (%d entries in %s)\n",
-				rep.CachedChecks, rep.RanChecks, cache.Len(), *cacheDir)
+				rep.CachedChecks, rep.RanChecks, cache.Len(), check.CacheDir)
 		}
 	}
 	if rep.Fail > 0 {
@@ -192,6 +164,10 @@ func parseSeeds(s string) (uint64, uint64, error) {
 // minimized reproducers to the corpus directory. With -json - the
 // human-readable lines are suppressed so stdout stays pure JSONL.
 func report(stdout io.Writer, rep *protogen.FuzzReport, jsonOut, corpusDir string, verbose bool) error {
+	wrote, err := protogen.WriteFuzzReproducers(corpusDir, rep)
+	if err != nil {
+		return err
+	}
 	human := stdout
 	var jw io.Writer
 	if jsonOut == "-" {
@@ -239,28 +215,13 @@ func report(stdout io.Writer, rep *protogen.FuzzReport, jsonOut, corpusDir strin
 				n = strconv.Itoa(c)
 			}
 			fmt.Fprintf(human, "           minimized to %s processes\n", n)
-			if corpusDir != "" {
-				path, err := protogen.WriteFuzzCorpusEntry(corpusDir, protogen.FuzzCorpusEntry{
-					Family: r.Family, Seed: r.Seed, SimSeed: r.SimSeed, Expect: r.Failure,
-					Txns:   mustCount(r.Minimized),
-					Source: r.Minimized,
-				})
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(human, "           wrote %s\n", path)
+			if len(wrote) > 0 { // one file per minimized reproducer, in report order
+				fmt.Fprintf(human, "           wrote %s\n", wrote[0])
+				wrote = wrote[1:]
 			}
 		}
 	}
 	return nil
-}
-
-func mustCount(src string) int {
-	n, err := protogen.FuzzTxnCount(src)
-	if err != nil {
-		return 0
-	}
-	return n
 }
 
 // listEntries prints the family pools and the committed corpus.

@@ -9,30 +9,24 @@
 package main
 
 import (
-	"errors"
+	"context"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"protogen"
+	"protogen/cmd/internal/cli"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintln(os.Stderr, "protogen:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("protogen", run) }
 
-func run(args []string, stdout io.Writer) error {
+func run(_ context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("protogen", flag.ContinueOnError)
 	fs.SetOutput(stdout)
+	subject := cli.SpecFlags{Mode: "nonstalling"}
+	subject.Bind(fs, 0)
 	var (
-		name    = fs.String("protocol", "MSI", "built-in protocol name (MSI, MESI, MOSI, MSI_Upgrade, MSI_Unordered, TSO_CC)")
-		file    = fs.String("file", "", "read the SSP from a file instead of a built-in")
-		mode    = fs.String("mode", "nonstalling", "generation mode: nonstalling, stalling, deferred")
 		limit   = fs.Int("L", 0, "pending-transaction limit (0 = default)")
 		out     = fs.String("out", "summary", "output: summary, table, dsl, murphi, dot, fsm")
 		machine = fs.String("machine", "cache", "which controller to print: cache, dir")
@@ -50,14 +44,7 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	spec, err := protogen.LoadSpec(*name, *file)
-	if err != nil {
-		if *file == "" {
-			return fmt.Errorf("%v (try -list)", err)
-		}
-		return err
-	}
-	opts, err := protogen.OptionsForMode(*mode)
+	spec, opts, err := subject.Subject()
 	if err != nil {
 		return err
 	}

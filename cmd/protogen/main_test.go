@@ -1,9 +1,17 @@
 package main
 
 import (
+	"context"
+	"io"
 	"strings"
 	"testing"
 )
+
+// runBG drives the CLI without cancellation; generation has no
+// cancellation points.
+func runBG(args []string, out io.Writer) error {
+	return run(context.Background(), args, out)
+}
 
 // TestRunOutputs: every output backend renders through the real CLI path.
 func TestRunOutputs(t *testing.T) {
@@ -20,7 +28,7 @@ func TestRunOutputs(t *testing.T) {
 	}
 	for _, c := range cases {
 		var out strings.Builder
-		if err := run([]string{"-protocol", "MSI", "-out", c.out}, &out); err != nil {
+		if err := runBG([]string{"-protocol", "MSI", "-out", c.out}, &out); err != nil {
 			t.Errorf("-out %s: %v", c.out, err)
 			continue
 		}
@@ -33,7 +41,7 @@ func TestRunOutputs(t *testing.T) {
 // TestRunList: -list prints the registry.
 func TestRunList(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-list"}, &out); err != nil {
+	if err := runBG([]string{"-list"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"MSI", "MESI", "MOSI", "TSO_CC"} {
@@ -46,13 +54,13 @@ func TestRunList(t *testing.T) {
 // TestRunErrors: bad flags come back as errors.
 func TestRunErrors(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-protocol", "NoSuch"}, &out); err == nil {
+	if err := runBG([]string{"-protocol", "NoSuch"}, &out); err == nil {
 		t.Error("unknown protocol must error")
 	}
-	if err := run([]string{"-out", "bogus"}, &out); err == nil {
+	if err := runBG([]string{"-out", "bogus"}, &out); err == nil {
 		t.Error("unknown output must error")
 	}
-	if err := run([]string{"-mode", "bogus"}, &out); err == nil {
+	if err := runBG([]string{"-mode", "bogus"}, &out); err == nil {
 		t.Error("unknown mode must error")
 	}
 }

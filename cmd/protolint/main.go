@@ -6,13 +6,13 @@
 //
 // Usage:
 //
-//	protolint -spec MSI                      # spec + all three generated modes
+//	protolint -protocol MSI                  # spec + all three generated modes
 //	protolint -all                           # every registry protocol (CI gate)
 //	protolint -corpus -expect-dirty          # every reproducer must lint dirty
 //	protolint -file my.ssp -mode nonstalling # one file, one mode
-//	protolint -spec MESI -spec-only -json    # spec layer only, as JSON
+//	protolint -protocol MESI -spec-only -json # spec layer only, as JSON
 //	protolint -all -code PG104,PG105         # restrict to a code set
-//	protolint -spec MSI -code PG302          # dependence pessimizations
+//	protolint -protocol MSI -code PG302      # dependence pessimizations
 //	protolint -all -dep-stats                # dependence stats as JSON
 //
 // -dep-stats switches to the rule-dependence summary: one JSON line per
@@ -34,33 +34,16 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"strings"
 
 	"protogen"
+	"protogen/cmd/internal/cli"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintln(os.Stderr, "protolint:", err)
-		os.Exit(1)
-	}
-}
-
-// subject is one spec to lint: a registry name, a file, or inline
-// source carried from the registry / corpus listings.
-type subject struct {
-	name   string
-	file   string
-	source string
-}
+func main() { cli.Main("protolint", run) }
 
 // subjectResult is the JSON wire form of one linted subject.
 type subjectResult struct {
@@ -72,12 +55,9 @@ type subjectResult struct {
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("protolint", flag.ContinueOnError)
 	fs.SetOutput(stdout)
+	var subject cli.SpecFlags // no -mode lints all three generated modes
+	subject.Bind(fs, cli.All|cli.Corpus)
 	var (
-		name        = fs.String("spec", "", "registry protocol name (default MSI when no other subject is given)")
-		file        = fs.String("file", "", "read the SSP from a file")
-		all         = fs.Bool("all", false, "lint every registry protocol")
-		corpus      = fs.Bool("corpus", false, "lint every committed fuzz-corpus reproducer")
-		mode        = fs.String("mode", "", "restrict the protocol layer to one generation mode (default: all three)")
 		specOnly    = fs.Bool("spec-only", false, "lint the spec layer only; skip generation")
 		codes       = fs.String("code", "", "comma-separated diagnostic codes to keep (e.g. PG104,PG110)")
 		jsonOut     = fs.Bool("json", false, "emit the full structured reports as JSON")
@@ -88,49 +68,29 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *specOnly && *mode != "" {
+	if *specOnly && subject.Mode != "" {
 		return fmt.Errorf("-spec-only and -mode are mutually exclusive")
 	}
-
-	var subjects []subject
-	if *all {
-		for _, e := range protogen.RegistryEntries() {
-			subjects = append(subjects, subject{name: e.Name, source: e.Source})
-		}
+	if *depStats && *specOnly {
+		return fmt.Errorf("-dep-stats analyzes generated protocols; drop -spec-only")
 	}
-	if *corpus {
-		entries, err := protogen.FuzzCorpus()
-		if err != nil {
-			return err
-		}
-		for _, ce := range entries {
-			subjects = append(subjects, subject{name: ce.Name, source: ce.Source})
-		}
+	subjects, err := subject.Subjects()
+	if err != nil {
+		return err
 	}
-	if *file != "" {
-		subjects = append(subjects, subject{name: *file, file: *file})
+	// modes stays nil — LintJob's "all three" — unless a flag narrows it.
+	var modes []string
+	switch {
+	case *specOnly:
+		modes = []string{}
+	case subject.Mode != "":
+		modes = []string{subject.Mode}
 	}
-	if *name != "" {
-		subjects = append(subjects, subject{name: *name})
-	}
-	if len(subjects) == 0 {
-		subjects = append(subjects, subject{name: "MSI"})
-	}
-
-	var codeList []string
-	for _, c := range strings.Split(*codes, ",") {
-		if c = strings.TrimSpace(c); c != "" {
-			codeList = append(codeList, c)
-		}
-	}
-
 	if *depStats {
-		if *specOnly {
-			return fmt.Errorf("-dep-stats analyzes generated protocols; drop -spec-only")
-		}
-		return depStatsRun(stdout, subjects, *mode)
+		return depStatsRun(stdout, subjects, modes)
 	}
 
+	codeList := cli.Fields(*codes)
 	eng := protogen.NewEngine()
 	defer eng.Close()
 
@@ -143,45 +103,29 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		job := protogen.LintJob{Codes: codeList}
-		if sub.source != "" {
-			job.Source = sub.source
-		} else {
-			spec, err := protogen.LoadSpec(sub.name, sub.file)
-			if err != nil {
-				return err
-			}
-			job.Spec = spec
-		}
-		switch {
-		case *specOnly:
-			job.Modes = []string{}
-		case *mode != "":
-			job.Modes = []string{*mode}
-		}
-		res, err := eng.Lint(ctx, job)
+		res, err := eng.Lint(ctx, protogen.LintJob{Spec: sub.Spec, Modes: modes, Codes: codeList})
 		if err != nil {
 			if *expectDirty {
 				// For known-broken reproducers a generation failure is
 				// itself the finding; the subject counts as dirty.
-				fmt.Fprintf(stdout, "%s: lint aborted (counts as dirty): %v\n", sub.name, err)
+				fmt.Fprintf(stdout, "%s: lint aborted (counts as dirty): %v\n", sub.Name, err)
 				continue
 			}
-			return fmt.Errorf("%s: %w", sub.name, err)
+			return fmt.Errorf("%s: %w", sub.Name, err)
 		}
-		results = append(results, subjectResult{Name: sub.name, Verdict: res.Verdict(), Result: res})
+		results = append(results, subjectResult{Name: sub.Name, Verdict: res.Verdict(), Result: res})
 		total := 0
 		for _, rep := range res.Reports {
 			total += len(rep.Diags)
 		}
 		if total == 0 {
-			dirty = append(dirty, sub.name)
+			dirty = append(dirty, sub.Name)
 		}
 		if !res.Clean() {
-			unclean = append(unclean, sub.name)
+			unclean = append(unclean, sub.Name)
 		}
 		if !*jsonOut {
-			fmt.Fprintf(stdout, "%s: %s\n", sub.name, res.Summary())
+			fmt.Fprintf(stdout, "%s: %s\n", sub.Name, res.Summary())
 			for _, rep := range res.Reports {
 				layer := rep.Layer
 				if rep.Mode != "" {
@@ -228,32 +172,14 @@ type depStatsLine struct {
 // its rule-dependence statistics as one JSON line, sorted by (subject,
 // mode) order of the inputs. Generation failures abort: -dep-stats is a
 // measurement mode, not a defect finder.
-func depStatsRun(stdout io.Writer, subjects []subject, mode string) error {
-	modes := []string{"stalling", "nonstalling", "deferred"}
-	if mode != "" {
-		modes = []string{mode}
+func depStatsRun(stdout io.Writer, subjects []cli.Subject, modes []string) error {
+	if modes == nil {
+		modes = protogen.Modes
 	}
 	enc := json.NewEncoder(stdout)
 	for _, sub := range subjects {
-		src := sub.source
-		if src == "" {
-			spec, err := protogen.LoadSpec(sub.name, sub.file)
-			if err != nil {
-				return err
-			}
-			for _, m := range modes {
-				if err := emitDepStats(enc, sub.name, m, spec); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		spec, err := protogen.Parse(src)
-		if err != nil {
-			return fmt.Errorf("%s: %w", sub.name, err)
-		}
 		for _, m := range modes {
-			if err := emitDepStats(enc, sub.name, m, spec); err != nil {
+			if err := emitDepStats(enc, sub.Name, m, sub.Spec); err != nil {
 				return err
 			}
 		}

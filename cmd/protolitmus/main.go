@@ -8,11 +8,11 @@
 //
 // Usage:
 //
-//	protolitmus -spec MSI                      # full catalog, default axiom
+//	protolitmus -protocol MSI                  # full catalog, default axiom
 //	protolitmus -all                           # every registry protocol (CI gate)
-//	protolitmus -spec TSO_CC -test MP,SB       # a named subset
-//	protolitmus -spec MESI -axiom sc -json     # force an axiom, JSON report
-//	protolitmus -spec MSI -runs 10000          # add a randomized sample
+//	protolitmus -protocol TSO_CC -test MP,SB   # a named subset
+//	protolitmus -protocol MESI -axiom sc -json # force an axiom, JSON report
+//	protolitmus -protocol MSI -runs 10000      # add a randomized sample
 //	protolitmus -list                          # print the catalog and exit
 //
 // With -runs the oracle also cross-checks the sample against the
@@ -30,31 +30,16 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"strings"
 
 	"protogen"
+	"protogen/cmd/internal/cli"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintln(os.Stderr, "protolitmus:", err)
-		os.Exit(1)
-	}
-}
-
-// subject is one protocol to test: a registry name or a spec file.
-type subject struct {
-	name string
-	file string
-}
+func main() { cli.Main("protolitmus", run) }
 
 // subjectReport is the JSON wire form of one subject's oracle run.
 type subjectReport struct {
@@ -65,17 +50,16 @@ type subjectReport struct {
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("protolitmus", flag.ContinueOnError)
 	fs.SetOutput(stdout)
+	var subject cli.SpecFlags // no -mode tests the nonstalling design
+	subject.Bind(fs, cli.All)
+	var check cli.CheckFlags // -caches 0: max(3, thread count)
+	check.Bind(fs, cli.Caches)
 	var (
-		name       = fs.String("spec", "", "registry protocol name (default MSI when no other subject is given)")
-		file       = fs.String("file", "", "read the SSP from a file")
-		all        = fs.Bool("all", false, "test every registry protocol")
-		mode       = fs.String("mode", "", "generation mode (default nonstalling)")
 		tests      = fs.String("test", "", "comma-separated catalog test names (default: the full catalog)")
 		axiom      = fs.String("axiom", "", "consistency axiom to classify under: sc, tso or weak (default: the protocol's)")
 		exhaustive = fs.Bool("exhaustive", true, "enumerate every schedule for exact outcome sets")
 		runs       = fs.Int("runs", 0, "randomized sample size per test (0: exhaustive only)")
 		seed       = fs.Int64("seed", 1, "sampling seed")
-		caches     = fs.Int("caches", 0, "composed system size (0: max(3, thread count))")
 		maxStates  = fs.Int("max-states", 0, "exhaustive state budget per test (0: package default)")
 		jsonOut    = fs.Bool("json", false, "emit the full structured reports as JSON")
 		list       = fs.Bool("list", false, "print the test catalog and exit")
@@ -94,32 +78,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("-exhaustive=false needs -runs")
 	}
 
-	var testNames []string
-	for _, t := range strings.Split(*tests, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			testNames = append(testNames, t)
-		}
-	}
-	if _, err := protogen.LitmusTestsByName(testNames); err != nil {
+	subjects, err := subject.Subjects()
+	if err != nil {
 		return err
 	}
 
-	var subjects []subject
-	if *all {
-		for _, e := range protogen.RegistryEntries() {
-			subjects = append(subjects, subject{name: e.Name})
-		}
-	}
-	if *file != "" {
-		subjects = append(subjects, subject{name: *file, file: *file})
-	}
-	if *name != "" {
-		subjects = append(subjects, subject{name: *name})
-	}
-	if len(subjects) == 0 {
-		subjects = append(subjects, subject{name: "MSI"})
-	}
-
+	testNames := cli.Fields(*tests)
 	eng := protogen.NewEngine()
 	defer eng.Close()
 
@@ -131,30 +95,26 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		spec, err := protogen.LoadSpec(sub.name, sub.file)
-		if err != nil {
-			return err
-		}
 		rep, err := eng.Litmus(ctx, protogen.LitmusJob{
-			Spec:       spec,
-			Mode:       *mode,
+			Spec:       sub.Spec,
+			Mode:       subject.Mode,
 			Tests:      testNames,
 			Axiom:      *axiom,
 			Exhaustive: *exhaustive,
 			Runs:       *runs,
 			Seed:       *seed,
-			Caches:     *caches,
+			Caches:     check.Caches,
 			MaxStates:  *maxStates,
 		})
 		if err != nil {
-			return fmt.Errorf("%s: %w", sub.name, err)
+			return fmt.Errorf("%s: %w", sub.Name, err)
 		}
-		reports = append(reports, subjectReport{Name: sub.name, Report: rep})
+		reports = append(reports, subjectReport{Name: sub.Name, Report: rep})
 		if len(rep.Failures()) > 0 || rep.Canceled {
-			failing = append(failing, sub.name)
+			failing = append(failing, sub.Name)
 		}
 		if !*jsonOut {
-			printReport(stdout, sub.name, rep)
+			printReport(stdout, sub.Name, rep)
 		}
 	}
 	if *jsonOut {

@@ -11,7 +11,7 @@ import (
 // registry protocol, exact outcome sets, zero forbidden.
 func TestRunExhaustiveMSI(t *testing.T) {
 	var out strings.Builder
-	err := run(context.Background(), []string{"-spec", "MSI", "-test", "MP,SB,CoRR"}, &out)
+	err := run(context.Background(), []string{"-protocol", "MSI", "-test", "MP,SB,CoRR"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -26,7 +26,7 @@ func TestRunExhaustiveMSI(t *testing.T) {
 // show the MP stale read as relaxed, never forbidden.
 func TestRunWeakRelaxations(t *testing.T) {
 	var out strings.Builder
-	err := run(context.Background(), []string{"-spec", "TSO_CC", "-test", "MP"}, &out)
+	err := run(context.Background(), []string{"-protocol", "TSO_CC", "-test", "MP"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -38,7 +38,7 @@ func TestRunWeakRelaxations(t *testing.T) {
 // TestRunJSON: -json emits a decodable structured report.
 func TestRunJSON(t *testing.T) {
 	var out strings.Builder
-	err := run(context.Background(), []string{"-spec", "MSI", "-test", "CoRR", "-runs", "200", "-json"}, &out)
+	err := run(context.Background(), []string{"-protocol", "MSI", "-test", "CoRR", "-runs", "200", "-json"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}

@@ -38,30 +38,21 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
-	"os/signal"
 	"syscall"
 	"time"
 
 	"protogen"
+	"protogen/cmd/internal/cli"
 	"protogen/internal/service"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintln(os.Stderr, "protoserve:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("protoserve", run, syscall.SIGTERM) }
 
 // listenHook, when non-nil, observes the bound address (tests bind
 // :0 and need the resolved port).
@@ -70,12 +61,12 @@ var listenHook func(net.Addr)
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("protoserve", flag.ContinueOnError)
 	fs.SetOutput(stdout)
+	var check cli.CheckFlags // per job; the cache is shared by every job
+	check.Bind(fs, cli.Parallel|cli.CacheDir)
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
 		workers  = fs.Int("workers", 2, "job worker pool size")
 		depth    = fs.Int("queue", 64, "max queued jobs before submits get 503")
-		parallel = fs.Int("parallel", 0, "per-job exploration workers (0 = all cores)")
-		cacheDir = fs.String("cache-dir", "", "shared verify result cache directory (\"\" disables; see docs/CACHING.md)")
 		corpus   = fs.String("corpus", "", "corpus sink: minimized reproducers from failing fuzz jobs land here")
 		store    = fs.String("store", "", "durable job store directory: jobs survive restarts via a write-ahead log (\"\" keeps jobs in memory; see docs/FLEET.md)")
 		leaseTTL = fs.Duration("lease-ttl", 0, "worker lease TTL before a silent attempt is reassigned (0 = default)")
@@ -95,8 +86,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	srv, err := service.New(service.Config{
 		Workers:     *workers,
 		QueueDepth:  *depth,
-		Parallelism: *parallel,
-		CacheDir:    *cacheDir,
+		Parallelism: check.Parallel,
+		CacheDir:    check.CacheDir,
 		CorpusDir:   *corpus,
 		StoreDir:    *store,
 		LeaseTTL:    *leaseTTL,
@@ -132,7 +123,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		listenHook(ln.Addr())
 	}
 	fmt.Fprintf(stdout, "protoserve listening on %s (%d workers, cache %q, corpus %q)\n",
-		ln.Addr(), *workers, *cacheDir, *corpus)
+		ln.Addr(), *workers, check.CacheDir, *corpus)
 
 	httpSrv := &http.Server{Handler: srv}
 	errc := make(chan error, 1)

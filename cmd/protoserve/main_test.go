@@ -13,9 +13,12 @@ import (
 	"time"
 )
 
-// TestServeSmoke boots the server on an ephemeral port, submits a small
-// verify job through the real HTTP stack, waits for it, and shuts down
-// via context cancellation (the SIGINT path).
+// TestServeSmoke boots the server on an ephemeral port with a durable
+// store and a result cache, submits a small verify job through the real
+// HTTP stack, waits for it, reads its result, resubmits the identical
+// job and requires it to be served from the shared cache, and shuts
+// down via context cancellation (the SIGINT path). It is the service's
+// end-to-end acceptance; CI has no second harness for it.
 func TestServeSmoke(t *testing.T) {
 	addrc := make(chan net.Addr, 1)
 	listenHook = func(a net.Addr) { addrc <- a }
@@ -25,7 +28,7 @@ func TestServeSmoke(t *testing.T) {
 	var out bytes.Buffer
 	errc := make(chan error, 1)
 	go func() {
-		errc <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1", "-cache-dir", t.TempDir()}, &out)
+		errc <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1", "-cache-dir", t.TempDir(), "-store", t.TempDir()}, &out)
 	}()
 
 	var base string
@@ -47,44 +50,70 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("healthz: %d", resp.StatusCode)
 	}
 
-	body := `{"kind":"verify","protocol":"MSI","mode":"nonstalling","caches":2}`
-	resp, err = http.Post(base+"/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if sub.ID == "" {
-		t.Fatal("submit returned no job id")
-	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("job never finished")
-		}
-		resp, err := http.Get(fmt.Sprintf("%s/jobs/%s", base, sub.ID))
+	// submitAndWait posts the job and polls it to "done", returning its
+	// id and whether it was served from the result cache.
+	submitAndWait := func() (id string, cached bool) {
+		body := `{"kind":"verify","protocol":"MSI","mode":"nonstalling","caches":2}`
+		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var v struct {
-			Status string `json:"status"`
+		var sub struct {
+			ID string `json:"id"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if v.Status == "done" {
-			break
+		if sub.ID == "" {
+			t.Fatal("submit returned no job id")
 		}
-		if v.Status == "failed" || v.Status == "canceled" {
-			t.Fatalf("job finished %s", v.Status)
+		deadline := time.Now().Add(60 * time.Second)
+		for {
+			if time.Now().After(deadline) {
+				t.Fatal("job never finished")
+			}
+			resp, err := http.Get(fmt.Sprintf("%s/jobs/%s", base, sub.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v struct {
+				Status string `json:"status"`
+				Cached bool   `json:"cached"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if v.Status == "done" {
+				return sub.ID, v.Cached
+			}
+			if v.Status == "failed" || v.Status == "canceled" {
+				t.Fatalf("job finished %s", v.Status)
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	id, cached := submitAndWait()
+	if cached {
+		t.Fatal("first submission claims a cache hit")
+	}
+	resp, err = http.Get(fmt.Sprintf("%s/jobs/%s/result", base, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var result struct {
+		Complete bool
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&result); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if !result.Complete {
+		t.Fatal(`result lacks "Complete": true`)
+	}
+	if _, cached := submitAndWait(); !cached {
+		t.Fatal("identical resubmit was not served from the result cache")
 	}
 
 	cancel()

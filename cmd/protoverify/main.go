@@ -41,37 +41,29 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
 	"protogen"
+	"protogen/cmd/internal/cli"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintln(os.Stderr, "protoverify:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("protoverify", run) }
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("protoverify", flag.ContinueOnError)
 	fs.SetOutput(stdout)
+	subject := cli.SpecFlags{Mode: "nonstalling"}
+	subject.Bind(fs, 0)
+	check := cli.CheckFlags{Caches: 3} // the paper setup and the library default
+	check.Bind(fs, cli.Caches|cli.Parallel|cli.Timeout|cli.CacheDir)
 	var (
-		name     = fs.String("protocol", "MSI", "built-in protocol name")
-		file     = fs.String("file", "", "read the SSP from a file instead of a built-in")
-		mode     = fs.String("mode", "nonstalling", "nonstalling, stalling, deferred")
-		caches   = fs.Int("caches", 3, "number of caches (3 matches the paper setup and the library default)")
 		capacity = fs.Int("capacity", 4, "per-channel capacity")
 		maxSts   = fs.Int("max", 4_000_000, "state cap")
 		maxViol  = fs.Int("max-violations", 1, "stop after this many violations")
@@ -80,15 +72,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		noLive   = fs.Bool("no-liveness", false, "skip quiescence reachability")
 		noSym    = fs.Bool("no-symmetry", false, "disable symmetry reduction")
 		noPrune  = fs.Bool("no-prune", false, "disable sharer pruning on stale Puts (ablation)")
-		parallel = fs.Int("parallel", 0, "exploration workers (0 = all cores, 1 = sequential)")
 		trace    = fs.Bool("trace", false, "print every violation's counterexample trace")
 		fpMode   = fs.Bool("fingerprint", false, "store 64-bit state fingerprints instead of full keys in the visited set (measured 5.2-5.6x less memory; false-merge odds ~n²/2⁶⁵ — an exact run prints how many actually occur)")
 		reduce   = fs.Bool("reduce", false, "enable partial-order reduction: identical verdicts, deterministically fewer states/edges (see docs/PERFORMANCE.md)")
 		commute  = fs.Bool("audit-commute", false, "with -reduce: re-execute fused rules and sampled rule pairs at runtime and fail hard on any discrepancy with the static independence relation (bypasses the result cache)")
-		cacheDir = fs.String("cache-dir", "", "memoize verify results as JSONL under this directory, keyed by canonical spec + generation options + checker config (see docs/CACHING.md for the format and when to wipe it)")
 		noLint   = fs.Bool("no-lint", false, "suppress the pre-exploration static-analyzer warnings (see docs/ANALYSIS.md)")
 		progress = fs.Bool("progress", false, "print a progress line after each BFS level")
-		timeout  = fs.Duration("timeout", 0, "stop exploring after this long and report partial counts (0 = no limit)")
 		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the exploration to this file")
 		memProf  = fs.String("memprofile", "", "write a pprof heap profile (taken after the exploration) to this file")
 	)
@@ -122,17 +111,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			f.Close()
 		}()
 	}
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 
-	spec, err := protogen.LoadSpec(*name, *file)
-	if err != nil {
-		return err
-	}
-	opts, err := protogen.OptionsForMode(*mode)
+	spec, opts, err := subject.Subject()
 	if err != nil {
 		return err
 	}
@@ -141,7 +121,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	cfg := protogen.DefaultVerifyConfig()
-	cfg.Caches = *caches
+	cfg.Caches = check.Caches
 	cfg.Capacity = *capacity
 	cfg.MaxStates = *maxSts
 	cfg.MaxViolations = *maxViol
@@ -153,20 +133,16 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cfg.Reduce = *reduce
 	cfg.CommuteAudit = *commute
 
-	eng := protogen.NewEngine(
-		protogen.WithParallelism(*parallel),
-		protogen.WithCacheDir(*cacheDir),
-		protogen.WithWarnings(func(msg string) {
-			// Generation-time lint findings arrive "lint:"-prefixed; they
-			// are advisory (the checker is the ground truth) and -no-lint
-			// silences just them.
-			if *noLint && strings.HasPrefix(msg, "lint:") {
-				return
-			}
-			fmt.Fprintf(stdout, "warning: %s\n", msg)
-		}),
-	)
-	defer eng.Close()
+	ctx, eng, done := check.Start(ctx, func(msg string) {
+		// Generation-time lint findings arrive "lint:"-prefixed; they
+		// are advisory (the checker is the ground truth) and -no-lint
+		// silences just them.
+		if *noLint && strings.HasPrefix(msg, "lint:") {
+			return
+		}
+		fmt.Fprintf(stdout, "warning: %s\n", msg)
+	})
+	defer done()
 
 	job := protogen.VerifyJob{Spec: spec, Options: &opts, Config: &cfg}
 	if *progress {

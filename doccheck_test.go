@@ -1,12 +1,14 @@
 package protogen_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -136,5 +138,70 @@ func TestDocPathsResolve(t *testing.T) {
 			}
 			t.Errorf("%s names `%s`, which does not exist", doc, m[1])
 		}
+	}
+}
+
+// TestOneFrontDoor keeps the binaries' shared surface declared once.
+// Outside cmd/internal/cli no non-test file under cmd/ may declare one
+// of the shared flags (or the old -spec), or install its own signal
+// handler; and outside bench/ only internal/core may spell the three
+// generation-mode names in one composite literal — everything else
+// ranges over core.Modes.
+func TestOneFrontDoor(t *testing.T) {
+	shared := map[string]bool{"protocol": true, "spec": true, "file": true, "mode": true,
+		"caches": true, "parallel": true, "timeout": true, "cache-dir": true}
+	str := func(e ast.Expr) string {
+		if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			s, _ := strconv.Unquote(lit.Value)
+			return s
+		}
+		return ""
+	}
+	fset := token.NewFileSet()
+	modeLists := 0
+	for _, path := range goFiles(t) {
+		path = filepath.ToSlash(path)
+		if strings.HasSuffix(path, "_test.go") || strings.HasPrefix(path, "bench/") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary := strings.HasPrefix(path, "cmd/") && !strings.HasPrefix(path, "cmd/internal/cli/")
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || !binary {
+					break
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "signal" && sel.Sel.Name == "NotifyContext" {
+					t.Errorf("%s: signal.NotifyContext belongs to cli.Main", fset.Position(n.Pos()))
+				}
+				// Every flag-declaring method takes the name first
+				// (fs.Int) or second (fs.IntVar, fs.Var).
+				for _, arg := range n.Args[:min(2, len(n.Args))] {
+					if name := str(arg); shared[name] {
+						t.Errorf("%s: flag -%s is declared by cmd/internal/cli, not per binary", fset.Position(n.Pos()), name)
+					}
+				}
+			case *ast.CompositeLit:
+				seen := map[string]bool{}
+				for _, e := range n.Elts {
+					seen[str(e)] = true
+				}
+				if seen["stalling"] && seen["nonstalling"] && seen["deferred"] {
+					modeLists++
+					if path != "internal/core/options.go" {
+						t.Errorf("%s: the mode list is core.Modes; range over it", fset.Position(n.Pos()))
+					}
+				}
+			}
+			return true
+		})
+	}
+	if modeLists != 1 {
+		t.Errorf("found %d mode-name literals, want exactly core.Modes", modeLists)
 	}
 }

@@ -62,15 +62,14 @@ func ChannelProgress(ch chan<- ProgressEvent) ProgressFunc {
 }
 
 // Engine runs verification, simulation and fuzzing jobs under a shared
-// configuration: worker parallelism, one verify result cache, and a
-// default progress sink. Options layer defaults over what a job leaves
-// unset; the zero-option engine adds none. An Engine is safe for
+// configuration: worker parallelism, one verify result cache and a
+// warnings sink. Options layer defaults over what a job leaves unset;
+// the zero-option engine adds none. An Engine is safe for
 // concurrent use — the service's worker pool runs many jobs on one
 // Engine to share its cache.
 type Engine struct {
 	parallelism int
 	cacheDir    string
-	progress    ProgressFunc
 	warn        func(string)
 
 	mu        sync.Mutex
@@ -102,12 +101,6 @@ func WithCache(c *VerifyResultCache) EngineOption {
 	// Options run inside NewEngine before the engine is published to
 	// any other goroutine, so the guarded write needs no lock.
 	return func(e *Engine) { e.cache = c } //vetconcurrency:ignore construction-time option; NewEngine has not published the engine yet
-}
-
-// WithProgress sets the engine's default progress sink, used by every
-// job that does not set its own OnProgress.
-func WithProgress(fn ProgressFunc) EngineOption {
-	return func(e *Engine) { e.progress = fn }
 }
 
 // WithWarnings sets a sink for non-fatal operational problems and
@@ -166,15 +159,6 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// progressFunc resolves a job's sink: its own OnProgress, else the
-// engine default, else nil.
-func (e *Engine) progressFunc(job ProgressFunc) ProgressFunc {
-	if job != nil {
-		return job
-	}
-	return e.progress
-}
-
 // VerifyJob model-checks one protocol. Exactly one of Protocol, Spec or
 // Source selects the subject; Spec/Source jobs are generated under Mode
 // or Options and are eligible for the engine's result cache (Protocol
@@ -197,17 +181,19 @@ type VerifyJob struct {
 	PendingLimit int
 
 	// Config tunes the checker; nil uses DefaultVerifyConfig. The
-	// engine's parallelism fills in whenever Config.Parallelism is 0.
+	// engine's parallelism fills in whenever Config.Parallelism is 0,
+	// and DefaultVerifyConfig's cache count when Config.Caches is.
 	Config *VerifyConfig
 
 	// NoCache skips the engine's result cache for this job.
 	NoCache bool
-	// OnProgress overrides the engine's progress sink for this job.
+	// OnProgress receives the job's progress events; nil drops them.
 	OnProgress ProgressFunc
 }
 
 // SimulateJob runs one protocol under randomized scheduling. Subject
-// selection follows VerifyJob; Config.Workload is required.
+// selection follows VerifyJob; Config.Workload is required, and a zero
+// Config.Caches / Config.Steps means 3 caches / 50 000 steps.
 type SimulateJob struct {
 	Protocol *Protocol
 	Spec     *Spec
@@ -219,7 +205,7 @@ type SimulateJob struct {
 
 	// Config tunes the run (Workload required).
 	Config SimConfig
-	// OnProgress overrides the engine's progress sink for this job.
+	// OnProgress receives the job's progress events; nil drops them.
 	OnProgress ProgressFunc
 }
 
@@ -228,10 +214,11 @@ type SimulateJob struct {
 type FuzzJob struct {
 	First, Last uint64
 	// Config tunes the campaign; nil uses DefaultFuzzConfig. The
-	// engine's parallelism fills in when Config.Parallelism is 0, and
-	// the engine's result cache when Config.Cache is nil.
+	// engine's parallelism fills in when Config.Parallelism is 0, the
+	// engine's result cache when Config.Cache is nil, and
+	// DefaultFuzzConfig's cache count when Config.Caches is 0.
 	Config *FuzzConfig
-	// OnProgress overrides the engine's progress sink for this job.
+	// OnProgress receives the job's progress events; nil drops them.
 	OnProgress ProgressFunc
 }
 
@@ -264,13 +251,13 @@ type LitmusJob struct {
 	// Seed seeds the randomized sample.
 	Seed int64
 	// Caches sizes the composed per-address systems (minimum: the
-	// test's thread count; 0 = 3).
+	// test's thread count; 0 = 3; at most 8, as for every job kind).
 	Caches int
 	// MaxStates bounds each exhaustive exploration (0 = the litmus
 	// package default).
 	MaxStates int
 
-	// OnProgress overrides the engine's progress sink for this job.
+	// OnProgress receives the job's progress events; nil drops them.
 	OnProgress ProgressFunc
 }
 
@@ -300,9 +287,6 @@ func resolveSubject(proto *Protocol, spec *Spec, source, mode string, explicit *
 	if explicit != nil {
 		opts = *explicit
 	} else {
-		if mode == "" {
-			mode = "nonstalling"
-		}
 		var err error
 		opts, err = core.OptionsForMode(mode)
 		if err != nil {
@@ -315,8 +299,18 @@ func resolveSubject(proto *Protocol, spec *Spec, source, mode string, explicit *
 	return spec, nil, opts, nil
 }
 
+// resolveCaches applies the one cache-count rule every job kind shares:
+// zero or negative means the job's default, and a count above
+// verify.MaxCaches is refused before any System is built.
+func resolveCaches(n, def int) (int, error) {
+	if n <= 0 {
+		return def, nil
+	}
+	return n, verify.CheckCaches(n)
+}
+
 // verifyConfig layers engine defaults over a job's checker config.
-func (e *Engine) verifyConfig(c *VerifyConfig) VerifyConfig {
+func (e *Engine) verifyConfig(c *VerifyConfig) (VerifyConfig, error) {
 	var cfg VerifyConfig
 	if c != nil {
 		cfg = *c
@@ -326,7 +320,9 @@ func (e *Engine) verifyConfig(c *VerifyConfig) VerifyConfig {
 	if cfg.Parallelism == 0 && e.parallelism > 0 {
 		cfg.Parallelism = e.parallelism
 	}
-	return cfg
+	var err error
+	cfg.Caches, err = resolveCaches(cfg.Caches, verify.DefaultConfig().Caches)
+	return cfg, err
 }
 
 // Verify runs a verification job under ctx. Cancellation is observed at
@@ -339,8 +335,11 @@ func (e *Engine) Verify(ctx context.Context, job VerifyJob) (*VerifyResult, erro
 	if err != nil {
 		return nil, err
 	}
-	cfg := e.verifyConfig(job.Config)
-	if fn := e.progressFunc(job.OnProgress); fn != nil {
+	cfg, err := e.verifyConfig(job.Config)
+	if err != nil {
+		return nil, err
+	}
+	if fn := job.OnProgress; fn != nil {
 		cfg.Progress = func(p verify.Progress) { fn(p) }
 	}
 
@@ -392,7 +391,13 @@ func (e *Engine) Simulate(ctx context.Context, job SimulateJob) (SimStats, error
 	if cfg.Workload == nil {
 		return SimStats{}, fmt.Errorf("simulate job needs Config.Workload")
 	}
-	if fn := e.progressFunc(job.OnProgress); fn != nil {
+	if cfg.Caches, err = resolveCaches(cfg.Caches, 3); err != nil {
+		return SimStats{}, err
+	}
+	if cfg.Steps <= 0 {
+		cfg.Steps = 50_000
+	}
+	if fn := job.OnProgress; fn != nil {
 		cfg.Progress = func(p sim.Progress) { fn(p) }
 	}
 	return sim.RunCtx(ctx, proto, cfg)
@@ -403,6 +408,9 @@ func (e *Engine) Simulate(ctx context.Context, job SimulateJob) (SimStats, error
 // Report.Canceled set and a nil error (interrupted tests carry the
 // context error in their per-test Err).
 func (e *Engine) Litmus(ctx context.Context, job LitmusJob) (*LitmusReport, error) {
+	if err := verify.CheckCaches(job.Caches); err != nil {
+		return nil, err
+	}
 	spec, proto, opts, err := resolveSubject(job.Protocol, job.Spec, job.Source, job.Mode, job.Options, job.PendingLimit)
 	if err != nil {
 		return nil, err
@@ -429,7 +437,7 @@ func (e *Engine) Litmus(ctx context.Context, job LitmusJob) (*LitmusReport, erro
 		Parallelism: e.parallelism,
 	}
 	var sink func(litmus.Progress)
-	if fn := e.progressFunc(job.OnProgress); fn != nil {
+	if fn := job.OnProgress; fn != nil {
 		sink = func(p litmus.Progress) { fn(p) }
 	}
 	return litmus.RunSuite(ctx, proto, tests, ax, lopts, sink), nil
@@ -446,6 +454,10 @@ func (e *Engine) Fuzz(ctx context.Context, job FuzzJob) (*FuzzReport, error) {
 	} else {
 		cfg = fuzz.DefaultConfig()
 	}
+	var err error
+	if cfg.Caches, err = resolveCaches(cfg.Caches, fuzz.DefaultConfig().Caches); err != nil {
+		return nil, err
+	}
 	if cfg.Parallelism == 0 && e.parallelism > 0 {
 		cfg.Parallelism = e.parallelism
 	}
@@ -456,7 +468,7 @@ func (e *Engine) Fuzz(ctx context.Context, job FuzzJob) (*FuzzReport, error) {
 		}
 		cfg.Cache = cache
 	}
-	if fn := e.progressFunc(job.OnProgress); fn != nil {
+	if fn := job.OnProgress; fn != nil {
 		cfg.Progress = func(p fuzz.Progress) { fn(p) }
 	}
 	return fuzz.RunCtx(ctx, job.First, job.Last, cfg)

@@ -2,9 +2,13 @@ package protogen_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"protogen"
 )
@@ -172,6 +176,63 @@ func TestEngineJobValidation(t *testing.T) {
 	}
 	if _, err := eng.Simulate(ctx, protogen.SimulateJob{Source: protogen.BuiltinMSI}); err == nil {
 		t.Error("workload-less simulate job must error")
+	}
+}
+
+// TestEngineCachesBound: every job kind refuses a cache count above
+// the checker's bound (8) before doing any work, still runs at the
+// bound, and reads zero or a negative count as "the job's default".
+func TestEngineCachesBound(t *testing.T) {
+	eng := protogen.NewEngine(protogen.WithParallelism(1))
+	ctx := context.Background()
+	kinds := map[string]func(caches int) error{
+		"verify": func(caches int) error {
+			cfg := protogen.QuickVerifyConfig()
+			cfg.Caches, cfg.MaxStates, cfg.CheckLiveness = caches, 20, false
+			res, err := eng.Verify(ctx, protogen.VerifyJob{Source: protogen.BuiltinMSI, Config: &cfg})
+			if err == nil && res.States == 0 {
+				err = errors.New("explored nothing")
+			}
+			return err
+		},
+		"simulate": func(caches int) error {
+			st, err := eng.Simulate(ctx, protogen.SimulateJob{Source: protogen.BuiltinMSI,
+				Config: protogen.SimConfig{Caches: caches, Steps: 400, Seed: 1, Workload: protogen.StandardWorkloads()[0]}})
+			if err == nil && st.Hits+st.Transactions == 0 {
+				err = errors.New("no cache ever ran an access")
+			}
+			return err
+		},
+		"litmus": func(caches int) error {
+			_, err := eng.Litmus(ctx, protogen.LitmusJob{Source: protogen.BuiltinMSI,
+				Tests: []string{"CoRR"}, Caches: caches, MaxStates: 200})
+			return err
+		},
+		"fuzz": func(caches int) error {
+			cfg := protogen.DefaultFuzzConfig()
+			cfg.Caches, cfg.MaxStates, cfg.SimSteps = caches, 20, 0
+			cfg.Shrink, cfg.NoPOR, cfg.NoLitmus = false, true, true
+			rep, err := eng.Fuzz(ctx, protogen.FuzzJob{First: 0, Last: 1, Config: &cfg})
+			if err == nil && rep.RanChecks != len(protogen.Modes) {
+				err = fmt.Errorf("ran %d model checks, want %d", rep.RanChecks, len(protogen.Modes))
+			}
+			return err
+		},
+	}
+	for kind, run := range kinds {
+		for _, caches := range []int{0, -1, 8} {
+			if err := run(caches); err != nil {
+				t.Errorf("%s with %d caches must run: %v", kind, caches, err)
+			}
+		}
+		start := time.Now()
+		err := run(9)
+		if err == nil || !strings.Contains(err.Error(), "9 caches") {
+			t.Errorf("%s with 9 caches: error %v, want the bound", kind, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s took %v to refuse 9 caches; the bound is checked before any work", kind, d)
+		}
 	}
 }
 

@@ -86,13 +86,20 @@ func DeferredOpts() Options {
 	return o
 }
 
-// OptionsForMode maps a generation-mode name (as used by every CLI and
-// the fuzz campaign) to its option set.
+// Modes names the three generation modes in campaign order — the one
+// list every mode sweep (fuzz campaign, lint layers, dependence stats,
+// ablations) ranges over. bench/'s generate-sweep hashes depend on the
+// order.
+var Modes = []string{"stalling", "nonstalling", "deferred"}
+
+// OptionsForMode maps a generation-mode name (as used by every CLI, the
+// service and the fuzz campaign) to its option set; "" is nonstalling,
+// the Table VI configuration.
 func OptionsForMode(mode string) (Options, error) {
 	switch mode {
 	case "stalling":
 		return StallingOpts(), nil
-	case "nonstalling":
+	case "nonstalling", "":
 		return NonStallingOpts(), nil
 	case "deferred":
 		return DeferredOpts(), nil

@@ -27,18 +27,12 @@ type Layout struct {
 	// StableAt[StateIdx[s]] reports whether s is a stable state — the
 	// hot-path form of Machine.State(s).Kind == ir.Stable.
 	StableAt []bool
-	trans    map[transKey][]*ir.Transition
 	// Dense transition index for the execution hot path: evIdx maps an
 	// event's string form to a compact index, transAt[stateIdx][evIdx]
 	// is the candidate list — one small map probe instead of hashing a
 	// (state, event) pair on every match.
 	evIdx   map[string]int
 	transAt [][][]*ir.Transition
-}
-
-type transKey struct {
-	state ir.StateName
-	ev    string
 }
 
 // NewLayout indexes a machine.
@@ -49,7 +43,6 @@ func NewLayout(m *ir.Machine) *Layout {
 		SetIdx:   map[string]int{},
 		VarType:  map[string]ir.VarType{},
 		StateIdx: map[ir.StateName]int{},
-		trans:    map[transKey][]*ir.Transition{},
 	}
 	for _, v := range m.Vars {
 		l.VarType[v.Name] = v.Type
@@ -82,11 +75,6 @@ func NewLayout(m *ir.Machine) *Layout {
 		st := m.Sts[n]
 		l.StableAt = append(l.StableAt, st != nil && st.Kind == ir.Stable)
 	}
-	for i := range m.Trans {
-		t := &m.Trans[i]
-		k := transKey{t.From, t.Ev.String()}
-		l.trans[k] = append(l.trans[k], t)
-	}
 	l.evIdx = map[string]int{}
 	for i := range m.Trans {
 		ev := m.Trans[i].Ev.String()
@@ -104,11 +92,6 @@ func NewLayout(m *ir.Machine) *Layout {
 		l.transAt[si][ei] = append(l.transAt[si][ei], t)
 	}
 	return l
-}
-
-// Transitions returns the transitions for (state, event).
-func (l *Layout) Transitions(s ir.StateName, ev ir.Event) []*ir.Transition {
-	return l.trans[transKey{s, ev.String()}]
 }
 
 // EvIndex returns the dense index of an event's string form, or -1 when

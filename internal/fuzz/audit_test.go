@@ -53,7 +53,7 @@ func TestCommuteAuditSeeds(t *testing.T) {
 					continue
 				}
 				for _, mode := range Modes {
-					opts, err := ModeOptions(mode)
+					opts, err := core.OptionsForMode(mode)
 					if err != nil {
 						mu.Lock()
 						t.Errorf("seed %d %s: %v", seed, mode, err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,11 +19,8 @@ import (
 )
 
 // Modes enumerates the three generation modes every spec is pushed
-// through, in campaign order.
-var Modes = []string{"stalling", "nonstalling", "deferred"}
-
-// ModeOptions maps a mode name to its generation options.
-func ModeOptions(mode string) (core.Options, error) { return core.OptionsForMode(mode) }
+// through, in campaign order: it is core.Modes, the one mode list.
+var Modes = core.Modes
 
 // Config tunes a campaign.
 type Config struct {
@@ -48,13 +44,6 @@ type Config struct {
 	// NoLint disables the static-analyzer pre-pass: no per-spec lint
 	// verdict is recorded and the lint-vs-checker cross-check is off.
 	NoLint bool
-	// LintFilter short-circuits specs the analyzer proves broken
-	// (error-severity findings, e.g. a statically stuck await): they
-	// count as caught failures in Report.LintRejected without paying
-	// for three model checks. Off by default — leaving it off is what
-	// lets the lint-vs-checker cross-check exercise the analyzer
-	// against the checker's ground truth on every seed.
-	LintFilter bool
 	// NoPOR disables the reduced-vs-full cross-check: every mode whose
 	// full exploration completed is re-checked with partial-order
 	// reduction on (verify.Config.Reduce) and the two verdicts must
@@ -148,9 +137,8 @@ type Failure struct {
 	// (deadlock / stuck), "differential" (modes disagree), "sim" (SC
 	// violation or scheduler deadlock), "generate" (pipeline error),
 	// "capped" (a mode hit the state cap; inconclusive, never shrunk),
-	// "lint-rejected" (the Config.LintFilter pre-pass proved the spec
-	// broken and skipped the checks), "lint-vs-checker" (the analyzer
-	// called a checker-clean spec broken — one oracle lies), "litmus"
+	// "lint-vs-checker" (the analyzer called a checker-clean spec
+	// broken — one oracle lies), "litmus"
 	// (the litmus oracle wedged or errored), or "litmus-vs-checker"
 	// (the exhaustive litmus oracle reached an axiom-forbidden outcome
 	// on a checker-clean spec — an ordering bug the SC-only oracles
@@ -242,10 +230,6 @@ type Report struct {
 	// CachedChecks counts verdicts served from the cache.
 	RanChecks    int `json:"ran_checks"`
 	CachedChecks int `json:"cached_checks,omitempty"`
-	// LintRejected counts seeds the Config.LintFilter pre-pass proved
-	// broken and short-circuited before any model check ran. They are
-	// included in Fail — lint-rejected specs are caught failures.
-	LintRejected int `json:"lint_rejected,omitempty"`
 	// Canceled marks a partial campaign: the context given to RunCtx
 	// was canceled before every seed completed. Specs then holds only
 	// the completed seeds, still in seed order; SeedsTotal records the
@@ -258,9 +242,6 @@ type Report struct {
 func (r *Report) Summary() string {
 	s := fmt.Sprintf("%d specs: %d pass, %d fail (%d families)",
 		len(r.Specs), r.Pass, r.Fail, len(r.Families))
-	if r.LintRejected > 0 {
-		s += fmt.Sprintf(", %d lint-rejected", r.LintRejected)
-	}
 	if r.Canceled {
 		s += fmt.Sprintf(" — canceled after %d of %d seeds", len(r.Specs), r.SeedsTotal)
 	}
@@ -451,9 +432,6 @@ func RunCtx(ctx context.Context, first, last uint64, cfg Config) (*Report, error
 			rep.Pass++
 		} else {
 			rep.Fail++
-			if r.Failure.Class == "lint-rejected" {
-				rep.LintRejected++
-			}
 		}
 		for _, mr := range r.Modes {
 			switch {
@@ -472,11 +450,6 @@ func RunCtx(ctx context.Context, first, last uint64, cfg Config) (*Report, error
 	}
 	sort.Strings(rep.Families)
 	return rep, nil
-}
-
-// CheckSeed runs the full differential oracle for one campaign seed.
-func CheckSeed(seed uint64, pool []Params, cfg Config) SpecReport {
-	return checkSeedCtx(context.Background(), seed, pool, cfg)
 }
 
 func checkSeedCtx(ctx context.Context, seed uint64, pool []Params, cfg Config) SpecReport {
@@ -513,8 +486,10 @@ func checkSourceCtx(ctx context.Context, src string, limit int, simSeed int64, c
 
 	// Static-analyzer pre-pass: record the spec-layer verdict as the
 	// third verdict dimension. Only error-severity findings (statically
-	// provable defects) may short-circuit or contradict the checker;
-	// warnings are advisory by the analyzer's one-sided-error policy.
+	// provable defects) may contradict the checker; warnings are
+	// advisory by the analyzer's one-sided-error policy. The model
+	// checks run regardless, which is what lets the lint-vs-checker
+	// cross-check hold the analyzer to the checker's ground truth.
 	var lintDetail string
 	if !cfg.NoLint {
 		lrep := analyze.CheckSpec(spec)
@@ -525,10 +500,6 @@ func checkSourceCtx(ctx context.Context, src string, limit int, simSeed int64, c
 					lintDetail = d.String()
 					break
 				}
-			}
-			if cfg.LintFilter {
-				r.Failure = Failure{Class: "lint-rejected", Kind: "lint-broken", Detail: lintDetail}
-				return r
 			}
 		}
 	}
@@ -619,7 +590,7 @@ func checkSourceCtx(ctx context.Context, src string, limit int, simSeed int64, c
 	// design; generate it once.
 	var p *ir.Protocol
 	if cfg.SimSteps > 0 || !cfg.NoLitmus {
-		opts, _ := ModeOptions("nonstalling")
+		opts := core.NonStallingOpts()
 		opts.PendingLimit = limit
 		var err error
 		p, err = core.Generate(spec, opts) // Generate clones internally
@@ -713,7 +684,7 @@ func checkSourceCtx(ctx context.Context, src string, limit int, simSeed int64, c
 // key: verify.CacheKey includes Config.Reduce).
 func checkMode(ctx context.Context, spec *ir.Spec, mode string, limit int, cfg Config, reduce bool) (ModeResult, Failure) {
 	mr := ModeResult{Mode: mode}
-	opts, err := ModeOptions(mode)
+	opts, err := core.OptionsForMode(mode)
 	if err != nil {
 		return mr, Failure{Class: "generate", Kind: "mode", Mode: mode, Detail: err.Error()}
 	}
@@ -743,12 +714,6 @@ func defaultParallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// FormatSpec pretty-prints a seed's resolved spec parameters.
-func FormatSpec(seed uint64, pool []Params) string {
-	shape, limit, simSeed := SpecForSeed(seed, pool)
-	return fmt.Sprintf("seed %d -> %s L=%d simSeed=%d", seed, shape.Name(), limit, simSeed)
-}
-
 // FamilyNames lists the shipped family names in canonical order.
 func FamilyNames() []string {
 	var out []string
@@ -766,6 +731,3 @@ func BrokenFamilyNames() []string {
 	}
 	return out
 }
-
-// JoinedFamilies renders a comma list for CLI help.
-func JoinedFamilies(names []string) string { return strings.Join(names, ",") }

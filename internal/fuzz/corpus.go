@@ -165,6 +165,41 @@ func WriteCorpusEntry(dir string, e CorpusEntry) (string, error) {
 	return path, os.WriteFile(path, []byte(e.Render()), 0o644)
 }
 
+// WriteReproducers is the corpus sink shared by protofuzz -corpus and
+// the service's fuzz jobs: it writes every minimized reproducer of rep
+// into dir ("" disables the sink) and returns the files written, in
+// report order. A write failure does not stop the sink (the report
+// still carries the reproducer inline); the first one is returned
+// beside the files that did land.
+func WriteReproducers(dir string, rep *Report) ([]string, error) {
+	if dir == "" {
+		return nil, nil
+	}
+	var (
+		files []string
+		first error
+	)
+	for i := range rep.Specs {
+		r := &rep.Specs[i]
+		if r.Minimized == "" {
+			continue
+		}
+		txns, _ := TxnCount(r.Minimized) // the header count is informational; 0 if the source does not parse
+		path, err := WriteCorpusEntry(dir, CorpusEntry{
+			Family: r.Family, Seed: r.Seed, SimSeed: r.SimSeed,
+			Expect: r.Failure, Txns: txns, Source: r.Minimized,
+		})
+		if err != nil {
+			if first == nil {
+				first = err
+			}
+			continue
+		}
+		files = append(files, path)
+	}
+	return files, first
+}
+
 // RegisterEntries adds one exemplar per shipped family plus every corpus
 // reproducer to the protocols registry, so protofuzz -list (and any
 // other registry consumer) can address them by name. Idempotent: an

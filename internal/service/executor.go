@@ -83,9 +83,7 @@ func execVerify(ctx context.Context, eng *protogen.Engine, req Request, sink pro
 func execFuzz(ctx context.Context, eng *protogen.Engine, req Request, sink protogen.ProgressFunc, corpusDir string) Outcome {
 	cfg := protogen.DefaultFuzzConfig()
 	cfg.Families = req.Families
-	if req.Caches > 0 {
-		cfg.Caches = req.Caches
-	}
+	cfg.Caches = req.Caches
 	if req.MaxStates > 0 {
 		cfg.MaxStates = req.MaxStates
 	}
@@ -104,7 +102,8 @@ func execFuzz(ctx context.Context, eng *protogen.Engine, req Request, sink proto
 		return failed(err)
 	}
 	out := doneOutcome(rep.Summary(), rep.Fail == 0, rep.Canceled, rep)
-	out.CorpusFiles = sinkCorpus(corpusDir, rep)
+	// A reproducer that fails to land is still carried inline by the report.
+	out.CorpusFiles, _ = protogen.WriteFuzzReproducers(corpusDir, rep)
 	return out
 }
 
@@ -128,22 +127,9 @@ func execLint(ctx context.Context, eng *protogen.Engine, req Request) Outcome {
 }
 
 func execSimulate(ctx context.Context, eng *protogen.Engine, req Request, sink protogen.ProgressFunc) Outcome {
-	var wl protogen.Workload
-	for _, cand := range protogen.StandardWorkloads() {
-		if cand.Name() == req.Workload {
-			wl = cand
-		}
-	}
-	if wl == nil {
-		return failed(fmt.Errorf("unknown workload %q", req.Workload))
-	}
-	caches := req.Caches
-	if caches <= 0 {
-		caches = 3
-	}
-	steps := req.Steps
-	if steps <= 0 {
-		steps = 50_000
+	wl, err := protogen.WorkloadByName(req.Workload)
+	if err != nil {
+		return failed(err)
 	}
 	spec, err := subjectSpec(req)
 	if err != nil {
@@ -154,7 +140,7 @@ func execSimulate(ctx context.Context, eng *protogen.Engine, req Request, sink p
 		Mode:         req.Mode,
 		PendingLimit: req.Limit,
 		Config: protogen.SimConfig{
-			Caches: caches, Steps: steps, Seed: req.Seed, Workload: wl,
+			Caches: req.Caches, Steps: req.Steps, Seed: req.Seed, Workload: wl,
 		},
 		OnProgress: sink,
 	})
@@ -197,46 +183,15 @@ func subjectSpec(req Request) (*protogen.Spec, error) {
 	return protogen.LoadSpec(req.Protocol, "")
 }
 
-// verifyConfigFor maps request tuning onto a checker config, leaving
-// nil when the request carries no overrides so the engine's defaults
-// apply untouched.
+// verifyConfigFor lays request tuning over the default checker config;
+// a zero Caches stays zero, which the engine reads as its default.
 func verifyConfigFor(req Request) *protogen.VerifyConfig {
-	if req.Caches == 0 && req.MaxStates == 0 && !req.Fingerprint && !req.Reduce {
-		return nil
-	}
 	cfg := protogen.DefaultVerifyConfig()
-	if req.Caches > 0 {
-		cfg.Caches = req.Caches
-	}
+	cfg.Caches = req.Caches
 	if req.MaxStates > 0 {
 		cfg.MaxStates = req.MaxStates
 	}
 	cfg.Fingerprint = req.Fingerprint
 	cfg.Reduce = req.Reduce
 	return &cfg
-}
-
-// sinkCorpus writes a failing campaign's minimized reproducers into the
-// corpus directory, returning the files written.
-func sinkCorpus(corpusDir string, rep *protogen.FuzzReport) []string {
-	if corpusDir == "" {
-		return nil
-	}
-	var files []string
-	for i := range rep.Specs {
-		r := &rep.Specs[i]
-		if r.Minimized == "" {
-			continue
-		}
-		txns, _ := protogen.FuzzTxnCount(r.Minimized)
-		path, err := protogen.WriteFuzzCorpusEntry(corpusDir, protogen.FuzzCorpusEntry{
-			Family: r.Family, Seed: r.Seed, SimSeed: r.SimSeed,
-			Expect: r.Failure, Txns: txns, Source: r.Minimized,
-		})
-		if err != nil {
-			continue // the report still carries the reproducer inline
-		}
-		files = append(files, path)
-	}
-	return files
 }

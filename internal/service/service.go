@@ -177,7 +177,10 @@ type Request struct {
 	Codes    []string `json:"codes,omitempty"`
 	SpecOnly bool     `json:"spec_only,omitempty"`
 
-	// Checker tuning (verify; Caches and MaxStates also scale fuzz).
+	// Checker tuning (verify; Caches and MaxStates also scale fuzz,
+	// simulate and litmus). Caches above protogen.CheckCaches' bound (8)
+	// is refused at submit with a 400: one such job would pin a worker
+	// for hours.
 	Caches      int  `json:"caches,omitempty"`
 	MaxStates   int  `json:"max_states,omitempty"`
 	Fingerprint bool `json:"fingerprint,omitempty"`
@@ -243,7 +246,7 @@ func (r *Request) validate() error {
 	if r.Protocol != "" && r.Source != "" {
 		return fmt.Errorf("protocol and source are mutually exclusive")
 	}
-	return nil
+	return protogen.CheckCaches(r.Caches)
 }
 
 // ProgressView is the wire form of the latest typed progress event,

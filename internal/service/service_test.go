@@ -6,9 +6,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"protogen/internal/jobstore"
 )
 
 // newTestServer boots a service and an httptest front end; both are
@@ -317,6 +321,46 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/jobs/nope", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown job: status %d", code)
+	}
+}
+
+// TestSubmitCachesBound: a cache count above the checker's bound is a
+// 400 for every job kind that takes one, and the refused job never
+// reaches the store — one such verify would pin a worker for hours with
+// heartbeats keeping its lease alive. The bound itself is accepted.
+func TestSubmitCachesBound(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{Workers: 1, StoreDir: dir})
+	start := time.Now()
+	for _, body := range []string{
+		`{"kind":"verify","protocol":"MSI","caches":9}`,
+		`{"kind":"fuzz","first":0,"last":1,"caches":9}`,
+		`{"kind":"simulate","protocol":"MSI","workload":"contended","caches":9}`,
+		`{"kind":"litmus","protocol":"MSI","caches":9}`,
+	} {
+		var refusal struct {
+			Error string `json:"error"`
+		}
+		postJSON(t, ts.URL+"/jobs", body, http.StatusBadRequest, &refusal)
+		if !strings.Contains(refusal.Error, "9 caches") {
+			t.Errorf("%s: refusal %q does not name the bound", body, refusal.Error)
+		}
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("four refusals took %v", d)
+	}
+	var list struct {
+		Jobs []JobView `json:"jobs"`
+	}
+	getJSON(t, ts.URL+"/jobs", &list)
+	if st, err := os.Stat(filepath.Join(dir, jobstore.WALName)); err != nil || st.Size() != 0 || len(list.Jobs) != 0 {
+		t.Fatalf("refused jobs reached the store: %d listed, WAL %v (err %v)", len(list.Jobs), st, err)
+	}
+
+	var sub JobView
+	postJSON(t, ts.URL+"/jobs", `{"kind":"simulate","protocol":"MSI","workload":"contended","caches":8,"steps":200}`, http.StatusAccepted, &sub)
+	if v := pollUntil(t, ts.URL+"/jobs/"+sub.ID, 30*time.Second, isTerminal); v.Status != StatusDone {
+		t.Fatalf("8-cache job: %+v", v)
 	}
 }
 

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 
 	"protogen/internal/ir"
 )
@@ -86,4 +88,18 @@ func (Migratory) Next(_ int, rng *rand.Rand) ir.AccessType {
 // Workloads lists the standard suite.
 func Workloads() []Workload {
 	return []Workload{Contended{}, ProducerConsumer{}, ReadMostly{}, Migratory{}}
+}
+
+// WorkloadByName resolves a standard-suite workload from its Name —
+// the lookup behind protosim -workload and the service's "workload"
+// request field.
+func WorkloadByName(name string) (Workload, error) {
+	var names []string
+	for _, w := range Workloads() {
+		if w.Name() == name {
+			return w, nil
+		}
+		names = append(names, w.Name())
+	}
+	return nil, fmt.Errorf("unknown workload %q (want one of %s)", name, strings.Join(names, ", "))
 }

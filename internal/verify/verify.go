@@ -130,6 +130,26 @@ func (p Progress) String() string {
 	return s
 }
 
+// MaxCaches is the largest cache count any job may ask for. Cost, not
+// representation, sets it (id-set masks are uint32, so 31 is the hard
+// wall): symmetry reduction materialises n! permutations and every
+// impure state takes the n! brute-force canonicalization, so a run
+// capped at 2000 states takes 0.1 s at 5 caches, 4.6 s at 7, 47 s at 8
+// and does not return at 10.
+const MaxCaches = 8
+
+// CheckCaches rejects a cache count above MaxCaches. It is the one
+// bound every entry point applies before it builds a System: the
+// Engine's Verify/Simulate/Litmus/Fuzz, the service's submit
+// validation and the CLIs' -caches flag. Zero and negative counts pass;
+// each job resolves them to its own default.
+func CheckCaches(n int) error {
+	if n > MaxCaches {
+		return fmt.Errorf("%d caches exceeds the maximum of %d", n, MaxCaches)
+	}
+	return nil
+}
+
 // DefaultConfig mirrors the paper's setup: 3 caches, with symmetry
 // reduction standing in for Murphi's scalarset. Parallelism 0 uses every
 // core.

@@ -13,7 +13,6 @@ import (
 	"protogen/internal/analyze"
 	"protogen/internal/core"
 	"protogen/internal/depend"
-	"protogen/internal/dsl"
 	"protogen/internal/ir"
 )
 
@@ -35,11 +34,6 @@ const (
 	LintError   = analyze.SevError
 )
 
-// LintModes is the default set of generation modes a lint job analyzes
-// at the protocol layer, matching the fuzz campaign's differential
-// matrix.
-var LintModes = []string{"nonstalling", "stalling", "deferred"}
-
 // LintJob statically analyzes one subject. Exactly one of Protocol,
 // Spec or Source selects it (as in VerifyJob). Spec/Source subjects are
 // linted at the spec layer and then generated and linted once per
@@ -53,8 +47,8 @@ type LintJob struct {
 	Source string
 
 	// Modes are the generation modes to lint at the protocol layer; nil
-	// means LintModes. An explicit empty non-nil slice restricts the job
-	// to the spec layer.
+	// means Modes, all three in campaign order. An explicit empty
+	// non-nil slice restricts the job to the spec layer.
 	Modes []string
 	// Codes keeps only diagnostics with these codes (e.g. "PG104");
 	// empty keeps everything.
@@ -108,14 +102,9 @@ func (r *LintResult) absorb(rep *LintReport) {
 // states and finishes in milliseconds; ctx is still observed between
 // generation modes so a canceled service job stops promptly.
 func (e *Engine) Lint(ctx context.Context, job LintJob) (*LintResult, error) {
-	set := 0
-	for _, ok := range []bool{job.Protocol != nil, job.Spec != nil, job.Source != ""} {
-		if ok {
-			set++
-		}
-	}
-	if set != 1 {
-		return nil, fmt.Errorf("lint job needs exactly one of Protocol, Spec or Source (got %d)", set)
+	spec, proto, _, err := resolveSubject(job.Protocol, job.Spec, job.Source, "", nil, 0)
+	if err != nil {
+		return nil, err
 	}
 
 	var filter map[ir.Code]bool
@@ -126,17 +115,9 @@ func (e *Engine) Lint(ctx context.Context, job LintJob) (*LintResult, error) {
 		}
 	}
 	res := &LintResult{}
-	if job.Protocol != nil {
-		res.absorb(analyze.CheckProtocol(job.Protocol, "").Filter(filter))
+	if proto != nil {
+		res.absorb(analyze.CheckProtocol(proto, "").Filter(filter))
 		return res, nil
-	}
-
-	spec := job.Spec
-	if spec == nil {
-		var err error
-		if spec, err = dsl.Parse(job.Source); err != nil {
-			return nil, err
-		}
 	}
 	specRep := analyze.CheckSpec(spec)
 	res.absorb(specRep.Filter(filter))
@@ -147,7 +128,7 @@ func (e *Engine) Lint(ctx context.Context, job LintJob) (*LintResult, error) {
 	}
 	modes := job.Modes
 	if modes == nil {
-		modes = LintModes
+		modes = Modes
 	}
 	for _, mode := range modes {
 		if err := ctx.Err(); err != nil {

@@ -109,19 +109,6 @@ type (
 // LitmusCatalog lists every shipped oracle test in canonical order.
 func LitmusCatalog() []*LitmusTest { return litmus.Catalog() }
 
-// LitmusTestNames lists the catalog test names.
-func LitmusTestNames() []string { return litmus.Names() }
-
-// LitmusTestsByName resolves catalog tests from names (nil = catalog).
-func LitmusTestsByName(names []string) ([]*LitmusTest, error) { return litmus.ByName(names) }
-
-// DefaultLitmusAxiom picks the axiom a protocol should be held to:
-// weak for protocols implementing acquire fences, SC otherwise.
-func DefaultLitmusAxiom(p *Protocol) LitmusAxiom { return litmus.DefaultAxiom(p) }
-
-// ParseLitmusAxiom resolves an axiom name (sc, tso, weak).
-func ParseLitmusAxiom(s string) (LitmusAxiom, error) { return litmus.ParseAxiom(s) }
-
 // Fuzzing: randomized spec families with differential verification.
 type (
 	// FuzzParams selects one member of the fuzz family space.
@@ -178,9 +165,6 @@ func Builtins() []BuiltinEntry { return protocols.All }
 // runtime-registered entries (fuzz families, corpus reproducers).
 func RegistryEntries() []BuiltinEntry { return protocols.Entries() }
 
-// RegisterEntry adds an SSP to the registry at runtime.
-func RegisterEntry(e BuiltinEntry) error { return protocols.Register(e) }
-
 // LookupBuiltin finds a registry SSP (built-in or registered) by name.
 func LookupBuiltin(name string) (BuiltinEntry, bool) { return protocols.Lookup(name) }
 
@@ -210,15 +194,18 @@ func GenerateSource(src string, o Options) (*Protocol, error) {
 // immediate responses, transient loads allowed.
 func NonStalling() Options { return core.NonStallingOpts() }
 
+// Modes names the three generation modes in campaign order (stalling,
+// nonstalling, deferred): the one list every mode sweep ranges over —
+// lint layers, dependence statistics, the fuzz campaign, ablations.
+var Modes = core.Modes
+
 // OptionsForMode maps a generation-mode name (nonstalling, stalling,
-// deferred) to its option set — the single mapping every CLI shares.
+// deferred; "" is nonstalling) to its option set — the single mapping
+// every CLI shares.
 func OptionsForMode(mode string) (Options, error) { return core.OptionsForMode(mode) }
 
 // Stalling returns the primer-style stalling configuration (§VI-A).
 func Stalling() Options { return core.StallingOpts() }
-
-// Deferred returns the physical-SWMR deferred-response configuration.
-func Deferred() Options { return core.DeferredOpts() }
 
 // DefaultVerifyConfig is the paper's 3-cache setup with symmetry reduction.
 func DefaultVerifyConfig() VerifyConfig { return verify.DefaultConfig() }
@@ -232,18 +219,17 @@ func QuickVerifyConfig() VerifyConfig { return verify.QuickConfig() }
 // for the file format and invalidation rules.
 func OpenVerifyCache(dir string) (*VerifyResultCache, error) { return verify.OpenResultCache(dir) }
 
-// VerifyCacheKey derives the result-cache key for verifying spec
-// generated under o and checked under cfg: a hash of the canonical
-// (dsl.Format) spec text, every generation option, and every checker
-// field except the observers that never change results (Parallelism,
-// CommuteAudit, Progress).
-func VerifyCacheKey(s *Spec, o Options, cfg VerifyConfig) string {
-	return verify.CacheKey(dsl.Format(s), o.KeyString(), cfg)
-}
+// CheckCaches rejects a cache count above the checker's bound (8; see
+// verify.MaxCaches for why). Every Engine job applies it; the service
+// and the CLIs call it to refuse the job at the door.
+func CheckCaches(n int) error { return verify.CheckCaches(n) }
 
 // StandardWorkloads returns the contended / producer-consumer /
 // read-mostly / migratory suite.
 func StandardWorkloads() []Workload { return sim.Workloads() }
+
+// WorkloadByName resolves one of StandardWorkloads by its Name.
+func WorkloadByName(name string) (Workload, error) { return sim.WorkloadByName(name) }
 
 // FuzzShapes lists the shipped fuzz family members; FuzzBrokenShapes the
 // deliberately defective demonstration families; FuzzBoundaryShapes the
@@ -274,10 +260,12 @@ func FuzzShrink(src string, failure FuzzFailure, simSeed int64, cfg FuzzConfig) 
 // FuzzCorpus lists the committed regression reproducers.
 func FuzzCorpus() ([]FuzzCorpusEntry, error) { return fuzz.Corpus() }
 
-// WriteFuzzCorpusEntry writes a reproducer into dir (one file per
-// family, latest minimization wins).
-func WriteFuzzCorpusEntry(dir string, e FuzzCorpusEntry) (string, error) {
-	return fuzz.WriteCorpusEntry(dir, e)
+// WriteFuzzReproducers is the corpus sink: it writes every minimized
+// reproducer of a campaign report into dir (one file per family, latest
+// minimization wins; "" disables the sink) and returns the files
+// written.
+func WriteFuzzReproducers(dir string, rep *FuzzReport) ([]string, error) {
+	return fuzz.WriteReproducers(dir, rep)
 }
 
 // FuzzTxnCount counts a spec source's SSP processes — the reproducer
