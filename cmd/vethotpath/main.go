@@ -29,6 +29,13 @@
 //	HP003  append to a slice declared inside the enclosing loop — the
 //	       backing array is reallocated every iteration; hoist the
 //	       buffer and reuse it.
+//	HP004  a name looked up where a step runs: an index expression on
+//	       a map whose key type is a string (ir.StateName and
+//	       ir.MsgType keys count), or a call to one of the by-name
+//	       lookups Layout.EvIndex, Machine.State, Machine.Find and
+//	       Event.String. Layouts resolve every name to an index when
+//	       they are built, so constructors (functions named New* or
+//	       new*) are exempt, as are Error()/String().
 //
 // A finding on a genuinely cold line inside a hot file is suppressed
 // with "//vethotpath:ignore <reason>" on the same line or the line
@@ -52,7 +59,7 @@ import (
 // apply to — the allocation-free hot path carved out by the checker
 // performance work. Everything else is ignored.
 var hotFiles = map[string][]string{
-	"internal/engine": {"ctrl.go", "encode.go", "layout.go", "network.go", "snapshot.go", "system.go"},
+	"internal/engine": {"corestep.go", "ctrl.go", "encode.go", "layout.go", "network.go", "snapshot.go", "system.go"},
 	"internal/verify": {"verify.go", "reduce.go"},
 	"internal/store":  {"store.go"},
 }
@@ -85,7 +92,7 @@ func hotTargets(importPath string) map[string]bool {
 	return nil
 }
 
-// check runs the three passes over every hot-path file and returns the
+// check runs the passes over every hot-path file and returns the
 // rendered diagnostics sorted by position.
 func check(fset *token.FileSet, files []*ast.File, info *types.Info, targets map[string]bool) []string {
 	var c checker
@@ -139,13 +146,16 @@ func (c *checker) checkFile(f *ast.File) {
 			// reported — cold by construction.
 			continue
 		}
-		ast.Inspect(decl, c.visit(false))
+		// A constructor is where names are meant to be resolved.
+		ctor := ok && (strings.HasPrefix(fd.Name.Name, "New") || strings.HasPrefix(fd.Name.Name, "new"))
+		ast.Inspect(decl, c.visit(false, ctor))
 	}
 }
 
 // visit returns the inspection closure; inPanic marks that the walk is
-// inside a panic(...) argument list.
-func (c *checker) visit(inPanic bool) func(ast.Node) bool {
+// inside a panic(...) argument list, inCtor that it is inside a
+// constructor.
+func (c *checker) visit(inPanic, inCtor bool) func(ast.Node) bool {
 	return func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -153,12 +163,19 @@ func (c *checker) visit(inPanic bool) func(ast.Node) bool {
 				// The message built for a panic is the last thing the
 				// process allocates; walk the args in exempt mode.
 				for _, a := range n.Args {
-					ast.Inspect(a, c.visit(true))
+					ast.Inspect(a, c.visit(true, inCtor))
 				}
 				return false
 			}
 			if !inPanic {
 				c.checkSprint(n)
+			}
+			if !inCtor {
+				c.checkNameCall(n)
+			}
+		case *ast.IndexExpr:
+			if !inCtor {
+				c.checkNameIndex(n)
 			}
 		case *ast.RangeStmt:
 			c.checkMapRange(n)
@@ -257,4 +274,58 @@ func (c *checker) checkLoopAppend(body *ast.BlockStmt) {
 		}
 		return true
 	})
+}
+
+// checkNameIndex is HP004's first half: indexing a map by a string
+// hashes the name, every time the line runs.
+func (c *checker) checkNameIndex(ix *ast.IndexExpr) {
+	tv, ok := c.info.Types[ix.X]
+	if !ok {
+		return
+	}
+	m, ok := tv.Type.Underlying().(*types.Map)
+	if !ok {
+		return
+	}
+	if b, ok := m.Key().Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
+		c.report(ix.Pos(), "HP004",
+			"map indexed by a name on the hot path: resolve it to a slot when the layout is built and index a slice here")
+	}
+}
+
+// byName lists the lookups that take or render a name, as receiver
+// type and method: HP004's second half flags their callers.
+var byName = map[string]bool{
+	"Layout.EvIndex": true,
+	"Machine.State":  true,
+	"Machine.Find":   true,
+	"Event.String":   true,
+}
+
+// checkNameCall is HP004's second half: a call to a by-name lookup.
+func (c *checker) checkNameCall(call *ast.CallExpr) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	fn, ok := c.info.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return
+	}
+	if name := named.Obj().Name() + "." + fn.Name(); byName[name] {
+		c.report(call.Pos(), "HP004",
+			fmt.Sprintf("%s looks a name up on the hot path: read the index the layout resolved instead", name))
+	}
 }

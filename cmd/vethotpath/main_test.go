@@ -162,6 +162,69 @@ func f(n int) int {
 	}
 }
 
+// nameLookups declares, in a snippet, the shapes HP004 looks for: maps
+// keyed by strings and by named string types, and the by-name lookups.
+const nameLookups = `package hot
+type StateName string
+type Machine struct{ sts map[StateName]int }
+func (m *Machine) State(n StateName) int  { return 0 }
+func (m *Machine) Find(n StateName) []int { return nil }
+type Event struct{}
+func (Event) String() string { return "" }
+type Layout struct {
+	idx  map[string]int
+	byID map[int]int
+	m    *Machine
+}
+func (l *Layout) EvIndex(ev string) int { return 0 }
+`
+
+func TestNameLookupChecks(t *testing.T) {
+	diags := lint(t, nameLookups+`
+func step(l *Layout, name string, st StateName, ev Event) int {
+	a := l.idx[name]      // string key
+	b := l.m.sts[st]      // named string key
+	l.idx[name] = a + b   // a store hashes the name too
+	c := l.byID[a]        // not a name
+	return c + l.EvIndex(name) + l.m.State(st) + len(l.m.Find(st)) + len(ev.String())
+}`)
+	if len(diags) != 7 || !has(diags, "HP004") {
+		t.Fatalf("want 7 HP004 findings (3 map indexes, 4 calls), got %d: %v", len(diags), diags)
+	}
+
+	clean := lint(t, nameLookups+`
+// Constructors are where names get resolved, exported or not, plain or
+// method, closures included.
+func NewLayout(m *Machine, names []string) *Layout {
+	l := &Layout{idx: map[string]int{}, m: m}
+	for i, n := range names {
+		l.idx[n] = i
+	}
+	each := func(n string) int { return l.idx[n] + l.EvIndex(n) }
+	_ = each
+	return l
+}
+func (l *Layout) newSlot(name string, st StateName) int { return l.idx[name] + l.m.State(st) }
+func cold(l *Layout, name string) int {
+	if i, ok := l.idx[name]; ok { // vethotpath:ignore — fallback for hand-built input
+		return i
+	}
+	// vethotpath:ignore — once per run
+	return l.EvIndex(name)
+}`)
+	if len(clean) != 0 {
+		t.Fatalf("constructor and suppression exemptions failed: %v", clean)
+	}
+
+	bare := lint(t, nameLookups+`
+func step(l *Layout, name string) int {
+	return l.idx[name] // vethotpath:ignore
+}`)
+	if len(bare) != 2 || !has(bare, "HP000") || !has(bare, "HP004") {
+		t.Fatalf("bare directive must yield HP000 and keep the HP004, got %v", bare)
+	}
+}
+
 func TestHotTargets(t *testing.T) {
 	if hotTargets("protogen/internal/verify") == nil {
 		t.Error("hot package not matched")
@@ -172,7 +235,7 @@ func TestHotTargets(t *testing.T) {
 	if hotTargets("protogen/internal/dsl") != nil {
 		t.Error("cold package matched")
 	}
-	if set := hotTargets("protogen/internal/engine"); !set["encode.go"] || !set["snapshot.go"] || set["encode_test.go"] {
+	if set := hotTargets("protogen/internal/engine"); !set["encode.go"] || !set["snapshot.go"] || !set["corestep.go"] || set["encode_test.go"] {
 		t.Errorf("engine file set wrong: %v", set)
 	}
 }

@@ -20,21 +20,18 @@ import (
 // stalled.
 func (s *System) TryHit(cache int, a ir.AccessType) (bool, int) {
 	c := s.Caches[cache]
-	ts := s.P.Cache.Find(c.State, ir.AccessEvent(a))
+	ts := c.candidates(c.L.accessEvent(a))
 	if len(ts) != 1 || ts[0].Stall {
 		return false, 0
 	}
 	t := ts[0]
-	hit, sendsNothing := false, true
-	for _, act := range t.Actions {
-		switch act.Op {
-		case ir.AHit:
-			hit = true
-		case ir.ASend:
+	sendsNothing := true
+	for i := range t.actions {
+		if t.actions[i].Op == ir.ASend {
 			sendsNothing = false
 		}
 	}
-	if !hit && !(sendsNothing && t.Next != t.From) {
+	if !t.hit && !(sendsNothing && t.Next != t.From) {
 		return false, 0
 	}
 	performs, err := s.Apply(Rule{Kind: RuleAccess, Cache: cache, Access: a})
@@ -60,7 +57,7 @@ func (s *System) TryHit(cache int, a ir.AccessType) (bool, int) {
 // protocol error.
 func (s *System) Accepts(d Deliverable) bool {
 	c := s.ctrlAt(d.Msg.Dst)
-	ts := s.P.Machine(c.L.M.Kind).Find(c.State, ir.MsgEvent(ir.MsgType(d.Msg.Type)))
+	ts := c.candidates(c.L.msgEvent(&d.Msg))
 	for _, t := range ts {
 		if t.Stall {
 			return false
@@ -81,8 +78,7 @@ func (s *System) Warm(cache int) error {
 		return err
 	}
 	for i := 0; i < 1000; i++ {
-		st := s.P.Cache.State(s.Caches[cache].State)
-		if st != nil && st.Kind == ir.Stable && s.Net.InFlight() == 0 {
+		if c := s.Caches[cache]; c.StIdx >= 0 && c.L.StableAt[c.StIdx] && s.Net.InFlight() == 0 {
 			return nil
 		}
 		ds := s.Net.Deliverables()

@@ -129,7 +129,7 @@ func TestAcceptsUnmatchedMessage(t *testing.T) {
 	if s.Accepts(ds[0]) {
 		t.Error("cache 0 in I accepts a Put_Ack it has no transition for")
 	}
-	if !s.deliverEnabled(ds[0]) {
+	if !s.deliverEnabled(&ds[0].Msg) {
 		t.Error("the checker must keep the unmatched delivery enabled so Apply reports it")
 	}
 }

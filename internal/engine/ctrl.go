@@ -54,56 +54,54 @@ func (c *Ctrl) CloneInto(dst *Ctrl) {
 
 // Data returns the controller's data block value (0 if it has no data var).
 func (c *Ctrl) Data() int {
-	if c.L.DataVar == "" {
+	if c.L.dataSlot < 0 {
 		return 0
 	}
-	return c.Ints[c.L.IntIdx[c.L.DataVar]]
+	return c.Ints[c.L.dataSlot]
 }
 
 // SetData sets the data block value.
 func (c *Ctrl) SetData(v int) {
-	if c.L.DataVar != "" {
-		c.Ints[c.L.IntIdx[c.L.DataVar]] = v
+	if c.L.dataSlot >= 0 {
+		c.Ints[c.L.dataSlot] = v
 	}
 }
 
 // eval evaluates an expression against the controller's variables and the
 // triggering message (which may be nil for access events).
-func (c *Ctrl) eval(e *ir.Expr, m *Msg) (int, error) {
-	switch e.Kind {
+func (c *Ctrl) eval(e *expr, m *Msg) (int, error) {
+	switch e.kind {
 	case ir.EConst:
-		return e.Int, nil
+		return e.n, nil
 	case ir.ENone:
 		return NoID, nil
 	case ir.EVar:
-		idx, ok := c.L.IntIdx[e.Name]
-		if !ok {
-			return 0, fmt.Errorf("eval: unknown variable %s", e.Name)
+		if e.n < 0 {
+			return 0, fmt.Errorf("eval: unknown variable %s", e.name)
 		}
-		return c.Ints[idx], nil
+		return c.Ints[e.n], nil
 	case ir.EField:
 		if m == nil {
-			return 0, fmt.Errorf("eval: message field %s outside a message event", e.Name)
+			return 0, fmt.Errorf("eval: message field %s outside a message event", e.name)
 		}
-		switch e.Name {
-		case "src":
+		switch e.n {
+		case fieldSrc:
 			return m.Src, nil
-		case "req":
+		case fieldReq:
 			return m.Req, nil
-		case "acks":
+		case fieldAcks:
 			return m.Acks, nil
-		case "data":
+		case fieldData:
 			return m.Data, nil
 		}
-		return 0, fmt.Errorf("eval: unknown message field %s", e.Name)
+		return 0, fmt.Errorf("eval: unknown message field %s", e.name)
 	case ir.ECount:
-		idx, ok := c.L.SetIdx[e.Name]
-		if !ok {
-			return 0, fmt.Errorf("eval: unknown set %s", e.Name)
+		if e.n < 0 {
+			return 0, fmt.Errorf("eval: unknown set %s", e.name)
 		}
-		mask := c.Masks[idx]
-		if e.L != nil {
-			ex, err := c.eval(e.L, m)
+		mask := c.Masks[e.n]
+		if e.l != nil {
+			ex, err := c.eval(e.l, m)
 			if err != nil {
 				return 0, err
 			}
@@ -113,20 +111,19 @@ func (c *Ctrl) eval(e *ir.Expr, m *Msg) (int, error) {
 		}
 		return bits.OnesCount32(mask), nil
 	case ir.EInSet:
-		idx, ok := c.L.SetIdx[e.Name]
-		if !ok {
-			return 0, fmt.Errorf("eval: unknown set %s", e.Name)
+		if e.n < 0 {
+			return 0, fmt.Errorf("eval: unknown set %s", e.name)
 		}
-		v, err := c.eval(e.L, m)
+		v, err := c.eval(e.l, m)
 		if err != nil {
 			return 0, err
 		}
-		if v >= 0 && c.Masks[idx]&(1<<uint(v)) != 0 {
+		if v >= 0 && c.Masks[e.n]&(1<<uint(v)) != 0 {
 			return 1, nil
 		}
 		return 0, nil
 	case ir.ENot:
-		v, err := c.eval(e.L, m)
+		v, err := c.eval(e.l, m)
 		if err != nil {
 			return 0, err
 		}
@@ -135,15 +132,15 @@ func (c *Ctrl) eval(e *ir.Expr, m *Msg) (int, error) {
 		}
 		return 0, nil
 	case ir.EBinop:
-		l, err := c.eval(e.L, m)
+		l, err := c.eval(e.l, m)
 		if err != nil {
 			return 0, err
 		}
-		r, err := c.eval(e.R, m)
+		r, err := c.eval(e.r, m)
 		if err != nil {
 			return 0, err
 		}
-		switch e.Op {
+		switch e.op {
 		case ir.OpAdd:
 			return l + r, nil
 		case ir.OpSub:
@@ -176,25 +173,25 @@ func b2i(b bool) int {
 	return 0
 }
 
-// match selects the unique transition for (state, ev) whose guard holds.
-// found=false means the event has no enabled transition at all.
-func (c *Ctrl) match(ev ir.Event, m *Msg) (*ir.Transition, bool, error) {
-	return c.matchEv(c.L.EvIndex(ev.String()), m)
+// candidates lists the transitions out of c's state on the event with
+// dense index evi (Layout.msgEvent, Layout.accessEvent), guards not yet
+// evaluated. evi < 0 means the machine never fires on the event, and a
+// controller parked in an undeclared state has no transitions at all.
+func (c *Ctrl) candidates(evi int) []*trans {
+	if evi < 0 || c.StIdx < 0 {
+		return nil
+	}
+	return c.L.transAt[c.StIdx][evi]
 }
 
-// matchEv is match with the event pre-resolved to its dense index
-// (Layout.EvIndex) — the hot-path form: an array walk instead of a
-// (state, event) hash probe. evi < 0 means the machine never fires on
-// the event, so no transition matches.
-func (c *Ctrl) matchEv(evi int, m *Msg) (*ir.Transition, bool, error) {
-	if evi < 0 || c.StIdx < 0 {
-		return nil, false, nil
-	}
-	var hit *ir.Transition
-	ts := c.L.transAt[c.StIdx][evi]
-	for _, t := range ts {
-		if t.Guard != nil {
-			v, err := c.eval(t.Guard, m)
+// matchEv selects the unique transition for (state, event evi) whose guard
+// holds — an array walk, no (state, event) hash probe. found=false means
+// the event has no enabled transition at all.
+func (c *Ctrl) matchEv(evi int, m *Msg) (*trans, bool, error) {
+	var hit *trans
+	for _, t := range c.candidates(evi) {
+		if t.guard != nil {
+			v, err := c.eval(t.guard, m)
 			if err != nil {
 				return nil, false, err
 			}
@@ -207,8 +204,5 @@ func (c *Ctrl) matchEv(evi int, m *Msg) (*ir.Transition, bool, error) {
 		}
 		hit = t
 	}
-	if hit == nil {
-		return nil, false, nil
-	}
-	return hit, true, nil
+	return hit, hit != nil, nil
 }

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"protogen/internal/ir"
@@ -47,7 +49,8 @@ type Encoder struct {
 	buf     []byte   // encoding under construction
 	best    []byte   // minimal encoding seen so far (Canonical)
 	bag     []uint64 // unordered-network sort scratch
-	inv     []int    // inverse permutation scratch
+	ord     []uint64 // ordered-network sort scratch (encodeNet)
+	inv     []int    // inverse permutation scratch (encodeSys)
 	secs    [][]byte // per-cache section scratch (signature sort)
 	order   []int    // cache indices in sorted-section order
 	perm    []int    // candidate permutation scratch (perm[old] = new)
@@ -185,7 +188,6 @@ func (e *Encoder) Canonical(s *System, perms [][]int) []byte {
 	}
 	if !ties {
 		e.stats.Fast++
-		e.setInv(e.perm)
 		e.buf = e.encodeRest(e.buf, s, e.perm)
 		return e.buf
 	}
@@ -210,7 +212,6 @@ func (e *Encoder) tieGroups(s *System, from int) {
 		for pos, old := range e.order {
 			e.perm[old] = pos
 		}
-		e.setInv(e.perm)
 		e.rest = e.encodeRest(e.rest[:0], s, e.perm)
 		if len(e.restMin) == 0 || bytes.Compare(e.rest, e.restMin) < 0 {
 			e.rest, e.restMin = e.restMin, e.rest
@@ -266,7 +267,8 @@ func sectionPure(c *Ctrl, n int) bool {
 			return false
 		}
 	}
-	for _, d := range c.DeferQ {
+	for i := range c.DeferQ {
+		d := &c.DeferQ[i]
 		if (d.Src >= 0 && d.Src < n) || (d.Dst >= 0 && d.Dst < n) || (d.Req >= 0 && d.Req < n) {
 			return false
 		}
@@ -314,8 +316,7 @@ func (e *Encoder) encodeSys(s *System, perm []int) {
 }
 
 // encodeRest appends everything after the cache sections: the directory,
-// the last-write value and the interconnect. e.inv must already invert
-// perm (setInv) when perm is non-nil.
+// the last-write value and the interconnect.
 func (e *Encoder) encodeRest(b []byte, s *System, perm []int) []byte {
 	b = e.encodeCtrl(b, s.Dir, perm)
 	b = putInt(b, s.LastWrite)
@@ -352,8 +353,8 @@ func (e *Encoder) encodeCtrl(b []byte, c *Ctrl, perm []int) []byte {
 	}
 	b = putInt(b, int(c.Pend))
 	b = putInt(b, len(c.DeferQ))
-	for _, d := range c.DeferQ {
-		b = e.appendMsg(b, d, perm)
+	for i := range c.DeferQ {
+		b = e.appendMsg(b, &c.DeferQ[i], perm)
 	}
 	return b
 }
@@ -362,31 +363,66 @@ func (e *Encoder) encodeCtrl(b []byte, c *Ctrl, perm []int) []byte {
 // (class, src, dst) FIFO in renumbered coordinate order (length-prefixed,
 // empties included, so the layout is fixed); unordered networks emit each
 // class bag sorted, so permutations of the same multiset encode
-// identically.
+// identically. The fixed layout is written from the few messages in
+// flight: their renumbered queue coordinates are sorted (stably, so a FIFO
+// keeps its arrival order) and the stretches of empty queues between them
+// are copied from a constant.
 func (e *Encoder) encodeNet(b []byte, n *Network, perm []int) []byte {
 	if !n.Ordered {
+		from := 0
 		for class := 0; class < NumClasses; class++ {
-			b = e.appendBag(b, n.queues[class], perm)
+			to := from
+			for to < len(n.msgs) && n.msgs[to].Class == class {
+				to++
+			}
+			b = e.appendBag(b, n.msgs[from:to], perm)
+			from = to
 		}
 		return b
 	}
-	nodes := n.Nodes
-	for class := 0; class < NumClasses; class++ {
-		base := class * nodes * nodes
-		for src := 0; src < nodes; src++ {
-			// The queue that renumbers to (src, dst) sits at the
-			// pre-image coordinates.
-			srcBase := base + e.preImage(src, perm)*nodes
-			for dst := 0; dst < nodes; dst++ {
-				q := n.queues[srcBase+e.preImage(dst, perm)]
-				b = putInt(b, len(q))
-				for _, m := range q {
-					b = e.appendMsg(b, m, perm)
-				}
-			}
+	// One word per message: renumbered queue coordinate above its list
+	// index, so numeric order is coordinate order with arrival order
+	// within a queue. Insertion sort: the list is short and, under the
+	// identity, already sorted.
+	e.ord = e.ord[:0]
+	for i := range n.msgs {
+		m := &n.msgs[i]
+		w := uint64((m.Class*n.Nodes+permID(perm, m.Src))*n.Nodes+permID(perm, m.Dst))<<32 | uint64(i)
+		at := len(e.ord)
+		e.ord = append(e.ord, w)
+		for ; at > 0 && e.ord[at-1] > w; at-- {
+			e.ord[at] = e.ord[at-1]
 		}
+		e.ord[at] = w
 	}
-	return b
+	next := 0 // first queue coordinate not yet emitted
+	for i := 0; i < len(e.ord); {
+		q, end := int(e.ord[i]>>32), i+1
+		for end < len(e.ord) && int(e.ord[end]>>32) == q {
+			end++
+		}
+		b = appendEmptyQueues(b, q-next)
+		b = putInt(b, end-i)
+		for ; i < end; i++ {
+			b = e.appendMsg(b, &n.msgs[uint32(e.ord[i])], perm)
+		}
+		next = q + 1
+	}
+	return appendEmptyQueues(b, n.NumQueues()-next)
+}
+
+// emptyQueues is a run of empty-queue length prefixes (putInt(0) each).
+const emptyQueues = "\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01" +
+	"\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01" +
+	"\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01" +
+	"\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01"
+
+// appendEmptyQueues appends the length prefixes of count empty queues.
+func appendEmptyQueues(b []byte, count int) []byte {
+	for ; count > len(emptyQueues); count -= len(emptyQueues) {
+		b = append(b, emptyQueues...)
+	}
+	return append(b, emptyQueues[:count]...)
 }
 
 // appendBag appends an unordered message bag in canonical (sorted) order,
@@ -397,8 +433,8 @@ func (e *Encoder) encodeNet(b []byte, n *Network, perm []int) []byte {
 func (e *Encoder) appendBag(b []byte, q []Msg, perm []int) []byte {
 	e.bag = e.bag[:0]
 	fast := true
-	for _, m := range q {
-		w, ok := e.tryMsgWord(m, perm)
+	for i := range q {
+		w, ok := e.tryMsgWord(&q[i], perm)
 		if !ok {
 			fast = false
 			break
@@ -415,8 +451,8 @@ func (e *Encoder) appendBag(b []byte, q []Msg, perm []int) []byte {
 		return b
 	}
 	encs := make([][]byte, len(q))
-	for i, m := range q {
-		encs[i] = e.appendMsg(nil, m, perm)
+	for i := range q {
+		encs[i] = e.appendMsg(nil, &q[i], perm)
 	}
 	slices.SortFunc(encs, bytes.Compare)
 	for _, enc := range encs {
@@ -436,7 +472,7 @@ const (
 // field fits a byte (the overwhelmingly common case), or the escaped
 // variable-width form for out-of-range fields (huge ack counts, value
 // domains past 254), so exotic configurations degrade instead of failing.
-func (e *Encoder) appendMsg(b []byte, m Msg, perm []int) []byte {
+func (e *Encoder) appendMsg(b []byte, m *Msg, perm []int) []byte {
 	if w, ok := e.tryMsgWord(m, perm); ok {
 		b = append(b, msgPacked)
 		return putU64(b, w)
@@ -461,31 +497,31 @@ func (e *Encoder) appendMsg(b []byte, m Msg, perm []int) []byte {
 // tryMsgWord packs a message into one 56-bit word: type index, src, dst,
 // req, acks, data (each biased by one so NoID encodes as zero), and the
 // data flag. Reports false when any field falls outside a byte.
-func (e *Encoder) tryMsgWord(m Msg, perm []int) (uint64, bool) {
+func (e *Encoder) tryMsgWord(m *Msg, perm []int) (uint64, bool) {
 	req := m.Req
 	if req != NoID {
 		req = permID(perm, req)
 	}
-	fields := [6]int{e.typeIndex(m), permID(perm, m.Src), permID(perm, m.Dst), req, m.Acks, m.Data}
-	var w uint64
-	for _, v := range fields {
-		if v < -1 || v > 254 {
-			return 0, false
-		}
-		w = w<<8 | uint64(v+1)
+	ti, src, dst := e.typeIndex(m)+1, permID(perm, m.Src)+1, permID(perm, m.Dst)+1
+	req++
+	acks, data := m.Acks+1, m.Data+1
+	// A biased field fits its byte iff it is in [0, 255]; OR-ing the six
+	// as unsigned words tests them all at once.
+	if uint(ti)|uint(src)|uint(dst)|uint(req)|uint(acks)|uint(data) > 255 {
+		return 0, false
 	}
-	w = w << 8
+	w := uint64(ti)<<48 | uint64(src)<<40 | uint64(dst)<<32 | uint64(req)<<24 | uint64(acks)<<16 | uint64(data)<<8
 	if m.HasData {
 		w |= 1
 	}
 	return w, true
 }
 
-func (e *Encoder) typeIndex(m Msg) int {
+func (e *Encoder) typeIndex(m *Msg) int {
 	if m.tIdx > 0 {
 		return m.tIdx - 1
 	}
-	ti, ok := e.typeIdx[m.Type]
+	ti, ok := e.typeIdx[m.Type] //vethotpath:ignore — cold: hand-built (unstamped) messages exist only in tests
 	if !ok {
 		panic(fmt.Sprintf("engine: encoding undeclared message type %q", m.Type))
 	}
@@ -504,21 +540,10 @@ func permID(perm []int, id int) int {
 // permMask renumbers the bits of an id-set mask.
 func permMask(m uint32, perm []int) uint32 {
 	var out uint32
-	for i := 0; i < 32; i++ {
-		if m&(1<<uint(i)) != 0 {
-			out |= 1 << uint(permID(perm, i))
-		}
+	for ; m != 0; m &= m - 1 {
+		out |= 1 << uint(permID(perm, bits.TrailingZeros32(m)))
 	}
 	return out
-}
-
-// preImage finds x with perm[x] == id (identity for the directory),
-// using the inverse permutation prepared by encodeSys.
-func (e *Encoder) preImage(id int, perm []int) int {
-	if perm != nil && id >= 0 && id < len(e.inv) {
-		return e.inv[id]
-	}
-	return id
 }
 
 // putInt appends a self-delimiting integer: values in [-1, 253] take one
@@ -544,12 +569,30 @@ func putU64(b []byte, w uint64) []byte {
 }
 
 // Fingerprint hashes a canonical state encoding to a 64-bit state
-// fingerprint: FNV-1a over the bytes followed by a splitmix64-style
-// avalanche finalizer, so high and low bit ranges both mix well — the
-// fingerprint visited table derives its shard index from the top bits
+// fingerprint. The input hash is wyhash's multiply-fold, one word at a
+// time: each step XORs eight key bytes into the state and replaces it by
+// the folded 128-bit product with a wyhash secret constant. A short tail
+// is zero-padded into a last word and the length is folded in after it
+// (as wyhash does), so keys that differ only in trailing zero bytes still
+// differ and no content byte can cancel the length. A splitmix64-style
+// avalanche finalizer follows, so high and low bit ranges both mix well —
+// the fingerprint visited table derives its shard index from the top bits
 // and its slot index from the bottom bits of the same word.
 func Fingerprint(b []byte) uint64 {
-	h := Fnv1a(b)
+	const (
+		k0 = 0xa0761d6478bd642f
+		k1 = 0xe7037ed1a0b428db
+	)
+	h, n := uint64(k0), uint64(len(b))
+	for ; len(b) >= 8; b = b[8:] {
+		h = foldMul(h^binary.LittleEndian.Uint64(b), k1)
+	}
+	if len(b) > 0 {
+		var tail [8]byte
+		copy(tail[:], b)
+		h = foldMul(h^binary.LittleEndian.Uint64(tail[:]), k1)
+	}
+	h = foldMul(h^n, k0)
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
@@ -557,18 +600,8 @@ func Fingerprint(b []byte) uint64 {
 	return h ^ (h >> 31)
 }
 
-// FNV-1a over a binary key — Fingerprint's input hash (the checker's
-// visited sets consume Fingerprint, not this, for shard and slot
-// selection).
-func Fnv1a(b []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
+// foldMul is wyhash's mixer: the 128-bit product of a and b, folded.
+func foldMul(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
 }

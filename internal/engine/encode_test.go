@@ -239,3 +239,40 @@ func TestWideMessageFields(t *testing.T) {
 		t.Fatal("empty key")
 	}
 }
+
+// TestFingerprintSeparatesNearKeys: state keys are long runs of small
+// bytes that differ in a few positions and often end in a zero byte (a
+// packed message's data flag), which is exactly where a word-at-a-time
+// hash goes wrong first — a length folded in before the content is
+// cancelled by the first word, and a zero-padded tail swallows a trailing
+// zero. No two of 300k such keys may share a fingerprint (the chance for a
+// sound 64-bit hash is 2⁻²⁹).
+func TestFingerprintSeparatesNearKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	seen := map[uint64]string{}
+	add := func(key []byte) {
+		t.Helper()
+		fp := Fingerprint(key)
+		if other, ok := seen[fp]; ok && other != string(key) {
+			t.Fatalf("keys %x and %x share fingerprint %#x", other, key, fp)
+		}
+		seen[fp] = string(key)
+	}
+	buf := make([]byte, 160)
+	for i := 0; i < 100_000; i++ {
+		for j := range buf {
+			buf[j] = 1
+		}
+		n := 100 + rng.Intn(60)
+		for k := rng.Intn(6); k >= 0; k-- {
+			buf[rng.Intn(n)] = byte(rng.Intn(8))
+		}
+		add(buf[:n])
+		// The same key with a zero byte more, and with its first byte
+		// moved by what that does to the length.
+		buf[n] = 0
+		add(buf[:n+1])
+		buf[0] ^= byte(n ^ (n + 1))
+		add(buf[:n+1])
+	}
+}

@@ -52,6 +52,11 @@ func (m Msg) appendString(b []byte) []byte {
 	return b
 }
 
+// TypeIdx returns the index of the message's type in Protocol.Msgs, as
+// stamped by System.execSend, or -1 for hand-built messages that were
+// never stamped. The verifier's reduction tables are keyed by it.
+func (m Msg) TypeIdx() int { return m.tIdx - 1 }
+
 // NumClasses is the number of virtual channels (request, forward, response).
 const NumClasses = 3
 
@@ -59,56 +64,78 @@ const NumClasses = 3
 // of per-(src,dst) FIFOs (point-to-point ordered) or a bag (unordered).
 // Per-queue capacity bounds the model-checking state space; overflow is a
 // protocol error (these protocols bound their in-flight traffic).
+//
+// The queues are a coordinate system, not storage: every message in flight
+// sits in one flat list ordered by queue index and, within a queue, by
+// arrival (bag order on an unordered network). A reachable state holds a
+// handful of messages whatever the node count, so every pass over the
+// network — enumerating, copying, encoding — costs what is in flight and
+// not the (Nodes² × classes) shape of the grid.
 type Network struct {
 	Ordered  bool
 	Nodes    int
 	Capacity int
-	queues   [][]Msg // ordered: index = class*Nodes*Nodes + src*Nodes + dst; unordered: index = class
+	msgs     []Msg
+	// dirty records that Send or Remove ran since the network was last made
+	// equal to another (Clone, CloneInto, RevertTo) or restored from a
+	// snapshot; RevertTo copies the list back only then.
+	dirty bool
 }
 
 // NewNetwork builds an empty interconnect.
 func NewNetwork(ordered bool, nodes, capacity int) *Network {
-	n := &Network{Ordered: ordered, Nodes: nodes, Capacity: capacity}
-	if ordered {
-		n.queues = make([][]Msg, NumClasses*nodes*nodes)
-	} else {
-		n.queues = make([][]Msg, NumClasses)
-	}
-	return n
+	return &Network{Ordered: ordered, Nodes: nodes, Capacity: capacity}
 }
 
-func (n *Network) qidx(class, src, dst int) int {
+// QueueOf returns the index of the queue m travels in — ordered:
+// class*Nodes*Nodes + src*Nodes + dst; unordered: its class bag.
+func (n *Network) QueueOf(m *Msg) int {
 	if n.Ordered {
-		return class*n.Nodes*n.Nodes + src*n.Nodes + dst
+		return (m.Class*n.Nodes+m.Src)*n.Nodes + m.Dst
 	}
-	return class
+	return m.Class
 }
 
-// TypeIdx returns the index of the message's type in Protocol.Msgs, as
-// stamped by System.execSend, or -1 for hand-built messages that were
-// never stamped. The verifier's reduction tables are keyed by it.
-func (m Msg) TypeIdx() int { return m.tIdx - 1 }
+// NumQueues reports the number of queues (ordered: one per class×src×dst
+// triple; unordered: one bag per class).
+func (n *Network) NumQueues() int {
+	if n.Ordered {
+		return NumClasses * n.Nodes * n.Nodes
+	}
+	return NumClasses
+}
 
-// NumQueues reports the number of internal queues (ordered: one per
-// class×src×dst triple; unordered: one bag per class).
-func (n *Network) NumQueues() int { return len(n.queues) }
-
-// Queue exposes queue i read-only for the verifier's reduction scans
-// (id-freeness, capacity headroom). Callers must not mutate or retain
-// the returned slice past the next network mutation.
-func (n *Network) Queue(i int) []Msg { return n.queues[i] }
+// Msgs exposes the messages in flight, in queue-index then arrival order,
+// read-only for the verifier's reduction scans (id-freeness, capacity
+// headroom). Callers must not mutate or retain the returned slice past the
+// next network mutation.
+func (n *Network) Msgs() []Msg { return n.msgs }
 
 // Send enqueues a message; it fails when the target queue is full.
 func (n *Network) Send(m Msg) error {
-	i := n.qidx(m.Class, m.Src, m.Dst)
+	q := n.QueueOf(&m)
+	// The insertion point is behind the last message of queue q or of any
+	// queue before it; scanning back from the end finds it within the few
+	// messages in flight.
+	at := len(n.msgs)
+	for at > 0 && n.QueueOf(&n.msgs[at-1]) > q {
+		at--
+	}
 	limit := n.Capacity
 	if !n.Ordered {
 		limit = n.Capacity * n.Nodes * n.Nodes
 	}
-	if len(n.queues[i]) >= limit {
+	queued := 0
+	for i := at; i > 0 && n.QueueOf(&n.msgs[i-1]) == q; i-- {
+		queued++
+	}
+	if queued >= limit {
 		return fmt.Errorf("network: channel overflow (%s)", m)
 	}
-	n.queues[i] = append(n.queues[i], m)
+	n.msgs = append(n.msgs, Msg{})
+	copy(n.msgs[at+1:], n.msgs[at:])
+	n.msgs[at] = m
+	n.dirty = true
 	return nil
 }
 
@@ -116,7 +143,7 @@ func (n *Network) Send(m Msg) error {
 // heads on an ordered network, every message on an unordered one. The
 // returned handles stay valid until the next mutation.
 type Deliverable struct {
-	Queue int // internal queue index
+	Queue int // queue index
 	Pos   int // position within the queue (0 for ordered heads)
 	Msg   Msg
 }
@@ -128,73 +155,58 @@ func (n *Network) Deliverables() []Deliverable {
 
 // AppendDeliverables appends the candidate deliveries to buf in the same
 // deterministic order as Deliverables, reusing buf's backing array — the
-// allocation-free form for hot loops (checker workers, simulator steps).
+// allocation-free form for hot loops (simulator and litmus steps).
 func (n *Network) AppendDeliverables(buf []Deliverable) []Deliverable {
-	for qi, q := range n.queues {
-		if len(q) == 0 {
-			continue
+	queue, pos := -1, 0
+	for i := range n.msgs {
+		if q := n.QueueOf(&n.msgs[i]); q != queue {
+			queue, pos = q, 0
+		} else {
+			pos++
 		}
-		if n.Ordered {
-			buf = append(buf, Deliverable{Queue: qi, Pos: 0, Msg: q[0]})
-			continue
-		}
-		for pos, m := range q {
-			buf = append(buf, Deliverable{Queue: qi, Pos: pos, Msg: m})
+		if pos == 0 || !n.Ordered {
+			buf = append(buf, Deliverable{Queue: queue, Pos: pos, Msg: n.msgs[i]})
 		}
 	}
 	return buf
 }
 
 // Remove takes a previously enumerated deliverable out of the network,
-// shifting the tail in place (queue arrays are uniquely owned by their
-// System, so no other state can observe the mutation).
+// shifting the tail in place (the list is uniquely owned by its System,
+// so no other state can observe the mutation).
 func (n *Network) Remove(d Deliverable) {
-	q := n.queues[d.Queue]
-	copy(q[d.Pos:], q[d.Pos+1:])
-	n.queues[d.Queue] = q[:len(q)-1]
+	at := 0
+	for n.QueueOf(&n.msgs[at]) != d.Queue {
+		at++
+	}
+	at += d.Pos
+	n.msgs = append(n.msgs[:at], n.msgs[at+1:]...)
+	n.dirty = true
 }
 
 // InFlight counts all queued messages.
-func (n *Network) InFlight() int {
-	total := 0
-	for _, q := range n.queues {
-		total += len(q)
-	}
-	return total
-}
+func (n *Network) InFlight() int { return len(n.msgs) }
 
-// Clone deep-copies the network. All queued messages share one backing
-// array (three allocations total, whatever the queue count); queues that
-// later outgrow their segment reallocate individually on append.
+// Clone deep-copies the network.
 func (n *Network) Clone() *Network {
 	c := *n
-	c.queues = make([][]Msg, len(n.queues))
-	total := 0
-	for _, q := range n.queues {
-		total += len(q)
-	}
-	if total > 0 {
-		backing := make([]Msg, 0, total)
-		for i, q := range n.queues {
-			if len(q) == 0 {
-				continue
-			}
-			off := len(backing)
-			backing = append(backing, q...)
-			c.queues[i] = backing[off:len(backing):len(backing)]
-		}
-	}
+	c.msgs = append([]Msg(nil), n.msgs...)
+	c.dirty = false
 	return &c
 }
 
-// CloneInto deep-copies n's queues into dst, reusing dst's per-queue
-// backing arrays. dst must come from the same topology (same ordered
-// flag, node count and queue layout — typically a scratch Clone).
+// CloneInto deep-copies n into dst, reusing dst's backing array.
 func (n *Network) CloneInto(dst *Network) {
-	dst.Ordered = n.Ordered
-	dst.Nodes = n.Nodes
-	dst.Capacity = n.Capacity
-	for i, q := range n.queues {
-		dst.queues[i] = append(dst.queues[i][:0], q...)
+	msgs := append(dst.msgs[:0], n.msgs...)
+	*dst = *n
+	dst.msgs, dst.dirty = msgs, false
+}
+
+// RevertTo makes n equal to src again, given that it was when n was last
+// synchronised (see the dirty field) and src has not changed since: a
+// network nothing was sent on or removed from is left alone.
+func (n *Network) RevertTo(src *Network) {
+	if n.dirty {
+		src.CloneInto(n)
 	}
 }

@@ -8,11 +8,11 @@ import (
 	"protogen/internal/ir"
 )
 
-// States at rest are bytes. A System is a pointer graph (queue headers, a
-// controller block, slot backings) that costs a deep copy to keep and a
-// collector scan to hold; the model checker therefore keeps every state it
-// is not expanding as a snapshot — a flat, pointer-free record — and
-// restores it into a scratch System when its turn comes.
+// States at rest are bytes. A System is a pointer graph (the in-flight
+// list, a controller block, slot backings) that costs a deep copy to keep
+// and a collector scan to hold; the model checker therefore keeps every
+// state it is not expanding as a snapshot — a flat, pointer-free record —
+// and restores it into a scratch System when its turn comes.
 //
 // A snapshot is order-preserving where the canonical key (Encoder) is not:
 // queues keep their position order (bag order on an unordered network) and
@@ -39,14 +39,18 @@ func (s *System) AppendSnapshot(b []byte) []byte {
 		b = s.appendCtrl(b, c)
 	}
 	b = s.appendCtrl(b, s.Dir)
-	for qi, q := range s.Net.queues {
-		if len(q) == 0 {
-			continue
+	// The in-flight list is already in record order: one run per non-empty
+	// queue, by queue index.
+	n := s.Net
+	for i := 0; i < len(n.msgs); {
+		q, end := n.QueueOf(&n.msgs[i]), i+1
+		for end < len(n.msgs) && n.QueueOf(&n.msgs[end]) == q {
+			end++
 		}
-		b = putInt(b, qi)
-		b = putInt(b, len(q))
-		for i := range q {
-			b = s.appendMsg(b, &q[i])
+		b = putInt(b, q)
+		b = putInt(b, end-i)
+		for ; i < end; i++ {
+			b = s.appendMsg(b, &n.msgs[i])
 		}
 	}
 	return putInt(b, -1)
@@ -73,15 +77,11 @@ func (s *System) appendCtrl(b []byte, c *Ctrl) []byte {
 }
 
 func (s *System) appendMsg(b []byte, m *Msg) []byte {
-	ti := m.tIdx - 1
+	// A hand-built (unstamped) message is resolved by name; the restored
+	// message is stamped.
+	ti := s.typeIndex(m)
 	if ti < 0 {
-		// Hand-built (unstamped) message: resolve the name once; the
-		// restored message is stamped.
-		meta, ok := s.msgMeta[m.Type]
-		if !ok {
-			panic(fmt.Sprintf("engine: snapshot of undeclared message type %q", m.Type))
-		}
-		ti = meta.tIdx - 1
+		panic(fmt.Sprintf("engine: snapshot of undeclared message type %q", m.Type))
 	}
 	b = putInt(b, ti)
 	b = putInt(b, m.Src)
@@ -105,22 +105,20 @@ func (s *System) Restore(b []byte) {
 		b = s.restoreCtrl(b, c)
 	}
 	b = s.restoreCtrl(b, s.Dir)
+	// Queue records arrive in list order; a message's own coordinates say
+	// which queue it is in, so the recorded index is only the terminator.
 	n := s.Net
-	for i := range n.queues {
-		n.queues[i] = n.queues[i][:0]
-	}
+	n.msgs, n.dirty = n.msgs[:0], false
 	var qi, ln int
 	for qi, b = getInt(b); qi >= 0; qi, b = getInt(b) {
 		for ln, b = getInt(b); ln > 0; ln-- {
-			var m Msg
-			m, b = s.restoreMsg(b)
-			n.queues[qi] = append(n.queues[qi], m)
+			n.msgs, b = s.restoreMsg(n.msgs, b)
 		}
 	}
 	if len(b) != 0 {
 		panic("engine: snapshot record has trailing bytes")
 	}
-	s.synced()
+	s.touchedCtrl = 0
 }
 
 func (s *System) restoreCtrl(b []byte, c *Ctrl) []byte {
@@ -144,25 +142,25 @@ func (s *System) restoreCtrl(b []byte, c *Ctrl) []byte {
 	}
 	c.DeferQ = c.DeferQ[:0]
 	for v, b = getInt(b); v > 0; v-- {
-		var m Msg
-		m, b = s.restoreMsg(b)
-		c.DeferQ = append(c.DeferQ, m)
+		c.DeferQ, b = s.restoreMsg(c.DeferQ, b)
 	}
 	return b
 }
 
-func (s *System) restoreMsg(b []byte) (Msg, []byte) {
+// restoreMsg appends the message at the front of b to q.
+func (s *System) restoreMsg(q []Msg, b []byte) ([]Msg, []byte) {
 	var ti int
 	ti, b = getInt(b)
 	d := &s.P.Msgs[ti]
-	m := Msg{Type: string(d.Type), Class: int(d.Class), tIdx: ti + 1}
+	q = append(q, Msg{Type: string(d.Type), Class: int(d.Class), tIdx: ti + 1})
+	m := &q[len(q)-1]
 	m.Src, b = getInt(b)
 	m.Dst, b = getInt(b)
 	m.Req, b = getInt(b)
 	m.Acks, b = getInt(b)
 	m.Data, b = getInt(b)
 	m.HasData = b[0] != 0
-	return m, b[1:]
+	return q, b[1:]
 }
 
 // getInt reads one putInt value off the front of b.
@@ -177,28 +175,18 @@ func getInt(b []byte) (int, []byte) {
 // touched. It is valid when s was last synchronised with this very src
 // state — by src.CloneInto(s), by an earlier s.RevertTo(src), or by
 // restoring both from one record — and src has not changed since. Apply
-// records every controller (exec, drainDirDefers) and queue (its Remove,
-// execSend) it mutates, error paths included, in s's two touched words,
-// which synchronisation clears; mutations made behind Apply's back (a
-// test poking Net.Send) are not seen. A System that never reverts pays a
-// few ORs per step for them and nothing else.
+// records every controller it mutates (exec, drainDirDefers), error paths
+// included, in s.touchedCtrl, and Network.Send and Remove mark the
+// network dirty themselves; synchronisation clears both. Controller
+// mutations made behind Apply's back (a test poking a DeferQ) are not
+// seen. A System that never reverts pays an OR and a store per step for
+// them and nothing else.
 func (s *System) RevertTo(src *System) {
 	s.LastWrite = src.LastWrite
 	for m := s.touchedCtrl; m != 0; m &= m - 1 {
 		id := bits.TrailingZeros64(m)
 		src.ctrlAt(id).CloneInto(s.ctrlAt(id))
 	}
-	n := s.Net
-	for m := s.touchedQ; m != 0; m &= m - 1 {
-		for qi := bits.TrailingZeros64(m); qi < len(n.queues); qi += 64 {
-			n.queues[qi] = append(n.queues[qi][:0], src.Net.queues[qi]...)
-		}
-	}
-	s.synced()
-}
-
-// synced clears the touched sets: s now equals whatever it was just
-// copied or restored from.
-func (s *System) synced() {
-	s.touchedCtrl, s.touchedQ = 0, 0
+	s.touchedCtrl = 0
+	s.Net.RevertTo(src.Net)
 }

@@ -14,9 +14,9 @@ package engine_test
 //     — which is what lets the checker reuse one scratch System for every
 //     successor of a state.
 //
-// Mutation-checked: dropping the controller bit in drainDirDefers, the
-// queue bit in Network.Remove or Send, the bit in exec, or the walk over
-// the queues that share a bit past 64 each fail it.
+// Mutation-checked: a build that drops the controller bit in
+// drainDirDefers, the bit in exec, the dirty mark in Network.Send or the
+// one in Network.Remove each fails it.
 
 import (
 	"bytes"
@@ -152,8 +152,6 @@ func walkSnap(t *testing.T, w *snapWalk, p *ir.Protocol, caches int, seed int64,
 func TestSnapshotRevertRegistry(t *testing.T) {
 	w := &snapWalk{t: t}
 	eachRegistryProtocol(t, func(label string, p *ir.Protocol) {
-		// Four caches is 75 queues on an ordered network: past 64, where
-		// queues start sharing touched bits.
 		for _, caches := range []int{2, 3, 4} {
 			for seed := int64(0); seed < 6; seed++ {
 				w.label = fmt.Sprintf("%s caches=%d seed=%d", label, caches, seed)

@@ -31,14 +31,6 @@ type Perform struct {
 	Exempt bool
 }
 
-// msgMeta is the per-message-type execution metadata resolved once at
-// system construction: virtual-channel class and the stamped type index
-// (plus one; see Msg.tIdx).
-type msgMeta struct {
-	class int
-	tIdx  int
-}
-
 // RuleKind distinguishes the two system rule families.
 type RuleKind int
 
@@ -82,54 +74,30 @@ type System struct {
 	Dir       *Ctrl
 	Net       *Network
 	LastWrite int
-	msgMeta   map[string]msgMeta
-	accesses  []accessEv
 	// dstBuf is resolveDst's scratch, consumed within one execSend.
 	// Never shared: Clone drops it (a shallow struct copy would alias
 	// the array across systems) and CloneInto keeps the target's own.
 	dstBuf []int
-	// touchedCtrl has bit id set for every controller (node id), and
-	// touchedQ bit i%64 for every network queue i, that a rule has mutated
-	// since s was last synchronised (Clone, CloneInto, Restore, RevertTo);
-	// RevertTo copies back these and nothing else. One word each whatever
-	// the topology: the queue set is exact up to 64 queues (three caches
-	// ordered is 48), and past that a bit stands for every queue sharing
-	// it, which costs RevertTo a few spare copies and nothing else.
+	// touchedCtrl has bit id set for every controller (node id) a rule has
+	// mutated since s was last synchronised (Clone, CloneInto, Restore,
+	// RevertTo); RevertTo copies back these, and the in-flight list when
+	// the network's own dirty mark says a rule sent or removed a message.
 	touchedCtrl uint64
-	touchedQ    uint64
-}
-
-// accessEv is one access type the cache machine fires on, with its dense
-// event index in the cache layout.
-type accessEv struct {
-	a  ir.AccessType
-	ev int
 }
 
 // NewSystem builds the initial system state.
 func NewSystem(p *ir.Protocol, cfg Config) *System {
 	s := &System{
-		P:       p,
-		CacheL:  NewLayout(p.Cache),
-		DirL:    NewLayout(p.Dir),
-		Cfg:     cfg,
-		Net:     NewNetwork(p.Ordered, cfg.Caches+1, cfg.Capacity),
-		msgMeta: map[string]msgMeta{},
-	}
-	for i, d := range p.Msgs {
-		s.msgMeta[string(d.Type)] = msgMeta{class: int(d.Class), tIdx: i + 1}
+		P:      p,
+		CacheL: NewLayout(p, p.Cache),
+		DirL:   NewLayout(p, p.Dir),
+		Cfg:    cfg,
+		Net:    NewNetwork(p.Ordered, cfg.Caches+1, cfg.Capacity),
 	}
 	for i := 0; i < cfg.Caches; i++ {
 		s.Caches = append(s.Caches, NewCtrl(i, s.CacheL))
 	}
 	s.Dir = NewCtrl(cfg.Caches, s.DirL)
-	seen := map[ir.AccessType]bool{}
-	for _, t := range p.Cache.Trans {
-		if t.Ev.Kind == ir.EvAccess && !seen[t.Ev.Access] {
-			seen[t.Ev.Access] = true
-			s.accesses = append(s.accesses, accessEv{t.Ev.Access, s.CacheL.EvIndex(ir.AccessEvent(t.Ev.Access).String())})
-		}
-	}
 	return s
 }
 
@@ -174,7 +142,7 @@ func (s *System) Clone() *System {
 	n.Dir = &block[nc]
 	n.Net = s.Net.Clone()
 	n.dstBuf = nil
-	n.synced()
+	n.touchedCtrl = 0
 	return &n
 }
 
@@ -183,7 +151,7 @@ func (s *System) Clone() *System {
 // allocation-free Clone for scratch Systems. dst must be a System of
 // the same protocol and configuration (typically a Clone of another
 // state); passing nil falls back to Clone. After the call dst shares no
-// mutable memory with s: every controller slice and network queue is
+// mutable memory with s: every controller slice and the in-flight list is
 // copied, so mutating either state never leaks into the other, and dst is
 // synchronised with s (dst.RevertTo(s) undoes whatever dst applies next).
 func (s *System) CloneInto(dst *System) *System {
@@ -195,14 +163,12 @@ func (s *System) CloneInto(dst *System) *System {
 	dst.DirL = s.DirL
 	dst.Cfg = s.Cfg
 	dst.LastWrite = s.LastWrite
-	dst.msgMeta = s.msgMeta
-	dst.accesses = s.accesses
 	for i, c := range s.Caches {
 		c.CloneInto(dst.Caches[i])
 	}
 	s.Dir.CloneInto(dst.Dir)
 	s.Net.CloneInto(dst.Net)
-	dst.synced()
+	dst.touchedCtrl = 0
 	return dst
 }
 
@@ -228,6 +194,21 @@ func (s *System) ctrlAt(id int) *Ctrl {
 	return s.Caches[id]
 }
 
+// typeIndex returns the index of m's type in Protocol.Msgs: the stamp
+// every message the system itself sent or restored carries, or, for a
+// hand-built one, a scan by name; -1 when the protocol never declared it.
+func (s *System) typeIndex(m *Msg) int {
+	if m.tIdx > 0 {
+		return m.tIdx - 1
+	}
+	for i := range s.P.Msgs {
+		if string(s.P.Msgs[i].Type) == m.Type {
+			return i
+		}
+	}
+	return -1
+}
+
 // Rules enumerates every enabled rule, deterministically ordered.
 func (s *System) Rules() []Rule {
 	return s.AppendRules(nil)
@@ -236,31 +217,27 @@ func (s *System) Rules() []Rule {
 // AppendRules appends every enabled rule to buf in the same deterministic
 // order as Rules, reusing buf's backing array — the allocation-free form
 // for the checker's expansion loop. Deliverables are enumerated inline
-// (queue index order, position order) so no intermediate slice is built.
+// (Network.AppendDeliverables' walk and order) so no intermediate slice is
+// built.
 func (s *System) AppendRules(buf []Rule) []Rule {
 	for i, c := range s.Caches {
-		for _, ae := range s.accesses {
-			if s.accessEnabled(c, ae.a, ae.ev) {
-				buf = append(buf, Rule{Kind: RuleAccess, Cache: i, Access: ae.a})
+		for _, a := range s.CacheL.accesses {
+			if s.accessEnabled(c, a) {
+				buf = append(buf, Rule{Kind: RuleAccess, Cache: i, Access: a})
 			}
 		}
 	}
-	for qi, q := range s.Net.queues {
-		if len(q) == 0 {
-			continue
+	n := s.Net
+	queue, pos := -1, 0
+	for i := range n.msgs {
+		m := &n.msgs[i]
+		if q := n.QueueOf(m); q != queue {
+			queue, pos = q, 0
+		} else {
+			pos++
 		}
-		if s.Net.Ordered {
-			d := Deliverable{Queue: qi, Pos: 0, Msg: q[0]}
-			if s.deliverEnabled(d) {
-				buf = append(buf, Rule{Kind: RuleDeliver, Del: d})
-			}
-			continue
-		}
-		for pos, m := range q {
-			d := Deliverable{Queue: qi, Pos: pos, Msg: m}
-			if s.deliverEnabled(d) {
-				buf = append(buf, Rule{Kind: RuleDeliver, Del: d})
-			}
+		if (pos == 0 || !n.Ordered) && s.deliverEnabled(m) {
+			buf = append(buf, Rule{Kind: RuleDeliver, Del: Deliverable{Queue: queue, Pos: pos, Msg: *m}})
 		}
 	}
 	return buf
@@ -269,31 +246,19 @@ func (s *System) AppendRules(buf []Rule) []Rule {
 // accessEnabled reports whether issuing access a at cache c makes progress
 // (starts a transaction, silently transitions, or is a store hit that
 // mutates data). Pure load hits are invariant-checked, not enumerated.
-// evi is a's dense event index in the cache layout (accessEv.ev).
-func (s *System) accessEnabled(c *Ctrl, a ir.AccessType, evi int) bool {
-	t, ok, err := c.matchEv(evi, nil)
+func (s *System) accessEnabled(c *Ctrl, a ir.AccessType) bool {
+	t, ok, err := c.matchEv(c.L.accessEvent(a), nil)
 	if err != nil || !ok || t.Stall {
 		return false
 	}
-	if t.Next != t.From {
-		return true
-	}
-	if a == ir.AccessStore {
-		for _, act := range t.Actions {
-			if act.Op == ir.AHit {
-				return true
-			}
-		}
-	}
-	return false
+	return t.Next != t.From || (a == ir.AccessStore && t.hit)
 }
 
-// deliverEnabled reports whether delivering d makes progress (the target's
+// deliverEnabled reports whether delivering m makes progress (the target's
 // matched transition is not a stall).
-func (s *System) deliverEnabled(d Deliverable) bool {
-	c := s.ctrlAt(d.Msg.Dst)
-	m := d.Msg
-	t, ok, err := c.matchEv(c.L.EvIndex(m.Type), &m)
+func (s *System) deliverEnabled(m *Msg) bool {
+	c := s.ctrlAt(m.Dst)
+	t, ok, err := c.matchEv(c.L.msgEvent(m), m)
 	if err != nil {
 		return true // surface the error in Apply
 	}
@@ -311,7 +276,7 @@ func (s *System) Apply(r Rule) ([]Perform, error) {
 	case RuleDeliver:
 		m := r.Del.Msg
 		c := s.ctrlAt(m.Dst)
-		t, ok, err := c.matchEv(c.L.EvIndex(m.Type), &m)
+		t, ok, err := c.matchEv(c.L.msgEvent(&m), &m)
 		if err != nil {
 			return nil, err
 		}
@@ -321,7 +286,6 @@ func (s *System) Apply(r Rule) ([]Perform, error) {
 		if t.Stall {
 			return nil, nil // blocked; state unchanged
 		}
-		s.touchedQ |= 1 << uint(r.Del.Queue&63)
 		s.Net.Remove(r.Del)
 		performs, err := s.exec(c, t, &m)
 		if err != nil {
@@ -334,7 +298,7 @@ func (s *System) Apply(r Rule) ([]Perform, error) {
 }
 
 func (s *System) applyAccess(c *Ctrl, a ir.AccessType) ([]Perform, error) {
-	t, ok, err := c.match(ir.AccessEvent(a), nil)
+	t, ok, err := c.matchEv(c.L.accessEvent(a), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -361,7 +325,7 @@ func (s *System) drainDirDefers() ([]Perform, error) {
 		m := s.Dir.DeferQ[0]
 		s.touchedCtrl |= 1 << uint(s.Dir.ID)
 		s.Dir.DeferQ = s.Dir.DeferQ[1:]
-		t, ok, err := s.Dir.match(ir.MsgEvent(ir.MsgType(m.Type)), &m)
+		t, ok, err := s.Dir.matchEv(s.Dir.L.msgEvent(&m), &m)
 		if err != nil {
 			return out, err
 		}
@@ -383,25 +347,24 @@ func (s *System) drainDirDefers() ([]Perform, error) {
 }
 
 // exec runs a transition's actions and performs the state change.
-func (s *System) exec(c *Ctrl, t *ir.Transition, m *Msg) ([]Perform, error) {
+func (s *System) exec(c *Ctrl, t *trans, m *Msg) ([]Perform, error) {
 	var performs []Perform
-	fromState := s.P.Machine(c.L.M.Kind).State(t.From)
 	// Before the first action: a failing action leaves c half-updated.
 	// (applyAccess's Pend write is covered too — it always gets here.)
 	s.touchedCtrl |= 1 << uint(c.ID)
-	for _, a := range t.Actions {
-		p, err := s.execAction(c, a, m, t, fromState)
+	for i := range t.actions {
+		p, err := s.execAction(c, &t.actions[i], m, t)
 		if err != nil {
 			return performs, err
 		}
-		performs = append(performs, p...)
+		if performs == nil {
+			performs = p // perform's own fresh slice: no second copy of the usual one access
+		} else {
+			performs = append(performs, p...)
+		}
 	}
 	c.State = t.Next
-	if si, ok := c.L.StateIdx[t.Next]; ok {
-		c.StIdx = si
-	} else {
-		c.StIdx = -1 // undeclared target: matchEv treats it as transitionless
-	}
+	c.StIdx = t.next // -1 for an undeclared target: no transitions out of it
 	// Transaction completion: returning to a stable state clears the
 	// pending access.
 	if c.L.M.Kind == ir.KindCache && c.StIdx >= 0 && c.L.StableAt[c.StIdx] {
@@ -410,44 +373,41 @@ func (s *System) exec(c *Ctrl, t *ir.Transition, m *Msg) ([]Perform, error) {
 	return performs, nil
 }
 
-func (s *System) execAction(c *Ctrl, a ir.Action, m *Msg, t *ir.Transition, fromState *ir.State) ([]Perform, error) {
+func (s *System) execAction(c *Ctrl, a *action, m *Msg, t *trans) ([]Perform, error) {
 	switch a.Op {
 	case ir.ASend:
 		return nil, s.execSend(c, a, m)
 	case ir.ASet:
-		v, err := c.eval(a.Expr, m)
+		v, err := c.eval(a.expr, m)
 		if err != nil {
 			return nil, err
 		}
-		idx, ok := c.L.IntIdx[a.Var]
-		if !ok {
+		if a.slot < 0 {
 			return nil, fmt.Errorf("set of unknown variable %s", a.Var)
 		}
-		c.Ints[idx] = v
+		c.Ints[a.slot] = v
 		return nil, nil
 	case ir.ASetAdd, ir.ASetDel:
-		idx, ok := c.L.SetIdx[a.Var]
-		if !ok {
+		if a.slot < 0 {
 			return nil, fmt.Errorf("set op on unknown set %s", a.Var)
 		}
-		v, err := c.eval(a.Expr, m)
+		v, err := c.eval(a.expr, m)
 		if err != nil {
 			return nil, err
 		}
 		if v >= 0 {
 			if a.Op == ir.ASetAdd {
-				c.Masks[idx] |= 1 << uint(v)
+				c.Masks[a.slot] |= 1 << uint(v)
 			} else {
-				c.Masks[idx] &^= 1 << uint(v)
+				c.Masks[a.slot] &^= 1 << uint(v)
 			}
 		}
 		return nil, nil
 	case ir.ASetClear:
-		idx, ok := c.L.SetIdx[a.Var]
-		if !ok {
+		if a.slot < 0 {
 			return nil, fmt.Errorf("clear of unknown set %s", a.Var)
 		}
-		c.Masks[idx] = 0
+		c.Masks[a.slot] = 0
 		return nil, nil
 	case ir.ACopyData, ir.AWriteback:
 		if m == nil || !m.HasData {
@@ -468,27 +428,30 @@ func (s *System) execAction(c *Ctrl, a ir.Action, m *Msg, t *ir.Transition, from
 		var performs []Perform
 		q := c.DeferQ
 		c.DeferQ = nil
-		for _, d := range q {
-			acts := c.L.M.DeferredActions[ir.MsgType(d.Type)]
-			if acts == nil {
-				return performs, fmt.Errorf("flush: no deferred actions for %s", d.Type)
+		for i := range q {
+			var acts []action
+			if ti := s.typeIndex(&q[i]); ti >= 0 {
+				acts = c.L.deferred[ti]
 			}
-			for _, da := range acts {
-				dm := d
-				if _, err := s.execAction(c, da, &dm, t, fromState); err != nil {
+			if acts == nil {
+				return performs, fmt.Errorf("flush: no deferred actions for %s", q[i].Type)
+			}
+			for j := range acts {
+				dm := q[i]
+				if _, err := s.execAction(c, &acts[j], &dm, t); err != nil {
 					return performs, err
 				}
 			}
 		}
 		return performs, nil
 	case ir.APerform:
-		return s.perform(c, c.Pend, fromState)
+		return s.perform(c, c.Pend, t.exempt)
 	case ir.AHit:
 		var acc ir.AccessType
 		if t.Ev.Kind == ir.EvAccess {
 			acc = t.Ev.Access
 		}
-		return s.perform(c, acc, fromState)
+		return s.perform(c, acc, t.exempt)
 	case ir.AStallMarker, ir.AReplay:
 		return nil, nil
 	}
@@ -498,8 +461,7 @@ func (s *System) execAction(c *Ctrl, a ir.Action, m *Msg, t *ir.Transition, from
 // perform completes an access: stores write a fresh value, loads read the
 // block. The exemption flag marks completion-time accesses whose epoch
 // logically ended (chain or stale states).
-func (s *System) perform(c *Ctrl, acc ir.AccessType, fromState *ir.State) ([]Perform, error) {
-	exempt := fromState != nil && (len(fromState.Chain) > 0 || fromState.Stale)
+func (s *System) perform(c *Ctrl, acc ir.AccessType, exempt bool) ([]Perform, error) {
 	switch acc {
 	case ir.AccessStore:
 		v := s.LastWrite%s.Cfg.Values + 1
@@ -514,25 +476,24 @@ func (s *System) perform(c *Ctrl, acc ir.AccessType, fromState *ir.State) ([]Per
 }
 
 // execSend constructs and enqueues the message(s) of one send action.
-func (s *System) execSend(c *Ctrl, a ir.Action, m *Msg) error {
-	meta, ok := s.msgMeta[string(a.Msg)]
-	if !ok {
+func (s *System) execSend(c *Ctrl, a *action, m *Msg) error {
+	if a.meta.tIdx == 0 {
 		return fmt.Errorf("send of undeclared message %s", a.Msg)
 	}
-	base := Msg{Type: string(a.Msg), Src: c.ID, Req: NoID, Class: meta.class, tIdx: meta.tIdx}
+	base := Msg{Type: string(a.Msg), Src: c.ID, Req: NoID, Class: a.meta.class, tIdx: a.meta.tIdx}
 	if a.Payload.WithData {
 		base.HasData = true
 		base.Data = c.Data()
 	}
-	if a.Payload.Acks != nil {
-		v, err := c.eval(a.Payload.Acks, m)
+	if a.acks != nil {
+		v, err := c.eval(a.acks, m)
 		if err != nil {
 			return err
 		}
 		base.Acks = v
 	}
-	if a.Payload.Req != nil {
-		v, err := c.eval(a.Payload.Req, m)
+	if a.req != nil {
+		v, err := c.eval(a.req, m)
 		if err != nil {
 			return err
 		}
@@ -543,10 +504,8 @@ func (s *System) execSend(c *Ctrl, a ir.Action, m *Msg) error {
 		return err
 	}
 	for _, d := range dsts {
-		mm := base
-		mm.Dst = d
-		s.touchedQ |= 1 << uint(s.Net.qidx(mm.Class, mm.Src, mm.Dst)&63)
-		if err := s.Net.Send(mm); err != nil {
+		base.Dst = d
+		if err := s.Net.Send(base); err != nil {
 			return err
 		}
 	}
@@ -555,7 +514,7 @@ func (s *System) execSend(c *Ctrl, a ir.Action, m *Msg) error {
 
 // resolveDst resolves a send action's destination id(s). The returned
 // slice aliases s.dstBuf and is valid until the next resolveDst call.
-func (s *System) resolveDst(c *Ctrl, a ir.Action, m *Msg) ([]int, error) {
+func (s *System) resolveDst(c *Ctrl, a *action, m *Msg) ([]int, error) {
 	buf := s.dstBuf[:0]
 	switch a.Dst {
 	case ir.DstDir:
@@ -578,11 +537,10 @@ func (s *System) resolveDst(c *Ctrl, a ir.Action, m *Msg) ([]int, error) {
 		}
 		return s.dstBuf, nil
 	case ir.DstOwner:
-		idx, ok := c.L.IntIdx["owner"]
-		if !ok {
+		if c.L.ownerSlot < 0 {
 			return nil, fmt.Errorf("send to owner without an owner variable")
 		}
-		o := c.Ints[idx]
+		o := c.Ints[c.L.ownerSlot]
 		if o == NoID {
 			return nil, fmt.Errorf("send to owner while owner is unset")
 		}
@@ -626,17 +584,11 @@ func (s *System) HitLoads() []LoadCheck {
 func (s *System) AppendHitLoads(buf []LoadCheck) []LoadCheck {
 	out := buf
 	for i, c := range s.Caches {
-		t, ok, err := c.match(ir.AccessEvent(ir.AccessLoad), nil)
+		t, ok, err := c.matchEv(c.L.accessEvent(ir.AccessLoad), nil)
 		if err != nil || !ok || t.Stall {
 			continue
 		}
-		hit := false
-		for _, a := range t.Actions {
-			if a.Op == ir.AHit {
-				hit = true
-			}
-		}
-		if hit && t.Next == t.From {
+		if t.hit && t.Next == t.From {
 			out = append(out, LoadCheck{Cache: i, Value: c.Data(), State: c.State})
 		}
 	}

@@ -151,7 +151,7 @@ func sendIdx(sends []bool) []int {
 func idSlots(l *engine.Layout, names []string) []bool {
 	out := make([]bool, len(l.IntVars))
 	for _, name := range names {
-		if i, ok := l.IntIdx[name]; ok {
+		if i, ok := l.IntIdx[name]; ok { //vethotpath:ignore — cold: once per Check, building the reducer
 			out[i] = true
 		}
 	}
@@ -168,8 +168,18 @@ func (red *reducer) headroom(net *engine.Network) bool {
 		limit = net.Capacity * net.Nodes * net.Nodes
 		margin = red.bagMargin
 	}
-	for qi := 0; qi < net.NumQueues(); qi++ {
-		if len(net.Queue(qi))+margin > limit {
+	// An empty queue needs its margin too: when the margin alone exceeds
+	// the limit nothing may fuse, however little is in flight.
+	if margin > limit {
+		return false
+	}
+	msgs := net.Msgs()
+	queue, queued := -1, 0
+	for i := range msgs {
+		if q := net.QueueOf(&msgs[i]); q != queue {
+			queue, queued = q, 0
+		}
+		if queued++; queued+margin > limit {
 			return false
 		}
 	}
@@ -202,13 +212,10 @@ func (red *reducer) fusibleRule(sys *engine.System, r engine.Rule) bool {
 // inductive: a free rest-of-system can never enable a rule at n before n
 // acts.
 func (red *reducer) nodeFree(sys *engine.System, n int) bool {
-	net := sys.Net
-	for qi := 0; qi < net.NumQueues(); qi++ {
-		q := net.Queue(qi)
-		for i := range q {
-			if q[i].Dst != n && (q[i].Src == n || q[i].Req == n) {
-				return false
-			}
+	msgs := sys.Net.Msgs()
+	for i := range msgs {
+		if msgs[i].Dst != n && (msgs[i].Src == n || msgs[i].Req == n) {
+			return false
 		}
 	}
 	st := sys.Caches[n].StIdx

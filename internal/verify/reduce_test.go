@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"protogen/internal/core"
+	"protogen/internal/engine"
 	"protogen/internal/protocols"
 )
 
@@ -242,5 +243,43 @@ func TestCommuteAuditCatchesCorruptFusion(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("corrupted fusion not caught by the commutation audit: %v", res)
+	}
+}
+
+// TestHeadroomCountsEmptyQueues: every queue needs the fusion margin free,
+// the empty ones included. With Capacity 1 and the ordered margin of 2 no
+// queue can ever have it, so nothing may fuse even while nothing is in
+// flight — the case a walk over the occupied queues alone would start
+// fusing in, moving the reduced counts.
+func TestHeadroomCountsEmptyQueues(t *testing.T) {
+	red := &reducer{ordMargin: 2, bagMargin: 5}
+	msg := engine.Msg{Type: "GetS", Src: 0, Dst: 2, Req: engine.NoID}
+	for _, tc := range []struct {
+		name           string
+		ordered        bool
+		capacity, sent int
+		want           bool
+	}{
+		{"ordered, capacity 1, empty", true, 1, 0, false},
+		{"ordered, capacity 2, empty", true, 2, 0, true},
+		{"ordered, capacity 2, one queued", true, 2, 1, false},
+		{"ordered, capacity 3, one queued", true, 3, 1, true},
+		// A bag holds Capacity·Nodes² = 9 per unit of capacity here.
+		{"bag, capacity 1, four queued", false, 1, 4, true},
+		{"bag, capacity 1, five queued", false, 1, 5, false},
+	} {
+		net := engine.NewNetwork(tc.ordered, 3, tc.capacity)
+		for i := 0; i < tc.sent; i++ {
+			if err := net.Send(msg); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if got := red.headroom(net); got != tc.want {
+			t.Errorf("%s: headroom = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	// The bag margin can exceed a bag's limit too.
+	if red := (&reducer{bagMargin: 10}); red.headroom(engine.NewNetwork(false, 3, 1)) {
+		t.Error("bag margin 10 over a limit of 9: headroom on an empty network, want none")
 	}
 }

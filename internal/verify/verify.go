@@ -684,17 +684,17 @@ func (c *checker) classifyPermissions() {
 	c.writerAt = make([]bool, len(order))
 	c.readerAt = make([]bool, len(order))
 	for i, n := range order {
-		if st := c.p.Cache.State(n); st == nil || st.Kind != ir.Stable {
+		if st := c.p.Cache.State(n); st == nil || st.Kind != ir.Stable { //vethotpath:ignore — cold: runs once per Check, before the first state
 			continue
 		}
-		for _, t := range c.p.Cache.Find(n, ir.AccessEvent(ir.AccessLoad)) {
+		for _, t := range c.p.Cache.Find(n, ir.AccessEvent(ir.AccessLoad)) { //vethotpath:ignore — cold: once per Check
 			for _, a := range t.Actions {
 				if a.Op == ir.AHit {
 					c.readerAt[i] = true
 				}
 			}
 		}
-		for _, t := range c.p.Cache.Find(n, ir.AccessEvent(ir.AccessStore)) {
+		for _, t := range c.p.Cache.Find(n, ir.AccessEvent(ir.AccessStore)) { //vethotpath:ignore — cold: once per Check
 			for _, a := range t.Actions {
 				if a.Op == ir.AHit {
 					c.writerAt[i] = true
