@@ -175,6 +175,25 @@ func TestRunVerifyFingerprint(t *testing.T) {
 	}
 }
 
+// TestRunVerifyReduceReadout: -reduce reports what the reduction did in
+// counts that cannot read as a loss — states stored (fewer than the
+// full run's), steps fused, states expanded through an ample set — and
+// no successor ratio (it printed "(0.82x)" on this very run).
+func TestRunVerifyReduceReadout(t *testing.T) {
+	var out strings.Builder
+	args := []string{"-protocol", "MSI", "-mode", "nonstalling", "-caches", "2", "-parallel", "1", "-reduce"}
+	if err := runBG(args, &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	const want = "reduction: 9741 states stored, 10854 steps fused, 4442 states expanded through an ample set\n"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("read-out is not\n%sin:\n%s", want, out.String())
+	}
+	if strings.Contains(out.String(), "x)") || strings.Contains(out.String(), "successors") {
+		t.Errorf("the successor ratio is back:\n%s", out.String())
+	}
+}
+
 // TestRunVerifyCacheDir: a second run with the same -cache-dir is served
 // from the result cache; a changed configuration is not.
 func TestRunVerifyCacheDir(t *testing.T) {

@@ -3,17 +3,18 @@
 // chain, terminal result) behind a small Store interface with two
 // implementations — an append-only JSONL write-ahead log whose Put is
 // durable before it returns (the coordinator acknowledges a submit
-// over HTTP only after the WAL has synced, and replays the log on
-// boot to recover queued and orphaned-running jobs), and an in-memory
-// map for tests and ephemeral deployments. Writes are sticky-failure
-// aware: once the log cannot be appended the store reports unhealthy
-// and the service degrades to 503 instead of silently accepting jobs
-// it would lose.
+// over HTTP only after the WAL has synced, and reads the log once on
+// boot to recover queued and orphaned-running jobs; the open log keeps
+// no record in memory), and an in-memory map for tests and ephemeral
+// deployments. Writes are sticky-failure aware: once the log cannot be
+// appended the store reports unhealthy and the service degrades to 503
+// instead of silently accepting jobs it would lose.
 package jobstore
 
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -113,12 +114,15 @@ func (r Record) Clone() Record {
 // and must keep accepting reads after a write failure — degraded, not
 // dead.
 type Store interface {
-	// Put persists the record as the latest version of its ID.
+	// Put persists the record as the latest version of its ID. It must
+	// not retain rec's slices or pointers past its return: the caller
+	// passes its own working record, uncopied, and goes on mutating it.
 	Put(rec Record) error
 	// Delete tombstones the ID: Load no longer returns it.
 	Delete(id string) error
 	// Load returns the latest live version of every record, in first-
-	// submission order — the boot-time replay.
+	// submission order — the boot-time replay. The records are the
+	// caller's: nothing in them aliases the store.
 	Load() ([]Record, error)
 	// Err returns the sticky write-failure, nil while healthy. A store
 	// that failed a Put stays unhealthy until reopened.
@@ -141,7 +145,8 @@ func NewMem() *Mem {
 	return &Mem{recs: map[string]Record{}}
 }
 
-// Put stores a deep copy of the record.
+// Put stores a deep copy of the record: the map is the medium, so this
+// is the one Store that must copy what it is handed.
 func (m *Mem) Put(rec Record) error {
 	if err := validate(rec); err != nil {
 		return err
@@ -165,7 +170,11 @@ func (m *Mem) Delete(id string) error {
 	if m.err != nil {
 		return m.err
 	}
-	delete(m.recs, id)
+	if _, ok := m.recs[id]; ok {
+		delete(m.recs, id)
+		i := slices.Index(m.order, id) // eviction deletes the oldest: found at the front
+		m.order = slices.Delete(m.order, i, i+1)
+	}
 	return nil
 }
 
@@ -175,9 +184,7 @@ func (m *Mem) Load() ([]Record, error) {
 	defer m.mu.Unlock()
 	out := make([]Record, 0, len(m.recs))
 	for _, id := range m.order {
-		if rec, ok := m.recs[id]; ok {
-			out = append(out, rec.Clone())
-		}
+		out = append(out, m.recs[id].Clone())
 	}
 	return out, nil
 }

@@ -1,9 +1,11 @@
 package jobstore
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -317,5 +319,213 @@ func TestMemFailHook(t *testing.T) {
 	m.Fail(nil)
 	if err := m.Put(mkRec("b", StateQueued)); err != nil {
 		t.Fatalf("healed store: %v", err)
+	}
+}
+
+// TestStoreReputAfterDelete: an ID put again after its tombstone is one
+// record, listed where the new submission falls — never twice.
+func TestStoreReputAfterDelete(t *testing.T) {
+	for _, f := range factories() {
+		t.Run(f.name, func(t *testing.T) {
+			s := f.open(t)
+			defer func() { s.Close() }()
+			for _, id := range []string{"a", "b"} {
+				if err := s.Put(mkRec(id, StateQueued)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Delete("a"); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(mkRec("a", StateDone)); err != nil {
+				t.Fatal(err)
+			}
+			check := func(when string) {
+				t.Helper()
+				recs, err := s.Load()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(recs) != 2 || recs[0].ID != "b" || recs[1].ID != "a" || recs[1].State != StateDone {
+					t.Fatalf("%s: %+v", when, recs)
+				}
+			}
+			check("live handle")
+			if f.reopen != nil {
+				s = f.reopen(t, s)
+				check("reopened")
+			}
+		})
+	}
+}
+
+// TestWALHoldsNoRecords: the open log is a file handle, not a mirror.
+// 200 finished jobs with 256 KiB results (50 MiB of records) through one
+// handle leave the heap where it was.
+func TestWALHoldsNoRecords(t *testing.T) {
+	w, err := OpenWAL(t.TempDir(), WALOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	result := []byte(`"` + strings.Repeat("r", 256<<10) + `"`)
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	for i := 0; i < 200; i++ {
+		rec := mkRec(fmt.Sprintf("job-%d", i), StateDone)
+		rec.Result = result
+		if err := w.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := heap() - before
+	runtime.KeepAlive(w)
+	if grown > 8<<20 {
+		t.Fatalf("heap grew %d KiB across 200 puts: the WAL is retaining records", grown>>10)
+	}
+	recs, err := w.Load()
+	if err != nil || len(recs) != 200 || len(recs[199].Result) != len(result) {
+		t.Fatalf("load after puts: %v, %d records", err, len(recs))
+	}
+}
+
+// TestWALLongRecord: what Put accepts, replay reads back — a 17 MiB
+// line (one large fuzz report) must not stop the next boot.
+func TestWALLongRecord(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, WALOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := mkRec("big", StateDone)
+	big.Result = []byte(`"` + strings.Repeat("x", 17<<20) + `"`)
+	for _, rec := range []Record{mkRec("before", StateQueued), big, mkRec("after", StateQueued)} {
+		if err := w.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatalf("reopen after a 17 MiB record: %v", err)
+	}
+	defer w2.Close()
+	recs, err := w2.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || recs[0].ID != "before" || recs[1].ID != "big" || recs[2].ID != "after" {
+		t.Fatalf("replayed %d records", len(recs))
+	}
+	if !bytes.Equal(recs[1].Result, big.Result) {
+		t.Fatalf("large result came back %d bytes, wrote %d", len(recs[1].Result), len(big.Result))
+	}
+	if n, _ := w2.Damage(); n != 0 {
+		t.Fatalf("damage on a clean log: %d", n)
+	}
+}
+
+// tornTail is what a crash mid-append leaves at the end of the log.
+const tornTail = `{"op":"put","rec":{"id":"torn`
+
+// TestWALDamageReport: a line that is not an entry in the middle of the
+// log is skipped AND counted, with the offset it starts at; the torn
+// tail after it stays silent.
+func TestWALDamageReport(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"one", "two", "three"} {
+		if err := w.Put(mkRec(id, StateQueued)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, WALName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	wantOff := int64(len(lines[0]))
+	lines[1][len(lines[1])/2] = '\x00' // flip one byte of record two
+	data = append(bytes.Join(lines, nil), tornTail...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatalf("open damaged log: %v", err)
+	}
+	defer w2.Close()
+	recs, err := w2.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].ID != "one" || recs[1].ID != "three" {
+		t.Fatalf("recovered %+v, want one and three", recs)
+	}
+	if n, off := w2.Damage(); n != 1 || off != wantOff {
+		t.Fatalf("Damage() = %d lines, first at %d; want 1 at %d", n, off, wantOff)
+	}
+}
+
+// TestWALTornTailCutOff: the torn tail is removed at open, so the first
+// record appended after a crash is not glued onto the fragment and lost
+// with it at the following boot.
+func TestWALTornTailCutOff(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, WALName)
+	w, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Put(mkRec("ok-1", StateQueued)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clean, _ := os.ReadFile(path)
+	if err := os.WriteFile(path, append(clean, tornTail...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut, _ := os.ReadFile(path); !bytes.Equal(cut, clean) {
+		t.Fatalf("torn tail still in the file: %q", cut[len(clean):])
+	}
+	if err := w2.Put(mkRec("ok-2", StateQueued)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w3, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w3.Close()
+	recs, _ := w3.Load()
+	if len(recs) != 2 || recs[1].ID != "ok-2" {
+		t.Fatalf("record appended after the crash was lost: %+v", recs)
+	}
+	if n, _ := w3.Damage(); n != 0 {
+		t.Fatalf("a crash followed by an append reads as damage: %d", n)
 	}
 }

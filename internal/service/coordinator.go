@@ -60,30 +60,37 @@ type coordinator struct {
 	sweepCh chan struct{}
 	wg      sync.WaitGroup
 
-	mu   sync.Mutex
-	recs map[string]*jobstore.Record //protogen:guardedby mu
-	reqs map[string]Request          //protogen:guardedby mu
-	// order is first-submission order for listing; ids deleted from recs
+	mu sync.Mutex
+	// jobs is the one place a job lives in memory; the store is a log,
+	// read once at boot.
+	jobs map[string]*job //protogen:guardedby mu
+	// order is first-submission order for listing; ids deleted from jobs
 	// are skipped and compacted away lazily.
 	order []string //protogen:guardedby mu
-	// progress keeps the latest snapshot per job, ephemeral on purpose:
-	// it is poll candy, not state, and is kept after terminal so clients
-	// can still see how far a finished job got.
-	progress map[string]*ProgressView //protogen:guardedby mu
 	// terminalQ is a FIFO of ids in terminal-transition order: eviction
 	// pops its head instead of scanning every record (O(1) per evicted
 	// job). Ids freed by DELETE before eviction are skipped when popped.
-	terminalQ []string //protogen:guardedby mu
-	// lastDispatch tracks when each queued job was last offered, so the
-	// sweeper can re-offer jobs whose dispatch died with a worker (or a
-	// lossy transport) without hammering the bus every tick.
-	lastDispatch map[string]time.Time   //protogen:guardedby mu
-	counts       map[jobstore.State]int //protogen:guardedby mu
-	workers      map[string]time.Time   //protogen:guardedby mu — worker id → last beacon
-	nextID       int                    //protogen:guardedby mu
-	closed       bool                   //protogen:guardedby mu
-	rng          uint64                 //protogen:guardedby mu — retry jitter stream
-	stats        fleetStats             //protogen:guardedby mu
+	terminalQ []string               //protogen:guardedby mu
+	counts    map[jobstore.State]int //protogen:guardedby mu
+	workers   map[string]time.Time   //protogen:guardedby mu — worker id → last beacon
+	nextID    int                    //protogen:guardedby mu
+	closed    bool                   //protogen:guardedby mu
+	rng       uint64                 //protogen:guardedby mu — retry jitter stream
+	stats     fleetStats             //protogen:guardedby mu
+}
+
+// job is all the coordinator holds for one id: the persisted record —
+// handed to the store as it stands on every accepted transition — and
+// what is ephemeral on purpose.
+type job struct {
+	jobstore.Record
+	// progress is the latest snapshot: poll candy, not state, kept after
+	// terminal so clients can still see how far a finished job got.
+	progress *ProgressView
+	// lastDispatch is when the queued job was last offered (zero: not
+	// yet), so the sweeper can re-offer one whose dispatch died with a
+	// worker or a lossy transport without hammering the bus every tick.
+	lastDispatch time.Time
 }
 
 // busAction is a publish decided under the coordinator lock and sent
@@ -98,33 +105,22 @@ type busAction struct {
 // subscribes to the fleet's report channels and starts the sweeper.
 func newCoordinator(cfg Config, store jobstore.Store, b bus.Bus, warn func(string, ...any)) (*coordinator, error) {
 	c := &coordinator{
-		cfg:          cfg,
-		store:        store,
-		b:            b,
-		warn:         warn,
-		sweepCh:      make(chan struct{}),
-		recs:         map[string]*jobstore.Record{},
-		reqs:         map[string]Request{},
-		progress:     map[string]*ProgressView{},
-		lastDispatch: map[string]time.Time{},
-		counts:       map[jobstore.State]int{},
-		workers:      map[string]time.Time{},
-		rng:          uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9,
+		cfg:     cfg,
+		store:   store,
+		b:       b,
+		warn:    warn,
+		sweepCh: make(chan struct{}),
+		jobs:    map[string]*job{},
+		counts:  map[jobstore.State]int{},
+		workers: map[string]time.Time{},
+		rng:     uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9,
 	}
 	recs, err := store.Load()
 	if err != nil {
 		return nil, err
 	}
-	for i := range recs {
-		rec := recs[i]
-		var req Request
-		if len(rec.Request) > 0 {
-			if err := json.Unmarshal(rec.Request, &req); err != nil {
-				c.warn("coordinator: job %s: stored request unreadable: %v", rec.ID, err)
-			}
-		}
-		c.recs[rec.ID] = &rec
-		c.reqs[rec.ID] = req
+	for _, rec := range recs {
+		c.jobs[rec.ID] = &job{Record: rec}
 		c.order = append(c.order, rec.ID)
 		c.counts[rec.State]++
 		if rec.State.Terminal() {
@@ -198,19 +194,19 @@ func abortAction(worker, id string) busAction {
 
 // dispatchActionLocked builds the dispatch offer for rec's next
 // attempt and stamps the offer time.
-func (c *coordinator) dispatchActionLocked(rec *jobstore.Record, now time.Time) busAction {
-	c.lastDispatch[rec.ID] = now
+func (c *coordinator) dispatchActionLocked(rec *job, now time.Time) busAction {
+	rec.lastDispatch = now
 	return busAction{channel: chanDispatch, payload: dispatchMsg{
 		ID:      rec.ID,
 		Attempt: rec.Attempt + 1,
-		Request: c.reqs[rec.ID],
+		Request: rec.Request,
 	}}
 }
 
 // setStateLocked moves rec between states, keeping the counts index
 // and the terminal FIFO coherent. Monotonicity is the caller's
 // contract: no terminal state is ever passed a second time.
-func (c *coordinator) setStateLocked(rec *jobstore.Record, st jobstore.State) {
+func (c *coordinator) setStateLocked(rec *job, st jobstore.State) {
 	c.counts[rec.State]--
 	rec.State = st
 	c.counts[st]++
@@ -223,8 +219,8 @@ func (c *coordinator) setStateLocked(rec *jobstore.Record, st jobstore.State) {
 // putLocked persists rec's current state. A store failure is warned
 // and sticky in the store itself; the in-memory state machine stays
 // authoritative and healthz degrades.
-func (c *coordinator) putLocked(rec *jobstore.Record) {
-	if err := c.store.Put(rec.Clone()); err != nil {
+func (c *coordinator) putLocked(rec *job) {
+	if err := c.store.Put(rec.Record); err != nil {
 		c.warn("coordinator: persist %s: %v", rec.ID, err)
 	}
 }
@@ -253,7 +249,7 @@ func (c *coordinator) backoffLocked(attempts int) time.Duration {
 // requeueLocked sends a non-terminal attempt back to the queue (or the
 // dead-letter state when the budget is gone). cause lands on the
 // failure chain; counted==true charges the attempt against MaxAttempts.
-func (c *coordinator) requeueLocked(rec *jobstore.Record, cause string, counted bool, now time.Time) {
+func (c *coordinator) requeueLocked(rec *job, cause string, counted bool, now time.Time) {
 	rec.Failures = append(rec.Failures, cause)
 	rec.Updated = now
 	switch {
@@ -276,7 +272,7 @@ func (c *coordinator) requeueLocked(rec *jobstore.Record, cause string, counted 
 		} else {
 			rec.NotBefore = time.Time{}
 		}
-		delete(c.lastDispatch, rec.ID)
+		rec.lastDispatch = time.Time{}
 		c.stats.Retries++
 	}
 	rec.Worker = ""
@@ -305,26 +301,25 @@ func (c *coordinator) submit(req Request) (JobView, error) {
 		return JobView{}, errQueueFull(c.cfg.QueueDepth)
 	}
 	c.nextID++
-	rec := &jobstore.Record{
+	rec := &job{Record: jobstore.Record{
 		ID:        fmt.Sprintf("job-%d", c.nextID),
 		Kind:      req.Kind,
 		Request:   raw,
 		State:     jobstore.StateQueued,
 		Submitted: now,
 		Updated:   now,
-	}
-	if err := c.store.Put(rec.Clone()); err != nil {
+	}}
+	if err := c.store.Put(rec.Record); err != nil {
 		c.nextID--
 		c.mu.Unlock()
 		return JobView{}, errStore{err}
 	}
-	c.recs[rec.ID] = rec
-	c.reqs[rec.ID] = req
+	c.jobs[rec.ID] = rec
 	c.order = append(c.order, rec.ID)
 	c.counts[jobstore.StateQueued]++
 	c.evictLocked()
 	actions := []busAction{c.dispatchActionLocked(rec, now)}
-	view := c.viewLocked(rec.ID)
+	view := c.viewLocked(rec)
 	c.mu.Unlock()
 	c.emit(actions)
 	return view, nil
@@ -335,10 +330,10 @@ func (c *coordinator) submit(req Request) (JobView, error) {
 // the old implementation rescanned every record on every submit.
 // Queued and running jobs are never evicted.
 func (c *coordinator) evictLocked() {
-	for len(c.recs) > c.cfg.MaxJobs && len(c.terminalQ) > 0 {
+	for len(c.jobs) > c.cfg.MaxJobs && len(c.terminalQ) > 0 {
 		id := c.terminalQ[0]
 		c.terminalQ = c.terminalQ[1:]
-		rec, ok := c.recs[id]
+		rec, ok := c.jobs[id]
 		if !ok {
 			continue // freed earlier by an explicit DELETE
 		}
@@ -346,10 +341,7 @@ func (c *coordinator) evictLocked() {
 			c.warn("coordinator: evict %s: %v", id, err)
 		}
 		c.counts[rec.State]--
-		delete(c.recs, id)
-		delete(c.reqs, id)
-		delete(c.progress, id)
-		delete(c.lastDispatch, id)
+		delete(c.jobs, id)
 	}
 	c.compactOrderLocked()
 }
@@ -357,21 +349,20 @@ func (c *coordinator) evictLocked() {
 // compactOrderLocked rebuilds the listing order once it accumulates
 // more dead ids than live ones.
 func (c *coordinator) compactOrderLocked() {
-	if len(c.order) <= 2*len(c.recs)+16 {
+	if len(c.order) <= 2*len(c.jobs)+16 {
 		return
 	}
 	kept := c.order[:0]
 	for _, id := range c.order {
-		if _, ok := c.recs[id]; ok {
+		if _, ok := c.jobs[id]; ok {
 			kept = append(kept, id)
 		}
 	}
 	c.order = kept
 }
 
-// viewLocked renders a record in the wire form.
-func (c *coordinator) viewLocked(id string) JobView {
-	rec := c.recs[id]
+// viewLocked renders a job in the wire form.
+func (c *coordinator) viewLocked(rec *job) JobView {
 	v := JobView{
 		ID:          rec.ID,
 		Kind:        rec.Kind,
@@ -398,7 +389,7 @@ func (c *coordinator) viewLocked(id string) JobView {
 		ok := *rec.OK
 		v.OK = &ok
 	}
-	if p := c.progress[id]; p != nil {
+	if p := rec.progress; p != nil {
 		pc := *p
 		v.Progress = &pc
 	}
@@ -409,20 +400,21 @@ func (c *coordinator) viewLocked(id string) JobView {
 func (c *coordinator) view(id string) (JobView, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.recs[id]; !ok {
+	rec, ok := c.jobs[id]
+	if !ok {
 		return JobView{}, false
 	}
-	return c.viewLocked(id), true
+	return c.viewLocked(rec), true
 }
 
 // list returns every live job in first-submission order.
 func (c *coordinator) list() []JobView {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	views := make([]JobView, 0, len(c.recs))
+	views := make([]JobView, 0, len(c.jobs))
 	for _, id := range c.order {
-		if _, ok := c.recs[id]; ok {
-			views = append(views, c.viewLocked(id))
+		if rec, ok := c.jobs[id]; ok {
+			views = append(views, c.viewLocked(rec))
 		}
 	}
 	return views
@@ -432,7 +424,7 @@ func (c *coordinator) list() []JobView {
 func (c *coordinator) result(id string) (payload any, status int, found bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rec, ok := c.recs[id]
+	rec, ok := c.jobs[id]
 	if !ok {
 		return nil, 0, false
 	}
@@ -459,7 +451,7 @@ func (c *coordinator) cancel(id string) (view JobView, deleted, found bool) {
 	now := time.Now()
 	var actions []busAction
 	c.mu.Lock()
-	rec, ok := c.recs[id]
+	rec, ok := c.jobs[id]
 	if !ok {
 		c.mu.Unlock()
 		return JobView{}, false, false
@@ -481,19 +473,16 @@ func (c *coordinator) cancel(id string) (view JobView, deleted, found bool) {
 		}
 		actions = append(actions, abortAction(rec.Worker, id))
 	default: // terminal: free the record and its retained result
-		view = c.viewLocked(id)
+		view = c.viewLocked(rec)
 		if err := c.store.Delete(id); err != nil {
 			c.warn("coordinator: delete %s: %v", id, err)
 		}
 		c.counts[rec.State]--
-		delete(c.recs, id)
-		delete(c.reqs, id)
-		delete(c.progress, id)
-		delete(c.lastDispatch, id)
+		delete(c.jobs, id)
 		c.mu.Unlock()
 		return view, true, true
 	}
-	view = c.viewLocked(id)
+	view = c.viewLocked(rec)
 	c.mu.Unlock()
 	c.emit(actions)
 	return view, false, true
@@ -523,7 +512,7 @@ func (c *coordinator) health() healthView {
 			h.Counts[st] = n
 		}
 	}
-	for _, rec := range c.recs {
+	for _, rec := range c.jobs {
 		if rec.State == jobstore.StateRunning && now.After(rec.LeaseExpiry) {
 			h.LeaseBacklog++
 		}
@@ -552,7 +541,7 @@ func (c *coordinator) onStarted(m startedMsg) {
 	var actions []busAction
 	c.mu.Lock()
 	c.workers[m.Worker] = now
-	rec, ok := c.recs[m.ID]
+	rec, ok := c.jobs[m.ID]
 	switch {
 	case !ok || rec.State.Terminal():
 		// Unknown, evicted or already-settled job: stop the wasted work.
@@ -593,7 +582,7 @@ func (c *coordinator) onHeartbeat(m heartbeatMsg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.workers[m.Worker] = now
-	rec, ok := c.recs[m.ID]
+	rec, ok := c.jobs[m.ID]
 	if ok && rec.State == jobstore.StateRunning && m.Attempt == rec.Attempt && m.Worker == rec.Worker {
 		rec.LeaseExpiry = now.Add(c.cfg.LeaseTTL)
 	}
@@ -604,12 +593,12 @@ func (c *coordinator) onHeartbeat(m heartbeatMsg) {
 func (c *coordinator) onProgress(m progressMsg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rec, ok := c.recs[m.ID]
+	rec, ok := c.jobs[m.ID]
 	if !ok || m.Attempt < rec.Attempt {
 		return
 	}
 	v := m.View
-	c.progress[m.ID] = &v
+	rec.progress = &v
 }
 
 // onHello records worker liveness.
@@ -628,7 +617,7 @@ func (c *coordinator) onDone(m doneMsg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.workers[m.Worker] = now
-	rec, ok := c.recs[m.ID]
+	rec, ok := c.jobs[m.ID]
 	if !ok {
 		c.stats.Stale++
 		return
@@ -657,7 +646,7 @@ func (c *coordinator) onDone(m doneMsg) {
 	}
 	if m.Progress != nil {
 		v := *m.Progress
-		c.progress[m.ID] = &v
+		rec.progress = &v
 	}
 	rec.Updated = now
 	switch m.Status {
@@ -724,7 +713,7 @@ func (c *coordinator) sweep(now time.Time) []busAction {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, id := range c.order {
-		rec, ok := c.recs[id]
+		rec, ok := c.jobs[id]
 		if !ok {
 			continue
 		}
@@ -739,10 +728,9 @@ func (c *coordinator) sweep(now time.Time) []busAction {
 			if rec.NotBefore.After(now) {
 				continue
 			}
-			last, offered := c.lastDispatch[id]
-			if !offered {
+			if rec.lastDispatch.IsZero() {
 				actions = append(actions, c.dispatchActionLocked(rec, now))
-			} else if now.Sub(last) >= c.cfg.RedispatchEvery {
+			} else if now.Sub(rec.lastDispatch) >= c.cfg.RedispatchEvery {
 				c.stats.Redispatches++
 				actions = append(actions, c.dispatchActionLocked(rec, now))
 			}
@@ -793,7 +781,7 @@ func (c *coordinator) releaseRunning(reason string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, id := range c.order {
-		rec, ok := c.recs[id]
+		rec, ok := c.jobs[id]
 		if !ok || rec.State != jobstore.StateRunning {
 			continue
 		}

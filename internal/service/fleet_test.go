@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -302,6 +304,101 @@ func TestResultDurableAcrossRestart(t *testing.T) {
 	if code := getJSON(t, ts2.URL+"/jobs/"+id+"/result", &res); code != http.StatusOK || res["seed"] != 7 {
 		t.Fatalf("replayed result: %d %+v", code, res)
 	}
+}
+
+// TestUnreadableStoredRequestFails: a queued job whose persisted
+// request no longer decodes (a log written by another version) ends
+// failed with an error that names it and says why — on the first
+// attempt, without reaching the executor.
+func TestUnreadableStoredRequestFails(t *testing.T) {
+	mem := jobstore.NewMem()
+	now := time.Now()
+	if err := mem.Put(jobstore.Record{
+		ID: "job-7", Kind: "verify", Request: []byte(`{"kind":["verify"],"protocol":"MSI"}`),
+		State: jobstore.StateQueued, Submitted: now, Updated: now,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastFleetConfig()
+	cfg.Workers = 1
+	cfg.Store = mem
+	synthetic := flakyExec(0)
+	cfg.Executor = func(ctx context.Context, req Request, onProgress func(ProgressView)) Outcome {
+		if req.Seed != 1 {
+			t.Errorf("executor ran a job whose request does not decode: %+v", req)
+		}
+		return synthetic(ctx, req, onProgress)
+	}
+	_, ts := newTestServer(t, cfg)
+
+	v := pollUntil(t, ts.URL+"/jobs/job-7", 10*time.Second, isSettled)
+	if v.Status != StatusFailed || v.Attempt != 1 {
+		t.Fatalf("job-7 ended %s after %d attempts, want failed after 1: %+v", v.Status, v.Attempt, v)
+	}
+	if !strings.Contains(v.Error, "job job-7: stored request unreadable") || strings.Contains(v.Error, "unknown job kind") {
+		t.Fatalf("error does not name the job and the cause: %q", v.Error)
+	}
+	// The id counter still resumes past the replayed job.
+	if id := submitSynthetic(t, ts.URL, 1); id != "job-8" {
+		t.Fatalf("next id %s, want job-8", id)
+	}
+}
+
+// TestBootReportsDamagedLog: a log line that is not an entry costs the
+// record version it held, and the operator hears about it at boot —
+// count and byte offset — while the rest of the log is served.
+func TestBootReportsDamagedLog(t *testing.T) {
+	dir := t.TempDir()
+	w, err := jobstore.OpenWAL(dir, jobstore.WALOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	for _, id := range []string{"job-1", "job-2", "job-3"} {
+		if err := w.Put(jobstore.Record{ID: id, Kind: "verify", State: jobstore.StateCanceled, Submitted: now, Updated: now}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, jobstore.WALName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := strings.IndexByte(string(data), '\n') + 1
+	data[first+1] = '!' // job-2's line no longer parses
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var warnings []string
+	cfg := fastFleetConfig()
+	cfg.Workers = 1
+	cfg.StoreDir = dir
+	cfg.Warn = func(format string, args ...any) {
+		mu.Lock()
+		warnings = append(warnings, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	_, ts := newTestServer(t, cfg)
+
+	var list struct{ Jobs []JobView }
+	if code := getJSON(t, ts.URL+"/jobs", &list); code != http.StatusOK || len(list.Jobs) != 2 ||
+		list.Jobs[0].ID != "job-1" || list.Jobs[1].ID != "job-3" {
+		t.Fatalf("jobs after a damaged boot: %d %+v", code, list.Jobs)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := fmt.Sprintf("1 unreadable line(s) skipped, the first at byte %d", first)
+	for _, msg := range warnings {
+		if strings.Contains(msg, want) {
+			return
+		}
+	}
+	t.Fatalf("no boot warning containing %q in %q", want, warnings)
 }
 
 // TestHealthzDegradedStore: when the job store stops persisting, the

@@ -38,11 +38,12 @@ func ctlChannel(worker string) string { return chanCtlPrefix + worker }
 // queue group. Attempt is the number this execution will carry —
 // always the record's started-attempt count plus one at publish time —
 // so the coordinator can tell a live claim from a stale or duplicated
-// one.
+// one. Request is the stored submit body as persisted: the worker that
+// claims the attempt decodes it.
 type dispatchMsg struct {
-	ID      string  `json:"id"`
-	Attempt int     `json:"attempt"`
-	Request Request `json:"request"`
+	ID      string          `json:"id"`
+	Attempt int             `json:"attempt"`
+	Request json.RawMessage `json:"request"`
 }
 
 // startedMsg announces a worker claimed an attempt; the coordinator

@@ -382,6 +382,10 @@ func New(cfg Config) (*Server, error) {
 				s.closeOwned()
 				return nil, err
 			}
+			if n, off := w.Damage(); n > 0 {
+				cfg.Warn("protoserve: job log %s: %d unreadable line(s) skipped, the first at byte %d: the record versions they held are lost",
+					cfg.StoreDir, n, off)
+			}
 			s.store = w
 		} else {
 			s.store = jobstore.NewMem()

@@ -185,10 +185,12 @@ func (w *Worker) heartbeatLoop(id string, attempt int, stop <-chan struct{}) {
 	}
 }
 
-// runExec invokes the executor with panic isolation: a panicking job
-// becomes a transient failure of this attempt, not a dead worker. It
-// also returns the last progress snapshot the executor emitted, so the
-// outcome report carries coherent final progress.
+// runExec decodes the stored request and invokes the executor with
+// panic isolation: a panicking job becomes a transient failure of this
+// attempt, not a dead worker, and a stored request that no longer
+// decodes is a permanent failure naming the job. It also returns the
+// last progress snapshot the executor emitted, so the outcome report
+// carries coherent final progress.
 func (w *Worker) runExec(ctx context.Context, m dispatchMsg) (Outcome, *ProgressView) {
 	var (
 		progMu sync.Mutex
@@ -216,7 +218,11 @@ func (w *Worker) runExec(ctx context.Context, m dispatchMsg) (Outcome, *Progress
 				}
 			}
 		}()
-		return w.exec(ctx, m.Request, onProgress)
+		var req Request
+		if err := json.Unmarshal(m.Request, &req); err != nil {
+			return Outcome{Status: StatusFailed, Err: fmt.Errorf("job %s: stored request unreadable: %v", m.ID, err)}
+		}
+		return w.exec(ctx, req, onProgress)
 	}()
 	progMu.Lock()
 	lp := last
