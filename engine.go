@@ -72,9 +72,8 @@ type Engine struct {
 	cacheDir    string
 	warn        func(string)
 
-	mu        sync.Mutex
-	cache     *VerifyResultCache //protogen:guardedby mu
-	ownsCache bool               //protogen:guardedby mu
+	mu    sync.Mutex
+	cache *VerifyResultCache //protogen:guardedby mu
 }
 
 // EngineOption configures an Engine at construction.
@@ -95,17 +94,10 @@ func WithCacheDir(dir string) EngineOption {
 	return func(e *Engine) { e.cacheDir = dir }
 }
 
-// WithCache gives the engine an already-open result cache. The caller
-// keeps ownership: Close will not close it.
-func WithCache(c *VerifyResultCache) EngineOption {
-	// Options run inside NewEngine before the engine is published to
-	// any other goroutine, so the guarded write needs no lock.
-	return func(e *Engine) { e.cache = c } //vetconcurrency:ignore construction-time option; NewEngine has not published the engine yet
-}
-
 // WithWarnings sets a sink for non-fatal operational problems and
 // advisory findings: result-cache write failures (a full disk or
-// read-only cache dir loses memoization but never a verdict) and the
+// read-only cache dir loses memoization but never a verdict), cache
+// lines that could not be read back when the cache was opened, and the
 // static analyzer's generation-time lint warnings (prefixed "lint:",
 // emitted whenever a Verify/Simulate job generates from a spec). Unset,
 // such problems are silent.
@@ -130,33 +122,40 @@ func NewEngine(opts ...EngineOption) *Engine {
 }
 
 // Cache returns the engine's result cache, opening the WithCacheDir
-// directory on first call. It returns (nil, nil) when the engine has no
+// directory on first call (and warning, once, about lines of it that
+// could not be read). It returns (nil, nil) when the engine has no
 // cache configured.
 func (e *Engine) Cache() (*VerifyResultCache, error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.cache != nil || e.cacheDir == "" {
+		defer e.mu.Unlock()
 		return e.cache, nil
 	}
 	c, err := verify.OpenResultCache(e.cacheDir)
+	if err == nil {
+		e.cache = c
+	}
+	e.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	e.cache = c
-	e.ownsCache = true
+	if n, off := c.Damage(); n > 0 { // outside e.mu: the sink is the caller's code
+		e.warnf("result cache %s: %d unreadable line(s) skipped, the first at byte %d: those verifications will be rerun",
+			e.cacheDir, n, off)
+	}
 	return c, nil
 }
 
-// Close releases resources the engine owns (currently: a result cache
-// opened via WithCacheDir). Caches passed in with WithCache stay open.
+// Close releases what the engine owns: the result cache, if a job or
+// Cache opened it. Later jobs still run and still hit what is cached;
+// each result they would have stored is a write-failure warning.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.cache == nil || !e.ownsCache {
+	if e.cache == nil {
 		return nil
 	}
-	err := e.cache.Close()
-	return err
+	return e.cache.Close()
 }
 
 // VerifyJob model-checks one protocol. Exactly one of Protocol, Spec or

@@ -115,30 +115,51 @@ func TestEngineVerifyCacheFlow(t *testing.T) {
 // memoization — the verdict comes back clean — but surfaces through the
 // WithWarnings sink instead of vanishing silently.
 func TestEngineCacheWriteWarning(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "cache")
-	c, err := protogen.OpenVerifyCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := os.RemoveAll(dir); err != nil { // yank the directory from under Put
-		t.Fatal(err)
-	}
 	var warns []string
 	eng := protogen.NewEngine(
-		protogen.WithCache(c),
+		protogen.WithCacheDir(t.TempDir()),
 		protogen.WithParallelism(1),
 		protogen.WithWarnings(func(msg string) { warns = append(warns, msg) }),
 	)
+	c, err := eng.Cache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil { // every Put from here on fails
+		t.Fatal(err)
+	}
 	cfg := protogen.QuickVerifyConfig()
-	res, err := eng.Verify(context.Background(), protogen.VerifyJob{
-		Source: protogen.BuiltinMSI, Mode: "stalling", Config: &cfg,
-	})
+	job := protogen.VerifyJob{Source: protogen.BuiltinMSI, Mode: "stalling", Config: &cfg}
+	res, err := eng.Verify(context.Background(), job)
 	if err != nil || !res.OK() {
 		t.Fatalf("verdict must survive a cache write failure: %v %v", res, err)
 	}
-	if len(warns) != 1 {
+	if len(warns) != 1 || !strings.Contains(warns[0], "result cache write failed") {
 		t.Fatalf("want exactly one cache-write warning, got %q", warns)
+	}
+	// The entry still memoizes for this process.
+	if again, err := eng.Verify(context.Background(), job); err != nil || !again.Cached || len(warns) != 1 {
+		t.Fatalf("rerun: cached=%v err=%v warnings=%q", again != nil && again.Cached, err, warns)
+	}
+}
+
+// TestEngineCacheDamageWarning: a cache file with a line that is not an
+// entry opens, serves the rest, and says so once through the sink.
+func TestEngineCacheDamageWarning(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "verify-cache.jsonl"), []byte("not an entry\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var warns []string
+	eng := protogen.NewEngine(protogen.WithCacheDir(dir), protogen.WithWarnings(func(msg string) { warns = append(warns, msg) }))
+	defer eng.Close()
+	for i := 0; i < 2; i++ {
+		if c, err := eng.Cache(); err != nil || c.Len() != 0 {
+			t.Fatalf("Cache() = %v, %v", c, err)
+		}
+	}
+	if len(warns) != 1 || !strings.Contains(warns[0], "1 unreadable line(s) skipped, the first at byte 0") {
+		t.Fatalf("want one damage warning, got %q", warns)
 	}
 }
 

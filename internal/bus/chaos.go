@@ -72,17 +72,15 @@ func Chaos(inner Bus, cfg ChaosConfig) *ChaosBus {
 	}
 }
 
-// next is a splitmix64 step over the seeded stream.
-func (c *ChaosBus) next() uint64 {
+// fracLocked maps one splitmix64 step over the seeded stream onto
+// [0,1). The caller holds c.mu.
+func (c *ChaosBus) fracLocked() float64 {
 	c.rng += 0x9e3779b97f4a7c15
 	z := c.rng
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return float64((z^(z>>31))>>11) / (1 << 53)
 }
-
-// frac maps a stream step onto [0,1).
-func (c *ChaosBus) frac() float64 { return float64(c.next()>>11) / (1 << 53) }
 
 // Guarantees weakens the inner contract by the configured faults.
 func (c *ChaosBus) Guarantees() Guarantees {
@@ -114,20 +112,20 @@ func (c *ChaosBus) Publish(ctx context.Context, channel string, payload []byte) 
 	}
 	c.mu.Lock()
 	c.stats.Published++
-	if c.cfg.Drop > 0 && c.frac() < c.cfg.Drop {
+	if c.cfg.Drop > 0 && c.fracLocked() < c.cfg.Drop {
 		c.stats.Dropped++
 		c.mu.Unlock()
 		return nil // lost in transit; the caller believes it sent
 	}
 	copies := 1
-	if c.cfg.Dup > 0 && c.frac() < c.cfg.Dup {
+	if c.cfg.Dup > 0 && c.fracLocked() < c.cfg.Dup {
 		copies = 2
 		c.stats.Duplicated++
 	}
 	delays := make([]time.Duration, copies)
 	for i := range delays {
 		if c.cfg.MaxDelay > 0 {
-			delays[i] = time.Duration(c.frac() * float64(c.cfg.MaxDelay))
+			delays[i] = time.Duration(c.fracLocked() * float64(c.cfg.MaxDelay))
 			if delays[i] > 0 {
 				c.stats.Delayed++
 			}

@@ -207,8 +207,8 @@ func TestTableVICells(t *testing.T) {
 	}
 }
 
-// TestTableVICounts pins, exactly, the size of every generated cache
-// controller the paper's evaluation sizes: cache states, transitions
+// TestTableVICounts pins, exactly, the size of every generated
+// controller the paper's evaluation sizes: states, transitions
 // (ir.Machine.Counts: stalls and generator-added stale completions
 // excluded) and folded cells — distinct (state, event) pairs, which is
 // how the paper's tables count, since they fold the guard-split Data /
@@ -217,39 +217,62 @@ func TestTableVICells(t *testing.T) {
 // The L=1 operating point of the same claim is TestStateCountsBand's.
 func TestTableVICounts(t *testing.T) {
 	type size struct{ states, trans, cells int }
-	want := map[string]map[string]size{
+	type sizes struct{ cache, dir size }
+	want := map[string]map[string]sizes{
 		"MSI": {
 			// §VI-A: the stalling output is the primer's MSI, 11 cache
-			// states (primer Table 8.3; TestStallingMSI names them).
-			"stalling": {11, 33, 27},
+			// states (primer Table 8.3; TestStallingMSI names them). The
+			// directory is the primer's too: I, S, M and the one transient
+			// S^D, whose four request cells (GetS, GetM, PutS, PutM) stall
+			// and so are not transitions.
+			"stalling": {cache: size{11, 33, 27}, dir: size{4, 14, 13}},
 			// Table VI: 19 cache states — reproduced exactly. §VI-B's band is
 			// "18-20 states and 46-60 transitions": 52 folded cells sits
-			// inside it; 69 is the unfolded count.
-			"nonstalling": {19, 69, 52},
+			// inside it; 69 is the unfolded count. The directory keeps its
+			// four states (the paper adds none: S^D is the SSP's own); the
+			// four cells the primer stalls in S^D are handled, 14 + 4 = 18.
+			"nonstalling": {cache: size{19, 69, 52}, dir: size{4, 18, 17}},
 			// §V-D2's all-deferred design: the same table shape as Table VI,
 			// only the response timing differs. The paper prints no count.
-			"deferred": {19, 69, 52},
+			"deferred": {cache: size{19, 69, 52}, dir: size{4, 18, 17}},
 		},
 		"MESI": {
 			// §VI-A (primer's stalling MESI); the paper prints no count.
-			"stalling": {12, 39, 33},
+			// Directory: I, S, M (standing for E or M), S^D; PutE joins the
+			// stalled S^D cells, five in all.
+			"stalling": {cache: size{12, 39, 33}, dir: size{4, 18, 16}},
 			// §VI-B band 18-20 / 46-60: the tree is OUTSIDE it at the default
 			// pending limit L=3 (23 states, 64 cells) and inside it at L=1 (20
-			// states) — the extra states are deeper absorption chains.
-			"nonstalling": {23, 81, 64},
-			"deferred":    {23, 81, 64},
+			// states) — the extra states are deeper absorption chains. The
+			// directory is untouched by L: 18 + the 5 unstalled S^D cells.
+			"nonstalling": {cache: size{23, 81, 64}, dir: size{4, 23, 21}},
+			"deferred":    {cache: size{23, 81, 64}, dir: size{4, 23, 21}},
 		},
 		"MOSI": {
 			// §VI-A (primer's stalling MOSI); the paper prints no count.
-			"stalling": {15, 54, 45},
+			// Directory: I, S, O, M and no transient — the owner answers
+			// forwarded requests, so the directory never waits, never stalls,
+			// and is the same 24-transition machine in all three modes.
+			"stalling": {cache: size{15, 54, 45}, dir: size{4, 24, 20}},
 			// §VI-B band 18-20 / 46-60: the tree DEPARTS from the paper here
 			// at either limit (37 states at L=3, 23 at L=1). The owner-upgrade
 			// Ack_Count route adds the primer's OM^AC/OM^A pair and the
 			// checker proves the late-forward states are needed; see
 			// TestStateCountsBand.
-			"nonstalling": {37, 162, 117},
-			"deferred":    {37, 162, 117},
+			"nonstalling": {cache: size{37, 162, 117}, dir: size{4, 24, 20}},
+			"deferred":    {cache: size{37, 162, 117}, dir: size{4, 24, 20}},
 		},
+	}
+	sizeOf := func(m *ir.Machine) (got size) {
+		got.states, got.trans, _ = m.Counts()
+		cells := map[string]bool{}
+		for _, tr := range m.Trans {
+			if !tr.Stall && !tr.Stale {
+				cells[string(tr.From)+"|"+tr.Ev.String()] = true
+			}
+		}
+		got.cells = len(cells)
+		return got
 	}
 	for _, name := range []string{"MSI", "MESI", "MOSI"} {
 		for _, mode := range Modes {
@@ -259,17 +282,8 @@ func TestTableVICounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := genProtocol(t, e.Source, opts)
-			var got size
-			got.states, got.trans, _ = p.Cache.Counts()
-			cells := map[string]bool{}
-			for _, tr := range p.Cache.Trans {
-				if !tr.Stall && !tr.Stale {
-					cells[string(tr.From)+"|"+tr.Ev.String()] = true
-				}
-			}
-			got.cells = len(cells)
-			if got != want[name][mode] {
-				t.Errorf("%s %s: cache {states, transitions, folded cells} = %v, pinned %v", name, mode, got, want[name][mode])
+			if got := (sizes{sizeOf(p.Cache), sizeOf(p.Dir)}); got != want[name][mode] {
+				t.Errorf("%s %s: {states, transitions, folded cells} of cache, directory = %v, pinned %v", name, mode, got, want[name][mode])
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -504,8 +505,14 @@ func checkSourceCtx(ctx context.Context, src string, limit int, simSeed int64, c
 		}
 	}
 
-	for _, mode := range Modes {
-		mr, failure := checkMode(ctx, spec, mode, limit, cfg, false)
+	// One protocol per mode for the whole seed: whichever consumer first
+	// needs a mode's design — a check that misses the cache, sim, litmus
+	// — generates it, and the later ones reuse it (nothing downstream
+	// writes to a Protocol).
+	protos := make([]*ir.Protocol, len(Modes)) // by index in Modes
+
+	for i, mode := range Modes {
+		mr, failure := checkMode(ctx, spec, mode, limit, cfg, false, &protos[i])
 		r.Modes = append(r.Modes, mr)
 		if ctx.Err() != nil {
 			r.Failure = Failure{Class: "canceled", Kind: "context", Detail: ctx.Err().Error()}
@@ -537,7 +544,7 @@ func checkSourceCtx(ctx context.Context, src string, limit int, simSeed int64, c
 	if !cfg.NoPOR {
 		r.POR = "clean"
 		for i, mode := range Modes {
-			rmr, failure := checkMode(ctx, spec, mode, limit, cfg, true)
+			rmr, failure := checkMode(ctx, spec, mode, limit, cfg, true, &protos[i])
 			if ctx.Err() != nil {
 				r.POR = ""
 				r.Failure = Failure{Class: "canceled", Kind: "context", Detail: ctx.Err().Error()}
@@ -587,13 +594,13 @@ func checkSourceCtx(ctx context.Context, src string, limit int, simSeed int64, c
 	}
 
 	// Simulator and litmus cross-checks both run on the non-stalling
-	// design; generate it once.
+	// design.
 	var p *ir.Protocol
 	if cfg.SimSteps > 0 || !cfg.NoLitmus {
 		opts := core.NonStallingOpts()
 		opts.PendingLimit = limit
 		var err error
-		p, err = core.Generate(spec, opts) // Generate clones internally
+		p, err = generated(&protos[slices.Index(Modes, "nonstalling")], spec, opts)
 		if err != nil {
 			r.Failure = Failure{Class: "generate", Kind: "generate", Mode: "nonstalling", Detail: err.Error()}
 			return r
@@ -676,13 +683,27 @@ func checkSourceCtx(ctx context.Context, src string, limit int, simSeed int64, c
 	return r
 }
 
-// checkMode generates and model-checks one mode of one spec, consulting
-// the result cache first when one is configured (a hit skips generation
-// too — the cache key needs only the spec and options). The parsed spec
-// is shared across modes: Generate clones it internally. With reduce
-// set, the check runs under partial-order reduction (a distinct cache
-// key: verify.CacheKey includes Config.Reduce).
-func checkMode(ctx context.Context, spec *ir.Spec, mode string, limit int, cfg Config, reduce bool) (ModeResult, Failure) {
+// generated returns the protocol in *slot, first generating it from
+// spec under opts if no earlier consumer in the seed's run has. The
+// parsed spec is shared across modes: Generate clones it internally.
+func generated(slot **ir.Protocol, spec *ir.Spec, opts core.Options) (*ir.Protocol, error) {
+	if *slot == nil {
+		p, err := core.Generate(spec, opts)
+		if err != nil {
+			return nil, err
+		}
+		*slot = p
+	}
+	return *slot, nil
+}
+
+// checkMode model-checks one mode of one spec, consulting the result
+// cache first when one is configured (a hit skips generation too — the
+// cache key needs only the spec and options); a miss checks the mode's
+// protocol in *slot, generating it if need be. With reduce set, the
+// check runs under partial-order reduction (a distinct cache key:
+// verify.CacheKey includes Config.Reduce).
+func checkMode(ctx context.Context, spec *ir.Spec, mode string, limit int, cfg Config, reduce bool, slot **ir.Protocol) (ModeResult, Failure) {
 	mr := ModeResult{Mode: mode}
 	opts, err := core.OptionsForMode(mode)
 	if err != nil {
@@ -699,7 +720,7 @@ func checkMode(ctx context.Context, spec *ir.Spec, mode string, limit int, cfg C
 	}
 	// A cache write failure only loses memoization; the verdict stands.
 	res, _, err := cfg.Cache.CheckCtx(ctx, key, vcfg, func() (*ir.Protocol, error) {
-		return core.Generate(spec, opts)
+		return generated(slot, spec, opts)
 	})
 	if err != nil {
 		return mr, Failure{Class: "generate", Kind: "generate", Mode: mode, Detail: err.Error()}

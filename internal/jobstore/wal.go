@@ -1,15 +1,14 @@
 package jobstore
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
+	"sync/atomic"
+
+	"protogen/internal/linelog"
 )
 
 // walEntry is one JSONL log line: a full-record upsert or a tombstone.
@@ -44,31 +43,25 @@ type WALOptions struct {
 // live set.
 const compactFactor = 4
 
-// WAL is the durable Store: an append-only JSONL log of full-record
-// snapshots, and nothing else — the handle keeps no record in memory.
-// Every Put appends one line and (by default) syncs before returning,
-// so an acknowledged submit survives the process. OpenWAL replays the
-// log once, last-write-wins, and hands that replay to the first Load;
-// a later Load re-reads the file. An unterminated final line — the
-// crash signature — is dropped and cut off the file; any other line
-// that is not an entry is damage, skipped and reported by Damage.
-// Write failures are sticky: the WAL reports unhealthy until reopened,
-// and the service above degrades rather than accepting work it cannot
-// persist.
+// WAL is the durable Store: an append-only line log (internal/linelog)
+// of full-record snapshots, and nothing else — the handle keeps no
+// record in memory. Every Put appends one line and (by default) syncs
+// before returning, so an acknowledged submit survives the process.
+// OpenWAL replays the log once, last-write-wins, and hands that replay
+// to the first Load; a later Load re-reads the file. An unterminated
+// final line — the crash signature — is dropped and cut off the file;
+// any other line that is not an entry is damage, skipped and reported
+// by Damage. Write failures are sticky: the WAL reports unhealthy until
+// reopened, and the service above degrades rather than accepting work
+// it cannot persist.
 type WAL struct {
-	path   string
-	noSync bool
+	path string
+	log  *linelog.Log
+	scan linelog.Scan // the boot replay's, fixed once OpenWAL returns
 
-	// The boot replay's damage report, fixed once OpenWAL returns.
-	damaged   int
-	damageOff int64
-
-	mu sync.Mutex
-	f  *os.File //protogen:guardedby mu
 	// boot is OpenWAL's replay, held only until the first Load takes it
 	// or the first append makes it stale.
-	boot []Record //protogen:guardedby mu
-	err  error    //protogen:guardedby mu
+	boot atomic.Pointer[[]Record]
 }
 
 // WALName is the log's filename inside the store directory.
@@ -80,167 +73,68 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
-	w := &WAL{path: filepath.Join(dir, WALName), noSync: opts.NoSync}
-	rp, err := replay(w.path)
+	path := filepath.Join(dir, WALName)
+	recs, scan, err := replay(path)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case rp.lines > compactFactor*len(rp.recs):
-		if err := compact(w.path, rp.recs); err != nil {
-			return nil, err
+	if scan.Lines > compactFactor*len(recs) {
+		err := linelog.Rewrite(path, len(recs), func(i int) ([]byte, error) {
+			return json.Marshal(walEntry{Op: "put", Rec: &recs[i]})
+		})
+		if err != nil {
+			return nil, fmt.Errorf("jobstore: compact: %w", err)
 		}
-	case rp.torn:
-		// Cut the torn tail off, or the next append would be glued onto it
-		// and lost with it at the next boot.
-		if err := os.Truncate(w.path, rp.end); err != nil {
-			return nil, fmt.Errorf("jobstore: %w", err)
-		}
+		scan.Torn = false // the rewrite left no tail to cut
 	}
-	f, err := os.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	log := linelog.Open(path, scan, !opts.NoSync)
+	if err := log.Err(); err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
-	w.f = f
-	w.boot = rp.recs
-	w.damaged, w.damageOff = rp.damaged, rp.damageOff
+	w := &WAL{path: path, log: log, scan: scan}
+	w.boot.Store(&recs)
 	return w, nil
 }
 
-// replayed is one pass over the log.
-type replayed struct {
-	recs  []Record // live records, first-submission order
-	lines int      // complete lines, damaged ones included
-	end   int64    // offset just past the last complete line
-	torn  bool     // bytes follow end: a final line with no newline
-
-	damaged   int   // complete lines that are not an entry
-	damageOff int64 // offset of the first of them
-}
-
-// replay reads the log at path, folding its entries last-write-wins. A
-// line may be any length: what Put accepted, replay reads back.
-func replay(path string) (replayed, error) {
-	var rp replayed
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return rp, nil
-	}
-	if err != nil {
-		return rp, fmt.Errorf("jobstore: %w", err)
-	}
-	defer f.Close()
-
-	br := bufio.NewReaderSize(f, 64*1024)
-	var long []byte          // a line that outgrew br's buffer
-	slot := map[string]int{} // live ID → index in rp.recs
-	for {
-		line, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			long = append(long, line...)
-			continue
-		}
-		if len(long) > 0 {
-			long = append(long, line...)
-			line, long = long, long[:0]
-		}
-		if err == io.EOF {
-			rp.torn = len(line) > 0
-			break
-		}
-		if err != nil {
-			return rp, fmt.Errorf("jobstore: replay %s: %w", path, err)
-		}
+// replay folds the log at path last-write-wins into its live records,
+// in first-submission order.
+func replay(path string) ([]Record, linelog.Scan, error) {
+	var recs []Record
+	slot := map[string]int{} // live ID → index in recs
+	scan, err := linelog.Read(path, func(line []byte) bool {
 		var e walEntry
 		switch {
 		case json.Unmarshal(line, &e) != nil || !e.valid():
-			if rp.damaged == 0 {
-				rp.damageOff = rp.end
-			}
-			rp.damaged++
+			return false
 		case e.Op == "del":
 			if i, live := slot[e.ID]; live {
-				rp.recs[i] = Record{} // squeezed out below
+				recs[i] = Record{} // squeezed out below
 				delete(slot, e.ID)
 			}
 		default: // put
 			if i, live := slot[e.Rec.ID]; live {
-				rp.recs[i] = *e.Rec
+				recs[i] = *e.Rec
 			} else {
-				slot[e.Rec.ID] = len(rp.recs)
-				rp.recs = append(rp.recs, *e.Rec)
+				slot[e.Rec.ID] = len(recs)
+				recs = append(recs, *e.Rec)
 			}
 		}
-		rp.lines++
-		rp.end += int64(len(line))
-	}
-	rp.recs = slices.DeleteFunc(rp.recs, func(rec Record) bool { return rec.ID == "" })
-	return rp, nil
-}
-
-// compact rewrites the log at path to exactly recs, atomically (write
-// temp, sync, rename).
-func compact(path string, recs []Record) error {
-	tmp := path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+		return true
+	})
 	if err != nil {
-		return fmt.Errorf("jobstore: compact: %w", err)
+		return nil, scan, fmt.Errorf("jobstore: replay: %w", err)
 	}
-	bw := bufio.NewWriter(f)
-	for i := range recs {
-		line, err := json.Marshal(walEntry{Op: "put", Rec: &recs[i]})
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("jobstore: compact: %w", err)
-		}
-		bw.Write(line)
-		bw.WriteByte('\n')
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("jobstore: compact: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("jobstore: compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("jobstore: compact: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("jobstore: compact: %w", err)
-	}
-	return nil
+	return slices.DeleteFunc(recs, func(rec Record) bool { return rec.ID == "" }), scan, nil
 }
 
-// append writes one entry and, unless NoSync, fsyncs. A failure is
-// sticky.
+// append writes one entry; durable on return unless NoSync.
 func (w *WAL) append(e walEntry) error {
 	line, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("jobstore: encode: %w", err)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	if w.f == nil {
-		w.err = fmt.Errorf("jobstore: log closed")
-		return w.err
-	}
-	w.boot = nil
-	if _, err := w.f.Write(append(line, '\n')); err != nil { //vetconcurrency:ignore designed-in: w.mu serializes the appends onto the shared handle
-		w.err = fmt.Errorf("jobstore: append: %w", err)
-		return w.err
-	}
-	if !w.noSync {
-		if err := w.f.Sync(); err != nil { //vetconcurrency:ignore designed-in: durability point; w.mu serializes syncs with appends
-			w.err = fmt.Errorf("jobstore: sync: %w", err)
-			return w.err
-		}
-	}
-	return nil
+	w.boot.Store(nil)
+	return w.log.Append(line)
 }
 
 // Put appends a full-record snapshot; on return (healthy, default
@@ -261,14 +155,11 @@ func (w *WAL) Delete(id string) error {
 // caller's. The first call on an unwritten handle is OpenWAL's replay,
 // so boot parses the log once; any other call re-reads the file.
 func (w *WAL) Load() ([]Record, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if recs := w.boot; recs != nil {
-		w.boot = nil
-		return recs, nil
+	if recs := w.boot.Swap(nil); recs != nil {
+		return *recs, nil
 	}
-	rp, err := replay(w.path)
-	return rp.recs, err
+	recs, _, err := replay(w.path)
+	return recs, err
 }
 
 // Damage reports what OpenWAL's replay could not read: the number of
@@ -276,24 +167,11 @@ func (w *WAL) Load() ([]Record, error) {
 // version) and the byte offset of the first, as the file stood before
 // any boot compaction. A torn final line is not damage.
 func (w *WAL) Damage() (lines int, firstOffset int64) {
-	return w.damaged, w.damageOff
+	return w.scan.Damaged, w.scan.DamageOff
 }
 
 // Err returns the sticky write failure, nil while healthy.
-func (w *WAL) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
+func (w *WAL) Err() error { return w.log.Err() }
 
-// Close syncs and closes the log file.
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	err := w.f.Close() //vetconcurrency:ignore designed-in: closing the guarded handle must itself hold w.mu
-	w.f = nil
-	return err
-}
+// Close closes the log file.
+func (w *WAL) Close() error { return w.log.Close() }

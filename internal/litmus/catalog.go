@@ -2,7 +2,6 @@ package litmus
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -303,15 +302,5 @@ func Names() []string {
 	for _, t := range Catalog() {
 		out = append(out, t.Name)
 	}
-	return out
-}
-
-// sortOutcomes returns m's keys sorted — shared by results rendering.
-func sortOutcomes(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

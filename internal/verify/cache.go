@@ -1,18 +1,17 @@
 package verify
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"protogen/internal/ir"
+	"protogen/internal/linelog"
 )
 
 // cacheFile is the JSONL file a ResultCache persists under its
@@ -73,28 +72,31 @@ type cacheEntry struct {
 }
 
 // ResultCache memoizes verification Results across runs, keyed by
-// CacheKey and persisted as one JSON line per entry under a cache
-// directory. It is safe for concurrent use within a process; the
-// append-only file format makes concurrent processes at worst rewrite
-// an identical entry. Structurally identical specs (same canonical
-// text, options and config) are verified once per configuration — a
-// rerun of a fuzz campaign over the same seed range performs zero
-// re-verifications.
+// CacheKey and persisted as one JSON line per entry in a line log
+// (internal/linelog) under a cache directory; later duplicate keys win,
+// so a rewritten entry supersedes its predecessor. It is safe for
+// concurrent use within a process; the append-only file format makes
+// concurrent processes at worst rewrite an identical entry.
+// Structurally identical specs (same canonical text, options and
+// config) are verified once per configuration — a rerun of a fuzz
+// campaign over the same seed range performs zero re-verifications.
 type ResultCache struct {
 	path string
+	log  *linelog.Log
+	scan linelog.Scan // OpenResultCache's read, fixed once it returns
 
-	mu sync.Mutex
-	m  map[string]*Result //protogen:guardedby mu
-	// f is the lazily opened O_APPEND handle, reused across Puts.
-	f      *os.File //protogen:guardedby mu
-	hits   int      //protogen:guardedby mu
-	misses int      //protogen:guardedby mu
+	mu     sync.Mutex
+	m      map[string]*Result //protogen:guardedby mu
+	hits   int                //protogen:guardedby mu
+	misses int                //protogen:guardedby mu
 }
 
 // OpenResultCache opens (creating if needed) the cache persisted under
-// dir. Malformed lines — a truncated tail from a killed run, say — are
-// skipped, not fatal; later duplicate keys win, so a rewritten entry
-// supersedes its predecessor.
+// dir. What a killed run left is never fatal: its unterminated last
+// line is dropped and cut off the file, and any other line that is not
+// an entry is skipped and reported by Damage. A file that cannot be
+// opened for append (a read-only directory, say) still serves its
+// entries; every Put then reports the failure.
 func OpenResultCache(dir string) (*ResultCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("result cache: %w", err)
@@ -103,32 +105,28 @@ func OpenResultCache(dir string) (*ResultCache, error) {
 		path: filepath.Join(dir, cacheFile),
 		m:    make(map[string]*Result),
 	}
-	f, err := os.Open(c.path)
-	if os.IsNotExist(err) {
-		return c, nil
-	}
+	var err error
+	c.scan, err = linelog.Read(c.path, func(line []byte) bool {
+		var e cacheEntry
+		if json.Unmarshal(line, &e) != nil || e.Key == "" || e.Result == nil {
+			return false
+		}
+		c.m[e.Key] = e.Result
+		return true
+	})
 	if err != nil {
 		return nil, fmt.Errorf("result cache: %w", err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26) // violation traces can run long
-	for sc.Scan() {
-		var e cacheEntry
-		if json.Unmarshal(sc.Bytes(), &e) != nil || e.Key == "" || e.Result == nil {
-			continue
-		}
-		c.m[e.Key] = e.Result
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			// An oversized entry is corruption like any other: keep
-			// what loaded cleanly instead of bricking the directory.
-			return c, nil
-		}
-		return nil, fmt.Errorf("result cache %s: %w", c.path, err)
-	}
+	c.log = linelog.Open(c.path, c.scan, false)
 	return c, nil
+}
+
+// Damage reports what OpenResultCache could not read: the number of
+// complete lines that were not an entry (each one a verification the
+// next run repeats) and the byte offset of the first. A torn final line
+// is not damage.
+func (c *ResultCache) Damage() (lines int, firstOffset int64) {
+	return c.scan.Damaged, c.scan.DamageOff
 }
 
 // Get returns a copy of the cached Result for key, counting the probe
@@ -174,8 +172,8 @@ func (c *ResultCache) CheckCtx(ctx context.Context, key string, cfg Config, gene
 }
 
 // Put records key's Result in memory and appends it to the cache file.
-// The append handle is opened on first use and reused — campaign workers
-// serialize only on the write itself, not on per-entry open/close.
+// A failed append is sticky (see linelog.Log): the entry still memoizes
+// for this process, and this and every later Put return the failure.
 // Canceled (partial) results are silently dropped: where a run was
 // interrupted is nondeterministic, so memoizing it would serve an
 // arbitrary prefix as if it were the configured exploration.
@@ -190,38 +188,17 @@ func (c *ResultCache) Put(key string, r *Result) error {
 		return fmt.Errorf("result cache: %w", err)
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.m[key] = stored
-	if c.f == nil {
-		// The open and the append below happen under c.mu by design:
-		// the mutex is what serializes concurrent Puts onto one handle,
-		// and each write is a single buffered line, not a stall point.
-		f, err := os.OpenFile(c.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644) //vetconcurrency:ignore designed-in: c.mu serializes the appends onto the shared handle
-		if err != nil {
-			return fmt.Errorf("result cache: %w", err)
-		}
-		c.f = f
-	}
-	if _, err := c.f.Write(append(line, '\n')); err != nil { //vetconcurrency:ignore designed-in: c.mu serializes the appends onto the shared handle
-		return fmt.Errorf("result cache %s: %w", c.path, err)
+	c.mu.Unlock()
+	if err := c.log.Append(line); err != nil {
+		return fmt.Errorf("result cache: %w", err)
 	}
 	return nil
 }
 
-// Close releases the append handle (if any Put opened it). The cache
-// remains usable for Gets; a later Put reopens the file. Optional for
-// short-lived processes — the OS reclaims the unbuffered handle — but
-// long-running library users should defer it.
-func (c *ResultCache) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
-	}
-	err := c.f.Close() //vetconcurrency:ignore designed-in: closing the guarded handle must itself hold c.mu
-	c.f = nil
-	return err
-}
+// Close closes the cache file. Gets keep being served from memory; a
+// later Put memoizes for this process only and reports the closed file.
+func (c *ResultCache) Close() error { return c.log.Close() }
 
 // Dir reports the directory the cache persists under.
 func (c *ResultCache) Dir() string { return filepath.Dir(c.path) }

@@ -179,3 +179,117 @@ func appendRaw(dir, line string) error {
 	_, err = f.WriteString(line + "\n")
 	return err
 }
+
+// TestResultCacheTornTailKeepsNextPut: a run killed mid-append leaves a
+// line with no newline. The next process's first Put must start a line
+// of its own — glued onto the fragment it would be unreadable, and gone
+// at the open after that.
+func TestResultCacheTornTailKeepsNextPut(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenResultCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("before", &Result{Protocol: "MSI", States: 1, Complete: true}); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	path := filepath.Join(dir, cacheFile)
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(whole, `{"key":"torn","result":{"Prot`...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	next, err := OpenResultCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := next.Damage(); n != 0 || next.Len() != 1 {
+		t.Fatalf("a torn tail is not damage: Damage %d, Len %d", n, next.Len())
+	}
+	if err := next.Put("after", &Result{Protocol: "MSI", States: 2, Complete: true}); err != nil {
+		t.Fatal(err)
+	}
+	next.Close()
+
+	re, err := OpenResultCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if r, ok := re.Get("after"); !ok || r.States != 2 || re.Len() != 2 {
+		t.Fatalf("the Put after a torn tail was lost: Len %d, hit %v", re.Len(), ok)
+	}
+	if n, _ := re.Damage(); n != 0 {
+		t.Fatalf("the cut-off tail came back as %d damaged line(s)", n)
+	}
+}
+
+// TestResultCacheLongEntry: an entry of any length reads back and hides
+// nothing behind it — a 70 MiB line (past the 64 MiB the old reader
+// stopped at, for good) between two small ones reopens as three entries.
+func TestResultCacheLongEntry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes and re-reads a 70 MiB cache entry")
+	}
+	dir := t.TempDir()
+	trace := strings.Repeat("t", 70<<20)
+	for _, line := range []string{
+		`{"key":"first","result":{"Protocol":"MSI","States":1}}`,
+		`{"key":"big","result":{"Protocol":"MSI","Violations":[{"Kind":"SWMR","Trace":["` + trace + `"]}]}}`,
+		`{"key":"last","result":{"Protocol":"MSI","States":3}}`,
+	} {
+		if err := appendRaw(dir, line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := OpenResultCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if n, _ := re.Damage(); n != 0 || re.Len() != 3 {
+		t.Fatalf("reopen: Len %d, Damage %d; want 3, 0", re.Len(), n)
+	}
+	if r, ok := re.Get("last"); !ok || r.States != 3 {
+		t.Fatal("the entry after the long one was not read")
+	}
+	if len(re.m["big"].Violations[0].Trace[0]) != len(trace) {
+		t.Fatal("the long entry did not round-trip")
+	}
+}
+
+// TestResultCacheDamageReport: a complete line that is not an entry is
+// counted and located, and costs only itself.
+func TestResultCacheDamageReport(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenResultCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("a", &Result{Protocol: "MSI", States: 1, Complete: true}); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	info, err := os.Stat(filepath.Join(dir, cacheFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendRaw(dir, `{"key":"","result":null}`); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendRaw(dir, `{"key":"b","result":{"Protocol":"MSI","States":2}}`); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenResultCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if n, off := re.Damage(); n != 1 || off != info.Size() || re.Len() != 2 {
+		t.Fatalf("Damage() = %d at %d, Len %d; want 1 at %d, 2", n, off, re.Len(), info.Size())
+	}
+}

@@ -60,6 +60,9 @@ var concurrencyTargets = []string{
 	"internal/fuzz",
 	"internal/engine",
 	"internal/sim",
+	"internal/jobstore",
+	"internal/bus",
+	"internal/linelog",
 }
 
 // ConcurrencyTarget reports whether vetconcurrency analyzes the

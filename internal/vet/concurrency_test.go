@@ -498,6 +498,9 @@ func TestConcurrencyTarget(t *testing.T) {
 		{"protogen/internal/fuzz", true},
 		{"protogen/internal/engine", true},
 		{"protogen/internal/sim", true},
+		{"protogen/internal/jobstore", true},
+		{"protogen/internal/bus", true},
+		{"protogen/internal/linelog", true},
 		{"protogen/internal/dsl", false},
 		{"protogen/cmd/protoverify", false},
 		{"otherproject", false},

@@ -213,12 +213,6 @@ func DefaultVerifyConfig() VerifyConfig { return verify.DefaultConfig() }
 // QuickVerifyConfig is a fast 2-cache configuration.
 func QuickVerifyConfig() VerifyConfig { return verify.QuickConfig() }
 
-// OpenVerifyCache opens (creating if needed) the verify result cache
-// persisted under dir. Structurally identical specs are then verified
-// once per (generation options, checker config) pair; see docs/CACHING.md
-// for the file format and invalidation rules.
-func OpenVerifyCache(dir string) (*VerifyResultCache, error) { return verify.OpenResultCache(dir) }
-
 // CheckCaches rejects a cache count above the checker's bound (8; see
 // verify.MaxCaches for why). Every Engine job applies it; the service
 // and the CLIs call it to refuse the job at the door.
