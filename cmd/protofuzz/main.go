@@ -63,7 +63,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	var (
 		seeds    = fs.String("seeds", "0:100", "seed range first:last (half-open)")
 		family   = fs.String("family", "", "comma-separated family names (default: every shipped family; broken/boundary families must be named explicitly)")
-		maxSts   = fs.Int("max", 500_000, "per-mode state cap")
+		maxSts   = fs.Int("max", 500_000, "per-mode state cap (0 = default)")
 		simSteps = fs.Int("sim-steps", 3000, "simulator SC-check steps (0 disables)")
 		shrink   = fs.Bool("shrink", true, "shrink failing specs to minimal reproducers")
 		corpus   = fs.String("corpus", "", "write minimized reproducers into this directory")

@@ -64,8 +64,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	check := cli.CheckFlags{Caches: 3} // the paper setup and the library default
 	check.Bind(fs, cli.Caches|cli.Parallel|cli.Timeout|cli.CacheDir)
 	var (
-		capacity = fs.Int("capacity", 4, "per-channel capacity")
-		maxSts   = fs.Int("max", 4_000_000, "state cap")
+		capacity = fs.Int("capacity", 4, "per-channel capacity (0 = default)")
+		maxSts   = fs.Int("max", 4_000_000, "state cap (0 = default)")
 		maxViol  = fs.Int("max-violations", 1, "stop after this many violations")
 		noSWMR   = fs.Bool("no-swmr", false, "skip the SWMR invariant")
 		noVals   = fs.Bool("no-values", false, "skip the data-value invariant")

@@ -181,7 +181,9 @@ type VerifyJob struct {
 
 	// Config tunes the checker; nil uses DefaultVerifyConfig. The
 	// engine's parallelism fills in whenever Config.Parallelism is 0,
-	// and DefaultVerifyConfig's cache count when Config.Caches is.
+	// and DefaultVerifyConfig's value for each of Caches, Capacity,
+	// Values and MaxStates that is zero or negative, so a partly filled
+	// Config is a complete one.
 	Config *VerifyConfig
 
 	// NoCache skips the engine's result cache for this job.
@@ -215,7 +217,8 @@ type FuzzJob struct {
 	// Config tunes the campaign; nil uses DefaultFuzzConfig. The
 	// engine's parallelism fills in when Config.Parallelism is 0, the
 	// engine's result cache when Config.Cache is nil, and
-	// DefaultFuzzConfig's cache count when Config.Caches is 0.
+	// DefaultFuzzConfig's value for each of Caches, Capacity and
+	// MaxStates that is zero or negative.
 	Config *FuzzConfig
 	// OnProgress receives the job's progress events; nil drops them.
 	OnProgress ProgressFunc
@@ -302,25 +305,35 @@ func resolveSubject(proto *Protocol, spec *Spec, source, mode string, explicit *
 // zero or negative means the job's default, and a count above
 // verify.MaxCaches is refused before any System is built.
 func resolveCaches(n, def int) (int, error) {
-	if n <= 0 {
-		return def, nil
+	return orDefault(n, def), verify.CheckCaches(n)
+}
+
+// orDefault is the rule for a job config's sizes: zero or negative means
+// the default. A checker handed a zero divides by it (Values), reports
+// every send as a channel overflow (Capacity) or stops after two states
+// (MaxStates).
+func orDefault(v, def int) int {
+	if v <= 0 {
+		return def
 	}
-	return n, verify.CheckCaches(n)
+	return v
 }
 
 // verifyConfig layers engine defaults over a job's checker config.
 func (e *Engine) verifyConfig(c *VerifyConfig) (VerifyConfig, error) {
-	var cfg VerifyConfig
+	def := verify.DefaultConfig()
+	cfg := def
 	if c != nil {
 		cfg = *c
-	} else {
-		cfg = verify.DefaultConfig()
 	}
 	if cfg.Parallelism == 0 && e.parallelism > 0 {
 		cfg.Parallelism = e.parallelism
 	}
+	cfg.Capacity = orDefault(cfg.Capacity, def.Capacity)
+	cfg.Values = orDefault(cfg.Values, def.Values)
+	cfg.MaxStates = orDefault(cfg.MaxStates, def.MaxStates)
 	var err error
-	cfg.Caches, err = resolveCaches(cfg.Caches, verify.DefaultConfig().Caches)
+	cfg.Caches, err = resolveCaches(cfg.Caches, def.Caches)
 	return cfg, err
 }
 
@@ -447,16 +460,17 @@ func (e *Engine) Litmus(ctx context.Context, job LitmusJob) (*LitmusReport, erro
 // level boundaries); the partial Report comes back with Report.Canceled
 // set, covering only the seeds that completed.
 func (e *Engine) Fuzz(ctx context.Context, job FuzzJob) (*FuzzReport, error) {
-	var cfg FuzzConfig
+	def := fuzz.DefaultConfig()
+	cfg := def
 	if job.Config != nil {
 		cfg = *job.Config
-	} else {
-		cfg = fuzz.DefaultConfig()
 	}
 	var err error
-	if cfg.Caches, err = resolveCaches(cfg.Caches, fuzz.DefaultConfig().Caches); err != nil {
+	if cfg.Caches, err = resolveCaches(cfg.Caches, def.Caches); err != nil {
 		return nil, err
 	}
+	cfg.Capacity = orDefault(cfg.Capacity, def.Capacity)
+	cfg.MaxStates = orDefault(cfg.MaxStates, def.MaxStates)
 	if cfg.Parallelism == 0 && e.parallelism > 0 {
 		cfg.Parallelism = e.parallelism
 	}

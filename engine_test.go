@@ -257,6 +257,65 @@ func TestEngineCachesBound(t *testing.T) {
 	}
 }
 
+// TestPartlyFilledConfig: a job config with one of its sizes left zero
+// gets the default for it, so 2-cache non-stalling MSI explores its
+// pinned space and a campaign seed passes. Handed to the checker as
+// written, a zero Values divides by zero, a zero Capacity turns every
+// send into a channel-overflow "error" violation and a zero MaxStates is
+// a two-state "capped — PASS".
+func TestPartlyFilledConfig(t *testing.T) {
+	eng := protogen.NewEngine()
+	ctx := context.Background()
+	verify := func(zero func(*protogen.VerifyConfig)) func() error {
+		return func() error {
+			cfg := protogen.QuickVerifyConfig()
+			cfg.Parallelism = 1 // keeps the checker, and so a panic in it, on this goroutine
+			zero(&cfg)
+			res, err := eng.Verify(ctx, protogen.VerifyJob{Source: protogen.BuiltinMSI, Config: &cfg, NoCache: true})
+			if err == nil && (!res.OK() || !res.Complete || res.States != 11963) {
+				err = errors.New(res.String())
+			}
+			return err
+		}
+	}
+	fuzz := func(zero func(*protogen.FuzzConfig)) func() error {
+		return func() error {
+			cfg := protogen.DefaultFuzzConfig()
+			cfg.Parallelism, cfg.SimSteps, cfg.NoPOR, cfg.NoLitmus = 1, 0, true, true
+			zero(&cfg)
+			rep, err := eng.Fuzz(ctx, protogen.FuzzJob{First: 0, Last: 1, Config: &cfg})
+			if err != nil {
+				return err
+			}
+			for _, m := range rep.Specs[0].Modes {
+				if !m.OK || !m.Complete {
+					return fmt.Errorf("%s: %d states, complete %v, %s %s", m.Mode, m.States, m.Complete, m.Violation, m.Detail)
+				}
+			}
+			return nil
+		}
+	}
+	rows := map[string]func() error{
+		"verify/Values=0":    verify(func(c *protogen.VerifyConfig) { c.Values = 0 }),
+		"verify/Capacity=0":  verify(func(c *protogen.VerifyConfig) { c.Capacity = 0 }),
+		"verify/MaxStates=0": verify(func(c *protogen.VerifyConfig) { c.MaxStates = 0 }),
+		"fuzz/Capacity=0":    fuzz(func(c *protogen.FuzzConfig) { c.Capacity = 0 }),
+		"fuzz/MaxStates=0":   fuzz(func(c *protogen.FuzzConfig) { c.MaxStates = 0 }),
+	}
+	for name, run := range rows {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panic: %v", name, r)
+				}
+			}()
+			if err := run(); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}()
+	}
+}
+
 // TestChannelProgress: events flow over a channel without ever blocking
 // the job, and a full channel drops rather than stalls.
 func TestChannelProgress(t *testing.T) {

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"fmt"
-	"strconv"
-)
+import "fmt"
 
 // Msg is one in-flight coherence message.
 type Msg struct {
@@ -22,34 +19,19 @@ type Msg struct {
 	tIdx int
 }
 
-// String renders the message for rule names and traces. Built with
-// strconv appends rather than fmt: the checker materializes one rule
-// string per discovered state, so this sits on the exploration hot path.
+// String renders the message for rule names and traces.
 func (m Msg) String() string {
-	return string(m.appendString(make([]byte, 0, 48)))
-}
-
-// appendString appends the String rendering to b (shared with
-// Rule.String so a deliver rule costs one allocation).
-func (m Msg) appendString(b []byte) []byte {
-	b = append(b, m.Type...)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, int64(m.Src), 10)
-	b = append(b, '-', '>')
-	b = strconv.AppendInt(b, int64(m.Dst), 10)
+	s := fmt.Sprintf("%s %d->%d", m.Type, m.Src, m.Dst)
 	if m.Req != NoID {
-		b = append(b, " req="...)
-		b = strconv.AppendInt(b, int64(m.Req), 10)
+		s += fmt.Sprintf(" req=%d", m.Req)
 	}
 	if m.Acks != 0 {
-		b = append(b, " acks="...)
-		b = strconv.AppendInt(b, int64(m.Acks), 10)
+		s += fmt.Sprintf(" acks=%d", m.Acks)
 	}
 	if m.HasData {
-		b = append(b, " data="...)
-		b = strconv.AppendInt(b, int64(m.Data), 10)
+		s += fmt.Sprintf(" data=%d", m.Data)
 	}
-	return b
+	return s
 }
 
 // TypeIdx returns the index of the message's type in Protocol.Msgs, as

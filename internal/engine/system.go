@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strconv"
 
 	"protogen/internal/ir"
 )
@@ -48,20 +47,12 @@ type Rule struct {
 	Del    Deliverable
 }
 
-// String names the rule for records and traces; one is materialized per
-// discovered state, so it avoids fmt (see Msg.String).
+// String names the rule for traces.
 func (r Rule) String() string {
 	if r.Kind == RuleAccess {
-		b := make([]byte, 0, 24)
-		b = append(b, "cache"...)
-		b = strconv.AppendInt(b, int64(r.Cache), 10)
-		b = append(b, ':', ' ')
-		b = append(b, r.Access.String()...)
-		return string(b)
+		return fmt.Sprintf("cache%d: %s", r.Cache, r.Access)
 	}
-	b := make([]byte, 0, 56)
-	b = append(b, "deliver "...)
-	return string(r.Del.Msg.appendString(b))
+	return "deliver " + r.Del.Msg.String()
 }
 
 // System is a full executable instance of a generated protocol.

@@ -346,16 +346,16 @@ func (w *worker) fusible(sys *engine.System, depth int) []int {
 
 // collapse recursively normalizes sys — applying every rule of the
 // lowest fusible node, branching where that set has several rules — and
-// appends the resulting normal-form successors to out. root is the rule
-// that produced sys from stored state parent (the edge label's head);
-// seedQ accumulates "a quiescent state was fused through on this path",
-// which finishSucc hands to merge as the parent's liveness witness. sys
-// is consumed: the last branch applies in place, the others run on the
-// level's own scratch, and whoever owns sys reverts it afterwards.
-func (w *worker) collapse(sys *engine.System, root engine.Rule, parent int32, depth int, seedQ bool, out []succOut) []succOut {
+// appends the resulting normal-form successors to out; w.chain holds the
+// edge from stored state parent to sys. seedQ accumulates "a quiescent
+// state was fused through on this path", which finishSucc hands to merge
+// as the parent's liveness witness. sys is consumed: the last branch
+// applies in place, the others run on the level's own scratch, and
+// whoever owns sys reverts it afterwards.
+func (w *worker) collapse(sys *engine.System, parent int32, depth int, seedQ bool, out []succOut) []succOut {
 	en := w.fusible(sys, depth)
 	if len(en) == 0 || depth >= maxFuseDepth {
-		return append(out, w.finishSucc(sys, root, seedQ))
+		return append(out, w.finishSucc(sys, seedQ))
 	}
 	// sys is about to be collapsed through, not stored; if it is
 	// quiescent, record the witness before it disappears.
@@ -375,14 +375,12 @@ func (w *worker) collapse(sys *engine.System, root engine.Rule, parent int32, de
 		if bi < len(en)-1 {
 			child = w.branch(sys, depth, bi == 0)
 		}
+		w.chain = append(w.chain, uint32(ri))
 		performs, err := child.Apply(r)
 		if err != nil {
 			// Contradicts invisibility (a static-analysis bug); surface it
 			// as the error verdict it would have been uncollapsed.
-			w.chain = append(w.chain, r)
-			out = append(out, succOut{
-				knownIdx: -1, rule: w.chainString(root), hasErr: true, applyErr: err.Error(),
-			})
+			out = append(out, succOut{knownIdx: -1, edge: w.edge(), hasErr: true, applyErr: err.Error()})
 			w.chain = w.chain[:len(w.chain)-1]
 			continue
 		}
@@ -393,8 +391,7 @@ func (w *worker) collapse(sys *engine.System, root engine.Rule, parent int32, de
 			}
 		}
 		w.fused++
-		w.chain = append(w.chain, r)
-		out = w.collapse(child, root, parent, depth+1, seedQ, out)
+		out = w.collapse(child, parent, depth+1, seedQ, out)
 		w.chain = w.chain[:len(w.chain)-1]
 	}
 	return out
@@ -425,20 +422,20 @@ func (w *worker) branch(sys *engine.System, depth int, first bool) *engine.Syste
 // live on the scratch System. Pending data-value violations (from the
 // root apply or fused performs) attach to the first normal form emitted
 // after they were observed.
-func (w *worker) finishSucc(succ *engine.System, root engine.Rule, seedQ bool) succOut {
+func (w *worker) finishSucc(succ *engine.System, seedQ bool) succOut {
 	so := succOut{knownIdx: -1, seedParent: seedQ}
 	so.dataViol, w.pendViol = w.pendViol, nil
 	key := w.enc.Canonical(succ, w.c.perms)
 	so.hash = engine.Fingerprint(key)
 	if idx, ok := w.c.visited.Lookup(so.hash, key); ok {
 		so.knownIdx = idx
-		// The rule string is only needed for violation traces and new
-		// state records; a clean already-visited successor skips it.
+		// The edge is only needed for violation traces and new states; a
+		// clean already-visited successor skips it.
 		if len(so.dataViol) > 0 {
-			so.rule = w.chainString(root)
+			so.edge = w.edge()
 		}
 	} else {
-		so.rule = w.chainString(root)
+		so.edge = w.edge()
 		if !w.c.cfg.Fingerprint {
 			// Skipping this copy is fingerprint mode's frontier memory win.
 			so.key = string(key)
@@ -452,18 +449,6 @@ func (w *worker) finishSucc(succ *engine.System, root engine.Rule, seedQ bool) s
 		}
 	}
 	return so
-}
-
-// chainString labels the edge for rule r including the fused tail.
-func (w *worker) chainString(r engine.Rule) string {
-	if len(w.chain) == 0 {
-		return r.String()
-	}
-	s := r.String()
-	for _, fr := range w.chain {
-		s += " ; " + fr.String() // vethotpath:ignore — cold: trace/violation label path
-	}
-	return s
 }
 
 // auditErr is one commutation-audit discrepancy, resolved into a
@@ -643,7 +628,7 @@ func (c *checker) drainAudit() {
 		if len(c.res.Violations) >= limit {
 			return
 		}
-		c.violate("por-audit", ae.detail, int(ae.parent))
+		c.violate("por-audit", ae.detail, int(ae.parent), nil)
 	}
 }
 

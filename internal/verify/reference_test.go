@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -21,7 +22,8 @@ import (
 // predecessor lists until nothing changes.
 type refResult struct {
 	states, edges, depth, quiescent int
-	kinds                           map[string]bool // violation kinds seen anywhere in the space
+	kinds                           map[string]bool  // violation kinds seen anywhere in the space
+	index                           map[string]int32 // the reachable set: snapshot bytes → discovery index
 }
 
 func refExplore(p *ir.Protocol, cfg Config) refResult {
@@ -65,7 +67,7 @@ func refExplore(p *ir.Protocol, cfg Config) refResult {
 			preds[j] = append(preds[j], int32(i))
 		}
 	}
-	res.states = len(queue)
+	res.states, res.index = len(queue), index
 	reach := append([]bool(nil), quiet...)
 	for changed := true; changed; {
 		changed = false
@@ -141,15 +143,113 @@ func refInspect(p *ir.Protocol, cfg Config, s *engine.System, kinds map[string]b
 	return quiescent
 }
 
+// permute returns s with cache i renamed perm[i], written against the
+// fields and not the Encoder the checker canonicalizes with: controllers
+// change places, and every cache id held anywhere is rewritten — id
+// variables (Layout.IntIsVID), sharer-mask bits, Src/Dst/Req of deferred
+// and in-flight messages — while the directory's id and NoID stay. The
+// in-flight list is put back in queue order, arrival order kept within a
+// queue, which is what the snapshot records.
+func permute(s *engine.System, perm []int) *engine.System {
+	n := s.Clone()
+	id := func(v int) int {
+		if v >= 0 && v < len(perm) {
+			return perm[v]
+		}
+		return v
+	}
+	msg := func(m *engine.Msg) { m.Src, m.Dst, m.Req = id(m.Src), id(m.Dst), id(m.Req) }
+	ctrl := func(c *engine.Ctrl) {
+		for i, v := range c.Ints {
+			if c.L.IntIsVID[i] {
+				c.Ints[i] = id(v)
+			}
+		}
+		for i, mask := range c.Masks {
+			c.Masks[i] = mask &^ (1<<len(perm) - 1) // the directory's bit stays
+			for b := range perm {
+				c.Masks[i] |= mask >> b & 1 << perm[b]
+			}
+		}
+		for i := range c.DeferQ {
+			msg(&c.DeferQ[i])
+		}
+	}
+	moved := make([]*engine.Ctrl, len(perm))
+	for i, c := range n.Caches {
+		ctrl(c)
+		c.ID, moved[perm[i]] = perm[i], c
+	}
+	n.Caches = moved
+	ctrl(n.Dir)
+	msgs := n.Net.Msgs()
+	for i := range msgs {
+		msg(&msgs[i])
+	}
+	sort.SliceStable(msgs, func(a, b int) bool { return n.Net.QueueOf(&msgs[a]) < n.Net.QueueOf(&msgs[b]) })
+	return n
+}
+
+// refOrbits counts the orbits of the reference's reachable set under
+// cache renaming with a union-find over its index. Swapping neighbours
+// generates every permutation, so joining each state to its images under
+// those swaps joins it to its whole orbit.
+func refOrbits(t *testing.T, p *ir.Protocol, cfg Config, index map[string]int32) int {
+	root := make([]int32, len(index))
+	for i := range root {
+		root[i] = int32(i)
+	}
+	find := func(i int32) int32 {
+		for root[i] != i {
+			root[i] = root[root[i]]
+			i = root[i]
+		}
+		return i
+	}
+	s := engine.NewSystem(p, engine.Config{Caches: cfg.Caches, Capacity: cfg.Capacity, Values: cfg.Values})
+	perm := make([]int, cfg.Caches)
+	for c := range perm {
+		perm[c] = c
+	}
+	orbits := len(index)
+	for key, i := range index {
+		s.Restore([]byte(key))
+		for a := 0; a+1 < cfg.Caches; a++ {
+			perm[a], perm[a+1] = a+1, a
+			img := permute(s, perm)
+			perm[a], perm[a+1] = a, a+1
+			if !p.Ordered {
+				sortBags(img)
+			}
+			j, ok := index[string(img.AppendSnapshot(nil))]
+			if !ok {
+				t.Fatalf("state %d with caches %d and %d swapped is not in the reference's reachable set", i, a, a+1)
+			}
+			if ri, rj := find(i), find(j); ri != rj {
+				root[ri] = rj
+				orbits--
+			}
+		}
+	}
+	return orbits
+}
+
 // TestReferenceExplorer holds verify.Check to the reference over the
-// registry × core.Modes at 2 caches (ROADMAP item 1, parts a and b):
+// registry × core.Modes at 2 caches (ROADMAP item 1, parts a to d):
 // (a) the verdicts agree — both clean, or the violation the checker stops
 // at is of a kind the reference found; (b) with symmetry off the
 // optimized checker reports exactly the reference's States, Edges, Depth
-// and Quiescent at Parallelism 1 and 4, exact and fingerprint.
+// and Quiescent at Parallelism 1 and 4, exact and fingerprint; (c) with
+// symmetry on its States is the number of orbits of the reference's
+// reachable set under cache renaming; (d) with Reduce on and symmetry
+// off it passes, and every state it stored — rebuilt by replaying the
+// stored edge ordinals (checker.trace) and keyed the way the reference
+// keys — is one the reference reached. (d) is also the property test of
+// the edge columns: every recorded edge, on every protocol and mode,
+// replays to the very state it was recorded for, which is a reachable one.
 func TestReferenceExplorer(t *testing.T) {
 	if testing.Short() {
-		t.Skip("explores every registry protocol unreduced, five times")
+		t.Skip("explores every registry protocol unreduced, seven times")
 	}
 	for _, e := range protocols.All {
 		for _, mode := range core.Modes {
@@ -182,6 +282,37 @@ func TestReferenceExplorer(t *testing.T) {
 							t.Errorf("%s P=%d fingerprint=%v: states/edges/depth/quiescent = %d/%d/%d/%d, reference %d/%d/%d/%d",
 								name, par, fp, r.States, r.Edges, r.Depth, r.Quiescent, ref.states, ref.edges, ref.depth, ref.quiescent)
 						}
+					}
+				}
+				orbits := refOrbits(t, p, cfg, ref.index)
+				cfg.Symmetry, cfg.Parallelism = true, 1
+				for _, fp := range []bool{false, true} {
+					cfg.Fingerprint = fp
+					if r := Check(p, cfg); r.States != orbits {
+						t.Errorf("%s fingerprint=%v: %d states with symmetry on, the reference's %d states fall into %d orbits",
+							name, fp, r.States, ref.states, orbits)
+					}
+				}
+				cfg.Symmetry, cfg.Fingerprint, cfg.Reduce = false, false, true
+				c := explore(context.Background(), p, cfg)
+				if !c.res.OK() {
+					t.Errorf("%s: reduced checker %s, the reference is clean", name, c.res)
+				}
+				enc := engine.NewEncoder(p)
+				for i := range c.parent {
+					_, s := c.trace(i)
+					// Any enabled rule leads somewhere reachable, so membership
+					// alone would pass a wrong ordinal: the replay must also end
+					// in the state the checker stored under index i.
+					key := enc.Canonical(s, nil)
+					if j, ok := c.visited.Lookup(engine.Fingerprint(key), key); !ok || int(j) != i {
+						t.Fatalf("%s: the reduced run's state %d replays to its state %d (stored: %v)", name, i, j, ok)
+					}
+					if !p.Ordered {
+						sortBags(s)
+					}
+					if _, ok := ref.index[string(s.AppendSnapshot(nil))]; !ok {
+						t.Fatalf("%s: the reduced run's state %d replays to a state the reference never reached", name, i)
 					}
 				}
 			}

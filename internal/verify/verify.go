@@ -29,8 +29,9 @@
 // one restored from the snapshot of the state being expanded, one that
 // every rule is applied to and then reverted from. The snapshot keeps the
 // concrete frame (cache identities, bag order) the state was discovered
-// in, so rule labels — and with them witness traces — are executions of
-// the real system, not paths through canonical representatives.
+// in, so rule ordinals — and with them the witness traces replayed from
+// them — are executions of the real system, not paths through canonical
+// representatives.
 //
 // The visited set is internal/store's open-addressing fingerprint
 // table, built by one of its two constructors (Config.Fingerprint):
@@ -253,12 +254,6 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-type stateRec struct {
-	parent int32
-	depth  int32
-	rule   string
-}
-
 // frontierItem is one state awaiting expansion: its snapshot
 // (engine.AppendSnapshot; a slice of the discovering worker's slab) and
 // its state index.
@@ -275,7 +270,9 @@ type finding struct {
 
 // succOut is one successor computed during parallel expansion.
 type succOut struct {
-	rule     string
+	// edge (see checker.edges) sits in the worker's arena and is filled only
+	// where merge can need it: unseen successor, error, data-value violation.
+	edge     []uint32
 	applyErr string
 	hasErr   bool
 	dataViol []string // data-value violations observed on performed loads
@@ -313,7 +310,17 @@ type checker struct {
 	// avoids per-cache map probes.
 	writerAt []bool
 	readerAt []bool
-	recs     []stateRec
+	// What is kept of stored state i besides its visited-table entry:
+	// parent[i], the state it was first reached from, and its edge,
+	// edges[edgeEnd[i-1]:edgeEnd[i]] — the ordinal, in the parent's
+	// AppendRules order, of the rule applied to it, then under Reduce the
+	// ordinal of each rule the collapse fused, each in the rule order of
+	// the intermediate state it fired in. No label is kept: trace replays
+	// the ordinals from init, the initial state, when a violation needs one.
+	init    *engine.System
+	parent  []int32
+	edgeEnd []uint32
+	edges   []uint32
 	// The successor graph (only when CheckLiveness), stored in compressed
 	// sparse row form: state p's successors are edgeDst[edgeOff[p]:
 	// edgeOff[p+1]]. Valid because merge expands states in index order,
@@ -326,8 +333,8 @@ type checker struct {
 	workers int
 	// pool holds one persistent worker per expansion goroutine: encoders,
 	// rule buffers, scratch Systems and snapshot slabs survive across BFS
-	// levels, so the steady-state expansion loop allocates only labels,
-	// keys and slab growth for states that may enter the frontier.
+	// levels, so the steady-state expansion loop allocates only keys and
+	// slab and arena growth for states that may enter the frontier.
 	pool []*worker
 	// red holds the partial-order reducer (reduce.go); nil when
 	// Config.Reduce is off or the dependence analysis refused the
@@ -348,6 +355,11 @@ func Check(p *ir.Protocol, cfg Config) *Result {
 // far and Result.Canceled set (verdicts on the explored prefix stand;
 // the liveness pass, which needs the complete graph, is skipped).
 func CheckCtx(ctx context.Context, p *ir.Protocol, cfg Config) *Result {
+	return explore(ctx, p, cfg).res
+}
+
+// explore is CheckCtx returning the whole checker, for tests that read its columns.
+func explore(ctx context.Context, p *ir.Protocol, cfg Config) *checker {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -359,20 +371,19 @@ func CheckCtx(ctx context.Context, p *ir.Protocol, cfg Config) *Result {
 	if cfg.Fingerprint {
 		visited = store.New()
 	}
+	init := engine.NewSystem(p, engine.Config{Caches: cfg.Caches, Capacity: cfg.Capacity, Values: cfg.Values})
 	c := &checker{
 		cfg:     cfg,
 		p:       p,
 		res:     &Result{Protocol: p.Name, Complete: true},
 		visited: visited,
+		init:    init,
 		workers: workers,
 	}
 	c.classifyPermissions()
 	if cfg.Symmetry {
 		c.perms = engine.Permutations(cfg.Caches)
 	}
-	init := engine.NewSystem(p, engine.Config{
-		Caches: cfg.Caches, Capacity: cfg.Capacity, Values: cfg.Values,
-	})
 	c.pool = make([]*worker, workers)
 	for i := range c.pool {
 		c.pool[i] = &worker{c: c, enc: engine.NewEncoder(p), par: init.Clone(), work: init.Clone()}
@@ -392,13 +403,13 @@ func CheckCtx(ctx context.Context, p *ir.Protocol, cfg Config) *Result {
 	}
 	key := c.pool[0].enc.Canonical(init, c.perms)
 	c.visited.Insert(engine.Fingerprint(key), string(key), 0)
-	c.recs = append(c.recs, stateRec{parent: -1})
+	c.parent, c.edgeEnd = append(c.parent, -1), append(c.edgeEnd, 0)
 	if cfg.CheckLiveness {
 		c.edgeOff = append(c.edgeOff, 0)
 		c.quiet = append(c.quiet, quiescent(init))
 	}
 	for _, f := range c.pool[0].checkState(init) {
-		c.violate(f.kind, f.detail, 0)
+		c.violate(f.kind, f.detail, 0, nil)
 	}
 
 	frontier := []frontierItem{{snap: init.AppendSnapshot(nil), idx: 0}}
@@ -412,10 +423,15 @@ func CheckCtx(ctx context.Context, p *ir.Protocol, cfg Config) *Result {
 		if c.red != nil && cfg.CommuteAudit {
 			c.drainAudit()
 		}
-		frontier = c.merge(frontier, exps)
+		// Depth is the BFS level counter: every state a level discovers is
+		// one step deeper than the frontier that found it.
+		stored := len(c.parent)
+		if frontier = c.merge(frontier, exps); len(c.parent) > stored {
+			c.res.Depth++
+		}
 		if cfg.Progress != nil {
 			pr := Progress{
-				States:   len(c.recs),
+				States:   len(c.parent),
 				Edges:    c.res.Edges,
 				Depth:    c.res.Depth,
 				Frontier: len(frontier),
@@ -429,8 +445,8 @@ func CheckCtx(ctx context.Context, p *ir.Protocol, cfg Config) *Result {
 			cfg.Progress(pr)
 		}
 	}
-	// States comes from the visited table, not the record slice (they
-	// agree by construction: one fresh insert per record).
+	// States comes from the visited table, not the parent column (they
+	// agree by construction: one fresh insert per entry).
 	c.res.States = c.visited.Len()
 	c.res.VisitedBytes = c.visited.Bytes()
 	c.res.FalseMerges = c.visited.Collisions()
@@ -455,7 +471,7 @@ func CheckCtx(ctx context.Context, p *ir.Protocol, cfg Config) *Result {
 	if cfg.CheckLiveness && c.res.Complete && len(c.res.Violations) == 0 {
 		c.livenessCheck()
 	}
-	return c.res
+	return c
 }
 
 // expand computes every frontier item's successors. Items are claimed in
@@ -469,6 +485,7 @@ func (c *checker) expand(frontier []frontierItem) []expansion {
 	// read-only from here to the merge.
 	for _, w := range c.pool {
 		w.slab, w.prev = w.prev[:0], w.slab
+		w.arena = w.arena[:0] // the last merge copied out every edge it kept
 	}
 	out := make([]expansion, len(frontier))
 	workers := min(c.workers, len(frontier))
@@ -521,18 +538,20 @@ type worker struct {
 	// grandparent level wrote and no snapshot is ever written while
 	// another goroutine can read it.
 	slab, prev []byte
+	arena      []uint32           // this level's succOut.edge values, back to back
 	hits       []engine.LoadCheck // checkState scratch
 
 	// Partial-order reduction state (used only when checker.red != nil;
 	// see reduce.go). lvls is the collapse recursion's per-depth scratch
 	// (separate rule buffers, since w.rules stays live across the item's
 	// computeSuccs calls, and a System for the branches that cannot apply
-	// in place); chain is the current fused rule tail for edge labels;
+	// in place); chain is the edge being built: the applied rule's ordinal,
+	// then each fused rule's (see checker.edges);
 	// pendViol carries data-value violations to the next emitted normal
 	// form; aud / outIdx / auditRules / auditErrs serve the commutation
 	// audit; the counters feed Result and Progress.
 	lvls       []fuseLevel
-	chain      []engine.Rule
+	chain      []uint32
 	fuseCnt    []int
 	pendViol   []string
 	stateFused bool
@@ -567,7 +586,7 @@ func (w *worker) expandItem(it frontierItem) expansion {
 		w.stateFused = false
 	}
 	for ri := range rules {
-		exp.succs = w.computeSuccs(it.idx, rules[ri], exp.succs)
+		exp.succs = w.computeSuccs(it.idx, ri, exp.succs)
 	}
 	if w.c.red != nil {
 		w.emitTotal += int64(len(exp.succs))
@@ -578,17 +597,18 @@ func (w *worker) expandItem(it frontierItem) expansion {
 	return exp
 }
 
-// computeSuccs applies one rule of state parent to the scratch copy,
+// computeSuccs applies rule ri of state parent to the scratch copy,
 // appends the resulting successor(s) to out and reverts the scratch.
 // Without reduction that is exactly one normal canonicalized successor;
 // with reduction the successor is collapsed to its normal forms first
 // (reduce.go), which can branch into several.
-func (w *worker) computeSuccs(parent int32, r engine.Rule, out []succOut) []succOut {
+func (w *worker) computeSuccs(parent int32, ri int, out []succOut) []succOut {
 	succ := w.work
 	defer succ.RevertTo(w.par)
-	performs, err := succ.Apply(r)
+	w.chain = append(w.chain[:0], uint32(ri))
+	performs, err := succ.Apply(w.rules[ri])
 	if err != nil {
-		return append(out, succOut{knownIdx: -1, rule: r.String(), hasErr: true, applyErr: err.Error()})
+		return append(out, succOut{knownIdx: -1, edge: w.edge(), hasErr: true, applyErr: err.Error()})
 	}
 	w.pendViol = nil
 	for _, pf := range performs {
@@ -598,16 +618,23 @@ func (w *worker) computeSuccs(parent int32, r engine.Rule, out []succOut) []succ
 		}
 	}
 	if w.c.red == nil {
-		return append(out, w.finishSucc(succ, r, false))
+		return append(out, w.finishSucc(succ, false))
 	}
-	w.chain = w.chain[:0]
-	return w.collapse(succ, r, parent, 0, false, out)
+	return w.collapse(succ, parent, 0, false, out)
+}
+
+// edge copies the chain — the applied rule's ordinal and the fused tail —
+// into the level arena.
+func (w *worker) edge() []uint32 {
+	start := len(w.arena)
+	w.arena = append(w.arena, w.chain...)
+	return w.arena[start:len(w.arena):len(w.arena)]
 }
 
 // merge folds a level's expansions into the exploration in frontier
-// order — the single writer of the visited set, state records, edge lists
+// order — the single writer of the visited set, state columns, edge lists
 // and violations. Because items and successors are consumed in the same
-// order the sequential FIFO BFS would produce, indices, counts and traces
+// order the sequential FIFO BFS would produce, indices, counts and edges
 // come out identical regardless of how many workers expanded the level.
 func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierItem {
 	limit := max(1, c.cfg.MaxViolations)
@@ -620,7 +647,7 @@ func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierIte
 		parent := frontier[i].idx
 		if exp.deadlock {
 			c.violate("deadlock",
-				fmt.Sprintf("no enabled rules with %d messages in flight", exp.inFlight), int(parent)) // vethotpath:ignore — cold: violation path
+				fmt.Sprintf("no enabled rules with %d messages in flight", exp.inFlight), int(parent), nil) // vethotpath:ignore — cold: violation path
 			if c.cfg.CheckLiveness {
 				c.edgeOff = append(c.edgeOff, int32(len(c.edgeDst)))
 			}
@@ -628,12 +655,12 @@ func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierIte
 		}
 		for _, so := range exp.succs {
 			if so.hasErr {
-				c.violateFrom("error", so.applyErr, int(parent), so.rule)
+				c.violate("error", so.applyErr, int(parent), so.edge)
 				continue
 			}
 			c.res.Edges++
 			for _, d := range so.dataViol {
-				c.violateFrom("data-value", d, int(parent), so.rule)
+				c.violate("data-value", d, int(parent), so.edge)
 			}
 			if so.seedParent && c.cfg.CheckLiveness {
 				c.quiet[parent] = true
@@ -643,7 +670,7 @@ func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierIte
 				// Unseen at expansion time, but an earlier successor of
 				// this same level may have claimed the state since: the
 				// one probe either finds that claim or stakes this one.
-				ni, fresh = c.visited.Insert(so.hash, so.key, int32(len(c.recs)))
+				ni, fresh = c.visited.Insert(so.hash, so.key, int32(len(c.parent)))
 			}
 			if c.cfg.CheckLiveness {
 				c.edgeDst = append(c.edgeDst, ni)
@@ -651,17 +678,15 @@ func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierIte
 			if !fresh {
 				continue
 			}
-			c.recs = append(c.recs, stateRec{parent: parent, rule: so.rule, depth: c.recs[parent].depth + 1})
+			c.edges = append(c.edges, so.edge...)
+			c.parent, c.edgeEnd = append(c.parent, parent), append(c.edgeEnd, uint32(len(c.edges)))
 			if c.cfg.CheckLiveness {
 				c.quiet = append(c.quiet, so.quiet)
 			}
-			if d := int(c.recs[ni].depth); d > c.res.Depth {
-				c.res.Depth = d
-			}
 			for _, f := range so.stateViol {
-				c.violate(f.kind, f.detail, int(ni))
+				c.violate(f.kind, f.detail, int(ni), nil)
 			}
-			if len(c.recs) >= c.cfg.MaxStates {
+			if len(c.parent) >= c.cfg.MaxStates {
 				c.res.Complete = false
 				return nil
 			}
@@ -749,7 +774,7 @@ func (w *worker) checkState(s *engine.System) []finding {
 // (AG EF quiescent): reverse reachability from the quiescent set; any
 // unreached state is a stuck transaction (livelock or partial deadlock).
 func (c *checker) livenessCheck() {
-	n := len(c.recs)
+	n := len(c.parent)
 	// Invert the CSR successor graph into a CSR predecessor graph:
 	// count in-degrees, prefix-sum into row offsets, then fill — two
 	// passes, no per-state slices.
@@ -798,7 +823,7 @@ func (c *checker) livenessCheck() {
 	}
 	if stuck > 0 {
 		c.violate("stuck",
-			fmt.Sprintf("quiescence unreachable from %d of %d states (stuck transaction)", stuck, n), first) // vethotpath:ignore — cold: violation path
+			fmt.Sprintf("quiescence unreachable from %d of %d states (stuck transaction)", stuck, n), first, nil) // vethotpath:ignore — cold: violation path
 	}
 }
 
@@ -816,24 +841,43 @@ func quiescent(s *engine.System) bool {
 	return d.StIdx >= 0 && d.L.StableAt[d.StIdx] && len(d.DeferQ) == 0
 }
 
-func (c *checker) violate(kind, detail string, idx int) {
-	c.res.Violations = append(c.res.Violations, Violation{Kind: kind, Detail: detail, Trace: c.trace(idx)})
-}
-
-func (c *checker) violateFrom(kind, detail string, parentIdx int, rule string) {
-	tr := append(c.trace(parentIdx), rule)
+// violate records a violation on state idx or, when edge is non-nil, on
+// that edge out of it: the witness is the replayed path to idx plus the
+// edge's own label.
+func (c *checker) violate(kind, detail string, idx int, edge []uint32) {
+	tr, sys := c.trace(idx)
+	if edge != nil {
+		tr = append(tr, replay(sys, edge))
+	}
 	c.res.Violations = append(c.res.Violations, Violation{Kind: kind, Detail: detail, Trace: tr})
 }
 
-// trace reconstructs the rule sequence from the initial state.
-func (c *checker) trace(idx int) []string {
-	var rev []string
-	for i := idx; i > 0; i = int(c.recs[i].parent) {
-		rev = append(rev, c.recs[i].rule)
+// trace rebuilds the witness of state idx: it walks parent back to the
+// initial state, then replays each edge forward on a copy of init.
+// The frontier held every state in the frame it was discovered in, so
+// the ordinals select the very rules that were applied. It returns one
+// label per edge and the System the path ends in.
+func (c *checker) trace(idx int) ([]string, *engine.System) {
+	var path []int
+	for i := idx; i > 0; i = int(c.parent[i]) {
+		path = append(path, i)
 	}
-	out := make([]string, len(rev))
-	for i, s := range rev {
-		out[len(rev)-1-i] = s
+	sys, out := c.init.Clone(), make([]string, 0, len(path)+1)
+	for k := len(path) - 1; k >= 0; k-- {
+		i := path[k]
+		out = append(out, replay(sys, c.edges[c.edgeEnd[i-1]:c.edgeEnd[i]]))
 	}
-	return out
+	return out, sys
+}
+
+// replay fires edge's rules on sys, each picked by its ordinal among the
+// rules enabled when its turn comes, and returns the edge's label.
+func replay(sys *engine.System, edge []uint32) string {
+	labels := make([]string, len(edge))
+	for i, ord := range edge {
+		r := sys.Rules()[ord]
+		labels[i] = r.String()
+		_, _ = sys.Apply(r) // only the rule an "error" edge ends in fails, and nothing reads sys after it
+	}
+	return strings.Join(labels, " ; ")
 }

@@ -6,6 +6,7 @@ import (
 
 	"protogen/internal/core"
 	"protogen/internal/dsl"
+	"protogen/internal/engine"
 	"protogen/internal/ir"
 	"protogen/internal/protocols"
 )
@@ -115,15 +116,14 @@ func TestBrokenAckCountCaught(t *testing.T) {
 // witness trace still leads to the first stuck state.
 func TestLivenessCountsAllStuckStates(t *testing.T) {
 	c := &checker{cfg: Config{CheckLiveness: true}, res: &Result{}}
+	c.init = engine.NewSystem(goldenProtocol(t, "MSI", "stalling"), engine.Config{Caches: 2, Capacity: 4, Values: 2})
 	// 0 -> {1, 3}, 1 -> {2}, 2 -> {2} (quiescent), 3 -> {4}, 4 -> {3}:
-	// the 3/4 cycle is a livelock — two states stuck out of five.
-	c.recs = []stateRec{
-		{parent: -1},
-		{parent: 0, rule: "r1", depth: 1},
-		{parent: 1, rule: "r2", depth: 2},
-		{parent: 0, rule: "r3", depth: 1},
-		{parent: 3, rule: "r4", depth: 2},
-	}
+	// the 3/4 cycle is a livelock — two states stuck out of five. State 3
+	// hangs off the initial state by that state's rule 1, every other
+	// state off its parent by rule 0.
+	c.parent = []int32{-1, 0, 1, 0, 3}
+	c.edgeEnd = []uint32{0, 1, 2, 3, 4}
+	c.edges = []uint32{0, 0, 1, 0}
 	c.edgeOff = []int32{0, 2, 3, 4, 5, 6}
 	c.edgeDst = []int32{1, 3, 2, 2, 4, 3}
 	c.quiet = []bool{false, false, true, false, false}
@@ -138,8 +138,8 @@ func TestLivenessCountsAllStuckStates(t *testing.T) {
 	if !strings.Contains(v.Detail, "2 of 5 states") {
 		t.Errorf("detail must count the stuck states: %q", v.Detail)
 	}
-	if len(v.Trace) != 1 || v.Trace[0] != "r3" {
-		t.Errorf("trace must witness the first stuck state: %v", v.Trace)
+	if want := c.init.Rules()[1].String(); len(v.Trace) != 1 || v.Trace[0] != want {
+		t.Errorf("trace must witness the first stuck state by replaying %q: %v", want, v.Trace)
 	}
 }
 
