@@ -2,9 +2,10 @@
 // queue over the protogen Engine API. Clients submit verify / fuzz /
 // simulate jobs, poll status with live progress, fetch results and
 // cancel mid-flight; a bounded worker pool shares one verify result
-// cache (structurally identical resubmits are served instantly) and
-// failing fuzz campaigns sink minimized reproducers into a corpus
-// directory.
+// cache and failing fuzz campaigns sink minimized reproducers into a
+// corpus directory. A verify job the cache already holds is answered in
+// its submit: the 202 says "status": "done" and "cached": true, the job
+// took one store write, and no worker saw it.
 //
 // Usage:
 //

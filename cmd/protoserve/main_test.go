@@ -16,7 +16,8 @@ import (
 // TestServeSmoke boots the server on an ephemeral port with a durable
 // store and a result cache, submits a small verify job through the real
 // HTTP stack, waits for it, reads its result, resubmits the identical
-// job and requires it to be served from the shared cache, and shuts
+// job and requires the 202 itself to answer it from the shared cache
+// ("status": "done", "cached": true), and shuts
 // down via context cancellation (the SIGINT path). It is the service's
 // end-to-end acceptance; CI has no second harness for it.
 func TestServeSmoke(t *testing.T) {
@@ -50,16 +51,19 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("healthz: %d", resp.StatusCode)
 	}
 
+	// accepted is what a 202 says about the job it accepted.
+	type accepted struct {
+		ID     string `json:"id"`
+		Status string `json:"status"`
+		Cached bool   `json:"cached"`
+	}
 	// submitAndWait posts the job and polls it to "done", returning its
-	// id and whether it was served from the result cache.
-	submitAndWait := func() (id string, cached bool) {
+	// 202 and whether the finished job was served from the result cache.
+	submitAndWait := func() (sub accepted, cached bool) {
 		body := `{"kind":"verify","protocol":"MSI","mode":"nonstalling","caches":2}`
 		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
-		}
-		var sub struct {
-			ID string `json:"id"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
 			t.Fatal(err)
@@ -86,7 +90,7 @@ func TestServeSmoke(t *testing.T) {
 			}
 			resp.Body.Close()
 			if v.Status == "done" {
-				return sub.ID, v.Cached
+				return sub, v.Cached
 			}
 			if v.Status == "failed" || v.Status == "canceled" {
 				t.Fatalf("job finished %s", v.Status)
@@ -94,11 +98,11 @@ func TestServeSmoke(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	id, cached := submitAndWait()
-	if cached {
-		t.Fatal("first submission claims a cache hit")
+	sub, cached := submitAndWait()
+	if cached || sub.Status != "queued" {
+		t.Fatalf("first submission: 202 %+v, cached %v", sub, cached)
 	}
-	resp, err = http.Get(fmt.Sprintf("%s/jobs/%s/result", base, id))
+	resp, err = http.Get(fmt.Sprintf("%s/jobs/%s/result", base, sub.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +116,10 @@ func TestServeSmoke(t *testing.T) {
 	if !result.Complete {
 		t.Fatal(`result lacks "Complete": true`)
 	}
-	if _, cached := submitAndWait(); !cached {
-		t.Fatal("identical resubmit was not served from the result cache")
+	// The identical resubmit is answered in its 202: done and cached
+	// before any worker sees it.
+	if sub, cached := submitAndWait(); !cached || sub.Status != "done" || !sub.Cached {
+		t.Fatalf("identical resubmit: 202 %+v, cached %v; want the 202 to say done and cached", sub, cached)
 	}
 
 	cancel()

@@ -74,6 +74,11 @@ type Engine struct {
 
 	mu    sync.Mutex
 	cache *VerifyResultCache //protogen:guardedby mu
+	// keys is the raw-text index: the cache key of a Source job's
+	// unparsed text → the key of its canonical text (see cacheKey). It
+	// only maps to keys the cache holds, and never has more entries than
+	// the cache.
+	keys map[string]string //protogen:guardedby mu
 }
 
 // EngineOption configures an Engine at construction.
@@ -168,7 +173,8 @@ type VerifyJob struct {
 	Protocol *Protocol
 	// Spec is a parsed SSP to generate and check.
 	Spec *Spec
-	// Source is SSP DSL text to parse, generate and check.
+	// Source is SSP DSL text to parse, generate and check. A cache hit
+	// on text this engine has seen before skips the parse too.
 	Source string
 
 	// Mode names the generation mode (nonstalling, stalling, deferred);
@@ -266,6 +272,22 @@ type LitmusJob struct {
 // resolveSubject turns a job's subject fields into a parsed spec and/or
 // generated protocol plus the generation options used.
 func resolveSubject(proto *Protocol, spec *Spec, source, mode string, explicit *Options, limit int) (*Spec, *Protocol, Options, error) {
+	opts, err := subjectOptions(proto, spec, source, mode, explicit, limit)
+	if err != nil || proto != nil {
+		return nil, proto, opts, err
+	}
+	if source != "" {
+		if spec, err = dsl.Parse(source); err != nil {
+			return nil, nil, opts, err
+		}
+	}
+	return spec, nil, opts, nil
+}
+
+// subjectOptions checks that a job names exactly one subject and
+// resolves the generation options a Spec or Source subject is generated
+// under (none for a Protocol), without parsing anything.
+func subjectOptions(proto *Protocol, spec *Spec, source, mode string, explicit *Options, limit int) (Options, error) {
 	var opts Options
 	set := 0
 	for _, ok := range []bool{proto != nil, spec != nil, source != ""} {
@@ -274,31 +296,23 @@ func resolveSubject(proto *Protocol, spec *Spec, source, mode string, explicit *
 		}
 	}
 	if set != 1 {
-		return nil, nil, opts, fmt.Errorf("job needs exactly one of Protocol, Spec or Source (got %d)", set)
+		return opts, fmt.Errorf("job needs exactly one of Protocol, Spec or Source (got %d)", set)
 	}
 	if proto != nil {
-		return nil, proto, opts, nil
-	}
-	if source != "" {
-		var err error
-		spec, err = dsl.Parse(source)
-		if err != nil {
-			return nil, nil, opts, err
-		}
+		return opts, nil
 	}
 	if explicit != nil {
 		opts = *explicit
 	} else {
 		var err error
-		opts, err = core.OptionsForMode(mode)
-		if err != nil {
-			return nil, nil, opts, err
+		if opts, err = core.OptionsForMode(mode); err != nil {
+			return opts, err
 		}
 	}
 	if limit > 0 {
 		opts.PendingLimit = limit
 	}
-	return spec, nil, opts, nil
+	return opts, nil
 }
 
 // resolveCaches applies the one cache-count rule every job kind shares:
@@ -343,47 +357,143 @@ func (e *Engine) verifyConfig(c *VerifyConfig) (VerifyConfig, error) {
 // a failure — errors are reserved for bad jobs and generation
 // failures). Cache-served results carry Result.Cached.
 func (e *Engine) Verify(ctx context.Context, job VerifyJob) (*VerifyResult, error) {
-	spec, proto, opts, err := resolveSubject(job.Protocol, job.Spec, job.Source, job.Mode, job.Options, job.PendingLimit)
+	r, err := e.resolveVerify(job)
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := e.verifyConfig(job.Config)
-	if err != nil {
-		return nil, err
-	}
+	cfg := r.cfg
 	if fn := job.OnProgress; fn != nil {
 		cfg.Progress = func(p verify.Progress) { fn(p) }
 	}
+	res, writeErr, err := r.cache.CheckCtx(ctx, r.key, cfg, func() (*Protocol, error) {
+		if job.Protocol != nil {
+			return job.Protocol, nil
+		}
+		spec := r.spec
+		if spec == nil { // the raw-text index had the key, or the job uses no cache
+			var err error
+			if spec, err = dsl.Parse(job.Source); err != nil {
+				return nil, err
+			}
+		}
+		return core.GenerateWithWarnings(spec, r.opts, e.warn)
+	})
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case writeErr != nil:
+		// A write failure only loses memoization; the verdict stands.
+		e.warnf("result cache write failed (rerun will re-verify): %v", writeErr)
+	case !res.Canceled: // served from the cache, or Put there
+		e.remember(r)
+	}
+	return res, nil
+}
 
+// Cached answers a verify job from the result cache alone: on a hit it
+// returns the Result Verify would serve (Result.Cached set) without
+// generating or checking anything. It reports no hit, and no error, for
+// a job the cache may not answer: NoCache, a Protocol subject, a
+// commutation audit, or an engine with no cache. The error is the job's
+// own (a bad mode, a cache count over the bound, a Source that does not
+// parse). A hit counts in the cache's Stats and a miss does not: the
+// job's Verify counts it, so a caller that runs Verify after a miss
+// counts the job once.
+func (e *Engine) Cached(job VerifyJob) (*VerifyResult, bool, error) {
+	r, err := e.resolveVerify(job)
+	if err != nil || r.cache == nil {
+		return nil, false, err
+	}
+	res, ok := r.cache.Get(r.key)
+	if !ok {
+		return nil, false, nil
+	}
+	e.remember(r)
+	res.Cached = true
+	return res, true, nil
+}
+
+// verifyRun is a verify job resolved as far as the result cache: the
+// checker config and generation options, the cache the job may use (nil
+// for none) and its key there, the raw-text key to index once that key
+// is cached, and the spec if finding the key took a parse.
+type verifyRun struct {
+	cfg        VerifyConfig
+	opts       Options
+	cache      *VerifyResultCache
+	key, alias string
+	spec       *Spec
+}
+
+// resolveVerify is what Verify and Cached share, so a hit Cached finds is
+// the entry Verify would serve.
+func (e *Engine) resolveVerify(job VerifyJob) (verifyRun, error) {
+	r := verifyRun{spec: job.Spec}
+	var err error
+	if r.opts, err = subjectOptions(job.Protocol, job.Spec, job.Source, job.Mode, job.Options, job.PendingLimit); err != nil {
+		return r, err
+	}
+	if r.cfg, err = e.verifyConfig(job.Config); err != nil {
+		return r, err
+	}
 	// A commutation-audit run bypasses the cache in BOTH directions: a
 	// cached verdict would skip the very re-execution the audit exists
 	// to perform, and an audited result (which may carry "por-audit"
 	// violations no plain run produces) must never be served to a plain
 	// run.
-	var cache *VerifyResultCache
-	var key string
-	if spec != nil && !job.NoCache && !cfg.CommuteAudit {
-		if cache, err = e.Cache(); err != nil {
-			return nil, err
-		}
-		if cache != nil {
-			key = verify.CacheKey(dsl.Format(spec), opts.KeyString(), cfg)
-		}
+	if job.Protocol != nil || job.NoCache || r.cfg.CommuteAudit {
+		return r, nil
 	}
-	res, writeErr, err := cache.CheckCtx(ctx, key, cfg, func() (*Protocol, error) {
-		if proto != nil {
-			return proto, nil
+	if r.cache, err = e.Cache(); err != nil || r.cache == nil {
+		return r, err
+	}
+	err = e.cacheKey(&r, job.Source)
+	return r, err
+}
+
+// cacheKey sets r.key, the job's result-cache key; it is the one
+// function outside internal/verify that calls verify.CacheKey. The key
+// hashes the canonical spec text, so formatting variants of one spec
+// share an entry. A Source job first hashes its raw text and looks that
+// up in the index: a text seen before costs one SHA-256 of its bytes, and
+// only an unseen one is parsed (into r.spec) and formatted, its hash left
+// in r.alias for remember.
+func (e *Engine) cacheKey(r *verifyRun, source string) error {
+	gen := r.opts.KeyString()
+	if source != "" {
+		alias := verify.CacheKey(source, gen, r.cfg)
+		e.mu.Lock()
+		r.key = e.keys[alias]
+		e.mu.Unlock()
+		if r.key != "" {
+			return nil
 		}
-		return core.GenerateWithWarnings(spec, opts, e.warn)
-	})
-	if err != nil {
-		return nil, err
+		var err error
+		if r.spec, err = dsl.Parse(source); err != nil {
+			return err
+		}
+		r.alias = alias
 	}
-	if writeErr != nil {
-		// A write failure only loses memoization; the verdict stands.
-		e.warnf("result cache write failed (rerun will re-verify): %v", writeErr)
+	r.key = verify.SpecKey(r.spec, gen, r.cfg)
+	return nil
+}
+
+// remember adds r's raw-text key to the index. Call it only once r.key
+// is in the cache. An index as large as the cache starts over, so it
+// never outgrows the cache however many formatting variants of one spec
+// arrive.
+func (e *Engine) remember(r verifyRun) {
+	if r.alias == "" {
+		return
 	}
-	return res, nil
+	n := r.cache.Len()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.keys == nil || len(e.keys) >= n {
+		e.keys = make(map[string]string)
+	}
+	e.keys[r.alias] = r.key
 }
 
 // Simulate runs a simulation job under ctx. Cancellation is observed on

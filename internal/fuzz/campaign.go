@@ -716,7 +716,7 @@ func checkMode(ctx context.Context, spec *ir.Spec, mode string, limit int, cfg C
 	vcfg.Reduce = reduce
 	var key string
 	if cfg.Cache != nil {
-		key = verify.CacheKey(dsl.Format(spec), opts.KeyString(), vcfg)
+		key = verify.SpecKey(spec, opts.KeyString(), vcfg)
 	}
 	// A cache write failure only loses memoization; the verdict stands.
 	res, _, err := cfg.Cache.CheckCtx(ctx, key, vcfg, func() (*ir.Protocol, error) {

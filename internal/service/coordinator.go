@@ -284,8 +284,12 @@ func (c *coordinator) requeueLocked(rec *job, cause string, counted bool, now ti
 
 // submit validates nothing (the HTTP layer already did), persists the
 // job durably, and offers it to the fleet. The 202 the client sees is
-// only sent after the store accepted the record.
-func (c *coordinator) submit(req Request) (JobView, error) {
+// only sent after the store accepted the record. A non-nil answer is the
+// job's outcome, found in the result cache at submit: the job is
+// recorded done with it in that one store write, started and finished
+// as it is submitted, and never queued or dispatched — so a full queue
+// does not refuse it.
+func (c *coordinator) submit(req Request, answer *doneMsg) (JobView, error) {
 	raw, err := json.Marshal(req)
 	if err != nil {
 		return JobView{}, errStore{err}
@@ -296,7 +300,7 @@ func (c *coordinator) submit(req Request) (JobView, error) {
 		c.mu.Unlock()
 		return JobView{}, errDraining
 	}
-	if c.counts[jobstore.StateQueued] >= c.cfg.QueueDepth {
+	if answer == nil && c.counts[jobstore.StateQueued] >= c.cfg.QueueDepth {
 		c.mu.Unlock()
 		return JobView{}, errQueueFull(c.cfg.QueueDepth)
 	}
@@ -309,6 +313,12 @@ func (c *coordinator) submit(req Request) (JobView, error) {
 		Submitted: now,
 		Updated:   now,
 	}}
+	if answer != nil {
+		started := now
+		rec.Started = &started
+		settle(rec, *answer, now)
+		rec.State = jobstore.StateDone
+	}
 	if err := c.store.Put(rec.Record); err != nil {
 		c.nextID--
 		c.mu.Unlock()
@@ -316,9 +326,17 @@ func (c *coordinator) submit(req Request) (JobView, error) {
 	}
 	c.jobs[rec.ID] = rec
 	c.order = append(c.order, rec.ID)
-	c.counts[jobstore.StateQueued]++
+	c.counts[rec.State]++
+	// Evict before an answered job joins the terminal FIFO, so its own
+	// submit never evicts it.
 	c.evictLocked()
-	actions := []busAction{c.dispatchActionLocked(rec, now)}
+	var actions []busAction
+	if answer != nil {
+		c.terminalQ = append(c.terminalQ, rec.ID)
+		c.stats.Terminal++
+	} else {
+		actions = append(actions, c.dispatchActionLocked(rec, now))
+	}
 	view := c.viewLocked(rec)
 	c.mu.Unlock()
 	c.emit(actions)
@@ -651,17 +669,7 @@ func (c *coordinator) onDone(m doneMsg) {
 	rec.Updated = now
 	switch m.Status {
 	case StatusDone, StatusCanceled:
-		fin := now
-		rec.Finished = &fin
-		rec.Summary = m.Summary
-		rec.OK = m.OK
-		rec.Error = m.Error
-		rec.Cached = m.Cached
-		rec.Canceled = m.Canceled || m.Status == StatusCanceled
-		rec.Result = m.Result
-		rec.CorpusFiles = m.CorpusFiles
-		rec.Worker = ""
-		rec.LeaseExpiry = time.Time{}
+		settle(rec, m, now)
 		if m.Status == StatusCanceled {
 			c.setStateLocked(rec, jobstore.StateCanceled)
 		} else {
@@ -685,6 +693,22 @@ func (c *coordinator) onDone(m doneMsg) {
 	default:
 		c.stats.Stale++
 	}
+}
+
+// settle copies a done or canceled report onto rec, finished at now:
+// what a finished job keeps of its outcome, wherever it came from.
+func settle(rec *job, m doneMsg, now time.Time) {
+	fin := now
+	rec.Finished = &fin
+	rec.Summary = m.Summary
+	rec.OK = m.OK
+	rec.Error = m.Error
+	rec.Cached = m.Cached
+	rec.Canceled = m.Canceled || m.Status == StatusCanceled
+	rec.Result = m.Result
+	rec.CorpusFiles = m.CorpusFiles
+	rec.Worker = ""
+	rec.LeaseExpiry = time.Time{}
 }
 
 // ---- sweeper / lifecycle ----

@@ -57,24 +57,45 @@ func doneOutcome(summary string, ok bool, canceled bool, result any) Outcome {
 }
 
 func execVerify(ctx context.Context, eng *protogen.Engine, req Request, sink protogen.ProgressFunc) Outcome {
-	spec, err := subjectSpec(req)
+	job, err := verifyJob(req)
 	if err != nil {
 		return failed(err)
 	}
-	res, err := eng.Verify(ctx, protogen.VerifyJob{
-		Spec:         spec,
-		Mode:         req.Mode,
-		PendingLimit: req.Limit,
-		Config:       verifyConfigFor(req),
-		NoCache:      req.NoCache,
-		OnProgress:   sink,
-	})
+	job.OnProgress = sink
+	res, err := eng.Verify(ctx, job)
 	if err == nil && res == nil {
 		err = fmt.Errorf("verify returned no result")
 	}
 	if err != nil {
 		return failed(err)
 	}
+	return verifyOutcome(res)
+}
+
+// verifyJob is the engine job for a verify request. The subject goes as
+// source text, the registry entry's or the inline one, so the engine's
+// raw-text index finds a resubmit's cache entry without parsing it.
+func verifyJob(req Request) (protogen.VerifyJob, error) {
+	src := req.Source
+	if src == "" {
+		e, ok := protogen.LookupBuiltin(req.Protocol)
+		if !ok {
+			return protogen.VerifyJob{}, fmt.Errorf("unknown protocol %q", req.Protocol)
+		}
+		src = e.Source
+	}
+	return protogen.VerifyJob{
+		Source:       src,
+		Mode:         req.Mode,
+		PendingLimit: req.Limit,
+		Config:       verifyConfigFor(req),
+		NoCache:      req.NoCache,
+	}, nil
+}
+
+// verifyOutcome is the outcome of a verify job that came back with res,
+// whether a worker ran it or the submit answered it from the cache.
+func verifyOutcome(res *protogen.VerifyResult) Outcome {
 	out := doneOutcome(res.String(), res.OK(), res.Canceled, res)
 	out.Cached = res.Cached
 	return out

@@ -13,7 +13,8 @@
 // duplicated or reordered (the chaos tests prove it) — and a restarted
 // server replays the store to recover queued and orphaned-running
 // jobs. All jobs resolve through one shared Engine, so a structurally
-// identical resubmit is served from the verify result cache and
+// identical verify resubmit is answered from the verify result cache —
+// at submit, recorded done in one store write, never dispatched — and
 // failing fuzz campaigns sink minimized reproducers into a corpus
 // directory.
 package service
@@ -559,7 +560,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	view, err := s.co.submit(req)
+	view, err := s.co.submit(req, s.answer(req))
 	if err != nil {
 		// Every submit refusal is a 503: drain, full queue, or a store
 		// that cannot make the 202's durability promise.
@@ -567,6 +568,33 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, view)
+}
+
+// answer looks a verify request up in the engine's result cache and, on
+// a hit, returns the report a worker serving that hit would send. Nil
+// sends the job to the fleet: a miss, another kind, an error or a panic
+// here, each of which the worker meets again and handles as it always
+// has. A panic is also warned about here, since it is a bug.
+func (s *Server) answer(req Request) (m *doneMsg) {
+	if req.Kind != "verify" {
+		return nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			s.cfg.Warn("protoserve: result-cache lookup at submit panicked (the job is queued): %v", r)
+			m = nil
+		}
+	}()
+	job, err := verifyJob(req)
+	if err != nil {
+		return nil
+	}
+	res, ok, err := s.eng.Cached(job)
+	if err != nil || !ok {
+		return nil
+	}
+	msg := outcomeReport(verifyOutcome(res))
+	return &msg
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -232,10 +232,18 @@ func (w *Worker) runExec(ctx context.Context, m dispatchMsg) (Outcome, *Progress
 
 // report publishes the attempt's outcome.
 func (w *Worker) report(m dispatchMsg, out Outcome, lastProgress *ProgressView) {
+	msg := outcomeReport(out)
+	msg.ID, msg.Attempt, msg.Worker, msg.Progress = m.ID, m.Attempt, w.id, lastProgress
+	if err := bus.Publish(w.pubCtx, w.b, chanDone, msg); err != nil {
+		w.warn("worker %s: report %s: %v", w.id, m.ID, err)
+	}
+}
+
+// outcomeReport renders an outcome as the report the coordinator
+// records, short of who sent it: the worker's report and a submit the
+// result cache answered both go through it.
+func outcomeReport(out Outcome) doneMsg {
 	msg := doneMsg{
-		ID:          m.ID,
-		Attempt:     m.Attempt,
-		Worker:      w.id,
 		Status:      out.Status,
 		Summary:     out.Summary,
 		OK:          out.OK,
@@ -243,7 +251,6 @@ func (w *Worker) report(m dispatchMsg, out Outcome, lastProgress *ProgressView) 
 		Cached:      out.Cached,
 		Canceled:    out.Canceled,
 		CorpusFiles: out.CorpusFiles,
-		Progress:    lastProgress,
 	}
 	if out.Err != nil {
 		msg.Error = out.Err.Error()
@@ -258,9 +265,7 @@ func (w *Worker) report(m dispatchMsg, out Outcome, lastProgress *ProgressView) 
 			msg.Result = raw
 		}
 	}
-	if err := bus.Publish(w.pubCtx, w.b, chanDone, msg); err != nil {
-		w.warn("worker %s: report %s: %v", w.id, m.ID, err)
-	}
+	return msg
 }
 
 // Stop drains the worker gracefully: no new claims, running jobs are

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"protogen/internal/dsl"
 	"protogen/internal/ir"
 	"protogen/internal/linelog"
 )
@@ -43,12 +44,22 @@ const cacheKeyVersion = "v4"
 // one mode's result into the other's. Config.Reduce is in the key for
 // the same reason: verdicts match full exploration but
 // States/Edges/Depth do not.
+//
+// The root Engine also hashes a job's raw, unparsed source text with it,
+// as the key of an in-memory index onto these keys; such a hash is never
+// the key of an entry.
 func CacheKey(canonicalSpec, genOptions string, cfg Config) string {
 	h := sha256.New()
 	for _, part := range []string{cacheKeyVersion, canonicalSpec, genOptions, cfg.keyString()} {
 		fmt.Fprintf(h, "%d\x00%s", len(part), part)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// SpecKey is CacheKey for a parsed spec, whose canonical text is
+// dsl.Format's.
+func SpecKey(spec *ir.Spec, genOptions string, cfg Config) string {
+	return CacheKey(dsl.Format(spec), genOptions, cfg)
 }
 
 // keyString renders the result-affecting part of cfg: the whole struct,
@@ -129,14 +140,14 @@ func (c *ResultCache) Damage() (lines int, firstOffset int64) {
 	return c.scan.Damaged, c.scan.DamageOff
 }
 
-// Get returns a copy of the cached Result for key, counting the probe
-// as a hit or miss.
+// Get returns a copy of the cached Result for key, counting a hit. A
+// miss is not counted here: a caller may look ahead of the CheckCtx that
+// answers the same job, and CheckCtx counts the miss once.
 func (c *ResultCache) Get(key string) (*Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.m[key]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
 	c.hits++
@@ -146,8 +157,8 @@ func (c *ResultCache) Get(key string) (*Result, bool) {
 // CheckCtx is the one cache-or-check sequence every memoizing caller
 // runs: serve key's entry when one exists (marked Result.Cached; the
 // hit skips generation too — the key needs only the spec text and
-// options), otherwise generate, CheckCtx, and Put the result under key.
-// A nil c generates and checks with no memoization.
+// options), otherwise count a miss, generate, CheckCtx, and Put the
+// result under key. A nil c generates and checks with no memoization.
 //
 // Policy stays with the caller: which runs may use a cache at all, and
 // what a failed Put means — writeErr reports it with the verdict in res
@@ -159,6 +170,9 @@ func (c *ResultCache) CheckCtx(ctx context.Context, key string, cfg Config, gene
 			hit.Cached = true
 			return hit, nil, nil
 		}
+		c.mu.Lock()
+		c.misses++
+		c.mu.Unlock()
 	}
 	p, err := generate()
 	if err != nil {
@@ -210,7 +224,9 @@ func (c *ResultCache) Len() int {
 	return len(c.m)
 }
 
-// Stats reports this process's hit and miss counts.
+// Stats reports this process's hits (Gets that found an entry) and
+// misses (CheckCtx calls that found none and checked), so each job a
+// cache answers or runs counts once.
 func (c *ResultCache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
