@@ -1,74 +1,61 @@
-// Command experiments regenerates every table and figure of the paper's
-// evaluation (§VI; the ids are listed under -run). Each experiment prints
-// the artifact it reproduces plus a paper-vs-measured note, and returns
-// an error when the claim it reproduces fails; timings are bench/'s job.
-//
-// Usage:
-//
-//	experiments -run all            # everything (3-cache checks take minutes)
-//	experiments -run table6         # just the Table VI reproduction
-//	experiments -run e-b -caches 3  # §VI-B verification at paper scale
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"strings"
 	"time"
 
 	"protogen"
-	"protogen/cmd/internal/cli"
 )
 
-// caches, eng and ctx are shared by every experiment; run() sets them
-// before dispatching. eng carries the -parallel setting and ctx the
-// Ctrl-C cancellation, so every model check and campaign inherits both
-// without per-experiment plumbing.
-var (
-	caches = 2
-	eng    = protogen.NewEngine()
-	ctx    = context.Background()
-)
+// lab is what every experiment shares: the -caches scale, an engine
+// carrying -parallel, and the run's cancellation, so every model check
+// and campaign inherits them without per-experiment plumbing.
+type lab struct {
+	ctx    context.Context
+	eng    *protogen.Engine
+	caches int
+}
 
 type experiment struct {
 	id, what string
-	run      func(w io.Writer) error
+	run      func(l *lab, w io.Writer) error
 }
 
-func main() { cli.Main("experiments", run) }
-
-func run(sigCtx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	fs.SetOutput(w)
-	check := cli.CheckFlags{Caches: 2} // the paper uses 3; minutes instead of seconds
-	check.Bind(fs, cli.Caches|cli.Parallel)
+// experiments runs the -run experiments in order. Each prints the
+// artifact it reproduces plus a paper-vs-measured note, and returns an
+// error when its claim fails; timings are bench/'s job.
+func experiments(ctx context.Context, args []string, w io.Writer) error {
+	fs := newFlagSet("experiments", w)
+	check := CheckFlags{Caches: 2} // the paper uses 3; minutes instead of seconds
+	check.Bind(fs, Caches|Parallel)
 	runFlag := fs.String("run", "all", "experiment id: table1 table2 table3-4 table5 figure1 figure2 table6 e-a e-b e-c e-d e-e x-1 x-2 x-3 fuzz, or 'all'")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-	caches = check.Caches
+	l := &lab{caches: check.Caches}
 	var done func()
-	ctx, eng, done = check.Start(sigCtx, nil)
+	l.ctx, l.eng, done = check.Start(ctx, nil)
 	defer done()
 	exps := []experiment{
-		{"table1", "Table I: atomic MSI cache SSP", table1},
-		{"table2", "Table II: atomic MSI directory SSP", table2},
-		{"table3-4", "Tables III/IV: MOSI forwarded-request renaming", table34},
-		{"table5", "Table V: transient states without concurrency", table5},
-		{"figure1", "Figure 1: S->M transaction with Tother -> Town", figure1},
-		{"figure2", "Figure 2: I->S transition and IS^D_I", figure2},
-		{"table6", "Table VI: non-stalling MSI vs the primer", table6},
-		{"e-a", "§VI-A: stalling protocols identical to the primer + verified", expA},
-		{"e-b", "§VI-B: non-stalling protocols, state counts + verified", expB},
-		{"e-c", "§VI-C: MSI for an unordered network", expC},
-		{"e-d", "§VI-D: TSO-CC generation + litmus verification", expD},
-		{"e-e", "§VI-E: generation runtime", expE},
-		{"x-1", "extension: stalling vs non-stalling performance", expX1},
-		{"x-2", "extension: pending-limit L sweep", expX2},
-		{"x-3", "extension: response-policy + stale-Put-pruning ablation", expX3},
-		{"fuzz", "extension: randomized-SSP differential verification campaign", expFuzz},
+		{"table1", "Table I: atomic MSI cache SSP", (*lab).table1},
+		{"table2", "Table II: atomic MSI directory SSP", (*lab).table2},
+		{"table3-4", "Tables III/IV: MOSI forwarded-request renaming", (*lab).table34},
+		{"table5", "Table V: transient states without concurrency", (*lab).table5},
+		{"figure1", "Figure 1: S->M transaction with Tother -> Town", (*lab).figure1},
+		{"figure2", "Figure 2: I->S transition and IS^D_I", (*lab).figure2},
+		{"table6", "Table VI: non-stalling MSI vs the primer", (*lab).table6},
+		{"e-a", "§VI-A: stalling protocols identical to the primer + verified", (*lab).expA},
+		{"e-b", "§VI-B: non-stalling protocols, state counts + verified", (*lab).expB},
+		{"e-c", "§VI-C: MSI for an unordered network", (*lab).expC},
+		{"e-d", "§VI-D: TSO-CC generation + litmus verification", (*lab).expD},
+		{"e-e", "§VI-E: generation runtime", (*lab).expE},
+		{"x-1", "extension: stalling vs non-stalling performance", (*lab).expX1},
+		{"x-2", "extension: pending-limit L sweep", (*lab).expX2},
+		{"x-3", "extension: response-policy + stale-Put-pruning ablation", (*lab).expX3},
+		{"fuzz", "extension: randomized-SSP differential verification campaign", (*lab).expFuzz},
 	}
 	want := strings.ToLower(*runFlag)
 	ran := false
@@ -78,8 +65,8 @@ func run(sigCtx context.Context, args []string, w io.Writer) error {
 		}
 		ran = true
 		fmt.Fprintf(w, "\n================ %s — %s ================\n\n", strings.ToUpper(e.id), e.what)
-		err := e.run(w)
-		if ctx.Err() != nil {
+		err := e.run(l, w)
+		if l.ctx.Err() != nil {
 			// Whatever an interrupted experiment printed or concluded
 			// covers a partial run only.
 			return fmt.Errorf("%s: interrupted", e.id)
@@ -98,12 +85,12 @@ func run(sigCtx context.Context, args []string, w io.Writer) error {
 // from the shipped families, every generation mode model-checked and
 // cross-checked, plus the demonstration that a planted bug is caught and
 // shrunk to a handful of processes.
-func expFuzz(w io.Writer) error {
+func (l *lab) expFuzz(w io.Writer) error {
 	cfg := protogen.DefaultFuzzConfig()
-	cfg.Caches = caches
+	cfg.Caches = l.caches
 	cfg.SimSteps = 1500
 	cfg.Shrink = false
-	rep, err := eng.Fuzz(ctx, protogen.FuzzJob{First: 0, Last: 16, Config: &cfg})
+	rep, err := l.eng.Fuzz(l.ctx, protogen.FuzzJob{First: 0, Last: 16, Config: &cfg})
 	if err != nil {
 		return err
 	}
@@ -147,7 +134,7 @@ func mustGen(name, mode string) *protogen.Protocol {
 	return p
 }
 
-func table1(w io.Writer) error {
+func (l *lab) table1(w io.Writer) error {
 	spec, err := protogen.Parse(protogen.BuiltinMSI)
 	if err != nil {
 		return err
@@ -158,7 +145,7 @@ func table1(w io.Writer) error {
 	return nil
 }
 
-func table2(w io.Writer) error {
+func (l *lab) table2(w io.Writer) error {
 	spec, err := protogen.Parse(protogen.BuiltinMSI)
 	if err != nil {
 		return err
@@ -169,7 +156,7 @@ func table2(w io.Writer) error {
 	return nil
 }
 
-func table34(w io.Writer) error {
+func (l *lab) table34(w io.Writer) error {
 	p := mustGen("MOSI", "nonstalling")
 	fmt.Fprintln(w, "Before preprocessing (Table III): the MOSI SSP defines Fwd_GetS at both M and O.")
 	fmt.Fprintln(w, "After preprocessing (Table IV), renames performed:")
@@ -188,7 +175,7 @@ func table34(w io.Writer) error {
 	return nil
 }
 
-func table5(w io.Writer) error {
+func (l *lab) table5(w io.Writer) error {
 	p := mustGen("MSI", "stalling")
 	fmt.Fprintln(w, "Step-2 transient chain of the I->M transaction (no concurrency):")
 	for _, n := range []protogen.StateName{"I", "IMAD", "IMA"} {
@@ -208,7 +195,7 @@ func table5(w io.Writer) error {
 	return nil
 }
 
-func figure1(w io.Writer) error {
+func (l *lab) figure1(w io.Writer) error {
 	p := mustGen("MSI", "nonstalling")
 	fmt.Fprintln(w, "SM_AD races (cache S->M transaction, GetM issued, no response yet):")
 	for _, t := range p.Cache.TransFrom("SMAD") {
@@ -224,7 +211,7 @@ func figure1(w io.Writer) error {
 	return nil
 }
 
-func figure2(w io.Writer) error {
+func (l *lab) figure2(w io.Writer) error {
 	p := mustGen("MSI", "nonstalling")
 	fmt.Fprintln(w, "IS_D and IS_D_I (cache I->S transaction):")
 	for _, n := range []protogen.StateName{"ISD", "ISDI"} {
@@ -244,7 +231,7 @@ func figure2(w io.Writer) error {
 	return nil
 }
 
-func table6(w io.Writer) error {
+func (l *lab) table6(w io.Writer) error {
 	p := mustGen("MSI", "nonstalling")
 	fmt.Fprintln(w, protogen.RenderTable(p.Cache, protogen.TableOptions{ShowGuards: true}))
 	s, tr, st := p.Cache.Counts()
@@ -257,23 +244,23 @@ func table6(w io.Writer) error {
 	return nil
 }
 
-func verifyCfg() protogen.VerifyConfig {
+func (l *lab) verifyCfg() protogen.VerifyConfig {
 	cfg := protogen.DefaultVerifyConfig()
-	cfg.Caches = caches
+	cfg.Caches = l.caches
 	return cfg
 }
 
 // verifyP model-checks an already-generated protocol on the shared
 // engine (which carries -parallel).
-func verifyP(p *protogen.Protocol, cfg protogen.VerifyConfig) *protogen.VerifyResult {
-	res, err := eng.Verify(ctx, protogen.VerifyJob{Protocol: p, Config: &cfg})
+func (l *lab) verifyP(p *protogen.Protocol, cfg protogen.VerifyConfig) *protogen.VerifyResult {
+	res, err := l.eng.Verify(l.ctx, protogen.VerifyJob{Protocol: p, Config: &cfg})
 	if err != nil {
 		panic(err) // unreachable: a Protocol-subject job cannot fail to resolve
 	}
 	return res
 }
 
-func expA(w io.Writer) error {
+func (l *lab) expA(w io.Writer) error {
 	for _, name := range []string{"MSI", "MESI", "MOSI"} {
 		p := mustGen(name, "stalling")
 		s, tr, _ := p.Cache.Counts()
@@ -282,7 +269,7 @@ func expA(w io.Writer) error {
 			r := protogen.CompareWithBaseline(p.Cache, protogen.PrimerStallingMSI())
 			fmt.Fprintf(w, "; primer diff: %d identical cells, %d diffs", r.SameCells, len(r.Diffs))
 		}
-		res := verifyP(p, verifyCfg())
+		res := l.verifyP(p, l.verifyCfg())
 		fmt.Fprintf(w, "\n      verify: %s\n", res)
 		if !res.OK() {
 			return fmt.Errorf("%s failed verification", name)
@@ -292,7 +279,7 @@ func expA(w io.Writer) error {
 	return nil
 }
 
-func expB(w io.Writer) error {
+func (l *lab) expB(w io.Writer) error {
 	for _, name := range []string{"MSI", "MESI", "MOSI"} {
 		for _, L := range []int{3, 1} {
 			o := protogen.NonStalling()
@@ -306,7 +293,7 @@ func expB(w io.Writer) error {
 			fmt.Fprintf(w, "%-5s non-stalling L=%d: %2d states, %3d transitions\n", name, L, s, tr)
 		}
 		p := mustGen(name, "nonstalling")
-		res := verifyP(p, verifyCfg())
+		res := l.verifyP(p, l.verifyCfg())
 		fmt.Fprintf(w, "      verify: %s\n", res)
 		if !res.OK() {
 			return fmt.Errorf("%s failed verification", name)
@@ -317,7 +304,7 @@ func expB(w io.Writer) error {
 	return nil
 }
 
-func expC(w io.Writer) error {
+func (l *lab) expC(w io.Writer) error {
 	p := mustGen("MSI_Unordered", "nonstalling")
 	s, tr, _ := p.Cache.Counts()
 	ds, dt, _ := p.Dir.Counts()
@@ -328,7 +315,7 @@ func expC(w io.Writer) error {
 			fmt.Fprintf(w, "  %s\n", n)
 		}
 	}
-	res := verifyP(p, verifyCfg())
+	res := l.verifyP(p, l.verifyCfg())
 	fmt.Fprintf(w, "verify on unordered network: %s\n", res)
 	if !res.OK() {
 		return fmt.Errorf("unordered MSI failed verification")
@@ -337,19 +324,19 @@ func expC(w io.Writer) error {
 	return nil
 }
 
-func expD(w io.Writer) error {
+func (l *lab) expD(w io.Writer) error {
 	p := mustGen("TSO_CC", "nonstalling")
 	s, tr, _ := p.Cache.Counts()
 	fmt.Fprintf(w, "TSO_CC: %d cache states, %d transitions\n", s, tr)
-	cfg := verifyCfg()
+	cfg := l.verifyCfg()
 	cfg.CheckSWMR = false
 	cfg.CheckValues = false
-	res := verifyP(p, cfg)
+	res := l.verifyP(p, cfg)
 	fmt.Fprintf(w, "deadlock freedom: %s\n\n", res)
 	if !res.OK() {
 		return fmt.Errorf("TSO-CC deadlocks")
 	}
-	rep, err := eng.Litmus(ctx, protogen.LitmusJob{
+	rep, err := l.eng.Litmus(l.ctx, protogen.LitmusJob{
 		Protocol: p, Tests: []string{"MP", "MP+acq", "SB", "CoRR"}, Exhaustive: true,
 	})
 	if err != nil {
@@ -370,7 +357,7 @@ func expD(w io.Writer) error {
 
 // expE holds every builtin's generation to the paper's bound; how far
 // under it the generator runs is bench/'s generate-sweep workload.
-func expE(w io.Writer) error {
+func (l *lab) expE(w io.Writer) error {
 	for _, e := range protogen.Builtins() {
 		start := time.Now()
 		if _, err := protogen.GenerateSource(e.Source, protogen.NonStalling()); err != nil {
@@ -388,8 +375,8 @@ func expE(w io.Writer) error {
 // simulateP runs the extension experiments' simulation on the shared
 // engine at SimulateJob's default scale (3 caches, 50 000 steps); a
 // per-location SC violation is an error, not a statistic.
-func simulateP(p *protogen.Protocol, seed int64, wl protogen.Workload) (protogen.SimStats, error) {
-	st, err := eng.Simulate(ctx, protogen.SimulateJob{
+func (l *lab) simulateP(p *protogen.Protocol, seed int64, wl protogen.Workload) (protogen.SimStats, error) {
+	st, err := l.eng.Simulate(l.ctx, protogen.SimulateJob{
 		Protocol: p,
 		Config:   protogen.SimConfig{Seed: seed, Workload: wl},
 	})
@@ -399,11 +386,11 @@ func simulateP(p *protogen.Protocol, seed int64, wl protogen.Workload) (protogen
 	return st, err
 }
 
-func expX1(w io.Writer) error {
+func (l *lab) expX1(w io.Writer) error {
 	for _, wl := range protogen.StandardWorkloads() {
 		for _, mode := range []string{"stalling", "nonstalling"} {
 			p := mustGen("MSI", mode)
-			st, err := simulateP(p, 7, wl)
+			st, err := l.simulateP(p, 7, wl)
 			if err != nil {
 				return err
 			}
@@ -415,7 +402,7 @@ func expX1(w io.Writer) error {
 	return nil
 }
 
-func expX2(w io.Writer) error {
+func (l *lab) expX2(w io.Writer) error {
 	for _, L := range []int{0, 1, 2, 3} {
 		o := protogen.NonStalling()
 		o.PendingLimit = L
@@ -424,7 +411,7 @@ func expX2(w io.Writer) error {
 			return err
 		}
 		s, _, _ := p.Cache.Counts()
-		st, err := simulateP(p, 21, protogen.StandardWorkloads()[0])
+		st, err := l.simulateP(p, 21, protogen.StandardWorkloads()[0])
 		if err != nil {
 			return err
 		}
@@ -434,7 +421,7 @@ func expX2(w io.Writer) error {
 	return nil
 }
 
-func expX3(w io.Writer) error {
+func (l *lab) expX3(w io.Writer) error {
 	for _, mode := range protogen.Modes {
 		for _, prune := range []bool{true, false} {
 			o, err := protogen.OptionsForMode(mode)
@@ -448,7 +435,7 @@ func expX3(w io.Writer) error {
 			}
 			cfg := protogen.QuickVerifyConfig()
 			cfg.CheckLiveness = false
-			res := verifyP(p, cfg)
+			res := l.verifyP(p, cfg)
 			fmt.Fprintf(w, "%-12s prune=%-5v: %s\n", mode, prune, res)
 		}
 	}

@@ -1,16 +1,9 @@
 package main
 
 import (
-	"context"
-	"io"
 	"strings"
 	"testing"
 )
-
-// runBG drives the CLI without cancellation.
-func runBG(args []string, out io.Writer) error {
-	return run(context.Background(), args, out)
-}
 
 // TestRunCheapExperiments: every experiment but the fuzz campaign (its
 // own test below) reproduces its artifact through the real CLI path at
@@ -44,21 +37,13 @@ func TestRunCheapExperiments(t *testing.T) {
 			continue
 		}
 		var out strings.Builder
-		if err := runBG([]string{"-run", c.id}, &out); err != nil {
+		if err := runBG([]string{"experiments", "-run", c.id}, &out); err != nil {
 			t.Errorf("-run %s: %v", c.id, err)
 			continue
 		}
 		if !strings.Contains(out.String(), c.want) {
 			t.Errorf("-run %s: output lacks %q:\n%s", c.id, c.want, out.String())
 		}
-	}
-}
-
-// TestRunUnknownExperiment: dispatch errors surface as errors.
-func TestRunUnknownExperiment(t *testing.T) {
-	var out strings.Builder
-	if err := runBG([]string{"-run", "nope"}, &out); err == nil {
-		t.Error("unknown experiment must error")
 	}
 }
 
@@ -69,7 +54,7 @@ func TestRunFuzzExperiment(t *testing.T) {
 		t.Skip("runs a 16-seed campaign")
 	}
 	var out strings.Builder
-	if err := runBG([]string{"-run", "fuzz"}, &out); err != nil {
+	if err := runBG([]string{"experiments", "-run", "fuzz"}, &out); err != nil {
 		t.Fatalf("fuzz experiment: %v\n%s", err, out.String())
 	}
 	s := out.String()
@@ -79,4 +64,9 @@ func TestRunFuzzExperiment(t *testing.T) {
 	if !strings.Contains(s, "shrunk to") {
 		t.Errorf("planted-bug demonstration missing:\n%s", s)
 	}
+}
+
+// TestRunUnknownExperiment: an unknown -run name is an error naming it.
+func TestRunUnknownExperiment(t *testing.T) {
+	wantErr(t, []string{"experiments", "-run", "nope"}, `unknown experiment "nope"`)
 }

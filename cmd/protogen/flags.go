@@ -1,22 +1,18 @@
-// Package cli is the one front door of the product binaries under cmd/:
-// the process scaffold (Main), the subject flags that name which SSP a
+package main
+
+// The flags the verbs share: the subject flags that name which SSP a
 // run starts from and in which generation mode (SpecFlags), the checker
 // scale flags (CheckFlags) and the comma-list splitter (Fields). A
 // flag's name, default rule and help text are defined here exactly
-// once; a binary picks the ones it has and passes its own defaults.
-// doccheck_test.go at the repo root fails if a binary declares one of
-// these flags, installs its own signal handler or spells out the mode
-// list by hand.
-package cli
+// once; a verb picks the ones it has and passes its own defaults.
+// doccheck_test.go at the repo root fails if any other file under cmd/
+// declares one of these flags or spells out the mode list by hand.
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 	"time"
@@ -24,21 +20,39 @@ import (
 	"protogen"
 )
 
-// Main runs a binary: run gets a context canceled by Ctrl-C (and by any
-// extra signal — protoserve adds SIGTERM), the command-line arguments
-// and stdout. -h is a clean exit; any other error prints as
-// "name: err" on stderr and exits 1.
-func Main(name string, run func(ctx context.Context, args []string, stdout io.Writer) error, extra ...os.Signal) {
-	ctx, stop := signal.NotifyContext(context.Background(), append([]os.Signal{os.Interrupt}, extra...)...)
-	err := run(ctx, os.Args[1:], os.Stdout)
-	stop()
-	if err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintln(os.Stderr, name+":", err)
-		os.Exit(1)
-	}
+// parseHook, when non-nil, sees every verb's FlagSet before it parses
+// (the flag-surface test reads the declared flags from it).
+var parseHook func(*flag.FlagSet)
+
+// newFlagSet is a verb's FlagSet; -h and flag errors print its usage on
+// stdout.
+func newFlagSet(verb string, stdout io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("protogen "+verb, flag.ContinueOnError)
+	fs.SetOutput(stdout)
+	return fs
 }
 
-// Flag selects which optional flags a Bind call declares, so a binary
+// parse parses args and rejects a positional argument: the flag package
+// stops at the first one, so "verify MESI -caches 2" would otherwise
+// drop every flag after MESI and check 3-cache MSI.
+func parse(fs *flag.FlagSet, args []string) error {
+	if parseHook != nil {
+		parseHook(fs)
+	}
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() == 0 {
+		return nil
+	}
+	hint := ""
+	if fs.Lookup("protocol") != nil {
+		hint = fmt.Sprintf(" (a protocol is named with -protocol %s)", fs.Arg(0))
+	}
+	return fmt.Errorf("unexpected argument %q: every flag after it would be ignored%s", fs.Arg(0), hint)
+}
+
+// Flag selects which optional flags a Bind call declares, so a verb
 // neither gains nor loses a flag by sharing the definitions.
 type Flag uint
 
@@ -54,12 +68,12 @@ const (
 )
 
 // SpecFlags is the subject of a run: -protocol, -file and -mode, plus
-// the -all / -corpus subject sets where a binary takes several. The
-// values present when Bind is called are the binary's defaults.
+// the -all / -corpus subject sets where a verb takes several. The
+// values present when Bind is called are the verb's defaults.
 type SpecFlags struct {
 	Protocol string // registry name
 	File     string // SSP file; beats Protocol where one subject is wanted
-	Mode     string // generation mode; "" is the binary's own default
+	Mode     string // generation mode; "" is the verb's own default
 	All      bool   // every registry protocol
 	Corpus   bool   // every committed fuzz-corpus reproducer
 }
@@ -67,7 +81,7 @@ type SpecFlags struct {
 // Bind declares -protocol, -file and -mode on fs, and -all / -corpus
 // when sets names them.
 func (f *SpecFlags) Bind(fs *flag.FlagSet, sets Flag) {
-	fs.StringVar(&f.Protocol, "protocol", f.Protocol, "registry protocol name (protogen -list prints the registry); MSI when no subject flag is given")
+	fs.StringVar(&f.Protocol, "protocol", f.Protocol, "registry protocol name (protogen generate -list prints the registry); MSI when no subject flag is given")
 	fs.StringVar(&f.File, "file", f.File, "read the SSP from this file instead of the registry")
 	fs.StringVar(&f.Mode, "mode", f.Mode, "generation mode: "+strings.Join(protogen.Modes, ", "))
 	if sets&All != 0 {
@@ -129,14 +143,14 @@ func (f *SpecFlags) Subjects() ([]Subject, error) {
 	if name != "" {
 		spec, err := protogen.LoadSpec(name, "")
 		if err != nil {
-			return nil, fmt.Errorf("%v (protogen -list prints the registry)", err)
+			return nil, fmt.Errorf("%v (protogen generate -list prints the registry)", err)
 		}
 		subs = append(subs, Subject{name, spec})
 	}
 	return subs, nil
 }
 
-// Subject resolves the run of a single-protocol binary: the first of
+// Subject resolves the run of a single-protocol verb: the first of
 // Subjects (so -file beats -protocol) and the -mode generation options.
 func (f *SpecFlags) Subject() (*protogen.Spec, protogen.Options, error) {
 	opts, err := protogen.OptionsForMode(f.Mode)
@@ -151,7 +165,7 @@ func (f *SpecFlags) Subject() (*protogen.Spec, protogen.Options, error) {
 }
 
 // CheckFlags is the scale of a run: -caches, -parallel, -timeout and
-// -cache-dir. The values present when Bind is called are the binary's
+// -cache-dir. The values present when Bind is called are the verb's
 // defaults.
 type CheckFlags struct {
 	Caches   int
@@ -200,7 +214,7 @@ func (c cachesValue) Set(s string) error {
 }
 
 // Start derives what the flags describe: ctx bounded by -timeout, and
-// an Engine carrying -parallel, -cache-dir and the binary's warnings
+// an Engine carrying -parallel, -cache-dir and the verb's warnings
 // sink (nil for none). done releases both.
 func (f *CheckFlags) Start(ctx context.Context, warn func(string)) (_ context.Context, _ *protogen.Engine, done func()) {
 	cancel := func() {}

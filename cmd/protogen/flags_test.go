@@ -1,8 +1,7 @@
-package cli
+package main
 
 import (
 	"context"
-	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,59 +13,8 @@ import (
 	"protogen"
 )
 
-func newFlagSet() *flag.FlagSet {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	return fs
-}
-
-// TestBindPerBinary: each binary's Bind calls declare exactly the
-// shared flags that binary has, with its own defaults — the property
-// "no binary gains or loses a flag by sharing the definitions".
-func TestBindPerBinary(t *testing.T) {
-	cases := []struct {
-		binary   string
-		spec     *SpecFlags
-		sets     Flag
-		check    *CheckFlags
-		which    Flag
-		defaults map[string]string // flag name → default, for every flag declared
-	}{
-		{"protogen", &SpecFlags{Mode: "nonstalling"}, 0, nil, 0,
-			map[string]string{"protocol": "", "file": "", "mode": "nonstalling"}},
-		{"protoverify", &SpecFlags{Mode: "nonstalling"}, 0, &CheckFlags{Caches: 3}, Caches | Parallel | Timeout | CacheDir,
-			map[string]string{"protocol": "", "file": "", "mode": "nonstalling", "caches": "3", "parallel": "0", "timeout": "0s", "cache-dir": ""}},
-		{"protosim", &SpecFlags{Mode: "nonstalling"}, 0, &CheckFlags{Caches: 3}, Caches | Timeout,
-			map[string]string{"protocol": "", "file": "", "mode": "nonstalling", "caches": "3", "timeout": "0s"}},
-		{"protolint", &SpecFlags{}, All | Corpus, nil, 0,
-			map[string]string{"protocol": "", "file": "", "mode": "", "all": "false", "corpus": "false"}},
-		{"protolitmus", &SpecFlags{}, All, &CheckFlags{}, Caches,
-			map[string]string{"protocol": "", "file": "", "mode": "", "all": "false", "caches": "0"}},
-		{"protofuzz", nil, 0, &CheckFlags{Caches: 2}, Caches | Parallel | Timeout | CacheDir,
-			map[string]string{"caches": "2", "parallel": "0", "timeout": "0s", "cache-dir": ""}},
-		{"protoserve", nil, 0, &CheckFlags{}, Parallel | CacheDir,
-			map[string]string{"parallel": "0", "cache-dir": ""}},
-		{"experiments", nil, 0, &CheckFlags{Caches: 2}, Caches | Parallel,
-			map[string]string{"caches": "2", "parallel": "0"}},
-	}
-	for _, c := range cases {
-		fs := newFlagSet()
-		if c.spec != nil {
-			c.spec.Bind(fs, c.sets)
-		}
-		if c.check != nil {
-			c.check.Bind(fs, c.which)
-		}
-		got := map[string]string{}
-		fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
-		if !reflect.DeepEqual(got, c.defaults) {
-			t.Errorf("%s: declared flags %v, want %v", c.binary, got, c.defaults)
-		}
-	}
-}
-
 // TestSubjectResolution: flag order is -all, -corpus, -file, -protocol;
-// no subject flag means MSI; a single-protocol binary takes the first,
+// no subject flag means MSI; a single-protocol verb takes the first,
 // so -file beats -protocol.
 func TestSubjectResolution(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mesi.ssp")
@@ -76,7 +24,7 @@ func TestSubjectResolution(t *testing.T) {
 	names := func(args ...string) []string {
 		t.Helper()
 		var f SpecFlags
-		fs := newFlagSet()
+		fs := newFlagSet("test", io.Discard)
 		f.Bind(fs, All|Corpus)
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
@@ -132,14 +80,14 @@ func mustCorpus(t *testing.T) []protogen.FuzzCorpusEntry {
 	return entries
 }
 
-// TestSubjectErrors: an unknown protocol points at protogen -list, an
+// TestSubjectErrors: an unknown protocol points at generate -list, an
 // unknown mode names the valid ones, and a missing file is the OS error.
 func TestSubjectErrors(t *testing.T) {
 	for _, c := range []struct {
 		f    SpecFlags
 		want []string
 	}{
-		{SpecFlags{Protocol: "NoSuch"}, []string{`unknown protocol "NoSuch"`, "protogen -list"}},
+		{SpecFlags{Protocol: "NoSuch"}, []string{`unknown protocol "NoSuch"`, "protogen generate -list"}},
 		{SpecFlags{Mode: "bogus"}, append([]string{`unknown mode "bogus"`}, protogen.Modes...)},
 		{SpecFlags{File: filepath.Join(t.TempDir(), "absent.ssp")}, []string{"absent.ssp"}},
 	} {
@@ -165,7 +113,7 @@ func TestCachesFlagBound(t *testing.T) {
 		ok   bool
 	}{{"8", 8, true}, {"0", 0, true}, {"-1", -1, true}, {"9", 3, false}, {"x", 3, false}} {
 		f := CheckFlags{Caches: 3}
-		fs := newFlagSet()
+		fs := newFlagSet("test", io.Discard)
 		f.Bind(fs, Caches)
 		err := fs.Parse([]string{"-caches", c.arg})
 		if (err == nil) != c.ok || f.Caches != c.want {

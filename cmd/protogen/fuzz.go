@@ -1,47 +1,8 @@
-// Command protofuzz runs the randomized-spec differential verification
-// campaign: seeded well-formed SSPs drawn from parameterized protocol
-// families are generated in all three modes (stalling / non-stalling /
-// deferred), model-checked in each, the verdicts cross-checked against
-// each other and against the simulator's SC checker, and failures shrunk
-// to minimal reproducers for the regression corpus.
-//
-// Usage:
-//
-//	protofuzz -seeds 0:200                    # the standard campaign
-//	protofuzz -seeds 0:50 -family FZ_MOSI     # one family only
-//	protofuzz -family FZ_MI_double_grant -shrink -corpus internal/fuzz/corpus
-//	protofuzz -seeds 0:200 -cache-dir .vcache # memoize verify results;
-//	                                          # rerunning re-verifies nothing
-//	protofuzz -seeds 0:5000 -timeout 10m -v   # bounded campaign with progress
-//	protofuzz -list                           # families, boundaries, corpus
-//	protofuzz -replay                         # replay the committed corpus
-//
-// Every spec is also run through the static analyzer (protolint's
-// passes) as a third verdict dimension: the spec-layer lint verdict is
-// recorded per seed, and a lint "broken" verdict on a spec the checker
-// and simulator pass clean is itself a campaign failure
-// (lint-vs-checker). -no-lint turns the pre-pass off.
-//
-// A fourth dimension runs the exhaustive litmus oracle on the quick
-// suite: a forbidden weak-memory outcome on a spec the model checker
-// passed clean is a litmus-vs-checker failure. -no-litmus turns it
-// off; -litmus-states caps each exploration (over budget the verdict
-// degrades to "capped", never a failure).
-//
-// A fifth dimension re-checks every mode with partial-order reduction
-// on: the reduced verdict must match the full one (a divergence is a
-// por-vs-full failure — a reduction soundness bug, caught per seed on
-// buggy and clean specs alike). -no-por turns it off.
-//
-// Ctrl-C (or -timeout expiry) drains the worker pool and reports the
-// seeds that completed — "canceled after N of M seeds" — instead of
-// dying silently.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -50,16 +11,14 @@ import (
 	"time"
 
 	"protogen"
-	"protogen/cmd/internal/cli"
 )
 
-func main() { cli.Main("protofuzz", run) }
-
-func run(ctx context.Context, args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("protofuzz", flag.ContinueOnError)
-	fs.SetOutput(stdout)
-	check := cli.CheckFlags{Caches: 2} // the differential checks' scale; -parallel is campaign workers
-	check.Bind(fs, cli.Caches|cli.Parallel|cli.Timeout|cli.CacheDir)
+// fuzz runs a differential campaign over a seed range, replays the
+// committed corpus (-replay), or lists what it draws from (-list).
+func fuzz(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := newFlagSet("fuzz", stdout)
+	check := CheckFlags{Caches: 2} // the differential checks' scale; -parallel is campaign workers
+	check.Bind(fs, Caches|Parallel|Timeout|CacheDir)
 	var (
 		seeds    = fs.String("seeds", "0:100", "seed range first:last (half-open)")
 		family   = fs.String("family", "", "comma-separated family names (default: every shipped family; broken/boundary families must be named explicitly)")
@@ -76,7 +35,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		replay   = fs.Bool("replay", false, "replay the committed regression corpus")
 		verbose  = fs.Bool("v", false, "print every spec's outcome plus a progress line as seeds complete")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 
@@ -93,7 +52,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cfg.NoLitmus = *noLit
 	cfg.NoPOR = *noPOR
 	cfg.LitmusMaxStates = *litSts
-	cfg.Families = cli.Fields(*family)
+	cfg.Families = Fields(*family)
 
 	ctx, eng, done := check.Start(ctx, func(msg string) { fmt.Fprintf(stdout, "warning: %s\n", msg) })
 	defer done()
@@ -253,7 +212,7 @@ func listEntries(stdout io.Writer) error {
 }
 
 // replayCorpus re-runs the oracle on every committed reproducer.
-// Ctrl-C (the SIGINT context) stops between entries — without the check
+// Ctrl-C (the signal context) stops between entries — without the check
 // the installed signal handler would swallow the interrupt entirely.
 func replayCorpus(ctx context.Context, stdout io.Writer, cfg protogen.FuzzConfig) error {
 	entries, err := protogen.FuzzCorpus()

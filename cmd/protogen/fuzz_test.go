@@ -3,18 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// runBG invokes run without cancellation, as the pre-context callers
-// did; cancellation-specific tests build their own context.
-func runBG(args []string, out io.Writer) error {
-	return run(context.Background(), args, out)
-}
 
 // TestRunCanceledCampaign: a canceled context yields a partial report
 // ("canceled after N of M seeds") and a non-zero outcome, not a silent
@@ -23,7 +16,7 @@ func TestRunCanceledCampaign(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var out strings.Builder
-	err := run(ctx, []string{"-seeds", "0:50", "-sim-steps", "200"}, &out)
+	err := run(ctx, []string{"fuzz", "-seeds", "0:50", "-sim-steps", "200"}, &out)
 	if err == nil {
 		t.Fatalf("canceled campaign must report an error:\n%s", out.String())
 	}
@@ -42,7 +35,7 @@ func TestRunCanceledCampaign(t *testing.T) {
 func TestReplayIgnoresResultCache(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
-	if err := runBG([]string{"-replay", "-cache-dir", dir}, &out); err != nil {
+	if err := runBG([]string{"fuzz", "-replay", "-cache-dir", dir}, &out); err != nil {
 		t.Fatalf("replay: %v\n%s", err, out.String())
 	}
 	if _, err := os.Stat(filepath.Join(dir, "verify-cache.jsonl")); !os.IsNotExist(err) {
@@ -56,7 +49,7 @@ func TestRunCanceledReplay(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var out strings.Builder
-	err := run(ctx, []string{"-replay"}, &out)
+	err := run(ctx, []string{"fuzz", "-replay"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "replay canceled") {
 		t.Fatalf("canceled replay must error with a progress note, got %v", err)
 	}
@@ -66,7 +59,7 @@ func TestRunCanceledReplay(t *testing.T) {
 // clean — the CI smoke entry point.
 func TestRunSmallCampaign(t *testing.T) {
 	var out strings.Builder
-	err := runBG([]string{"-seeds", "0:6", "-sim-steps", "1000", "-v"}, &out)
+	err := runBG([]string{"fuzz", "-seeds", "0:6", "-sim-steps", "1000", "-v"}, &out)
 	if err != nil {
 		t.Fatalf("campaign failed: %v\n%s", err, out.String())
 	}
@@ -80,7 +73,7 @@ func TestRunSmallCampaign(t *testing.T) {
 func TestRunBrokenFamilyCampaign(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
-	err := runBG([]string{
+	err := runBG([]string{"fuzz",
 		"-seeds", "0:1", "-family", "FZ_MI_double_grant",
 		"-sim-steps", "0", "-corpus", dir, "-json", filepath.Join(dir, "report.jsonl"),
 	}, &out)
@@ -108,11 +101,11 @@ func TestRunBrokenFamilyCampaign(t *testing.T) {
 }
 
 // TestRunJSONToStdoutIsPure: with -json - every stdout line must be
-// valid JSON (human lines are suppressed), so `protofuzz -json - | jq`
+// valid JSON (human lines are suppressed), so `protogen fuzz -json - | jq`
 // works.
 func TestRunJSONToStdoutIsPure(t *testing.T) {
 	var out strings.Builder
-	if err := runBG([]string{"-seeds", "0:2", "-sim-steps", "500", "-json", "-", "-v"}, &out); err != nil {
+	if err := runBG([]string{"fuzz", "-seeds", "0:2", "-sim-steps", "500", "-json", "-", "-v"}, &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
@@ -130,24 +123,11 @@ func TestRunJSONToStdoutIsPure(t *testing.T) {
 // TestRunReplay: the committed corpus replays clean.
 func TestRunReplay(t *testing.T) {
 	var out strings.Builder
-	if err := runBG([]string{"-replay"}, &out); err != nil {
+	if err := runBG([]string{"fuzz", "-replay"}, &out); err != nil {
 		t.Fatalf("replay: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "corpus entries reproduced") {
 		t.Errorf("unexpected replay output:\n%s", out.String())
-	}
-}
-
-// TestRunList: families and corpus entries are listed via the registry.
-func TestRunList(t *testing.T) {
-	var out strings.Builder
-	if err := runBG([]string{"-list"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"FZ_MSI", "FZ_MI_double_grant", "corpus/FZ_MSI_miscounted_acks", "boundary"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("-list lacks %q:\n%s", want, out.String())
-		}
 	}
 }
 
@@ -168,7 +148,7 @@ func TestParseSeeds(t *testing.T) {
 // re-verifications.
 func TestRunCampaignCacheDir(t *testing.T) {
 	dir := t.TempDir()
-	args := []string{"-seeds", "0:6", "-sim-steps", "300", "-cache-dir", dir}
+	args := []string{"fuzz", "-seeds", "0:6", "-sim-steps", "300", "-cache-dir", dir}
 	var cold, warm strings.Builder
 	if err := runBG(args, &cold); err != nil {
 		t.Fatalf("cold run: %v\n%s", err, cold.String())
@@ -182,4 +162,10 @@ func TestRunCampaignCacheDir(t *testing.T) {
 	if !strings.Contains(warm.String(), "0 re-verifications") {
 		t.Errorf("warm run re-verified specs:\n%s", warm.String())
 	}
+}
+
+// TestRunFuzzList: -list prints the fuzz families and the corpus
+// without running a campaign.
+func TestRunFuzzList(t *testing.T) {
+	wantList(t, "fuzz", "FZ_MSI", "FZ_MI_double_grant", "corpus/FZ_MSI_miscounted_acks", "boundary")
 }

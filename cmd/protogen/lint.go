@@ -1,49 +1,14 @@
-// Command protolint runs the spec-level static analyzer over SSPs and
-// their generated protocols — no state exploration, millisecond
-// turnaround, structured diagnostics with stable PGnnn codes. It is
-// the fast first gate in front of protoverify: lint, fix what it
-// names, then model-check.
-//
-// Usage:
-//
-//	protolint -protocol MSI                  # spec + all three generated modes
-//	protolint -all                           # every registry protocol (CI gate)
-//	protolint -corpus -expect-dirty          # every reproducer must lint dirty
-//	protolint -file my.ssp -mode nonstalling # one file, one mode
-//	protolint -protocol MESI -spec-only -json # spec layer only, as JSON
-//	protolint -all -code PG104,PG105         # restrict to a code set
-//	protolint -protocol MSI -code PG302      # dependence pessimizations
-//	protolint -all -dep-stats                # dependence stats as JSON
-//
-// -dep-stats switches to the rule-dependence summary: one JSON line per
-// (protocol, mode) with the internal/depend statistics the checker's
-// partial-order reduction is built on (class counts, invisible/fusible
-// fractions, unsafe facts). The PG3xx diagnostics carry the same facts
-// through the normal lint output.
-//
-// Exit status: 0 when every subject lints clean (no errors and no
-// warnings; info notes are allowed), 1 otherwise. -expect-dirty
-// inverts the gate for the regression corpus: the run succeeds only
-// if every subject yields at least one diagnostic, which is how CI
-// keeps the analyzer honest against known-broken specs.
-//
-// See docs/ANALYSIS.md for the code table and the false-positive
-// policy behind the severity ladder.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"strings"
 
 	"protogen"
-	"protogen/cmd/internal/cli"
 )
-
-func main() { cli.Main("protolint", run) }
 
 // subjectResult is the JSON wire form of one linted subject.
 type subjectResult struct {
@@ -52,11 +17,12 @@ type subjectResult struct {
 	Result  *protogen.LintResult `json:"result"`
 }
 
-func run(ctx context.Context, args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("protolint", flag.ContinueOnError)
-	fs.SetOutput(stdout)
-	var subject cli.SpecFlags // no -mode lints all three generated modes
-	subject.Bind(fs, cli.All|cli.Corpus)
+// lint runs the static analyzer over every subject; with -dep-stats
+// it prints rule-dependence statistics instead.
+func lint(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := newFlagSet("lint", stdout)
+	var subject SpecFlags // no -mode lints all three generated modes
+	subject.Bind(fs, All|Corpus)
 	var (
 		specOnly    = fs.Bool("spec-only", false, "lint the spec layer only; skip generation")
 		codes       = fs.String("code", "", "comma-separated diagnostic codes to keep (e.g. PG104,PG110)")
@@ -65,7 +31,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		verbose     = fs.Bool("v", false, "also print info-severity notes")
 		expectDirty = fs.Bool("expect-dirty", false, "succeed only if every subject yields at least one diagnostic (corpus CI smoke)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	if *specOnly && subject.Mode != "" {
@@ -90,7 +56,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return depStatsRun(stdout, subjects, modes)
 	}
 
-	codeList := cli.Fields(*codes)
+	codeList := Fields(*codes)
 	eng := protogen.NewEngine()
 	defer eng.Close()
 
@@ -172,7 +138,7 @@ type depStatsLine struct {
 // its rule-dependence statistics as one JSON line, sorted by (subject,
 // mode) order of the inputs. Generation failures abort: -dep-stats is a
 // measurement mode, not a defect finder.
-func depStatsRun(stdout io.Writer, subjects []cli.Subject, modes []string) error {
+func depStatsRun(stdout io.Writer, subjects []Subject, modes []string) error {
 	if modes == nil {
 		modes = protogen.Modes
 	}

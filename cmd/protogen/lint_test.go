@@ -12,7 +12,7 @@ import (
 // the internal/depend goldens (also pinned in that package's tests).
 func TestDepStatsGolden(t *testing.T) {
 	var buf strings.Builder
-	if err := run(context.Background(), []string{"-protocol", "MSI", "-dep-stats", "-mode", "stalling"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"lint", "-protocol", "MSI", "-dep-stats", "-mode", "stalling"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var line depStatsLine
@@ -36,7 +36,7 @@ func TestDepStatsGolden(t *testing.T) {
 // generation modes, in order.
 func TestDepStatsAllModes(t *testing.T) {
 	var buf strings.Builder
-	if err := run(context.Background(), []string{"-protocol", "MSI", "-dep-stats"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"lint", "-protocol", "MSI", "-dep-stats"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -54,22 +54,13 @@ func TestDepStatsAllModes(t *testing.T) {
 	}
 }
 
-// TestDepStatsRejectsSpecOnly: the flag combination is contradictory.
-func TestDepStatsRejectsSpecOnly(t *testing.T) {
-	var buf strings.Builder
-	err := run(context.Background(), []string{"-protocol", "MSI", "-dep-stats", "-spec-only"}, &buf)
-	if err == nil || !strings.Contains(err.Error(), "spec-only") {
-		t.Fatalf("want a -spec-only rejection, got %v", err)
-	}
-}
-
 // TestPG3xxSurface: the dependence diagnostics reach the normal lint
 // output — PG302 names pessimized classes with their reasons, PG303
 // carries the one-line summary — and both are info severity (the
 // registry still lints clean).
 func TestPG3xxSurface(t *testing.T) {
 	var buf strings.Builder
-	if err := run(context.Background(), []string{"-protocol", "MSI", "-mode", "stalling", "-code", "PG302,PG303", "-v"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"lint", "-protocol", "MSI", "-mode", "stalling", "-code", "PG302,PG303", "-v"}, &buf); err != nil {
 		t.Fatalf("registry protocol linted unclean under PG3xx: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
@@ -79,4 +70,10 @@ func TestPG3xxSurface(t *testing.T) {
 	if !strings.Contains(out, "PG303") || !strings.Contains(out, "fusible") {
 		t.Errorf("PG303 summary missing:\n%s", out)
 	}
+}
+
+// TestDepStatsRejectsSpecOnly: -dep-stats needs the generated machines,
+// so -spec-only with it is an error.
+func TestDepStatsRejectsSpecOnly(t *testing.T) {
+	wantErr(t, []string{"lint", "-protocol", "MSI", "-dep-stats", "-spec-only"}, "spec-only")
 }

@@ -1,45 +1,14 @@
-// Command protolitmus runs the exhaustive weak-memory litmus oracle:
-// it enumerates every schedule of the catalog's litmus shapes over a
-// composed multi-cache system and classifies each reachable outcome
-// against a consistency axiom (sc, tso or weak). Because exploration
-// is exhaustive, the outcome sets are exact — a forbidden outcome is
-// a coherence bug, and an absent one is proven absent, not merely
-// unobserved.
-//
-// Usage:
-//
-//	protolitmus -protocol MSI                  # full catalog, default axiom
-//	protolitmus -all                           # every registry protocol (CI gate)
-//	protolitmus -protocol TSO_CC -test MP,SB   # a named subset
-//	protolitmus -protocol MESI -axiom sc -json # force an axiom, JSON report
-//	protolitmus -protocol MSI -runs 10000      # add a randomized sample
-//	protolitmus -list                          # print the catalog and exit
-//
-// With -runs the oracle also cross-checks the sample against the
-// exhaustive set (sampled ⊆ exhaustive); an escape is reported as a
-// harness soundness bug. -exhaustive=false -runs N samples only.
-//
-// Exit status: 0 when no test fails (no forbidden outcome, no stuck
-// configuration, no containment violation), 1 otherwise. An
-// exhaustive search that hits the -max-states budget weakens verdicts
-// from "proven absent" to "not observed" but is not itself a failure.
-//
-// See docs/LITMUS.md for the shape catalog and the axiom tables.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"strings"
 
 	"protogen"
-	"protogen/cmd/internal/cli"
 )
-
-func main() { cli.Main("protolitmus", run) }
 
 // subjectReport is the JSON wire form of one subject's oracle run.
 type subjectReport struct {
@@ -47,13 +16,13 @@ type subjectReport struct {
 	Report *protogen.LitmusReport `json:"report"`
 }
 
-func run(ctx context.Context, args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("protolitmus", flag.ContinueOnError)
-	fs.SetOutput(stdout)
-	var subject cli.SpecFlags // no -mode tests the nonstalling design
-	subject.Bind(fs, cli.All)
-	var check cli.CheckFlags // -caches 0: max(3, thread count)
-	check.Bind(fs, cli.Caches)
+// litmus runs the exhaustive litmus oracle over every subject.
+func litmus(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := newFlagSet("litmus", stdout)
+	var subject SpecFlags // no -mode tests the nonstalling design
+	subject.Bind(fs, All)
+	var check CheckFlags // -caches 0: max(3, thread count)
+	check.Bind(fs, Caches)
 	var (
 		tests      = fs.String("test", "", "comma-separated catalog test names (default: the full catalog)")
 		axiom      = fs.String("axiom", "", "consistency axiom to classify under: sc, tso or weak (default: the protocol's)")
@@ -64,7 +33,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		jsonOut    = fs.Bool("json", false, "emit the full structured reports as JSON")
 		list       = fs.Bool("list", false, "print the test catalog and exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 
@@ -83,7 +52,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	testNames := cli.Fields(*tests)
+	testNames := Fields(*tests)
 	eng := protogen.NewEngine()
 	defer eng.Close()
 

@@ -11,7 +11,7 @@ import (
 // registry protocol, exact outcome sets, zero forbidden.
 func TestRunExhaustiveMSI(t *testing.T) {
 	var out strings.Builder
-	err := run(context.Background(), []string{"-protocol", "MSI", "-test", "MP,SB,CoRR"}, &out)
+	err := run(context.Background(), []string{"litmus", "-protocol", "MSI", "-test", "MP,SB,CoRR"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -26,7 +26,7 @@ func TestRunExhaustiveMSI(t *testing.T) {
 // show the MP stale read as relaxed, never forbidden.
 func TestRunWeakRelaxations(t *testing.T) {
 	var out strings.Builder
-	err := run(context.Background(), []string{"-protocol", "TSO_CC", "-test", "MP"}, &out)
+	err := run(context.Background(), []string{"litmus", "-protocol", "TSO_CC", "-test", "MP"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -38,7 +38,7 @@ func TestRunWeakRelaxations(t *testing.T) {
 // TestRunJSON: -json emits a decodable structured report.
 func TestRunJSON(t *testing.T) {
 	var out strings.Builder
-	err := run(context.Background(), []string{"-protocol", "MSI", "-test", "CoRR", "-runs", "200", "-json"}, &out)
+	err := run(context.Background(), []string{"litmus", "-protocol", "MSI", "-test", "CoRR", "-runs", "200", "-json"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -66,27 +66,14 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
-// TestRunList: -list prints the catalog without running anything.
-func TestRunList(t *testing.T) {
-	var out strings.Builder
-	if err := run(context.Background(), []string{"-list"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"MP", "IRIW", "2+2W", "message passing"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("catalog lacks %q:\n%s", want, out.String())
-		}
-	}
+// TestRunLitmusList: -list prints the litmus catalog.
+func TestRunLitmusList(t *testing.T) {
+	wantList(t, "litmus", "MP", "IRIW", "2+2W", "message passing")
 }
 
-// TestRunBadFlags: unknown tests and sample-less non-exhaustive runs
-// are rejected up front.
-func TestRunBadFlags(t *testing.T) {
-	var out strings.Builder
-	if err := run(context.Background(), []string{"-test", "NoSuch"}, &out); err == nil {
-		t.Error("unknown test must error")
-	}
-	if err := run(context.Background(), []string{"-exhaustive=false"}, &out); err == nil {
-		t.Error("-exhaustive=false without -runs must error")
-	}
+// TestRunLitmusBadFlags: an unknown test, and sampling without -runs,
+// are errors.
+func TestRunLitmusBadFlags(t *testing.T) {
+	wantErr(t, []string{"litmus", "-test", "NoSuch"}, "NoSuch")
+	wantErr(t, []string{"litmus", "-exhaustive=false"}, "-exhaustive=false needs -runs")
 }

@@ -1,69 +1,29 @@
-// Command protoserve runs the verification service: an HTTP/JSON job
-// queue over the protogen Engine API. Clients submit verify / fuzz /
-// simulate jobs, poll status with live progress, fetch results and
-// cancel mid-flight; a bounded worker pool shares one verify result
-// cache and failing fuzz campaigns sink minimized reproducers into a
-// corpus directory. A verify job the cache already holds is answered in
-// its submit: the 202 says "status": "done" and "cached": true, the job
-// took one store write, and no worker saw it.
-//
-// Usage:
-//
-//	protoserve -addr :8080 -workers 2 -cache-dir .vcache -corpus .corpus
-//
-// Endpoints:
-//
-//	POST   /jobs             submit: {"kind":"verify","protocol":"MSI","mode":"nonstalling","caches":2}
-//	GET    /jobs             list all jobs
-//	GET    /jobs/{id}        status + latest typed progress snapshot
-//	GET    /jobs/{id}/result full result (verify Result / fuzz Report / sim Stats)
-//	DELETE /jobs/{id}        cancel (queued/running) or free a finished job's record
-//	GET    /healthz          worker, queue and cache health
-//	GET    /corpus           reproducers collected by the corpus sink
-//
-// Internally the service is a coordinator/worker fleet over a typed
-// message bus with lease-based execution, retry with backoff, and
-// dead-lettering (docs/FLEET.md). With -store DIR the job queue is
-// durable: submitted jobs are fsynced to a write-ahead log before the
-// 202 response, and a restarted server replays the log — finished
-// results are served from the store and interrupted jobs re-run.
-//
-// SIGINT/SIGTERM shut down gracefully: running jobs are canceled at
-// their next cancellation boundary and recorded as canceled.
-//
-// -debug-addr (opt-in, keep it loopback) serves net/http/pprof on a
-// separate listener, so a live service can be CPU- and heap-profiled
-// without redeploying: protoserve -addr :8080 -debug-addr 127.0.0.1:6060
-// then `go tool pprof http://127.0.0.1:6060/debug/pprof/profile`.
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"syscall"
 	"time"
 
 	"protogen"
-	"protogen/cmd/internal/cli"
 	"protogen/internal/service"
 )
-
-func main() { cli.Main("protoserve", run, syscall.SIGTERM) }
 
 // listenHook, when non-nil, observes the bound address (tests bind
 // :0 and need the resolved port).
 var listenHook func(net.Addr)
 
-func run(ctx context.Context, args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("protoserve", flag.ContinueOnError)
-	fs.SetOutput(stdout)
-	var check cli.CheckFlags // per job; the cache is shared by every job
-	check.Bind(fs, cli.Parallel|cli.CacheDir)
+// serve runs the verification service until its context is canceled,
+// then shuts down: running jobs are canceled at their next
+// cancellation boundary and recorded as canceled.
+func serve(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := newFlagSet("serve", stdout)
+	var check CheckFlags // per job; the cache is shared by every job
+	check.Bind(fs, Parallel|CacheDir)
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
 		workers  = fs.Int("workers", 2, "job worker pool size")
@@ -74,12 +34,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		retries  = fs.Int("max-attempts", 0, "execution attempts per job before dead-lettering (0 = default)")
 		debug    = fs.String("debug-addr", "", "serve net/http/pprof on this address (opt-in; bind loopback, the endpoints are unauthenticated)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 
 	// Fuzz family exemplars and corpus reproducers become addressable
-	// by name in submitted jobs, same as protofuzz -list.
+	// by name in submitted jobs, same as fuzz -list.
 	if err := protogen.RegisterFuzzEntries(); err != nil {
 		return err
 	}

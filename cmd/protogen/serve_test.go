@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -12,6 +13,40 @@ import (
 	"testing"
 	"time"
 )
+
+// startServe boots serve on an ephemeral port with args added and
+// returns the API base URL and a stop that cancels it (the SIGINT path)
+// and requires a graceful shutdown.
+func startServe(t *testing.T, out io.Writer, args ...string) (base string, stop func()) {
+	addrc := make(chan net.Addr, 1)
+	listenHook = func(a net.Addr) { addrc <- a }
+	t.Cleanup(func() { listenHook = nil })
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run(ctx, append([]string{"serve", "-addr", "127.0.0.1:0", "-workers", "1"}, args...), out)
+	}()
+	select {
+	case a := <-addrc:
+		base = "http://" + a.String()
+	case err := <-errc:
+		t.Fatalf("server exited early: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("server never started listening")
+	}
+	return base, func() {
+		cancel()
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatalf("graceful shutdown returned %v", err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatal("server did not shut down")
+		}
+	}
+}
 
 // TestServeSmoke boots the server on an ephemeral port with a durable
 // store and a result cache, submits a small verify job through the real
@@ -21,26 +56,8 @@ import (
 // down via context cancellation (the SIGINT path). It is the service's
 // end-to-end acceptance; CI has no second harness for it.
 func TestServeSmoke(t *testing.T) {
-	addrc := make(chan net.Addr, 1)
-	listenHook = func(a net.Addr) { addrc <- a }
-	defer func() { listenHook = nil }()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	var out bytes.Buffer
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1", "-cache-dir", t.TempDir(), "-store", t.TempDir()}, &out)
-	}()
-
-	var base string
-	select {
-	case a := <-addrc:
-		base = "http://" + a.String()
-	case err := <-errc:
-		t.Fatalf("server exited early: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("server never started listening")
-	}
+	var out syncBuffer
+	base, stop := startServe(t, &out, "-cache-dir", t.TempDir(), "-store", t.TempDir())
 
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
@@ -122,15 +139,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("identical resubmit: 202 %+v, cached %v; want the 202 to say done and cached", sub, cached)
 	}
 
-	cancel()
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatalf("graceful shutdown returned %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("server did not shut down")
-	}
+	stop()
 	if !strings.Contains(out.String(), "protoserve listening on") {
 		t.Fatalf("missing banner in output: %q", out.String())
 	}
@@ -158,27 +167,8 @@ func (s *syncBuffer) String() string {
 // TestDebugMux: -debug-addr serves net/http/pprof on its own listener,
 // and the pprof endpoints never leak onto the main API mux.
 func TestDebugMux(t *testing.T) {
-	addrc := make(chan net.Addr, 1)
-	listenHook = func(a net.Addr) { addrc <- a }
-	defer func() { listenHook = nil }()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	var out syncBuffer
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1", "-debug-addr", "127.0.0.1:0"}, &out)
-	}()
-
-	var base string
-	select {
-	case a := <-addrc:
-		base = "http://" + a.String()
-	case err := <-errc:
-		t.Fatalf("server exited early: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("server never started listening")
-	}
+	base, stop := startServe(t, &out, "-debug-addr", "127.0.0.1:0")
 	// The banner carries the resolved debug address.
 	var debugBase string
 	deadline := time.Now().Add(5 * time.Second)
@@ -211,22 +201,10 @@ func TestDebugMux(t *testing.T) {
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("pprof leaked onto the main API listener")
 	}
-
-	cancel()
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatalf("graceful shutdown returned %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("server did not shut down")
-	}
+	stop()
 }
 
-// TestRunBadFlags exercises the flag error path.
-func TestRunBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-definitely-not-a-flag"}, &out); err == nil {
-		t.Fatal("expected flag error")
-	}
+// TestRunServeBadFlags: an unknown flag is an error naming it.
+func TestRunServeBadFlags(t *testing.T) {
+	wantErr(t, []string{"serve", "-definitely-not-a-flag"}, "-definitely-not-a-flag")
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,16 +10,10 @@ import (
 	"protogen"
 )
 
-// runBG invokes run without cancellation, as the pre-context callers
-// did; cancellation-specific tests build their own context.
-func runBG(args []string, out io.Writer) error {
-	return run(context.Background(), args, out)
-}
-
 // TestRunSimulateWorkload: one workload end to end through the CLI path.
 func TestRunSimulateWorkload(t *testing.T) {
 	var out strings.Builder
-	err := runBG([]string{"-protocol", "MSI", "-workload", "contended", "-steps", "3000", "-caches", "2"}, &out)
+	err := runBG([]string{"sim", "-protocol", "MSI", "-workload", "contended", "-steps", "3000", "-caches", "2"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -37,7 +30,7 @@ func TestRunSimulateFromFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	err := runBG([]string{"-file", path, "-workload", "contended", "-steps", "2000", "-caches", "2"}, &out)
+	err := runBG([]string{"sim", "-file", path, "-workload", "contended", "-steps", "2000", "-caches", "2"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -48,12 +41,12 @@ func TestRunSimulateFromFile(t *testing.T) {
 
 // TestRunSimulateCanceled: a canceled context prints the partial stats
 // flagged as interrupted, then exits non-zero — the same contract as
-// protoverify and protofuzz.
+// verify and fuzz.
 func TestRunSimulateCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var out strings.Builder
-	err := run(ctx, []string{"-protocol", "MSI", "-workload", "contended", "-steps", "5000000", "-caches", "2"}, &out)
+	err := run(ctx, []string{"sim", "-protocol", "MSI", "-workload", "contended", "-steps", "5000000", "-caches", "2"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "canceled after") {
 		t.Fatalf("canceled run must error with partial-step report, got %v\n%s", err, out.String())
 	}
@@ -62,16 +55,10 @@ func TestRunSimulateCanceled(t *testing.T) {
 	}
 }
 
-// TestRunSimErrors: bad flags come back as errors.
+// TestRunSimErrors: an unknown protocol, workload or mode is an error
+// naming it.
 func TestRunSimErrors(t *testing.T) {
-	var out strings.Builder
-	if err := runBG([]string{"-protocol", "NoSuch"}, &out); err == nil {
-		t.Error("unknown protocol must error")
-	}
-	if err := runBG([]string{"-workload", "bogus"}, &out); err == nil {
-		t.Error("unknown workload must error")
-	}
-	if err := runBG([]string{"-mode", "bogus"}, &out); err == nil {
-		t.Error("unknown mode must error")
-	}
+	wantErr(t, []string{"sim", "-protocol", "NoSuch"}, `unknown protocol "NoSuch"`)
+	wantErr(t, []string{"sim", "-workload", "bogus"}, "bogus")
+	wantErr(t, []string{"sim", "-mode", "bogus"}, `unknown mode "bogus"`)
 }

@@ -1,47 +1,7 @@
-// Command protoverify model-checks a generated protocol for SWMR safety,
-// the data-value invariant and deadlock freedom — the role Murphi plays in
-// the paper's evaluation.
-//
-// Usage:
-//
-//	protoverify -protocol MSI -mode nonstalling -caches 2
-//	protoverify -protocol TSO_CC -no-swmr -no-values        # deadlock only
-//	protoverify -protocol MSI -max-violations 5 -trace      # all witnesses
-//	protoverify -protocol MSI -caches 4 -fingerprint        # hash-compacted visited set
-//	protoverify -protocol MOSI -caches 3 -cache-dir .vcache # memoize results
-//	protoverify -protocol MSI -caches 4 -progress -timeout 5m
-//
-//	protoverify -protocol MSI -mode stalling -reduce        # partial-order reduction
-//	protoverify -protocol MSI -reduce -audit-commute        # + runtime independence audit
-//
-// -fingerprint switches the visited set to 64-bit state fingerprints
-// (5.2-5.6x less visited-set memory as measured; ≥5x is pinned by
-// TestFingerprintBytesReduction). To validate it on a new protocol run
-// once without it: every exact run prints "fingerprint collisions: N
-// over M states", the states -fingerprint would falsely merge.
-// -reduce enables partial-order reduction (identical verdicts, fewer
-// states; see docs/PERFORMANCE.md); -audit-commute re-executes the
-// reduction's fused rules at runtime and fails on any discrepancy.
-// -cache-dir memoizes results keyed by canonical spec + generation
-// options + checker config; see docs/CACHING.md.
-//
-// -cpuprofile and -memprofile write pprof profiles of the exploration
-// (see docs/PERFORMANCE.md for how to read them), so checker perf work
-// starts from data: protoverify -protocol MSI -caches 4 -cpuprofile cpu.out
-//
-// Ctrl-C (or -timeout expiry) stops the exploration at the next BFS
-// level boundary and prints the partial counts explored so far instead
-// of dying silently; -progress streams per-level progress lines.
-//
-// Before exploration the spec is run through the static analyzer
-// (protolint's passes); warning- and error-severity findings print as
-// "warning: lint: ..." lines. They are advisory — the checker stays
-// the ground truth — and -no-lint silences them.
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -51,18 +11,16 @@ import (
 	"time"
 
 	"protogen"
-	"protogen/cmd/internal/cli"
 )
 
-func main() { cli.Main("protoverify", run) }
-
-func run(ctx context.Context, args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("protoverify", flag.ContinueOnError)
-	fs.SetOutput(stdout)
-	subject := cli.SpecFlags{Mode: "nonstalling"}
+// verify model-checks the generated protocol; the package comment has
+// its flags in prose and examples.
+func verify(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := newFlagSet("verify", stdout)
+	subject := SpecFlags{Mode: "nonstalling"}
 	subject.Bind(fs, 0)
-	check := cli.CheckFlags{Caches: 3} // the paper setup and the library default
-	check.Bind(fs, cli.Caches|cli.Parallel|cli.Timeout|cli.CacheDir)
+	check := CheckFlags{Caches: 3} // the paper setup and the library default
+	check.Bind(fs, Caches|Parallel|Timeout|CacheDir)
 	var (
 		capacity = fs.Int("capacity", 4, "per-channel capacity (0 = default)")
 		maxSts   = fs.Int("max", 4_000_000, "state cap (0 = default)")
@@ -81,7 +39,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the exploration to this file")
 		memProf  = fs.String("memprofile", "", "write a pprof heap profile (taken after the exploration) to this file")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	if *commute && !*reduce {

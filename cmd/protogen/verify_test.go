@@ -2,18 +2,11 @@ package main
 
 import (
 	"context"
-	"io"
 	"os"
 	"strings"
 	"testing"
 	"time"
 )
-
-// runBG invokes run without cancellation, as the pre-context callers
-// did; cancellation-specific tests build their own context.
-func runBG(args []string, out io.Writer) error {
-	return run(context.Background(), args, out)
-}
 
 // TestRunVerifyCanceledPartial: a context canceled mid-exploration (here
 // via an immediate -timeout-style deadline) yields partial counts, a
@@ -23,7 +16,7 @@ func TestRunVerifyCanceledPartial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the first level boundary
 	var out strings.Builder
-	err := run(ctx, []string{"-protocol", "MSI", "-mode", "nonstalling", "-caches", "2", "-parallel", "1"}, &out)
+	err := run(ctx, []string{"verify", "-protocol", "MSI", "-mode", "nonstalling", "-caches", "2", "-parallel", "1"}, &out)
 	if err == nil {
 		t.Fatalf("canceled run must report an error:\n%s", out.String())
 	}
@@ -39,7 +32,7 @@ func TestRunVerifyProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := dir+"/cpu.out", dir+"/mem.out"
 	var out strings.Builder
-	err := runBG([]string{"-protocol", "MSI", "-mode", "stalling", "-caches", "2",
+	err := runBG([]string{"verify", "-protocol", "MSI", "-mode", "stalling", "-caches", "2",
 		"-parallel", "1", "-cpuprofile", cpu, "-memprofile", mem}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
@@ -60,7 +53,7 @@ func TestRunVerifyProfiles(t *testing.T) {
 func TestRunVerifyTimeoutFlag(t *testing.T) {
 	var out strings.Builder
 	start := time.Now()
-	err := runBG([]string{"-protocol", "MSI", "-mode", "stalling", "-caches", "2", "-parallel", "1", "-timeout", "5m"}, &out)
+	err := runBG([]string{"verify", "-protocol", "MSI", "-mode", "stalling", "-caches", "2", "-parallel", "1", "-timeout", "5m"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -75,7 +68,7 @@ func TestRunVerifyTimeoutFlag(t *testing.T) {
 // TestRunVerifyProgressFlag: -progress streams per-level lines.
 func TestRunVerifyProgressFlag(t *testing.T) {
 	var out strings.Builder
-	if err := runBG([]string{"-protocol", "MSI", "-mode", "stalling", "-caches", "2", "-parallel", "1", "-progress"}, &out); err != nil {
+	if err := runBG([]string{"verify", "-protocol", "MSI", "-mode", "stalling", "-caches", "2", "-parallel", "1", "-progress"}, &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	if strings.Count(out.String(), "verify: ") < 2 {
@@ -87,7 +80,7 @@ func TestRunVerifyProgressFlag(t *testing.T) {
 // fast scale through the real CLI path.
 func TestRunVerifyMSI(t *testing.T) {
 	var out strings.Builder
-	err := runBG([]string{"-protocol", "MSI", "-mode", "stalling", "-caches", "2", "-parallel", "1"}, &out)
+	err := runBG([]string{"verify", "-protocol", "MSI", "-mode", "stalling", "-caches", "2", "-parallel", "1"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -101,7 +94,7 @@ func TestRunVerifyMSI(t *testing.T) {
 // mismatch.
 func TestRunVerifyDefaults(t *testing.T) {
 	var out strings.Builder
-	fsErr := runBG([]string{"-h"}, &out)
+	fsErr := runBG([]string{"verify", "-h"}, &out)
 	if fsErr == nil {
 		t.Fatal("-h must return flag.ErrHelp")
 	}
@@ -119,7 +112,7 @@ func TestRunVerifyDefaults(t *testing.T) {
 func TestRunVerifyBrokenPrintsAllTraces(t *testing.T) {
 	var out strings.Builder
 	// The no-prune ablation deadlocks the stalling design (§V-F finding).
-	err := runBG([]string{
+	err := runBG([]string{"verify",
 		"-protocol", "MSI", "-mode", "stalling", "-no-prune",
 		"-caches", "2", "-parallel", "1", "-max-violations", "2", "-trace",
 	}, &out)
@@ -138,26 +131,15 @@ func TestRunVerifyBrokenPrintsAllTraces(t *testing.T) {
 	}
 }
 
-// TestRunVerifyUnknownProtocol: errors surface as errors, not exits.
-func TestRunVerifyUnknownProtocol(t *testing.T) {
-	var out strings.Builder
-	if err := runBG([]string{"-protocol", "NoSuch"}, &out); err == nil {
-		t.Error("unknown protocol must error")
-	}
-	if err := runBG([]string{"-protocol", "MSI", "-mode", "bogus"}, &out); err == nil {
-		t.Error("unknown mode must error")
-	}
-}
-
 // TestRunVerifyFingerprint: -fingerprint explores the same space as the
 // exact run, and the exact run — the one that keeps full keys — is the
 // one that reports how many states fingerprinting would have merged.
 func TestRunVerifyFingerprint(t *testing.T) {
 	var exact, fp strings.Builder
-	if err := runBG([]string{"-protocol", "MSI", "-mode", "stalling", "-caches", "2", "-parallel", "1"}, &exact); err != nil {
+	if err := runBG([]string{"verify", "-protocol", "MSI", "-mode", "stalling", "-caches", "2", "-parallel", "1"}, &exact); err != nil {
 		t.Fatal(err)
 	}
-	err := runBG([]string{
+	err := runBG([]string{"verify",
 		"-protocol", "MSI", "-mode", "stalling", "-caches", "2", "-parallel", "1", "-fingerprint",
 	}, &fp)
 	if err != nil {
@@ -181,7 +163,7 @@ func TestRunVerifyFingerprint(t *testing.T) {
 // no successor ratio (it printed "(0.82x)" on this very run).
 func TestRunVerifyReduceReadout(t *testing.T) {
 	var out strings.Builder
-	args := []string{"-protocol", "MSI", "-mode", "nonstalling", "-caches", "2", "-parallel", "1", "-reduce"}
+	args := []string{"verify", "-protocol", "MSI", "-mode", "nonstalling", "-caches", "2", "-parallel", "1", "-reduce"}
 	if err := runBG(args, &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -198,7 +180,7 @@ func TestRunVerifyReduceReadout(t *testing.T) {
 // from the result cache; a changed configuration is not.
 func TestRunVerifyCacheDir(t *testing.T) {
 	dir := t.TempDir()
-	base := []string{"-protocol", "MSI", "-mode", "stalling", "-caches", "2", "-parallel", "1", "-cache-dir", dir}
+	base := []string{"verify", "-protocol", "MSI", "-mode", "stalling", "-caches", "2", "-parallel", "1", "-cache-dir", dir}
 	var cold, warm, other strings.Builder
 	if err := runBG(base, &cold); err != nil {
 		t.Fatal(err)
@@ -217,10 +199,17 @@ func TestRunVerifyCacheDir(t *testing.T) {
 		t.Errorf("cached result differs:\ncold: %s\nwarm: %s", cold.String(), warm.String())
 	}
 	// A different mode must not share the entry.
-	if err := runBG([]string{"-protocol", "MSI", "-mode", "nonstalling", "-caches", "2", "-parallel", "1", "-cache-dir", dir}, &other); err != nil {
+	if err := runBG([]string{"verify", "-protocol", "MSI", "-mode", "nonstalling", "-caches", "2", "-parallel", "1", "-cache-dir", dir}, &other); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(other.String(), "(cached)") {
 		t.Errorf("different generation options hit the same cache entry:\n%s", other.String())
 	}
+}
+
+// TestRunVerifyUnknownProtocol: an unknown protocol or mode is an error
+// naming it.
+func TestRunVerifyUnknownProtocol(t *testing.T) {
+	wantErr(t, []string{"verify", "-protocol", "NoSuch"}, `unknown protocol "NoSuch"`)
+	wantErr(t, []string{"verify", "-protocol", "MSI", "-mode", "bogus"}, `unknown mode "bogus"`)
 }

@@ -141,12 +141,12 @@ func TestDocPathsResolve(t *testing.T) {
 	}
 }
 
-// TestOneFrontDoor keeps the binaries' shared surface declared once.
-// Outside cmd/internal/cli no non-test file under cmd/ may declare one
-// of the shared flags (or the old -spec), or install its own signal
-// handler; and outside bench/ only internal/core may spell the three
-// generation-mode names in one composite literal — everything else
-// ranges over core.Modes.
+// TestOneFrontDoor keeps the command line's shared surface declared
+// once. No non-test file under cmd/ but cmd/protogen/flags.go may
+// declare one of the shared flags (or the old -spec), and nothing but
+// cmd/protogen's Main may install a signal handler; and outside bench/
+// only internal/core may spell the three generation-mode names in one
+// composite literal — everything else ranges over core.Modes.
 func TestOneFrontDoor(t *testing.T) {
 	shared := map[string]bool{"protocol": true, "spec": true, "file": true, "mode": true,
 		"caches": true, "parallel": true, "timeout": true, "cache-dir": true}
@@ -168,22 +168,32 @@ func TestOneFrontDoor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		binary := strings.HasPrefix(path, "cmd/") && !strings.HasPrefix(path, "cmd/internal/cli/")
+		cmd := strings.HasPrefix(path, "cmd/")
+		var inMain *ast.FuncDecl // cmd/protogen's Main, the one signal handler
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && path == "cmd/protogen/main.go" && fn.Name.Name == "Main" {
+				inMain = fn
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				sel, ok := n.Fun.(*ast.SelectorExpr)
-				if !ok || !binary {
+				if !ok || !cmd {
 					break
 				}
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "signal" && sel.Sel.Name == "NotifyContext" {
-					t.Errorf("%s: signal.NotifyContext belongs to cli.Main", fset.Position(n.Pos()))
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "signal" && sel.Sel.Name == "NotifyContext" &&
+					(inMain == nil || n.Pos() < inMain.Pos() || n.End() > inMain.End()) {
+					t.Errorf("%s: signal.NotifyContext belongs to cmd/protogen's Main", fset.Position(n.Pos()))
+				}
+				if path == "cmd/protogen/flags.go" {
+					break
 				}
 				// Every flag-declaring method takes the name first
 				// (fs.Int) or second (fs.IntVar, fs.Var).
 				for _, arg := range n.Args[:min(2, len(n.Args))] {
 					if name := str(arg); shared[name] {
-						t.Errorf("%s: flag -%s is declared by cmd/internal/cli, not per binary", fset.Position(n.Pos()), name)
+						t.Errorf("%s: flag -%s is declared in cmd/protogen/flags.go, not per verb", fset.Position(n.Pos()), name)
 					}
 				}
 			case *ast.CompositeLit:

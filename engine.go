@@ -3,9 +3,9 @@ package protogen
 // This file is the job-oriented root API: a configurable Engine that
 // runs VerifyJob / SimulateJob / FuzzJob values under a context.Context,
 // emitting typed progress events and sharing one verify result cache.
-// Every binary, every example and the service layer (internal/service,
-// cmd/protoserve) run on it. See docs/API.md for the design and
-// migration notes.
+// The command-line tool, every example and the service layer
+// (internal/service, protogen serve) run on it. See docs/API.md for
+// the design and migration notes.
 
 import (
 	"context"

@@ -8,7 +8,7 @@ package analyze
 // names each protocol-level fact that disables reduction outright,
 // PG302 names each cache rule class pessimized to invariant-visible
 // (with the classifier's reason), and PG303 is the one-line summary
-// protolint's -dep-stats mode serializes.
+// protogen lint -dep-stats serializes.
 
 import (
 	"fmt"

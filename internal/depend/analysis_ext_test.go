@@ -137,7 +137,7 @@ func TestRefSends(t *testing.T) {
 	}
 }
 
-// TestMSIStats pins the summary the PG303 diagnostic and protolint
+// TestMSIStats pins the summary the PG303 diagnostic and protogen lint
 // -dep-stats render for stalling MSI. Fusible must be a superset of
 // invisible, and any drift in these numbers is a change to the
 // analysis itself.

@@ -10,7 +10,7 @@ import (
 // Analysis is the complete static dependence analysis of one generated
 // protocol. The verify package consumes the visibility tables and id-var
 // lists to build reduced successor sets; the analyze package and
-// cmd/protolint surface the class records and stats as PG3xx
+// protogen lint surface the class records and stats as PG3xx
 // diagnostics.
 type Analysis struct {
 	P *ir.Protocol
@@ -74,7 +74,7 @@ type Analysis struct {
 	Stats Stats
 }
 
-// Stats summarizes the analysis for PG302 and protolint -dep-stats.
+// Stats summarizes the analysis for PG302 and protogen lint -dep-stats.
 type Stats struct {
 	Classes      int `json:"classes"`       // executable rule classes, both machines
 	CacheClasses int `json:"cache_classes"` // executable cache-machine classes

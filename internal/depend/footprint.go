@@ -3,7 +3,7 @@
 // invariant-visibility classification, and an id-flow taint analysis.
 // Together these power the checker's partial-order reduction
 // (internal/verify, Config.Reduce) and the PG3xx lint diagnostics
-// (internal/analyze, cmd/protolint -dep-stats).
+// (internal/analyze, protogen lint -dep-stats).
 //
 // The unit of analysis is the rule class: a (machine kind, state, event)
 // triple. Every concrete rule the engine enumerates — an access at cache

@@ -7,7 +7,7 @@ import (
 
 // TestCampaignShippedSeeds: the differential campaign is clean over a
 // representative seed range of the shipped families — the library-level
-// form of the protofuzz CLI's acceptance run.
+// form of the protogen fuzz acceptance run.
 func TestCampaignShippedSeeds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Shrink = false

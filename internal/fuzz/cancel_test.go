@@ -59,7 +59,7 @@ func TestRunCtxCancelPartialReport(t *testing.T) {
 
 // TestRunCtxCancelAfterLastSeed: a context that fires only after every
 // seed has completed must NOT mark the report canceled — all the work
-// was done; protofuzz would otherwise fail a fully successful campaign.
+// was done; protogen fuzz would otherwise fail a fully successful campaign.
 func TestRunCtxCancelAfterLastSeed(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -165,7 +165,7 @@ func WriteCorpusEntry(dir string, e CorpusEntry) (string, error) {
 	return path, os.WriteFile(path, []byte(e.Render()), 0o644)
 }
 
-// WriteReproducers is the corpus sink shared by protofuzz -corpus and
+// WriteReproducers is the corpus sink shared by protogen fuzz -corpus and
 // the service's fuzz jobs: it writes every minimized reproducer of rep
 // into dir ("" disables the sink) and returns the files written, in
 // report order. A write failure does not stop the sink (the report
@@ -201,7 +201,7 @@ func WriteReproducers(dir string, rep *Report) ([]string, error) {
 }
 
 // RegisterEntries adds one exemplar per shipped family plus every corpus
-// reproducer to the protocols registry, so protofuzz -list (and any
+// reproducer to the protocols registry, so protogen fuzz -list (and any
 // other registry consumer) can address them by name. Idempotent: an
 // entry already registered with the identical source is skipped (a
 // service restarting its setup in-process must not fail), while a name

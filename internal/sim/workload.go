@@ -91,7 +91,7 @@ func Workloads() []Workload {
 }
 
 // WorkloadByName resolves a standard-suite workload from its Name —
-// the lookup behind protosim -workload and the service's "workload"
+// the lookup behind protogen sim -workload and the service's "workload"
 // request field.
 func WorkloadByName(name string) (Workload, error) {
 	var names []string

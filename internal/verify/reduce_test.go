@@ -125,7 +125,7 @@ var reducedGolden = map[string][2]int{
 }
 
 // TestReducedGoldenCounts holds the reduced state graph to the pinned
-// golden counts — the anchor the protoverify -reduce CI smoke leans on,
+// golden counts — the anchor the protogen verify -reduce CI smoke leans on,
 // and, with TestSeedBaselinePinned's full counts, what fixes every
 // reduction ratio (stalling MSI: 8180 / 4929 = 1.66x).
 func TestReducedGoldenCounts(t *testing.T) {

@@ -502,7 +502,7 @@ func TestConcurrencyTarget(t *testing.T) {
 		{"protogen/internal/bus", true},
 		{"protogen/internal/linelog", true},
 		{"protogen/internal/dsl", false},
-		{"protogen/cmd/protoverify", false},
+		{"protogen/cmd/protogen", false},
 		{"otherproject", false},
 	} {
 		if got := ConcurrencyTarget(tc.path); got != tc.want {

@@ -3,8 +3,8 @@ package protogen
 // This file is the lint surface of the root API: LintJob runs the
 // internal/analyze static analyzer over a spec and its generated
 // protocols without any state exploration, producing one Report per
-// layer. cmd/protolint, the verification service's "lint" job kind and
-// protoverify's pre-exploration lint all sit on this entry point.
+// layer. protogen lint, the verification service's "lint" job kind and
+// protogen verify's pre-exploration lint all sit on this entry point.
 
 import (
 	"context"
@@ -151,7 +151,7 @@ func (e *Engine) Lint(ctx context.Context, job LintJob) (*LintResult, error) {
 // protocol: class counts, how many cache classes are invisible to the
 // checked invariants and how many are collapse-fusible, id-tainted
 // variables, and the protocol-level facts that disable partial-order
-// reduction. Marshals directly to JSON (protolint -dep-stats).
+// reduction. Marshals directly to JSON (protogen lint -dep-stats).
 type DependStats = depend.Stats
 
 // DependStatsFor runs the static rule-dependence analysis
