@@ -215,3 +215,76 @@ func TestOneFrontDoor(t *testing.T) {
 		t.Errorf("found %d mode-name literals, want exactly core.Modes", modeLists)
 	}
 }
+
+// TestTransWriters keeps ir.Machine's transition index current: outside
+// internal/ir, test files included, nothing may assign to a .Trans field
+// or one of its elements, sort or copy into it, or set it in a composite
+// literal. AddTransition and SetTransitions are the only writers.
+func TestTransWriters(t *testing.T) {
+	// onTrans reports whether e denotes x.Trans or a part of it.
+	var onTrans func(e ast.Expr) bool
+	onTrans = func(e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			return e.Sel.Name == "Trans" || onTrans(e.X)
+		case *ast.IndexExpr:
+			return onTrans(e.X)
+		case *ast.SliceExpr:
+			return onTrans(e.X)
+		case *ast.ParenExpr:
+			return onTrans(e.X)
+		}
+		return false
+	}
+	fset := token.NewFileSet()
+	for _, path := range goFiles(t) {
+		path = filepath.ToSlash(path)
+		if strings.HasPrefix(path, "internal/ir/") || strings.HasPrefix(path, "bench/") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var w ast.Node
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if onTrans(lhs) {
+						w = n
+					}
+				}
+			case *ast.IncDecStmt:
+				if onTrans(n.X) {
+					w = n
+				}
+			case *ast.CallExpr:
+				name := ""
+				switch fn := n.Fun.(type) {
+				case *ast.Ident:
+					name = fn.Name
+				case *ast.SelectorExpr:
+					if x, ok := fn.X.(*ast.Ident); ok {
+						name = x.Name + "." + fn.Sel.Name
+					}
+				}
+				switch name {
+				case "copy", "sort.Slice", "sort.SliceStable", "sort.Sort", "sort.Stable", "slices.Sort", "slices.SortFunc",
+					"slices.SortStableFunc", "slices.Reverse":
+					if len(n.Args) > 0 && onTrans(n.Args[0]) {
+						w = n
+					}
+				}
+			case *ast.KeyValueExpr:
+				if k, ok := n.Key.(*ast.Ident); ok && k.Name == "Trans" {
+					w = n
+				}
+			}
+			if w != nil {
+				t.Errorf("%s: writes ir.Machine.Trans; use AddTransition or SetTransitions", fset.Position(w.Pos()))
+			}
+			return true
+		})
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"protogen/internal/ir"
@@ -26,6 +27,7 @@ func mergeStates(m *ir.Machine) map[ir.StateName]ir.StateName {
 		}
 	}
 
+	rows := rowsOf(m)
 	for {
 		groups := map[string][]ir.StateName{}
 		var order []string
@@ -33,11 +35,11 @@ func mergeStates(m *ir.Machine) map[ir.StateName]ir.StateName {
 			if resolve(n) != n {
 				continue // already merged away
 			}
-			st := m.State(n)
-			if st.Kind != ir.Transient {
-				continue
+			r := rows[n]
+			if r == nil {
+				continue // stable
 			}
-			sig := signature(m, n, resolve)
+			sig := r.signature(n, resolve)
 			if _, ok := groups[sig]; !ok {
 				order = append(order, sig)
 			}
@@ -80,7 +82,7 @@ func mergeStates(m *ir.Machine) map[ir.StateName]ir.StateName {
 		keepOrder = append(keepOrder, n)
 	}
 	m.Order = keepOrder
-	var keepTrans []ir.Transition
+	keepTrans := make([]ir.Transition, 0, len(m.Trans))
 	for _, t := range m.Trans {
 		if _, merged := renames[t.From]; merged {
 			continue
@@ -90,32 +92,76 @@ func mergeStates(m *ir.Machine) map[ir.StateName]ir.StateName {
 		}
 		keepTrans = append(keepTrans, t)
 	}
-	m.Trans = keepTrans
+	m.SetTransitions(keepTrans)
 	for _, st := range m.Sts {
 		sort.Slice(st.Aliases, func(i, j int) bool { return st.Aliases[i] < st.Aliases[j] })
 	}
 	return renames
 }
 
-// signature canonicalizes a state's outgoing behavior. The deferred
-// obligations are part of the behavior (AFlush discharges them), so states
-// with different defers never merge: IM_AD_SI (owes Data to a GetS
-// requestor and the directory) must stay distinct from IM_AD_I (owes Data
-// to a GetM requestor) even though their transition rows look alike.
-func signature(m *ir.Machine, n ir.StateName, resolve func(ir.StateName) ir.StateName) string {
-	st := m.State(n)
-	rows := []string{fmt.Sprintf("defers=%v", st.Defers)}
-	for _, t := range m.Trans {
-		if t.From != n {
+// stateRows is a transient state's outgoing behaviour with every
+// transition formatted except its next state, which the fixpoint
+// resolves afresh on each pass.
+type stateRows struct {
+	defers   string
+	rows     []string // "ev|guard|stall|stale|actions|", one per transition
+	next     []ir.StateName
+	resolved []ir.StateName // next as the cached sig resolved it
+	sig      string
+}
+
+// rowsOf formats the rows of every transient state once.
+func rowsOf(m *ir.Machine) map[ir.StateName]*stateRows {
+	out := map[ir.StateName]*stateRows{}
+	for _, n := range m.Order {
+		if st := m.State(n); st.Kind == ir.Transient {
+			out[n] = &stateRows{defers: fmt.Sprintf("defers=%v", st.Defers)}
+		}
+	}
+	for i := range m.Trans {
+		t := &m.Trans[i]
+		r := out[t.From]
+		if r == nil {
 			continue
 		}
-		next := string(resolve(t.Next))
-		if resolve(t.Next) == resolve(n) {
-			next = "@self"
+		r.rows = append(r.rows, t.Ev.String()+"|"+t.GuardLabel+"|"+strconv.FormatBool(t.Stall)+"|"+
+			strconv.FormatBool(t.Stale)+"|"+ir.ActionsString(t.Actions)+"|")
+		r.next = append(r.next, t.Next)
+	}
+	for _, r := range out {
+		r.resolved = make([]ir.StateName, len(r.next))
+	}
+	return out
+}
+
+// signature canonicalizes state n's outgoing behavior; it is rebuilt
+// only when a next state resolves differently than last time. The
+// deferred obligations are part of the behavior (AFlush discharges
+// them), so states with different defers never merge: IM_AD_SI (owes
+// Data to a GetS requestor and the directory) must stay distinct from
+// IM_AD_I (owes Data to a GetM requestor) even though their transition
+// rows look alike.
+func (r *stateRows) signature(n ir.StateName, resolve func(ir.StateName) ir.StateName) string {
+	same := r.sig != ""
+	for i, next := range r.next {
+		to := resolve(next)
+		if to == n {
+			to = "@self"
 		}
-		rows = append(rows, fmt.Sprintf("%s|%s|%v|%v|%s|%s",
-			t.Ev, t.GuardLabel, t.Stall, t.Stale, ir.ActionsString(t.Actions), next))
+		if to != r.resolved[i] {
+			r.resolved[i] = to
+			same = false
+		}
+	}
+	if same {
+		return r.sig
+	}
+	rows := make([]string, 0, len(r.rows)+1)
+	rows = append(rows, r.defers)
+	for i, row := range r.rows {
+		rows = append(rows, row+string(r.resolved[i]))
 	}
 	sort.Strings(rows)
-	return strings.Join(rows, "\n")
+	r.sig = strings.Join(rows, "\n")
+	return r.sig
 }

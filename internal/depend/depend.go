@@ -354,8 +354,9 @@ func (c *classifier) machineTables(m *ir.Machine, tainted map[string]bool, msgId
 		}
 	}
 
+	evs := m.Events()
 	for si, sn := range m.Order {
-		for _, ev := range m.Events() {
+		for _, ev := range evs {
 			ts := m.Find(sn, ev)
 			if len(ts) == 0 {
 				continue

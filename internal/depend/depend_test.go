@@ -47,22 +47,23 @@ func TestGuardsDisjoint(t *testing.T) {
 // propagates it, and a constant flowing into an id sink is an unsafe
 // fact that disables reduction for the whole protocol.
 func TestTaintIDVars(t *testing.T) {
-	m := &ir.Machine{
-		Kind: ir.KindDirectory,
-		Name: "directory",
-		Vars: []ir.VarDecl{
+	machine := func(extra ...ir.Action) *ir.Machine {
+		m := ir.NewMachine("directory", ir.KindDirectory)
+		m.Vars = []ir.VarDecl{
 			{Name: "owner", Type: ir.VID},
 			{Name: "keeper", Type: ir.VInt},
 			{Name: "cnt", Type: ir.VInt},
-		},
-		Trans: []ir.Transition{
-			{Actions: []ir.Action{{Op: ir.ASet, Var: "keeper",
-				Expr: &ir.Expr{Kind: ir.EVar, Name: "owner"}}}},
-			{Actions: []ir.Action{{Op: ir.ASet, Var: "cnt",
-				Expr: &ir.Expr{Kind: ir.EConst, Int: 2}}}},
-		},
+		}
+		m.AddTransition(ir.Transition{Actions: []ir.Action{{Op: ir.ASet, Var: "keeper",
+			Expr: &ir.Expr{Kind: ir.EVar, Name: "owner"}}}})
+		m.AddTransition(ir.Transition{Actions: []ir.Action{{Op: ir.ASet, Var: "cnt",
+			Expr: &ir.Expr{Kind: ir.EConst, Int: 2}}}})
+		if len(extra) > 0 {
+			m.AddTransition(ir.Transition{Actions: extra})
+		}
+		return m
 	}
-	tainted, unsafe := taintIDVars(m)
+	tainted, unsafe := taintIDVars(machine())
 	if !tainted["owner"] || !tainted["keeper"] || tainted["cnt"] {
 		t.Errorf("taint = %v, want owner+keeper only", tainted)
 	}
@@ -71,18 +72,13 @@ func TestTaintIDVars(t *testing.T) {
 	}
 
 	// A constant minted into an id variable defeats the induction.
-	m.Trans = append(m.Trans, ir.Transition{Actions: []ir.Action{
-		{Op: ir.ASet, Var: "owner", Expr: &ir.Expr{Kind: ir.EConst, Int: 1}}}})
-	_, unsafe = taintIDVars(m)
+	_, unsafe = taintIDVars(machine(ir.Action{Op: ir.ASet, Var: "owner", Expr: &ir.Expr{Kind: ir.EConst, Int: 1}}))
 	if len(unsafe) != 1 {
 		t.Fatalf("constant into id sink: unsafe = %v, want 1 fact", unsafe)
 	}
 
 	// So does non-id arithmetic into a sharer set.
-	m.Trans = m.Trans[:2]
-	m.Trans = append(m.Trans, ir.Transition{Actions: []ir.Action{
-		{Op: ir.ASetAdd, Var: "sharers", Expr: bin(ir.OpGt, "cnt", 0)}}})
-	_, unsafe = taintIDVars(m)
+	_, unsafe = taintIDVars(machine(ir.Action{Op: ir.ASetAdd, Var: "sharers", Expr: bin(ir.OpGt, "cnt", 0)}))
 	if len(unsafe) != 1 {
 		t.Fatalf("expression into set sink: unsafe = %v, want 1 fact", unsafe)
 	}

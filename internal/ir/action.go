@@ -1,7 +1,6 @@
 package ir
 
 import (
-	"fmt"
 	"strings"
 )
 
@@ -110,29 +109,28 @@ func SetVar(name string, e *Expr) Action { return Action{Op: ASet, Var: name, Ex
 func (a Action) String() string {
 	switch a.Op {
 	case ASend:
-		var b strings.Builder
-		fmt.Fprintf(&b, "send %s to %s", a.Msg, a.Dst)
+		s := "send " + string(a.Msg) + " to " + a.Dst.String()
 		if a.Dst == DstSharers && a.ExceptSrc {
-			b.WriteString(" except msg.src")
+			s += " except msg.src"
 		}
 		if a.Payload.WithData {
-			b.WriteString(" with data")
+			s += " with data"
 		}
 		if a.Payload.Acks != nil {
-			fmt.Fprintf(&b, " acks %s", a.Payload.Acks)
+			s += " acks " + a.Payload.Acks.String()
 		}
 		if a.Payload.Req != nil {
-			fmt.Fprintf(&b, " req %s", a.Payload.Req)
+			s += " req " + a.Payload.Req.String()
 		}
-		return b.String()
+		return s
 	case ASet:
-		return fmt.Sprintf("%s = %s", a.Var, a.Expr)
+		return a.Var + " = " + a.Expr.String()
 	case ASetAdd:
-		return fmt.Sprintf("%s.add(%s)", a.Var, a.Expr)
+		return a.Var + ".add(" + a.Expr.String() + ")"
 	case ASetDel:
-		return fmt.Sprintf("%s.del(%s)", a.Var, a.Expr)
+		return a.Var + ".del(" + a.Expr.String() + ")"
 	case ASetClear:
-		return fmt.Sprintf("%s.clear", a.Var)
+		return a.Var + ".clear"
 	case ACopyData:
 		return "copy data"
 	case AWriteback:

@@ -22,7 +22,9 @@ const (
 	CodeSpecName Code = "PG001"
 	// CodeSpecMachines: a cache or directory machine is missing.
 	CodeSpecMachines Code = "PG002"
-	// CodeDupMsg: a message type is declared twice.
+	// CodeDupMsg: a message type is declared twice, or is named like a
+	// core access (load, store, repl, acq, none) and would share that
+	// access's event name.
 	CodeDupMsg Code = "PG003"
 	// CodeDupState: a stable state is declared twice.
 	CodeDupState Code = "PG004"

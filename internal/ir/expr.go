@@ -1,7 +1,7 @@
 package ir
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -96,24 +96,24 @@ func (e *Expr) String() string {
 	}
 	switch e.Kind {
 	case EConst:
-		return fmt.Sprintf("%d", e.Int)
+		return strconv.Itoa(e.Int)
 	case EVar:
 		return e.Name
 	case EField:
 		return "msg." + e.Name
 	case ECount:
 		if e.L != nil {
-			return fmt.Sprintf("count(%s except %s)", e.Name, e.L)
+			return "count(" + e.Name + " except " + e.L.String() + ")"
 		}
-		return fmt.Sprintf("count(%s)", e.Name)
+		return "count(" + e.Name + ")"
 	case EBinop:
-		return fmt.Sprintf("%s %s %s", e.L, e.Op, e.R)
+		return e.L.String() + " " + e.Op.String() + " " + e.R.String()
 	case ENone:
 		return "none"
 	case EInSet:
-		return fmt.Sprintf("%s.contains(%s)", e.Name, e.L)
+		return e.Name + ".contains(" + e.L.String() + ")"
 	case ENot:
-		return fmt.Sprintf("!(%s)", e.L)
+		return "!(" + e.L.String() + ")"
 	}
 	return "expr?"
 }

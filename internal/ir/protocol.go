@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -121,11 +120,90 @@ type Machine struct {
 	Vars  []VarDecl
 	Order []StateName // deterministic presentation order
 	Sts   map[StateName]*State
+
+	// Trans lists every transition in the order it was added. Read it
+	// freely; write it only through AddTransition and SetTransitions,
+	// which keep idx current.
 	Trans []Transition
 
 	// DeferredActions maps each forwarded-request type to the response
 	// actions owed when a deferred obligation of that type is flushed.
 	DeferredActions map[MsgType][]Action
+
+	idx transIndex
+}
+
+// transIndex locates transitions by From and by (From, Ev), as positions
+// in Trans order, and records the machine's distinct events. It is
+// written only by the two Trans writers and never by a read, so a
+// finished machine may be read from several goroutines at once.
+type transIndex struct {
+	from map[StateName]*stateTrans
+	evs  map[string]bool // Event.String() of every event seen
+	acc  []Event         // distinct access events, sorted by Access
+	msg  []Event         // distinct message events, first appearance first
+}
+
+// stateTrans indexes the transitions out of one state.
+type stateTrans struct {
+	all   []int32 // every one of them
+	cells []cell  // one per distinct event, first appearance first
+}
+
+// cell holds the transitions out of one state on one event.
+type cell struct {
+	ev Event
+	at []int32
+}
+
+func (st *stateTrans) cell(ev Event) *cell {
+	for j := range st.cells {
+		if st.cells[j].ev == ev {
+			return &st.cells[j]
+		}
+	}
+	return nil
+}
+
+// add indexes Trans[i].
+func (x *transIndex) add(i int, t *Transition) {
+	if x.from == nil {
+		x.from = map[StateName]*stateTrans{}
+		x.evs = map[string]bool{}
+	}
+	st := x.from[t.From]
+	if st == nil {
+		st = &stateTrans{}
+		x.from[t.From] = st
+	}
+	st.all = append(st.all, int32(i))
+	c := st.cell(t.Ev)
+	if c == nil {
+		st.cells = append(st.cells, cell{ev: t.Ev})
+		c = &st.cells[len(st.cells)-1]
+		x.event(t.Ev)
+	}
+	c.at = append(c.at, int32(i))
+}
+
+// event records ev among the machine's distinct events.
+func (x *transIndex) event(ev Event) {
+	s := ev.String()
+	if x.evs[s] {
+		return
+	}
+	x.evs[s] = true
+	if ev.Kind != EvAccess {
+		x.msg = append(x.msg, ev)
+		return
+	}
+	j := len(x.acc)
+	for j > 0 && x.acc[j-1].Access > ev.Access {
+		j--
+	}
+	x.acc = append(x.acc, Event{})
+	copy(x.acc[j+1:], x.acc[j:])
+	x.acc[j] = ev
 }
 
 // NewMachine returns an empty machine of the given kind.
@@ -163,26 +241,45 @@ func (m *Machine) StableStates() []StateName {
 }
 
 // AddTransition appends t.
-func (m *Machine) AddTransition(t Transition) { m.Trans = append(m.Trans, t) }
-
-// TransFrom returns all transitions out of state n.
-func (m *Machine) TransFrom(n StateName) []Transition {
-	var out []Transition
-	for _, t := range m.Trans {
-		if t.From == n {
-			out = append(out, t)
-		}
-	}
-	return out
+func (m *Machine) AddTransition(t Transition) {
+	m.Trans = append(m.Trans, t)
+	m.idx.add(len(m.Trans)-1, &m.Trans[len(m.Trans)-1])
 }
 
-// Find returns the transitions out of n for event ev (multiple when guarded).
+// SetTransitions replaces every transition with ts, which the machine
+// keeps, and re-indexes them.
+func (m *Machine) SetTransitions(ts []Transition) {
+	m.Trans = ts
+	m.idx = transIndex{}
+	for i := range ts {
+		m.idx.add(i, &ts[i])
+	}
+}
+
+// TransFrom returns all transitions out of state n, in Trans order.
+func (m *Machine) TransFrom(n StateName) []Transition {
+	if st := m.idx.from[n]; st != nil {
+		return m.pick(st.all)
+	}
+	return nil
+}
+
+// Find returns the transitions out of n for event ev (multiple when
+// guarded), in Trans order.
 func (m *Machine) Find(n StateName, ev Event) []Transition {
-	var out []Transition
-	for _, t := range m.Trans {
-		if t.From == n && t.Ev == ev {
-			out = append(out, t)
+	if st := m.idx.from[n]; st != nil {
+		if c := st.cell(ev); c != nil {
+			return m.pick(c.at)
 		}
+	}
+	return nil
+}
+
+// pick copies the indexed transitions out, so a caller never aliases Trans.
+func (m *Machine) pick(at []int32) []Transition {
+	out := make([]Transition, len(at))
+	for j, i := range at {
+		out[j] = m.Trans[i]
 	}
 	return out
 }
@@ -190,22 +287,11 @@ func (m *Machine) Find(n StateName, ev Event) []Transition {
 // Events returns every distinct event appearing in the machine, accesses
 // first, then messages in first-appearance order.
 func (m *Machine) Events() []Event {
-	seen := map[string]bool{}
-	var acc, msg []Event
-	for _, t := range m.Trans {
-		k := t.Ev.String()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if t.Ev.Kind == EvAccess {
-			acc = append(acc, t.Ev)
-		} else {
-			msg = append(msg, t.Ev)
-		}
+	if len(m.idx.acc)+len(m.idx.msg) == 0 {
+		return nil
 	}
-	sort.Slice(acc, func(i, j int) bool { return acc[i].Access < acc[j].Access })
-	return append(acc, msg...)
+	out := make([]Event, 0, len(m.idx.acc)+len(m.idx.msg))
+	return append(append(out, m.idx.acc...), m.idx.msg...)
 }
 
 // Counts reports (#states, #transitions excluding stalls and stale rules,

@@ -23,6 +23,10 @@ func ValidateSpec(s *Spec) error {
 		if msgs[d.Type] {
 			return Diagf(CodeDupMsg, "spec %s: duplicate message %s", s.Name, d.Type)
 		}
+		if a, ok := accessNamed(d.Type); ok {
+			return Diagf(CodeDupMsg, "spec %s: message %s is named like the core access %s (%s); events are keyed by name",
+				s.Name, d.Type, a, a.Label())
+		}
 		msgs[d.Type] = true
 	}
 	for _, m := range []*MachineSpec{s.Cache, s.Dir} {
@@ -31,6 +35,17 @@ func ValidateSpec(s *Spec) error {
 		}
 	}
 	return nil
+}
+
+// accessNamed reports the core access, AccessNone included, whose
+// Event.String() a message called m would share.
+func accessNamed(m MsgType) (AccessType, bool) {
+	for _, a := range append([]AccessType{AccessNone}, Accesses...) {
+		if string(m) == a.String() {
+			return a, true
+		}
+	}
+	return 0, false
 }
 
 func validateMachineSpec(s *Spec, m *MachineSpec, msgs map[MsgType]bool) error {
@@ -206,19 +221,25 @@ func ValidateProtocol(p *Protocol) error {
 		if m.State(m.Init) == nil {
 			return Diagf(CodeProtoMachine, "%s: init state %s unknown", m.Name, m.Init)
 		}
-		keys := map[string]bool{}
-		for _, t := range m.Trans {
+		type cell struct {
+			from  StateName
+			ev    Event
+			guard string
+		}
+		cells := make(map[cell]bool, len(m.Trans))
+		for i := range m.Trans {
+			t := &m.Trans[i]
 			if m.State(t.From) == nil {
 				return Diagf(CodeProtoUnknownState, "%s: transition from unknown state %s", m.Name, t.From)
 			}
 			if !t.Stall && m.State(t.Next) == nil {
 				return Diagf(CodeProtoUnknownState, "%s: transition %s -> unknown state %s", m.Name, t.Key(), t.Next)
 			}
-			k := t.Key()
-			if keys[k] {
-				return Diagf(CodeProtoDupCell, "%s: duplicate transition cell %s", m.Name, k)
+			k := cell{t.From, t.Ev, t.GuardLabel}
+			if cells[k] {
+				return Diagf(CodeProtoDupCell, "%s: duplicate transition cell %s", m.Name, t.Key())
 			}
-			keys[k] = true
+			cells[k] = true
 		}
 	}
 	return nil

@@ -94,3 +94,23 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRejectsAccessNamedMessage: Event.String(), Transition.Key()
+// and the engine's event index key on the bare name, so a message called
+// like a core access would share that access's event.
+func TestValidateRejectsAccessNamedMessage(t *testing.T) {
+	for _, name := range []MsgType{"load", "store", "repl", "acq", "none"} {
+		s := minimalSpec()
+		s.Msgs = append(s.Msgs, MsgDecl{Type: name, Class: ClassResponse})
+		err := ValidateSpec(s)
+		if CodeOf(err) != CodeDupMsg || !strings.Contains(err.Error(), "message "+string(name)+" ") ||
+			!strings.Contains(err.Error(), "core access") {
+			t.Errorf("message %s: err = %v, want a %s naming the clash", name, err, CodeDupMsg)
+		}
+	}
+	s := minimalSpec()
+	s.Msgs = append(s.Msgs, MsgDecl{Type: "Load", Class: ClassResponse})
+	if err := ValidateSpec(s); err != nil {
+		t.Errorf("message Load rejected: %v", err)
+	}
+}

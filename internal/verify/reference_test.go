@@ -112,7 +112,10 @@ func sortBags(n *engine.System) {
 // state the protocol declares stable.
 func refInspect(p *ir.Protocol, cfg Config, s *engine.System, kinds map[string]bool) (quiescent bool) {
 	hits := func(c *engine.Ctrl, a ir.AccessType) bool { // a is a hit that stays put in c's state
-		for _, t := range p.Cache.Find(c.State, ir.AccessEvent(a)) {
+		for _, t := range p.Cache.Trans { // a scan of its own, not the ir index
+			if t.From != c.State || t.Ev != ir.AccessEvent(a) {
+				continue
+			}
 			for _, act := range t.Actions {
 				if act.Op == ir.AHit && !t.Stall && t.Next == t.From {
 					return true
