@@ -85,10 +85,12 @@
 //
 //	protogen sim -protocol MSI -mode stalling -workload contended -steps 50000
 //
-// serve runs the verification service, an HTTP/JSON job queue over a
-// crash-tolerant coordinator/worker fleet (docs/FLEET.md). With -store
-// DIR jobs are fsynced to a write-ahead log before the 202 and survive
-// a restart. A verify job the shared result cache already holds is
+// serve runs the verification service, an HTTP/JSON job queue drained
+// by -workers runner goroutines (docs/FLEET.md). With -store DIR jobs
+// are fsynced to a write-ahead log before the 202 and survive a
+// restart; a job the process died under is rerun at the next boot, and
+// dead-lettered once -max-attempts restarts have interrupted it. A
+// verify job the shared result cache already holds is
 // answered in its 202 ("status": "done", "cached": true). -debug-addr
 // serves net/http/pprof on a separate listener; keep it loopback.
 //
@@ -99,7 +101,7 @@
 //	GET    /jobs/{id}        status + latest typed progress snapshot
 //	GET    /jobs/{id}/result full result (verify Result / fuzz Report / sim Stats)
 //	DELETE /jobs/{id}        cancel (queued/running) or free a finished job's record
-//	GET    /healthz          worker, queue and cache health
+//	GET    /healthz          job, queue and cache health
 //	GET    /corpus           reproducers collected by the corpus sink
 //
 // experiments regenerates every table and figure of the paper's

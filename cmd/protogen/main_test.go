@@ -34,7 +34,7 @@ var surface = map[string]string{
 	"litmus":      "all=false axiom= caches=0 exhaustive=true file= json=false list=false max-states=0 mode= protocol= runs=0 seed=1 test=",
 	"fuzz":        "cache-dir= caches=2 corpus= family= json= list=false litmus-states=0 max=500000 no-lint=false no-litmus=false no-por=false parallel=0 replay=false seeds=0:100 shrink=true sim-steps=3000 timeout=0s v=false",
 	"sim":         "caches=3 file= mode=nonstalling protocol= seed=1 steps=50000 timeout=0s workload=contended",
-	"serve":       "addr=:8080 cache-dir= corpus= debug-addr= lease-ttl=0s max-attempts=0 parallel=0 queue=64 store= workers=2",
+	"serve":       "addr=:8080 cache-dir= corpus= debug-addr= max-attempts=0 parallel=0 queue=64 store= workers=2",
 	"experiments": "caches=2 parallel=0 run=all",
 }
 

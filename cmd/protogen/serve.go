@@ -25,14 +25,13 @@ func serve(ctx context.Context, args []string, stdout io.Writer) error {
 	var check CheckFlags // per job; the cache is shared by every job
 	check.Bind(fs, Parallel|CacheDir)
 	var (
-		addr     = fs.String("addr", ":8080", "listen address")
-		workers  = fs.Int("workers", 2, "job worker pool size")
-		depth    = fs.Int("queue", 64, "max queued jobs before submits get 503")
-		corpus   = fs.String("corpus", "", "corpus sink: minimized reproducers from failing fuzz jobs land here")
-		store    = fs.String("store", "", "durable job store directory: jobs survive restarts via a write-ahead log (\"\" keeps jobs in memory; see docs/FLEET.md)")
-		leaseTTL = fs.Duration("lease-ttl", 0, "worker lease TTL before a silent attempt is reassigned (0 = default)")
-		retries  = fs.Int("max-attempts", 0, "execution attempts per job before dead-lettering (0 = default)")
-		debug    = fs.String("debug-addr", "", "serve net/http/pprof on this address (opt-in; bind loopback, the endpoints are unauthenticated)")
+		addr    = fs.String("addr", ":8080", "listen address")
+		workers = fs.Int("workers", 2, "job worker pool size")
+		depth   = fs.Int("queue", 64, "max queued jobs before submits get 503")
+		corpus  = fs.String("corpus", "", "corpus sink: minimized reproducers from failing fuzz jobs land here")
+		store   = fs.String("store", "", "durable job store directory: jobs survive restarts via a write-ahead log (\"\" keeps jobs in memory; see docs/FLEET.md)")
+		retries = fs.Int("max-attempts", 0, "dead-letter a running job once this many restarts have interrupted it (0 = default)")
+		debug   = fs.String("debug-addr", "", "serve net/http/pprof on this address (opt-in; bind loopback, the endpoints are unauthenticated)")
 	)
 	if err := parse(fs, args); err != nil {
 		return err
@@ -51,7 +50,6 @@ func serve(ctx context.Context, args []string, stdout io.Writer) error {
 		CacheDir:    check.CacheDir,
 		CorpusDir:   *corpus,
 		StoreDir:    *store,
-		LeaseTTL:    *leaseTTL,
 		MaxAttempts: *retries,
 	})
 	if err != nil {

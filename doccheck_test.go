@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -286,5 +287,25 @@ func TestTransWriters(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestNoBusInProduct keeps the service one process: jobs run on
+// goroutines that call the executor, and nothing the product builds —
+// the root package, the protogen binary, the service — imports
+// internal/bus. The bus stays only for bench/fleetprobes.go.
+func TestNoBusInProduct(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	out, err := exec.Command(goTool, "list", "-deps", "protogen", "protogen/cmd/protogen", "protogen/internal/service").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "protogen/internal/bus" {
+			t.Fatal("the product imports protogen/internal/bus")
+		}
 	}
 }

@@ -1,12 +1,12 @@
-// Package jobstore is the durable half of the verification fleet: a
-// job Record model (lifecycle state, lease, attempt count, failure
-// chain, terminal result) behind a small Store interface with two
+// Package jobstore is the durable half of the verification service: a
+// job Record model (lifecycle state, attempt count, failure chain,
+// terminal result) behind a small Store interface with two
 // implementations — an append-only JSONL write-ahead log whose Put is
 // durable before it returns (the coordinator acknowledges a submit
 // over HTTP only after the WAL has synced, and reads the log once on
-// boot to recover queued and orphaned-running jobs; the open log keeps
-// no record in memory), and an in-memory map for tests and ephemeral
-// deployments. Writes are sticky-failure aware: once the log cannot be
+// boot to recover queued jobs and the running ones a crash
+// interrupted; the open log keeps no record in memory), and an
+// in-memory map for tests and ephemeral deployments. Writes are sticky-failure aware: once the log cannot be
 // appended the store reports unhealthy and the service degrades to 503
 // instead of silently accepting jobs it would lose.
 package jobstore
@@ -23,8 +23,7 @@ import (
 type State string
 
 // Lifecycle states. Terminal states are never left; dead is the
-// dead-letter parking state for jobs that exhausted their retry
-// budget.
+// dead-letter parking state for jobs restarts interrupted too often.
 const (
 	StateQueued   State = "queued"
 	StateRunning  State = "running"
@@ -54,17 +53,9 @@ type Record struct {
 	State   State `json:"state"`
 	Attempt int   `json:"attempt"` // execution attempts started (1-based once running)
 
-	// Lease fields, live while running: the worker holding the job and
-	// when its claim lapses unless heartbeats extend it.
-	Worker      string    `json:"worker,omitempty"`
-	LeaseExpiry time.Time `json:"lease_expiry,omitempty"`
-
-	// NotBefore gates redispatch of a queued record (retry backoff).
-	NotBefore time.Time `json:"not_before,omitempty"`
-
 	// CancelRequested records a client's cancel of a running job, so the
-	// intent survives a lease expiry or coordinator restart: a requeue
-	// that would otherwise re-run the job resolves to canceled instead.
+	// intent survives a restart: a requeue that would otherwise rerun
+	// the job resolves to canceled instead.
 	CancelRequested bool `json:"cancel_requested,omitempty"`
 
 	Submitted time.Time  `json:"submitted"`
@@ -72,9 +63,9 @@ type Record struct {
 	Started   *time.Time `json:"started,omitempty"`
 	Finished  *time.Time `json:"finished,omitempty"`
 
-	// Failures is the failure chain: one entry per failed attempt,
-	// lease expiry or shutdown release, oldest first — preserved into
-	// the dead-letter state so an operator sees the whole story.
+	// Failures is the failure chain: one entry per failed, interrupted
+	// or released attempt, oldest first — preserved into the dead-letter
+	// state so an operator sees the whole story.
 	Failures []string `json:"failures,omitempty"`
 
 	Summary     string          `json:"summary,omitempty"`

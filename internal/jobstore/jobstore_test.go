@@ -127,18 +127,24 @@ func TestWALReplay(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// job-1 runs to done; job-3 is orphaned running with a lease.
+			// job-1 runs to done; job-3 is left running at attempt 2 by a
+			// log line from before records lost their lease fields
+			// (worker, lease_expiry, not_before).
 			done := mkRec("job-1", StateDone)
 			if err := s.Put(done); err != nil {
 				t.Fatal(err)
 			}
-			run := mkRec("job-3", StateRunning)
-			run.Worker = "w1"
-			run.LeaseExpiry = time.Unix(200, 0).UTC()
-			if err := s.Put(run); err != nil {
+			if err := s.Delete("job-4"); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Delete("job-4"); err != nil {
+			fh, err := os.OpenFile(s.(*WAL).path, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fh.WriteString(`{"op":"put","rec":{"id":"job-3","kind":"verify","request":{"kind":"verify"},"state":"running","attempt":2,"worker":"w1","lease_expiry":"1970-01-01T00:03:20Z","not_before":"1970-01-01T00:02:30Z","submitted":"1970-01-01T00:01:40Z","updated":"1970-01-01T00:01:41Z","started":"1970-01-01T00:01:42Z","failures":["attempt 1: lease expired (worker w0)"]}}` + "\n"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fh.Close(); err != nil {
 				t.Fatal(err)
 			}
 
@@ -164,8 +170,9 @@ func TestWALReplay(t *testing.T) {
 				t.Fatalf("job-1 state %s", byID["job-1"].State)
 			}
 			orphan := byID["job-3"]
-			if orphan.State != StateRunning || orphan.Worker != "w1" || !orphan.LeaseExpiry.Equal(time.Unix(200, 0).UTC()) {
-				t.Fatalf("orphaned-running lease lost: %+v", orphan)
+			if orphan.State != StateRunning || orphan.Attempt != 2 || orphan.Started == nil ||
+				!orphan.Started.Equal(time.Unix(102, 0).UTC()) || len(orphan.Failures) != 1 {
+				t.Fatalf("old-format running record: %+v", orphan)
 			}
 		})
 	}

@@ -14,13 +14,12 @@ import (
 	"time"
 
 	"protogen"
-	"protogen/internal/bus"
 	"protogen/internal/jobstore"
 )
 
 // These tests cover a verify job the result cache answers at submit: one
-// store write, no bus message, no executor call, and the same record a
-// worker serving the hit would have left.
+// store write, no executor call, and the same record a worker serving
+// the hit would have left.
 
 // verifyBody is a verify request for a registry protocol at 2 caches.
 // maxStates > 0 caps the exploration, which keeps a test's cold runs
@@ -85,20 +84,6 @@ func cacheStats(t *testing.T, srv *Server) (hits, misses int) {
 	return health.Cache.Hits, health.Cache.Misses
 }
 
-// countingBus counts the job messages published through it: everything
-// but the workers' liveness beacons, which tick on their own clock.
-type countingBus struct {
-	bus.Bus
-	n atomic.Int64
-}
-
-func (b *countingBus) Publish(ctx context.Context, channel string, payload []byte) error {
-	if channel != chanHello {
-		b.n.Add(1)
-	}
-	return b.Bus.Publish(ctx, channel, payload)
-}
-
 // walLines counts the lines of the job log in dir.
 func walLines(t *testing.T, dir string) int {
 	t.Helper()
@@ -112,13 +97,12 @@ func walLines(t *testing.T, dir string) int {
 // isAnswered reports whether a 202's view is a job the submit answered:
 // done from the cache, started and finished as submitted, no attempt.
 func isAnswered(v JobView) bool {
-	return v.Status == StatusDone && v.Cached && v.OK != nil && v.Attempt == 0 && v.Worker == "" &&
+	return v.Status == StatusDone && v.Cached && v.OK != nil && v.Attempt == 0 &&
 		v.Started != nil && v.Started.Equal(v.Submitted) && v.Finished != nil && v.Finished.Equal(v.Submitted)
 }
 
 // TestAnsweredJobDurable: over a WAL store and a cache directory, a
-// resubmit the cache answers costs one log line, no bus message and no
-// executor call, and a restarted server on the same directories still
+// resubmit the cache answers costs one log line and no executor call, and a restarted server on the same directories still
 // has it done with a byte-identical result — and answers the next
 // resubmit from the cache file it reopened.
 func TestAnsweredJobDurable(t *testing.T) {
@@ -126,14 +110,11 @@ func TestAnsweredJobDurable(t *testing.T) {
 	var calls atomic.Int64
 	// boot starts a server on the two directories; stop shuts it down and
 	// closes what boot built for it.
-	boot := func() (srv *Server, b *countingBus, stop func()) {
+	boot := func() (srv *Server, stop func()) {
 		eng := protogen.NewEngine(protogen.WithCacheDir(cacheDir))
-		b = &countingBus{Bus: bus.NewMem()}
 		run := engineExecutor(eng, "")
 		srv, err := New(Config{
-			Workers: 1, StoreDir: storeDir, Engine: eng, Bus: b,
-			// No lease expires and nothing is redispatched while a job runs.
-			LeaseTTL: time.Hour,
+			Workers: 1, StoreDir: storeDir, Engine: eng,
 			Executor: func(ctx context.Context, req Request, onProgress func(ProgressView)) Outcome {
 				calls.Add(1)
 				return run(ctx, req, onProgress)
@@ -148,20 +129,19 @@ func TestAnsweredJobDurable(t *testing.T) {
 			if err := srv.Shutdown(ctx); err != nil {
 				t.Error(err)
 			}
-			b.Close()
 			eng.Close()
 		})
 		t.Cleanup(stop)
-		return srv, b, stop
+		return srv, stop
 	}
 	body := verifyBody("MSI", "nonstalling", 0)
 
-	srv, b, stop := boot()
+	srv, stop := boot()
 	first := waitSettled(t, srv, submitView(t, srv, body).ID)
 	if first.Status != StatusDone || first.Cached || calls.Load() != 1 {
 		t.Fatalf("first run: %+v after %d executor calls", first, calls.Load())
 	}
-	lines, msgs := walLines(t, storeDir), b.n.Load()
+	lines := walLines(t, storeDir)
 
 	v := submitView(t, srv, body)
 	if !isAnswered(v) {
@@ -169,9 +149,6 @@ func TestAnsweredJobDurable(t *testing.T) {
 	}
 	if got := walLines(t, storeDir) - lines; got != 1 {
 		t.Errorf("the answered job wrote %d log lines, want 1", got)
-	}
-	if got := b.n.Load() - msgs; got != 0 {
-		t.Errorf("the answered job published %d bus messages, want 0", got)
 	}
 	if calls.Load() != 1 {
 		t.Errorf("the executor ran %d times, want once (the first job)", calls.Load())
@@ -182,7 +159,7 @@ func TestAnsweredJobDurable(t *testing.T) {
 	want := resultBody(t, srv, v.ID)
 	stop()
 
-	srv2, _, _ := boot()
+	srv2, _ := boot()
 	if after, ok := srv2.co.view(v.ID); !ok || !isAnswered(after) {
 		t.Fatalf("after a restart the answered job is %+v (found %v)", after, ok)
 	}
@@ -199,7 +176,7 @@ func TestAnsweredJobDurable(t *testing.T) {
 // the same hit served by a worker (the submit's probe bypassed): result
 // body byte for byte, summary, verdict and the cached flag.
 func TestAnsweredMatchesWorkerServed(t *testing.T) {
-	srv, _ := newTestServer(t, Config{Workers: 2, CacheDir: t.TempDir(), LeaseTTL: time.Hour})
+	srv, _ := newTestServer(t, Config{Workers: 2, CacheDir: t.TempDir()})
 	var reqs []Request
 	for _, e := range protogen.Builtins() {
 		for _, mode := range protogen.Modes {
@@ -247,7 +224,7 @@ func TestAnsweredMatchesWorkerServed(t *testing.T) {
 // right behind its original misses at submit and hits in its worker; a
 // later resubmit hits at submit; a no_cache job counts nowhere.
 func TestCacheCountsEachJobOnce(t *testing.T) {
-	srv, _ := newTestServer(t, Config{Workers: 1, CacheDir: t.TempDir(), LeaseTTL: time.Hour})
+	srv, _ := newTestServer(t, Config{Workers: 1, CacheDir: t.TempDir()})
 	distinct := []string{
 		verifyBody("MSI", "stalling", 2000),
 		verifyBody("MSI", "nonstalling", 2000),
@@ -300,9 +277,18 @@ func TestAnsweredJobBypassesFullQueue(t *testing.T) {
 	if _, err := eng.Verify(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
-	srv, _ := newTestServer(t, Config{Workers: -1, QueueDepth: 1, Engine: eng})
+	// One worker, held busy until shutdown, leaves every later miss queued.
+	srv, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Engine: eng,
+		Executor: func(ctx context.Context, req Request, onProgress func(ProgressView)) Outcome {
+			<-ctx.Done()
+			return Outcome{Status: StatusCanceled}
+		}})
+	busy := submitView(t, srv, verifyBody("MSI", "nonstalling", 500))
+	for v, _ := srv.co.view(busy.ID); v.Status != StatusRunning; v, _ = srv.co.view(busy.ID) {
+		time.Sleep(time.Millisecond)
+	}
 	if v := submitView(t, srv, verifyBody("MESI", "stalling", 500)); v.Status != StatusQueued {
-		t.Fatalf("a miss with no workers: %+v", v)
+		t.Fatalf("a miss behind a busy worker: %+v", v)
 	}
 	if rec := do(srv, http.MethodPost, "/jobs", verifyBody("MOSI", "stalling", 500)); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("a second miss: status %d, want 503 (queue full)", rec.Code)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -8,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"protogen/internal/bus"
 	"protogen/internal/jobstore"
 )
 
@@ -28,37 +28,37 @@ type errStore struct{ err error }
 
 func (e errStore) Error() string { return fmt.Sprintf("job store unavailable: %v", e.err) }
 
-// fleetStats counts protocol events; the chaos and load tests assert
-// invariants over them (exactly one terminal transition per job, no
-// duplicate accepted).
+// fleetStats counts transitions; the load test asserts exactly one
+// terminal transition per job across restarts.
 type fleetStats struct {
-	Terminal     int // terminal transitions recorded (first writes)
-	DupTerminal  int // duplicate terminal reports suppressed
-	Stale        int // reports rejected by attempt/worker matching
-	LeaseExpiry  int // running attempts reclaimed by the sweeper
-	Retries      int // requeues with backoff (transient failure or expiry)
-	DeadLettered int // jobs parked after exhausting MaxAttempts
-	Redispatches int // queued jobs re-offered after a silent dispatch loss
+	Terminal     int // terminal transitions recorded
+	Retries      int // running jobs requeued: interrupted by a restart or released at shutdown
+	DeadLettered int // jobs parked after MaxAttempts interrupted attempts
 }
 
-// coordinator owns the fleet's job state machine. It is the ONLY
-// writer of the job store: workers report over the bus and the
-// coordinator serializes every transition under one mutex, persisting
-// each accepted transition as a full-record snapshot before acting on
-// it. All transitions are monotonic (a terminal state is never left)
-// and guarded by (attempt, worker) matching, which makes the protocol
-// safe over a transport that loses, duplicates or reorders messages:
-// the worst a faulty transport can cause is wasted work, never a lost
-// job or a double-recorded result.
+// coordinator owns every job. It is the ONLY writer of the job store:
+// each transition happens under one mutex and is persisted as a
+// full-record snapshot before anyone acts on it. Queued ids wait in one
+// FIFO that Workers runner goroutines drain, each calling the Executor
+// directly and settling the job when the call returns. A job's cancel
+// is its context. Records only move forward (a terminal state is never
+// left), and an outcome is accepted only from the attempt the record
+// is running, so an outcome that comes back after its record was
+// released by a shutdown deadline is dropped.
 type coordinator struct {
 	cfg   Config
 	store jobstore.Store
-	b     bus.Bus
+	exec  Executor
 	warn  func(format string, args ...any)
 
-	subs    []bus.Subscription
-	sweepCh chan struct{}
-	wg      sync.WaitGroup
+	// runCtx parents every running attempt's context; shutdown cancels it.
+	runCtx    context.Context
+	cancelRun context.CancelFunc
+	// wake holds a token while an idle runner may find work in the
+	// queue; stop is closed when the coordinator drains.
+	wake    chan struct{}
+	stop    chan struct{}
+	runners sync.WaitGroup
 
 	mu sync.Mutex
 	// jobs is the one place a job lives in memory; the store is a log,
@@ -67,15 +67,16 @@ type coordinator struct {
 	// order is first-submission order for listing; ids deleted from jobs
 	// are skipped and compacted away lazily.
 	order []string //protogen:guardedby mu
+	// queue is the FIFO of ids waiting for a runner. Ids that stopped
+	// being queued (canceled, then maybe freed) are skipped when popped.
+	queue []string //protogen:guardedby mu
 	// terminalQ is a FIFO of ids in terminal-transition order: eviction
 	// pops its head instead of scanning every record (O(1) per evicted
 	// job). Ids freed by DELETE before eviction are skipped when popped.
 	terminalQ []string               //protogen:guardedby mu
 	counts    map[jobstore.State]int //protogen:guardedby mu
-	workers   map[string]time.Time   //protogen:guardedby mu — worker id → last beacon
 	nextID    int                    //protogen:guardedby mu
 	closed    bool                   //protogen:guardedby mu
-	rng       uint64                 //protogen:guardedby mu — retry jitter stream
 	stats     fleetStats             //protogen:guardedby mu
 }
 
@@ -87,79 +88,53 @@ type job struct {
 	// progress is the latest snapshot: poll candy, not state, kept after
 	// terminal so clients can still see how far a finished job got.
 	progress *ProgressView
-	// lastDispatch is when the queued job was last offered (zero: not
-	// yet), so the sweeper can re-offer one whose dispatch died with a
-	// worker or a lossy transport without hammering the bus every tick.
-	lastDispatch time.Time
+	// cancel stops the running attempt's executor; nil unless running.
+	cancel context.CancelFunc
 }
 
-// busAction is a publish decided under the coordinator lock and sent
-// after it is released (the bus blocks; the state machine must not).
-type busAction struct {
-	channel string
-	payload any
-}
-
-// newCoordinator replays the store — recovering queued jobs for
-// redispatch and orphaned-running jobs for the lease sweeper — then
-// subscribes to the fleet's report channels and starts the sweeper.
-func newCoordinator(cfg Config, store jobstore.Store, b bus.Bus, warn func(string, ...any)) (*coordinator, error) {
+// newCoordinator replays the store and starts cfg.Workers runners.
+// Queued jobs are queued again in submission order. A job the log left
+// running was interrupted when the process died: it is requeued as its
+// next attempt, or dead-lettered once MaxAttempts attempts have been
+// interrupted, so a job that kills the process cannot do so forever.
+func newCoordinator(cfg Config, store jobstore.Store, exec Executor) (*coordinator, error) {
 	c := &coordinator{
-		cfg:     cfg,
-		store:   store,
-		b:       b,
-		warn:    warn,
-		sweepCh: make(chan struct{}),
-		jobs:    map[string]*job{},
-		counts:  map[jobstore.State]int{},
-		workers: map[string]time.Time{},
-		rng:     uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9,
+		cfg:    cfg,
+		store:  store,
+		exec:   exec,
+		warn:   cfg.Warn,
+		wake:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		jobs:   map[string]*job{},
+		counts: map[jobstore.State]int{},
 	}
 	recs, err := store.Load()
 	if err != nil {
 		return nil, err
 	}
-	for _, rec := range recs {
-		c.jobs[rec.ID] = &job{Record: rec}
-		c.order = append(c.order, rec.ID)
-		c.counts[rec.State]++
-		if rec.State.Terminal() {
-			c.terminalQ = append(c.terminalQ, rec.ID)
-		}
-		if n := numericID(rec.ID); n > c.nextID {
+	now := time.Now()
+	for _, r := range recs {
+		rec := &job{Record: r}
+		c.jobs[r.ID] = rec
+		c.order = append(c.order, r.ID)
+		c.counts[r.State]++
+		if n := numericID(r.ID); n > c.nextID {
 			c.nextID = n
 		}
-	}
-	onErr := func(err error) { warn("coordinator: %v", err) }
-	for _, sub := range []struct {
-		channel string
-		make    func() (bus.Subscription, error)
-	}{
-		{chanStarted, func() (bus.Subscription, error) {
-			return bus.Subscribe(noCtx(), b, chanStarted, c.onStarted, onErr)
-		}},
-		{chanHeartbeat, func() (bus.Subscription, error) {
-			return bus.Subscribe(noCtx(), b, chanHeartbeat, c.onHeartbeat, onErr)
-		}},
-		{chanProgress, func() (bus.Subscription, error) {
-			return bus.Subscribe(noCtx(), b, chanProgress, c.onProgress, onErr)
-		}},
-		{chanDone, func() (bus.Subscription, error) {
-			return bus.Subscribe(noCtx(), b, chanDone, c.onDone, onErr)
-		}},
-		{chanHello, func() (bus.Subscription, error) {
-			return bus.Subscribe(noCtx(), b, chanHello, c.onHello, onErr)
-		}},
-	} {
-		s, err := sub.make()
-		if err != nil {
-			c.unsubscribe()
-			return nil, fmt.Errorf("subscribe %s: %w", sub.channel, err)
+		switch {
+		case r.State.Terminal():
+			c.terminalQ = append(c.terminalQ, r.ID)
+		case r.State == jobstore.StateQueued:
+			c.queue = append(c.queue, r.ID)
+		case r.State == jobstore.StateRunning:
+			c.requeueLocked(rec, fmt.Sprintf("attempt %d: interrupted by restart", r.Attempt), true, now)
 		}
-		c.subs = append(c.subs, s)
 	}
-	c.wg.Add(1)
-	go c.sweeper()
+	c.runCtx, c.cancelRun = context.WithCancel(context.Background())
+	c.runners.Add(cfg.Workers)
+	for i := 0; i < cfg.Workers; i++ {
+		go c.work()
+	}
 	return c, nil
 }
 
@@ -177,30 +152,12 @@ func numericID(id string) int {
 	return n
 }
 
-// emit publishes the actions decided under the lock.
-func (c *coordinator) emit(actions []busAction) {
-	for _, a := range actions {
-		if err := bus.Publish(noCtx(), c.b, a.channel, a.payload); err != nil {
-			c.warn("coordinator: publish %s: %v", a.channel, err)
-		}
+// notifyLocked leaves a wake token for an idle runner; it never blocks.
+func (c *coordinator) notifyLocked() {
+	select {
+	case c.wake <- struct{}{}:
+	default: // a token is already waiting
 	}
-}
-
-// abortAction builds the worker-abort command for a ghost or stale
-// execution.
-func abortAction(worker, id string) busAction {
-	return busAction{channel: ctlChannel(worker), payload: controlMsg{ID: id, Action: "abort"}}
-}
-
-// dispatchActionLocked builds the dispatch offer for rec's next
-// attempt and stamps the offer time.
-func (c *coordinator) dispatchActionLocked(rec *job, now time.Time) busAction {
-	rec.lastDispatch = now
-	return busAction{channel: chanDispatch, payload: dispatchMsg{
-		ID:      rec.ID,
-		Attempt: rec.Attempt + 1,
-		Request: rec.Request,
-	}}
 }
 
 // setStateLocked moves rec between states, keeping the counts index
@@ -225,41 +182,23 @@ func (c *coordinator) putLocked(rec *job) {
 	}
 }
 
-// backoffLocked computes the retry delay before attempt n+1 after n
-// attempts: exponential from RetryBase, capped at RetryCap, with
-// seeded jitter in [50%,100%) so a burst of requeued jobs does not
-// thunder back in lockstep.
-func (c *coordinator) backoffLocked(attempts int) time.Duration {
-	d := c.cfg.RetryBase
-	for i := 1; i < attempts && d < c.cfg.RetryCap; i++ {
-		d *= 2
-	}
-	if d > c.cfg.RetryCap {
-		d = c.cfg.RetryCap
-	}
-	// splitmix64 step for the jitter fraction.
-	c.rng += 0x9e3779b97f4a7c15
-	z := c.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	frac := float64((z^(z>>31))>>11) / (1 << 53)
-	return time.Duration(float64(d) * (0.5 + 0.5*frac))
-}
-
-// requeueLocked sends a non-terminal attempt back to the queue (or the
-// dead-letter state when the budget is gone). cause lands on the
-// failure chain; counted==true charges the attempt against MaxAttempts.
-func (c *coordinator) requeueLocked(rec *job, cause string, counted bool, now time.Time) {
+// requeueLocked sends a running record back to the queue, or to the
+// dead-letter state when charged is set and its attempts are used up.
+// cause lands on the failure chain. A boot requeue is charged; a
+// shutdown-deadline release is not, since shutting the server down is
+// not the job's fault.
+func (c *coordinator) requeueLocked(rec *job, cause string, charged bool, now time.Time) {
 	rec.Failures = append(rec.Failures, cause)
 	rec.Updated = now
+	rec.cancel = nil
 	switch {
 	case rec.CancelRequested:
-		// The client's cancel wins over any retry: resolve it now.
+		// The client's cancel wins over any rerun: resolve it now.
 		rec.Canceled = true
 		fin := now
 		rec.Finished = &fin
 		c.setStateLocked(rec, jobstore.StateCanceled)
-	case counted && rec.Attempt >= c.cfg.MaxAttempts:
+	case charged && rec.Attempt >= c.cfg.MaxAttempts:
 		rec.Error = cause
 		fin := now
 		rec.Finished = &fin
@@ -267,41 +206,32 @@ func (c *coordinator) requeueLocked(rec *job, cause string, counted bool, now ti
 		c.stats.DeadLettered++
 	default:
 		c.setStateLocked(rec, jobstore.StateQueued)
-		if counted {
-			rec.NotBefore = now.Add(c.backoffLocked(rec.Attempt))
-		} else {
-			rec.NotBefore = time.Time{}
-		}
-		rec.lastDispatch = time.Time{}
+		c.queue = append(c.queue, rec.ID)
 		c.stats.Retries++
 	}
-	rec.Worker = ""
-	rec.LeaseExpiry = time.Time{}
 	c.putLocked(rec)
 }
 
 // ---- submit / query / cancel (the HTTP-facing half) ----
 
 // submit validates nothing (the HTTP layer already did), persists the
-// job durably, and offers it to the fleet. The 202 the client sees is
-// only sent after the store accepted the record. A non-nil answer is the
-// job's outcome, found in the result cache at submit: the job is
-// recorded done with it in that one store write, started and finished
-// as it is submitted, and never queued or dispatched — so a full queue
-// does not refuse it.
-func (c *coordinator) submit(req Request, answer *doneMsg) (JobView, error) {
+// job durably, and queues it. The 202 the client sees is only sent
+// after the store accepted the record. A non-nil answer is the job's
+// outcome, found in the result cache at submit: the job is recorded
+// done with it in that one store write, started and finished as it is
+// submitted, and never queued — so a full queue does not refuse it.
+func (c *coordinator) submit(req Request, answer *report) (JobView, error) {
 	raw, err := json.Marshal(req)
 	if err != nil {
 		return JobView{}, errStore{err}
 	}
 	now := time.Now()
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return JobView{}, errDraining
 	}
 	if answer == nil && c.counts[jobstore.StateQueued] >= c.cfg.QueueDepth {
-		c.mu.Unlock()
 		return JobView{}, errQueueFull(c.cfg.QueueDepth)
 	}
 	c.nextID++
@@ -316,12 +246,10 @@ func (c *coordinator) submit(req Request, answer *doneMsg) (JobView, error) {
 	if answer != nil {
 		started := now
 		rec.Started = &started
-		settle(rec, *answer, now)
-		rec.State = jobstore.StateDone
+		rec.State = apply(rec, *answer, 0, now)
 	}
 	if err := c.store.Put(rec.Record); err != nil {
 		c.nextID--
-		c.mu.Unlock()
 		return JobView{}, errStore{err}
 	}
 	c.jobs[rec.ID] = rec
@@ -330,17 +258,14 @@ func (c *coordinator) submit(req Request, answer *doneMsg) (JobView, error) {
 	// Evict before an answered job joins the terminal FIFO, so its own
 	// submit never evicts it.
 	c.evictLocked()
-	var actions []busAction
 	if answer != nil {
 		c.terminalQ = append(c.terminalQ, rec.ID)
 		c.stats.Terminal++
 	} else {
-		actions = append(actions, c.dispatchActionLocked(rec, now))
+		c.queue = append(c.queue, rec.ID)
+		c.notifyLocked()
 	}
-	view := c.viewLocked(rec)
-	c.mu.Unlock()
-	c.emit(actions)
-	return view, nil
+	return c.viewLocked(rec), nil
 }
 
 // evictLocked drops the oldest terminal jobs while the record count
@@ -386,7 +311,6 @@ func (c *coordinator) viewLocked(rec *job) JobView {
 		Kind:        rec.Kind,
 		Status:      Status(rec.State),
 		Attempt:     rec.Attempt,
-		Worker:      rec.Worker,
 		Submitted:   rec.Submitted,
 		Summary:     rec.Summary,
 		Cached:      rec.Cached,
@@ -463,15 +387,20 @@ func (c *coordinator) result(id string) (payload any, status int, found bool) {
 }
 
 // cancel implements DELETE /jobs/{id}: queued resolves to canceled
-// immediately, running records the cancel intent durably and aborts
-// the worker, terminal frees the record.
+// immediately, running records the cancel intent durably and cancels
+// the attempt's context, terminal frees the record.
 func (c *coordinator) cancel(id string) (view JobView, deleted, found bool) {
 	now := time.Now()
-	var actions []busAction
+	var stop context.CancelFunc
+	defer func() {
+		if stop != nil {
+			stop()
+		}
+	}()
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	rec, ok := c.jobs[id]
 	if !ok {
-		c.mu.Unlock()
 		return JobView{}, false, false
 	}
 	switch {
@@ -489,7 +418,7 @@ func (c *coordinator) cancel(id string) (view JobView, deleted, found bool) {
 			rec.Updated = now
 			c.putLocked(rec)
 		}
-		actions = append(actions, abortAction(rec.Worker, id))
+		stop = rec.cancel
 	default: // terminal: free the record and its retained result
 		view = c.viewLocked(rec)
 		if err := c.store.Delete(id); err != nil {
@@ -497,333 +426,185 @@ func (c *coordinator) cancel(id string) (view JobView, deleted, found bool) {
 		}
 		c.counts[rec.State]--
 		delete(c.jobs, id)
-		c.mu.Unlock()
 		return view, true, true
 	}
-	view = c.viewLocked(rec)
-	c.mu.Unlock()
-	c.emit(actions)
-	return view, false, true
+	return c.viewLocked(rec), false, true
 }
 
-// healthView is the fleet half of the healthz body.
-type healthView struct {
-	Counts       map[jobstore.State]int
-	QueueDepth   int
-	LeaseBacklog int
-	WorkersLive  int
-	Stats        fleetStats
-}
-
-// health snapshots the honest readiness numbers.
-func (c *coordinator) health() healthView {
-	now := time.Now()
+// health snapshots the per-state job counts (zero counts omitted) and
+// the queue depth.
+func (c *coordinator) health() (counts map[jobstore.State]int, queued int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h := healthView{
-		Counts:     map[jobstore.State]int{},
-		QueueDepth: c.counts[jobstore.StateQueued],
-		Stats:      c.stats,
-	}
+	counts = map[jobstore.State]int{}
 	for st, n := range c.counts {
 		if n != 0 {
-			h.Counts[st] = n
+			counts[st] = n
 		}
 	}
-	for _, rec := range c.jobs {
-		if rec.State == jobstore.StateRunning && now.After(rec.LeaseExpiry) {
-			h.LeaseBacklog++
-		}
-	}
-	for _, seen := range c.workers {
-		if now.Sub(seen) <= 3*c.cfg.HeartbeatEvery {
-			h.WorkersLive++
-		}
-	}
-	return h
+	return counts, c.counts[jobstore.StateQueued]
 }
 
-// snapshotStats returns the protocol counters (test hook).
+// snapshotStats returns the transition counters (test hook).
 func (c *coordinator) snapshotStats() fleetStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
 }
 
-// ---- bus handlers (the fleet-facing half) ----
+// ---- the runners' half ----
 
-// onStarted grants or refuses a worker's claim. Exactly one execution
-// holds a job's lease at a time; every other claimant is aborted.
-func (c *coordinator) onStarted(m startedMsg) {
-	now := time.Now()
-	var actions []busAction
-	c.mu.Lock()
-	c.workers[m.Worker] = now
-	rec, ok := c.jobs[m.ID]
-	switch {
-	case !ok || rec.State.Terminal():
-		// Unknown, evicted or already-settled job: stop the wasted work.
-		actions = append(actions, abortAction(m.Worker, m.ID))
-	case rec.State == jobstore.StateQueued && m.Attempt == rec.Attempt+1:
-		rec.Attempt = m.Attempt
-		rec.Worker = m.Worker
-		rec.LeaseExpiry = now.Add(c.cfg.LeaseTTL)
-		rec.Updated = now
-		if rec.Started == nil {
-			ts := now
-			rec.Started = &ts
+// attempt is one claimed execution of a job.
+type attempt struct {
+	id      string
+	n       int // the record's Attempt while this execution runs
+	request json.RawMessage
+	ctx     context.Context
+	cancel  context.CancelFunc
+}
+
+// claim blocks until it can start the next queued job, and reports
+// false once the coordinator drains.
+func (c *coordinator) claim() (attempt, bool) {
+	for {
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return attempt{}, false
 		}
-		c.setStateLocked(rec, jobstore.StateRunning)
-		c.putLocked(rec)
-		if rec.CancelRequested {
-			actions = append(actions, abortAction(m.Worker, m.ID))
+		for len(c.queue) > 0 {
+			id := c.queue[0]
+			c.queue = c.queue[1:]
+			rec, ok := c.jobs[id]
+			if !ok || rec.State != jobstore.StateQueued {
+				continue // canceled, maybe freed, while it waited
+			}
+			a := c.startLocked(rec)
+			if len(c.queue) > 0 {
+				c.notifyLocked() // pass the wake on to the next idle runner
+			}
+			c.mu.Unlock()
+			return a, true
 		}
-	case rec.State == jobstore.StateRunning && m.Attempt == rec.Attempt && m.Worker == rec.Worker:
-		// Duplicated started (chaos): refresh the lease, in memory only.
-		rec.LeaseExpiry = now.Add(c.cfg.LeaseTTL)
-	default:
-		// A ghost: a stale dispatch copy or a claim the lease holder beat.
-		c.stats.Stale++
-		actions = append(actions, abortAction(m.Worker, m.ID))
-	}
-	c.mu.Unlock()
-	c.emit(actions)
-}
-
-// onHeartbeat extends the holder's lease. Extensions are deliberately
-// in-memory only: persisting every beat would fsync the WAL per worker
-// per second, and the only cost of losing extensions in a coordinator
-// crash is a conservative early expiry, which the attempt matching
-// already makes safe.
-func (c *coordinator) onHeartbeat(m heartbeatMsg) {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.workers[m.Worker] = now
-	rec, ok := c.jobs[m.ID]
-	if ok && rec.State == jobstore.StateRunning && m.Attempt == rec.Attempt && m.Worker == rec.Worker {
-		rec.LeaseExpiry = now.Add(c.cfg.LeaseTTL)
-	}
-}
-
-// onProgress stores the newest snapshot; stale attempts' snapshots are
-// dropped.
-func (c *coordinator) onProgress(m progressMsg) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rec, ok := c.jobs[m.ID]
-	if !ok || m.Attempt < rec.Attempt {
-		return
-	}
-	v := m.View
-	rec.progress = &v
-}
-
-// onHello records worker liveness.
-func (c *coordinator) onHello(m helloMsg) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.workers[m.Worker] = time.Now()
-}
-
-// onDone applies an attempt's outcome. Acceptance is the heart of the
-// "no duplicate terminal results" guarantee: a report must match the
-// record's current attempt — and, when the record is running, its
-// lease holder — or it is a ghost and is dropped.
-func (c *coordinator) onDone(m doneMsg) {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.workers[m.Worker] = now
-	rec, ok := c.jobs[m.ID]
-	if !ok {
-		c.stats.Stale++
-		return
-	}
-	if rec.State.Terminal() {
-		c.stats.DupTerminal++
-		return
-	}
-	switch {
-	case rec.State == jobstore.StateRunning && m.Attempt == rec.Attempt && m.Worker == rec.Worker:
-		// The lease holder reporting: the normal path.
-	case rec.State == jobstore.StateQueued && m.Attempt == rec.Attempt+1:
-		// The started message was lost; the outcome arrives first and
-		// implies the start.
-		rec.Attempt = m.Attempt
-		if rec.Started == nil {
-			ts := now
-			rec.Started = &ts
+		c.mu.Unlock()
+		select {
+		case <-c.wake:
+		case <-c.stop:
 		}
-	case rec.State == jobstore.StateQueued && m.Attempt == rec.Attempt && m.Status == StatusDone:
-		// A completed result from an attempt the sweeper had already
-		// requeued: accept it rather than recompute.
-	default:
-		c.stats.Stale++
-		return
 	}
-	if m.Progress != nil {
-		v := *m.Progress
+}
+
+// startLocked moves a queued record to running as its next attempt and
+// persists it: the running line is how a later boot knows the attempt
+// was interrupted.
+func (c *coordinator) startLocked(rec *job) attempt {
+	now := time.Now()
+	rec.Attempt++
+	rec.Updated = now
+	if rec.Started == nil {
+		ts := now
+		rec.Started = &ts
+	}
+	c.setStateLocked(rec, jobstore.StateRunning)
+	ctx, cancel := context.WithCancel(c.runCtx)
+	rec.cancel = cancel
+	c.putLocked(rec)
+	return attempt{id: rec.ID, n: rec.Attempt, request: rec.Request, ctx: ctx, cancel: cancel}
+}
+
+// progress keeps the newest snapshot of a running attempt.
+func (c *coordinator) progress(a attempt, v ProgressView) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if rec, ok := c.jobs[a.id]; ok && rec.State == jobstore.StateRunning && rec.Attempt == a.n {
 		rec.progress = &v
 	}
-	rec.Updated = now
-	switch m.Status {
-	case StatusDone, StatusCanceled:
-		settle(rec, m, now)
-		if m.Status == StatusCanceled {
-			c.setStateLocked(rec, jobstore.StateCanceled)
-		} else {
-			c.setStateLocked(rec, jobstore.StateDone)
-		}
-		c.putLocked(rec)
-	case StatusFailed:
-		if m.Transient {
-			c.requeueLocked(rec, fmt.Sprintf("attempt %d: %s", m.Attempt, m.Error), true, now)
-			return
-		}
-		fin := now
-		rec.Finished = &fin
-		rec.Summary = m.Summary
-		rec.Error = m.Error
-		rec.Failures = append(rec.Failures, fmt.Sprintf("attempt %d: %s", m.Attempt, m.Error))
-		rec.Worker = ""
-		rec.LeaseExpiry = time.Time{}
-		c.setStateLocked(rec, jobstore.StateFailed)
-		c.putLocked(rec)
-	default:
-		c.stats.Stale++
-	}
 }
 
-// settle copies a done or canceled report onto rec, finished at now:
-// what a finished job keeps of its outcome, wherever it came from.
-func settle(rec *job, m doneMsg, now time.Time) {
-	fin := now
-	rec.Finished = &fin
-	rec.Summary = m.Summary
-	rec.OK = m.OK
-	rec.Error = m.Error
-	rec.Cached = m.Cached
-	rec.Canceled = m.Canceled || m.Status == StatusCanceled
-	rec.Result = m.Result
-	rec.CorpusFiles = m.CorpusFiles
-	rec.Worker = ""
-	rec.LeaseExpiry = time.Time{}
-}
-
-// ---- sweeper / lifecycle ----
-
-// sweeper is the fleet's recovery loop: it reclaims expired leases
-// (retry with backoff or dead-letter) and re-offers queued jobs whose
-// dispatch was lost — to a crashed worker's buffer, a lossy transport,
-// or a coordinator that restarted between persisting and publishing.
-func (c *coordinator) sweeper() {
-	defer c.wg.Done()
-	tick := time.NewTicker(c.cfg.SweepEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			c.emit(c.sweep(time.Now()))
-		case <-c.sweepCh:
-			return
-		}
-	}
-}
-
-// sweep runs one recovery pass and returns the publishes it decided.
-func (c *coordinator) sweep(now time.Time) []busAction {
-	var actions []busAction
+// settle records an attempt's outcome if the record is still running
+// that attempt. An outcome from an attempt a shutdown deadline released
+// is dropped, never written.
+func (c *coordinator) settle(a attempt, out report) {
+	a.cancel()
+	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, id := range c.order {
-		rec, ok := c.jobs[id]
-		if !ok {
-			continue
-		}
-		switch rec.State {
-		case jobstore.StateRunning:
-			if now.After(rec.LeaseExpiry) {
-				c.stats.LeaseExpiry++
-				c.requeueLocked(rec, fmt.Sprintf(
-					"attempt %d: lease expired (worker %s)", rec.Attempt, rec.Worker), true, now)
-			}
-		case jobstore.StateQueued:
-			if rec.NotBefore.After(now) {
-				continue
-			}
-			if rec.lastDispatch.IsZero() {
-				actions = append(actions, c.dispatchActionLocked(rec, now))
-			} else if now.Sub(rec.lastDispatch) >= c.cfg.RedispatchEvery {
-				c.stats.Redispatches++
-				actions = append(actions, c.dispatchActionLocked(rec, now))
-			}
-		}
+	rec, ok := c.jobs[a.id]
+	if !ok || rec.State != jobstore.StateRunning || rec.Attempt != a.n {
+		return
 	}
-	for w, seen := range c.workers {
-		if now.Sub(seen) > 6*c.cfg.HeartbeatEvery {
-			delete(c.workers, w)
-		}
-	}
-	return actions
+	rec.cancel = nil
+	rec.Updated = now
+	c.setStateLocked(rec, apply(rec, out, a.n, now))
+	c.putLocked(rec)
 }
 
-// drain rejects further submits while shutdown proceeds.
+// apply copies an outcome onto rec, finished at now, and returns the
+// terminal state it settles in: what a finished job keeps of its
+// outcome, whether a runner produced it on attempt n or the cache
+// answered the submit (n = 0). A failure joins the failure chain with its stack,
+// if it was a panic.
+func apply(rec *job, out report, n int, now time.Time) jobstore.State {
+	fin := now
+	rec.Finished = &fin
+	rec.Summary = out.Summary
+	rec.Error = out.Error
+	if out.Status == StatusFailed {
+		cause := fmt.Sprintf("attempt %d: %s", n, out.Error)
+		if out.Stack != "" {
+			cause += "\n" + out.Stack
+		}
+		rec.Failures = append(rec.Failures, cause)
+		return jobstore.StateFailed
+	}
+	rec.OK = out.OK
+	rec.Cached = out.Cached
+	rec.Canceled = out.Canceled || out.Status == StatusCanceled
+	rec.Result = out.Result
+	rec.CorpusFiles = out.CorpusFiles
+	if out.Status == StatusCanceled {
+		return jobstore.StateCanceled
+	}
+	return jobstore.StateDone
+}
+
+// ---- lifecycle ----
+
+// drain rejects further submits and claims; idempotent.
 func (c *coordinator) drain() {
 	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-}
-
-// waitSettled blocks until no record is running (every in-flight
-// outcome has been applied) or ctx expires.
-func (c *coordinator) waitSettled(deadline <-chan struct{}) bool {
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			c.mu.Lock()
-			running := c.counts[jobstore.StateRunning]
-			c.mu.Unlock()
-			if running == 0 {
-				return true
-			}
-		case <-deadline:
-			return false
-		}
+	defer c.mu.Unlock()
+	if !c.closed {
+		c.closed = true
+		close(c.stop)
 	}
 }
 
-// releaseRunning requeues every running job — the shutdown-deadline
-// path: their workers were killed mid-flight, no outcome is coming,
-// and a restarted server must re-run them rather than lose them. The
-// release rides the failure chain but does not burn retry budget:
-// shutting the server down is not the job's fault.
-func (c *coordinator) releaseRunning(reason string) {
+// shutdown drains, cancels every running attempt and waits for the
+// runners to settle them. If ctx expires first, every job still running
+// is released back to queued — an outcome it reports later is dropped,
+// and a restarted server reruns it rather than losing it — and shutdown
+// reports false.
+func (c *coordinator) shutdown(ctx context.Context) bool {
+	c.drain()
+	c.cancelRun()
+	settled := make(chan struct{})
+	go func() {
+		c.runners.Wait()
+		close(settled)
+	}()
+	select {
+	case <-settled:
+		return true
+	case <-ctx.Done():
+	}
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, id := range c.order {
-		rec, ok := c.jobs[id]
-		if !ok || rec.State != jobstore.StateRunning {
-			continue
+		if rec, ok := c.jobs[id]; ok && rec.State == jobstore.StateRunning {
+			c.requeueLocked(rec, fmt.Sprintf("attempt %d: released: shutdown deadline", rec.Attempt), false, now)
 		}
-		c.requeueLocked(rec, fmt.Sprintf("attempt %d: %s", rec.Attempt, reason), false, now)
 	}
-}
-
-// close stops the sweeper and unsubscribes; the store and bus belong
-// to the Server (or the caller) and are closed there.
-func (c *coordinator) close() {
-	c.drain()
-	close(c.sweepCh)
-	c.wg.Wait()
-	c.unsubscribe()
-}
-
-func (c *coordinator) unsubscribe() {
-	for _, s := range c.subs {
-		s.Unsubscribe()
-	}
+	return false
 }

@@ -8,14 +8,12 @@ import (
 	"protogen"
 )
 
-// engineExecutor adapts the shared Engine onto the fleet's Executor
-// contract: one call runs one attempt of one job kind to completion.
-// Engine failures are deterministic — a bad spec or an engine error
-// recurs on every attempt — so every failure here is permanent
-// (Transient false) and the job fails terminally without burning the
-// retry budget. Transient failures enter the system only from
-// crash-shaped events: worker panics, kills, lease expiries and
-// injected test faults.
+// engineExecutor adapts the shared Engine onto the Executor contract:
+// one call runs one attempt of one job kind to completion. Engine
+// failures are deterministic — a bad spec, an engine error or a
+// checker panic recurs on every attempt — so every failure is terminal
+// on the attempt it happens in. A job is rerun only when the process
+// died under it.
 func engineExecutor(eng *protogen.Engine, corpusDir string) Executor {
 	return func(ctx context.Context, req Request, onProgress func(ProgressView)) Outcome {
 		sink := func(ev protogen.ProgressEvent) { onProgress(*viewOf(ev, time.Now())) }
@@ -35,7 +33,7 @@ func engineExecutor(eng *protogen.Engine, corpusDir string) Executor {
 	}
 }
 
-// failed is a permanent (non-retryable) failure outcome.
+// failed is a failure outcome.
 func failed(err error) Outcome {
 	return Outcome{Status: StatusFailed, Err: err}
 }
@@ -94,7 +92,7 @@ func verifyJob(req Request) (protogen.VerifyJob, error) {
 }
 
 // verifyOutcome is the outcome of a verify job that came back with res,
-// whether a worker ran it or the submit answered it from the cache.
+// whether a runner ran it or the submit answered it from the cache.
 func verifyOutcome(res *protogen.VerifyResult) Outcome {
 	out := doneOutcome(res.String(), res.OK(), res.Canceled, res)
 	out.Cached = res.Cached

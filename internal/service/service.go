@@ -1,22 +1,19 @@
 // Package service is the long-running verification service the ROADMAP
-// names as the production-scale path, built as a crash-tolerant
-// coordinator/worker fleet. Clients submit verify / fuzz / simulate /
-// lint / litmus jobs over HTTP/JSON; the coordinator persists every
-// submission to a durable job store before acknowledging it, then
-// offers it on a typed job bus where a fleet of workers claims jobs
-// competitively. Workers hold time-bounded leases extended by
-// heartbeats; a worker that dies mid-job simply stops heartbeating and
-// the coordinator's sweeper requeues the attempt with exponential
-// backoff, parking jobs that exhaust their retry budget in a
-// dead-letter state with the full failure chain preserved. The
-// protocol assumes nothing of the transport — messages may be lost,
-// duplicated or reordered (the chaos tests prove it) — and a restarted
-// server replays the store to recover queued and orphaned-running
-// jobs. All jobs resolve through one shared Engine, so a structurally
-// identical verify resubmit is answered from the verify result cache —
-// at submit, recorded done in one store write, never dispatched — and
-// failing fuzz campaigns sink minimized reproducers into a corpus
-// directory.
+// names as the production-scale path. Clients submit verify / fuzz /
+// simulate / lint / litmus jobs over HTTP/JSON; the coordinator
+// persists every submission to a durable job store before
+// acknowledging it and queues it for a fixed pool of runner goroutines,
+// each of which calls the Executor directly and records the outcome
+// when the call returns. A job's cancel is its context; a panicking
+// executor fails its job with the panic's value and stack. The one
+// retry is a restart's: a restarted server replays the store, queues
+// the queued jobs again and reruns, as their next attempt, the jobs the
+// log says were running when the process died, dead-lettering a job
+// once MaxAttempts attempts have been interrupted. All jobs resolve
+// through one shared Engine, so a structurally identical verify
+// resubmit is answered from the verify result cache — at submit,
+// recorded done in one store write, never queued — and failing fuzz
+// campaigns sink minimized reproducers into a corpus directory.
 package service
 
 import (
@@ -28,19 +25,15 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"protogen"
-	"protogen/internal/bus"
 	"protogen/internal/jobstore"
 )
 
 // Config tunes a Server.
 type Config struct {
-	// Workers is the fleet size (default 2; negative runs no workers —
-	// a coordinator-only server for harnesses that manage their own
-	// fleet). Each worker runs one job at a time; a job's own
+	// Workers is how many jobs run at once (default 2); a job's own
 	// model-checker parallelism is set by Parallelism.
 	Workers int
 	// QueueDepth bounds the submitted-but-unstarted queue (default 64);
@@ -68,47 +61,26 @@ type Config struct {
 
 	// StoreDir persists the job store as an append-only WAL in this
 	// directory: a submit is on disk before its 202, and a restarted
-	// server replays the log to recover queued and in-flight jobs. ""
+	// server replays the log to recover queued and interrupted jobs. ""
 	// keeps job state in memory only.
 	StoreDir string
 	// Store overrides the job store built from StoreDir (tests,
 	// embedding). The caller keeps ownership.
 	Store jobstore.Store
-	// Bus overrides the in-process job bus (the chaos harness injects a
-	// fault decorator here). The caller keeps ownership.
-	Bus bus.Bus
 	// Executor overrides the engine-backed job executor (tests inject
 	// fast or faulty executors).
 	Executor Executor
 
-	// LeaseTTL is how long a claimed job may go without a heartbeat
-	// before the sweeper reclaims it (default 3s).
-	LeaseTTL time.Duration
-	// HeartbeatEvery is the worker heartbeat/liveness period (default
-	// LeaseTTL/3).
-	HeartbeatEvery time.Duration
-	// SweepEvery is the recovery-loop period (default LeaseTTL/4).
-	SweepEvery time.Duration
-	// RedispatchEvery re-offers a queued job whose dispatch vanished —
-	// lost by the transport or buffered in a worker that died (default
-	// 2×LeaseTTL).
-	RedispatchEvery time.Duration
-	// MaxAttempts dead-letters a job after this many started attempts
-	// end in transient failure or lease expiry (default 4).
+	// MaxAttempts dead-letters a job once this many of its attempts
+	// have been interrupted by a restart (default 4).
 	MaxAttempts int
-	// RetryBase/RetryCap shape the exponential retry backoff (defaults
-	// 250ms and 10s); jitter in [50%,100%) is seeded by Seed.
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// Seed seeds the retry jitter stream (0 is a valid fixed seed).
-	Seed int64
-	// Warn receives fleet diagnostics (default log.Printf).
+	// Warn receives service diagnostics (default log.Printf).
 	Warn func(format string, args ...any)
 }
 
 // withDefaults resolves the zero values.
 func (cfg Config) withDefaults() Config {
-	if cfg.Workers == 0 {
+	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
 	if cfg.QueueDepth <= 0 {
@@ -117,26 +89,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 1024
 	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 3 * time.Second
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = cfg.LeaseTTL / 3
-	}
-	if cfg.SweepEvery <= 0 {
-		cfg.SweepEvery = cfg.LeaseTTL / 4
-	}
-	if cfg.RedispatchEvery <= 0 {
-		cfg.RedispatchEvery = 2 * cfg.LeaseTTL
-	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 4
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 250 * time.Millisecond
-	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = 10 * time.Second
 	}
 	if cfg.Warn == nil {
 		cfg.Warn = log.Printf
@@ -147,8 +101,9 @@ func (cfg Config) withDefaults() Config {
 // Status is a job's lifecycle state.
 type Status string
 
-// Job lifecycle states. StatusDead is the dead-letter state: the job
-// exhausted its retry budget and is parked with its failure chain.
+// Job lifecycle states. StatusDead is the dead-letter state: restarts
+// interrupted the job MaxAttempts times and it is parked with its
+// failure chain.
 const (
 	StatusQueued   Status = "queued"
 	StatusRunning  Status = "running"
@@ -180,7 +135,7 @@ type Request struct {
 
 	// Checker tuning (verify; Caches and MaxStates also scale fuzz,
 	// simulate and litmus). Caches above protogen.CheckCaches' bound (8)
-	// is refused at submit with a 400: one such job would pin a worker
+	// is refused at submit with a 400: one such job would pin a runner
 	// for hours.
 	Caches      int  `json:"caches,omitempty"`
 	MaxStates   int  `json:"max_states,omitempty"`
@@ -306,13 +261,10 @@ type JobView struct {
 	Started   *time.Time    `json:"started,omitempty"`
 	Finished  *time.Time    `json:"finished,omitempty"`
 	Progress  *ProgressView `json:"progress,omitempty"`
-	// Attempt counts execution attempts started (retries visible).
+	// Attempt counts execution attempts started (restart reruns visible).
 	Attempt int `json:"attempt,omitempty"`
-	// Worker names the fleet member holding the job's lease while
-	// running.
-	Worker string `json:"worker,omitempty"`
-	// Failures is the failure chain: one entry per transient failure,
-	// lease expiry or shutdown release, oldest first.
+	// Failures is the failure chain: one entry per failed, interrupted
+	// or released attempt, oldest first.
 	Failures []string `json:"failures,omitempty"`
 	// Summary is the result's one-line rendering once the job finished.
 	Summary string `json:"summary,omitempty"`
@@ -329,7 +281,7 @@ type JobView struct {
 	CorpusFiles []string `json:"corpus_files,omitempty"`
 }
 
-// Server is the HTTP face of the fleet. Create with New, wire into an
+// Server is the HTTP face of the service. Create with New, wire into an
 // http.Server via ServeHTTP (it is an http.Handler), stop with
 // Shutdown.
 type Server struct {
@@ -338,20 +290,12 @@ type Server struct {
 	ownEng   bool
 	store    jobstore.Store
 	ownStore bool
-	b        bus.Bus
-	ownBus   bool
-	exec     Executor
 	co       *coordinator
 	mux      *http.ServeMux
-
-	mu         sync.Mutex
-	workers    []*Worker //protogen:guardedby mu
-	nextWorker int       //protogen:guardedby mu
-	closed     bool      //protogen:guardedby mu
 }
 
-// New builds and starts a Server: store replayed, coordinator and
-// worker fleet live on return.
+// New builds and starts a Server: store replayed, runners live on
+// return.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg}
@@ -394,126 +338,39 @@ func New(cfg Config) (*Server, error) {
 		s.ownStore = true
 	}
 
-	s.b = cfg.Bus
-	if s.b == nil {
-		s.b = bus.NewMem()
-		s.ownBus = true
+	exec := cfg.Executor
+	if exec == nil {
+		exec = engineExecutor(s.eng, cfg.CorpusDir)
 	}
-
-	s.exec = cfg.Executor
-	if s.exec == nil {
-		s.exec = engineExecutor(s.eng, cfg.CorpusDir)
-	}
-
-	co, err := newCoordinator(cfg, s.store, s.b, cfg.Warn)
+	co, err := newCoordinator(cfg, s.store, exec)
 	if err != nil {
 		s.closeOwned()
 		return nil, err
 	}
 	s.co = co
 	s.routes()
-
-	for i := 0; i < cfg.Workers; i++ {
-		if err := s.StartWorker(); err != nil {
-			sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			_ = s.Shutdown(sctx)
-			cancel()
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
-// closeOwned releases the resources New built, for boot-failure paths.
+// closeOwned releases the resources New built.
 func (s *Server) closeOwned() {
 	if s.ownStore && s.store != nil {
 		s.store.Close()
-	}
-	if s.ownBus && s.b != nil {
-		s.b.Close()
 	}
 	if s.ownEng && s.eng != nil {
 		s.eng.Close()
 	}
 }
 
-// StartWorker adds one worker to the fleet — also the restart half of
-// the kill/restart harness.
-func (s *Server) StartWorker() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errDraining
-	}
-	s.nextWorker++
-	id := fmt.Sprintf("w%d", s.nextWorker)
-	s.mu.Unlock()
-	w, err := newWorker(id, s.b, s.exec, s.cfg.HeartbeatEvery, s.cfg.Warn)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.workers = append(s.workers, w)
-	s.mu.Unlock()
-	return nil
-}
-
-// KillWorker crash-kills the most recently started live worker and
-// returns its id ("" when the fleet is empty): the chaos harness's
-// worker-crash fault.
-func (s *Server) KillWorker() string {
-	s.mu.Lock()
-	if len(s.workers) == 0 {
-		s.mu.Unlock()
-		return ""
-	}
-	w := s.workers[len(s.workers)-1]
-	s.workers = s.workers[:len(s.workers)-1]
-	s.mu.Unlock()
-	w.Kill()
-	return w.id
-}
-
-// Shutdown stops the fleet: no new submits, workers drain gracefully
-// within ctx's deadline (running jobs cancel and record canceled
-// results), and on deadline the workers are crash-killed and their
-// running jobs' leases released back to queued — so a restarted server
-// re-runs them instead of losing them. Returns ctx.Err() when the
-// deadline forced the escalation.
+// Shutdown stops the service: no new submits, running jobs are
+// canceled and record canceled results, and Shutdown waits for them
+// within ctx's deadline. On the deadline every job still running is
+// released back to queued without charging an attempt — so a restarted
+// server reruns it instead of losing it — and any outcome it reports
+// later is dropped. Returns ctx.Err() when the deadline forced the
+// release.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.closed = true
-	workers := append([]*Worker(nil), s.workers...)
-	s.workers = nil
-	s.mu.Unlock()
-	s.co.drain()
-
-	var stopWG sync.WaitGroup
-	errs := make([]error, len(workers))
-	for i, w := range workers {
-		stopWG.Add(1)
-		go func(i int, w *Worker) {
-			defer stopWG.Done()
-			errs[i] = w.Stop(ctx)
-		}(i, w)
-	}
-	stopWG.Wait()
-	graceful := true
-	for _, err := range errs {
-		if err != nil {
-			graceful = false
-		}
-	}
-	if graceful {
-		graceful = s.co.waitSettled(ctx.Done())
-	}
-	if !graceful {
-		for _, w := range workers {
-			w.Kill()
-		}
-		s.co.releaseRunning("released: shutdown deadline")
-	}
-	s.co.close()
+	graceful := s.co.shutdown(ctx)
 	s.closeOwned()
 	if !graceful {
 		return ctx.Err()
@@ -571,11 +428,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // answer looks a verify request up in the engine's result cache and, on
-// a hit, returns the report a worker serving that hit would send. Nil
-// sends the job to the fleet: a miss, another kind, an error or a panic
-// here, each of which the worker meets again and handles as it always
-// has. A panic is also warned about here, since it is a bug.
-func (s *Server) answer(req Request) (m *doneMsg) {
+// a hit, returns the report a runner serving that hit would record. Nil
+// queues the job: a miss, another kind, an error or a panic here, each
+// of which the runner meets again and handles as it always has. A
+// panic is also warned about here, since it is a bug.
+func (s *Server) answer(req Request) (m *report) {
 	if req.Kind != "verify" {
 		return nil
 	}
@@ -593,8 +450,8 @@ func (s *Server) answer(req Request) (m *doneMsg) {
 	if err != nil || !ok {
 		return nil
 	}
-	msg := outcomeReport(verifyOutcome(res))
-	return &msg
+	rep := outcomeReport(verifyOutcome(res))
+	return &rep
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -622,8 +479,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCancel is DELETE /jobs/{id}: a queued job is marked canceled, a
-// running job's cancel intent is recorded durably and its worker
-// aborted (it stops at its next cancellation boundary), and a finished
+// running job's cancel intent is recorded durably and its context
+// canceled (it stops at its next cancellation boundary), and a finished
 // job is removed — freeing its retained result — so long-lived clients
 // can bound the server's memory themselves.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -640,28 +497,19 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// handleHealth is honest readiness: it reports queue depth, live
-// workers, the lease-expiry backlog, and degrades to 503 when the job
-// store cannot persist submissions — a load balancer must stop sending
-// work to a server that would lose it.
+// handleHealth is honest readiness: it reports job counts, queue depth
+// and runners, and degrades to 503 when the job store cannot persist
+// submissions — a load balancer must stop sending work to a server
+// that would lose it.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	hv := s.co.health()
-	s.mu.Lock()
-	configured := len(s.workers)
-	s.mu.Unlock()
+	counts, queued := s.co.health()
 	health := map[string]any{
-		"status": "ok",
-		"jobs":   hv.Counts,
-		"workers": map[string]any{
-			"configured": configured,
-			"live":       hv.WorkersLive,
-		},
+		"status":  "ok",
+		"jobs":    counts,
+		"workers": map[string]any{"configured": s.cfg.Workers},
 		"queue": map[string]any{
-			"depth":    hv.QueueDepth,
+			"depth":    queued,
 			"capacity": s.cfg.QueueDepth,
-		},
-		"leases": map[string]any{
-			"expired_backlog": hv.LeaseBacklog,
 		},
 	}
 	if cache, err := s.eng.Cache(); err == nil && cache != nil {

@@ -326,8 +326,8 @@ func TestSubmitValidation(t *testing.T) {
 
 // TestSubmitCachesBound: a cache count above the checker's bound is a
 // 400 for every job kind that takes one, and the refused job never
-// reaches the store — one such verify would pin a worker for hours with
-// heartbeats keeping its lease alive. The bound itself is accepted.
+// reaches the store — one such verify would pin a worker for hours.
+// The bound itself is accepted.
 func TestSubmitCachesBound(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{Workers: 1, StoreDir: dir})
