@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -250,6 +251,20 @@ func (l *lab) verifyCfg() protogen.VerifyConfig {
 	return cfg
 }
 
+// claim turns a check's verdict into what an experiment may claim: a
+// FAIL fails the claim with failed as the error, and an INCOMPLETE run —
+// stopped by a bound with no violation found — supports no claim either,
+// so the experiment stops before printing one.
+func claim(res *protogen.VerifyResult, failed string) error {
+	switch res.Verdict() {
+	case protogen.Fail:
+		return errors.New(failed)
+	case protogen.Incomplete:
+		return fmt.Errorf("%s: INCOMPLETE (%s at %d states), no claim", res.Protocol, res.Bound(), res.States)
+	}
+	return nil
+}
+
 // verifyP model-checks an already-generated protocol on the shared
 // engine (which carries -parallel).
 func (l *lab) verifyP(p *protogen.Protocol, cfg protogen.VerifyConfig) *protogen.VerifyResult {
@@ -271,8 +286,8 @@ func (l *lab) expA(w io.Writer) error {
 		}
 		res := l.verifyP(p, l.verifyCfg())
 		fmt.Fprintf(w, "\n      verify: %s\n", res)
-		if !res.OK() {
-			return fmt.Errorf("%s failed verification", name)
+		if err := claim(res, name+" failed verification"); err != nil {
+			return err
 		}
 	}
 	fmt.Fprintln(w, "\npaper §VI-A: generated == primer; all verified (SWMR + deadlock freedom). Reproduced.")
@@ -295,8 +310,8 @@ func (l *lab) expB(w io.Writer) error {
 		p := mustGen(name, "nonstalling")
 		res := l.verifyP(p, l.verifyCfg())
 		fmt.Fprintf(w, "      verify: %s\n", res)
-		if !res.OK() {
-			return fmt.Errorf("%s failed verification", name)
+		if err := claim(res, name+" failed verification"); err != nil {
+			return err
 		}
 	}
 	fmt.Fprintln(w, "\npaper §VI-B: \"18-20 states and 46-60 transitions\"; MSI reproduces Table VI's")
@@ -317,8 +332,8 @@ func (l *lab) expC(w io.Writer) error {
 	}
 	res := l.verifyP(p, l.verifyCfg())
 	fmt.Fprintf(w, "verify on unordered network: %s\n", res)
-	if !res.OK() {
-		return fmt.Errorf("unordered MSI failed verification")
+	if err := claim(res, "unordered MSI failed verification"); err != nil {
+		return err
 	}
 	fmt.Fprintln(w, "\npaper §VI-C: handshaking SSP; ProtoGen handles the concurrency. Reproduced.")
 	return nil
@@ -333,8 +348,8 @@ func (l *lab) expD(w io.Writer) error {
 	cfg.CheckValues = false
 	res := l.verifyP(p, cfg)
 	fmt.Fprintf(w, "deadlock freedom: %s\n\n", res)
-	if !res.OK() {
-		return fmt.Errorf("TSO-CC deadlocks")
+	if err := claim(res, "TSO-CC deadlocks"); err != nil {
+		return err
 	}
 	rep, err := l.eng.Litmus(l.ctx, protogen.LitmusJob{
 		Protocol: p, Tests: []string{"MP", "MP+acq", "SB", "CoRR"}, Exhaustive: true,
@@ -437,6 +452,11 @@ func (l *lab) expX3(w io.Writer) error {
 			cfg.CheckLiveness = false
 			res := l.verifyP(p, cfg)
 			fmt.Fprintf(w, "%-12s prune=%-5v: %s\n", mode, prune, res)
+			// The finding reads FAIL and PASS rows alike; an INCOMPLETE
+			// one supports neither.
+			if res.Verdict() == protogen.Incomplete {
+				return claim(res, "")
+			}
 		}
 	}
 	fmt.Fprintln(w, "\nFinding: the paper calls sharer pruning on stale Puts an optional")

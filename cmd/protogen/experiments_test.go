@@ -1,8 +1,11 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"protogen"
 )
 
 // TestRunCheapExperiments: every experiment but the fuzz campaign (its
@@ -63,6 +66,31 @@ func TestRunFuzzExperiment(t *testing.T) {
 	}
 	if !strings.Contains(s, "shrunk to") {
 		t.Errorf("planted-bug demonstration missing:\n%s", s)
+	}
+}
+
+// TestExperimentClaimIncomplete: a capped check backs no claim. The
+// experiments print its INCOMPLETE row and stop with an error instead
+// of the claim line; a complete PASS backs one.
+func TestExperimentClaimIncomplete(t *testing.T) {
+	l := &lab{ctx: context.Background(), eng: protogen.NewEngine()}
+	p, err := protogen.GenerateSource(protogen.BuiltinMSI, protogen.NonStalling())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := protogen.QuickVerifyConfig()
+	cfg.Parallelism = 1
+	cfg.MaxStates = 500
+	res := l.verifyP(p, cfg)
+	if !strings.Contains(res.String(), "(capped) — INCOMPLETE") {
+		t.Errorf("capped row reads %q", res)
+	}
+	if err := claim(res, "MSI failed verification"); err == nil || !strings.Contains(err.Error(), "INCOMPLETE") || !strings.Contains(err.Error(), "no claim") {
+		t.Errorf("claim on a capped run: %v, want an INCOMPLETE no-claim error", err)
+	}
+	cfg.MaxStates = 0 // the default, which 2-cache MSI never reaches
+	if err := claim(l.verifyP(p, cfg), "MSI failed verification"); err != nil {
+		t.Errorf("claim on a complete PASS: %v", err)
 	}
 }
 

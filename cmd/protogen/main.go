@@ -39,7 +39,9 @@
 // and fails on any discrepancy. -progress streams per-level lines;
 // -cpuprofile and -memprofile write pprof profiles (docs/PERFORMANCE.md).
 // Lint findings print first as "warning: lint: ..." lines; -no-lint
-// silences them.
+// silences them. The verdict is PASS, FAIL or INCOMPLETE: a run the
+// -max state cap stops with no violation found is INCOMPLETE and exits
+// 1, like a FAIL.
 //
 //	protogen verify -protocol MSI -mode nonstalling -caches 2
 //	protogen verify -protocol TSO_CC -no-swmr -no-values   # deadlock only
@@ -105,7 +107,8 @@
 //	GET    /corpus           reproducers collected by the corpus sink
 //
 // experiments regenerates every table and figure of the paper's
-// evaluation (§VI) and exits 1 when a claim fails to reproduce.
+// evaluation (§VI) and exits 1 when a claim fails to reproduce; an
+// INCOMPLETE check backs no claim, so it exits 1 too.
 //
 //	protogen experiments -run table6         # Table VI and its primer diff
 //	protogen experiments -run e-b -caches 3  # §VI-B verification at paper scale

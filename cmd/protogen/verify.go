@@ -152,8 +152,11 @@ func verify(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		return fmt.Errorf("%d violation(s) found", len(res.Violations))
 	}
-	if res.Canceled {
+	switch {
+	case res.Canceled:
 		return fmt.Errorf("exploration canceled before completion")
+	case res.Verdict() == protogen.Incomplete:
+		return fmt.Errorf("INCOMPLETE: the exploration stopped at the %d-state cap (-max) with no violation found", res.States)
 	}
 	return nil
 }

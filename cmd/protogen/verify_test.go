@@ -26,6 +26,19 @@ func TestRunVerifyCanceledPartial(t *testing.T) {
 	}
 }
 
+// TestRunVerifyCappedIncomplete: a run the state cap stops with no
+// violation is INCOMPLETE, not PASS, and exits non-zero.
+func TestRunVerifyCappedIncomplete(t *testing.T) {
+	var out strings.Builder
+	err := runBG([]string{"verify", "-protocol", "MSI", "-caches", "3", "-max", "1000", "-parallel", "1"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "INCOMPLETE") {
+		t.Fatalf("capped run: err = %v, want an INCOMPLETE error\n%s", err, out.String())
+	}
+	if s := out.String(); !strings.Contains(s, "(capped) — INCOMPLETE") || strings.Contains(s, "PASS") {
+		t.Errorf("capped run must print INCOMPLETE and no PASS:\n%s", s)
+	}
+}
+
 // TestRunVerifyProfiles: -cpuprofile/-memprofile write non-empty pprof
 // files alongside a normal PASS run.
 func TestRunVerifyProfiles(t *testing.T) {

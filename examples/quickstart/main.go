@@ -40,7 +40,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(res)
-	if !res.OK() {
-		log.Fatalf("verification failed: %v", res.Violations[0])
+	if res.Verdict() != protogen.Pass {
+		log.Fatalf("verification did not pass: %s", res)
 	}
 }

@@ -41,8 +41,8 @@ func run(stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(stdout, "deadlock freedom:", res)
-	if !res.OK() {
-		return fmt.Errorf("TSO-CC deadlock-freedom check failed: %s", res)
+	if res.Verdict() != protogen.Pass {
+		return fmt.Errorf("TSO-CC deadlock-freedom check did not pass: %s", res)
 	}
 
 	// Exhaustive mode: every schedule is enumerated, so an outcome that

@@ -29,8 +29,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(res)
-	if !res.OK() {
-		log.Fatalf("verification failed: %v", res.Violations[0])
+	if res.Verdict() != protogen.Pass {
+		log.Fatalf("verification did not pass: %s", res)
 	}
 	fmt.Println("\nThe same stable states as MSI, with the races the paper describes")
 	fmt.Println("handled by generated transient states — no manual concurrency design.")

@@ -57,25 +57,21 @@ func walkDiff(t *testing.T, label string, p *ir.Protocol, caches int, seed int64
 // snapshot/revert property test (snapshot_test.go) share.
 func eachRegistryProtocol(t *testing.T, fn func(label string, p *ir.Protocol)) {
 	t.Helper()
-	modes := []struct {
-		name string
-		opts core.Options
-	}{
-		{"stalling", core.StallingOpts()},
-		{"nonstalling", core.NonStallingOpts()},
-		{"deferred", core.DeferredOpts()},
-	}
 	for _, e := range protocols.Entries() {
 		spec, err := dsl.Parse(e.Source)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		for _, mode := range modes {
-			p, err := core.Generate(spec, mode.opts)
+		for _, mode := range core.Modes {
+			opts, err := core.OptionsForMode(mode)
 			if err != nil {
-				t.Fatalf("%s %s: %v", e.Name, mode.name, err)
+				t.Fatal(err)
 			}
-			fn(e.Name+"/"+mode.name, p)
+			p, err := core.Generate(spec, opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", e.Name, mode, err)
+			}
+			fn(e.Name+"/"+mode, p)
 		}
 	}
 }

@@ -47,7 +47,28 @@ type Layout struct {
 	// deferred[i] is Machine.DeferredActions of message type i, resolved;
 	// nil when the machine owes nothing for it.
 	deferred [][]action
+	// Enabledness, decided once per (state, event) so that rule
+	// enumeration evaluates a guard only where one decides. Per state
+	// index: accessFree has bit i set when access accesses[i] is enabled
+	// with no guard to evaluate, accessGuard when a guard decides; an
+	// access in neither mask is disabled. Per state index and dense event
+	// index, deliverAt holds a delivery's code (System.AppendRules).
+	accessFree, accessGuard []uint32
+	deliverAt               [][]deliverCode
 }
+
+// deliverCode is what delivering a message on one (state, event) does
+// before its guards are read.
+type deliverCode uint8
+
+const (
+	// deliverFree: enabled with no guard to evaluate — no transition,
+	// one unguarded non-stall, or an ambiguous unguarded pair (the first
+	// and last of which Apply reports as errors).
+	deliverFree  deliverCode = iota
+	deliverStall             // one unguarded stall
+	deliverGuard             // a guard decides: ask matchEv
+)
 
 // trans is one transition of the machine, resolved against its layout.
 type trans struct {
@@ -192,7 +213,46 @@ func NewLayout(p *ir.Protocol, m *ir.Machine) *Layout {
 		si, ei := l.StateIdx[t.From], l.evIdx[t.Ev.String()]
 		l.transAt[si][ei] = append(l.transAt[si][ei], rt)
 	}
+	l.indexEnabledness()
 	return l
+}
+
+// indexEnabledness fills accessFree, accessGuard and deliverAt from
+// transAt with matchEv's semantics: a guarded candidate leaves the
+// decision to matchEv; otherwise no candidate matches, one does, or two
+// unguarded ones make the event ambiguous — a disabled access and an
+// enabled delivery, whose Apply reports the error.
+func (l *Layout) indexEnabledness() {
+	l.accessFree = make([]uint32, len(l.transAt))
+	l.accessGuard = make([]uint32, len(l.transAt))
+	l.deliverAt = make([][]deliverCode, len(l.transAt))
+	guarded := func(cands []*trans) bool {
+		for _, t := range cands {
+			if t.guard != nil {
+				return true
+			}
+		}
+		return false
+	}
+	for si, byEv := range l.transAt {
+		for i, a := range l.accesses {
+			switch cands := byEv[l.accessEv[a]]; {
+			case guarded(cands):
+				l.accessGuard[si] |= 1 << uint(i)
+			case len(cands) == 1 && accessProgresses(cands[0], a):
+				l.accessFree[si] |= 1 << uint(i)
+			}
+		}
+		l.deliverAt[si] = make([]deliverCode, len(byEv))
+		for ei, cands := range byEv {
+			switch {
+			case guarded(cands):
+				l.deliverAt[si][ei] = deliverGuard
+			case len(cands) == 1 && cands[0].Stall:
+				l.deliverAt[si][ei] = deliverStall
+			}
+		}
+	}
 }
 
 // slot returns idx[name], or -1 for a name never declared. It is the

@@ -207,13 +207,22 @@ func (s *System) Rules() []Rule {
 
 // AppendRules appends every enabled rule to buf in the same deterministic
 // order as Rules, reusing buf's backing array — the allocation-free form
-// for the checker's expansion loop. Deliverables are enumerated inline
-// (Network.AppendDeliverables' walk and order) so no intermediate slice is
-// built.
+// for the checker's expansion loop. Enabledness comes from the layouts'
+// tables; a transition's guard is evaluated only where one decides.
+// Deliverables are enumerated inline (Network.AppendDeliverables' walk
+// and order) so no intermediate slice is built.
 func (s *System) AppendRules(buf []Rule) []Rule {
 	for i, c := range s.Caches {
-		for _, a := range s.CacheL.accesses {
-			if s.accessEnabled(c, a) {
+		if c.StIdx < 0 {
+			continue // an undeclared state has no transitions
+		}
+		free, guard := c.L.accessFree[c.StIdx], c.L.accessGuard[c.StIdx]
+		if free|guard == 0 {
+			continue
+		}
+		for j, a := range c.L.accesses {
+			bit := uint32(1) << uint(j)
+			if free&bit != 0 || guard&bit != 0 && s.accessEnabled(c, a) {
 				buf = append(buf, Rule{Kind: RuleAccess, Cache: i, Access: a})
 			}
 		}
@@ -237,26 +246,42 @@ func (s *System) AppendRules(buf []Rule) []Rule {
 // accessEnabled reports whether issuing access a at cache c makes progress
 // (starts a transaction, silently transitions, or is a store hit that
 // mutates data). Pure load hits are invariant-checked, not enumerated.
+// It evaluates guards; AppendRules asks it only where one decides.
 func (s *System) accessEnabled(c *Ctrl, a ir.AccessType) bool {
 	t, ok, err := c.matchEv(c.L.accessEvent(a), nil)
-	if err != nil || !ok || t.Stall {
-		return false
-	}
-	return t.Next != t.From || (a == ir.AccessStore && t.hit)
+	return err == nil && ok && accessProgresses(t, a)
 }
 
-// deliverEnabled reports whether delivering m makes progress (the target's
-// matched transition is not a stall).
+// accessProgresses reports whether t, the transition access a matched,
+// makes progress: it does not stall, and it changes state or is a store
+// hit.
+func accessProgresses(t *trans, a ir.AccessType) bool {
+	return !t.Stall && (t.Next != t.From || (a == ir.AccessStore && t.hit))
+}
+
+// deliverEnabled reports whether delivering m makes progress: its
+// target's matched transition is not a stall. A message that matches no
+// transition, or two, stays enabled so that Apply reports the error.
 func (s *System) deliverEnabled(m *Msg) bool {
 	c := s.ctrlAt(m.Dst)
-	t, ok, err := c.matchEv(c.L.msgEvent(m), m)
-	if err != nil {
-		return true // surface the error in Apply
+	evi := c.L.msgEvent(m)
+	if evi < 0 || c.StIdx < 0 {
+		return true // no transition at all: unexpected
 	}
-	if !ok {
-		return true // unexpected message: Apply reports it
+	switch c.L.deliverAt[c.StIdx][evi] {
+	case deliverStall:
+		return false
+	case deliverGuard:
+		return deliverMatched(c, evi, m)
 	}
-	return !t.Stall
+	return true
+}
+
+// deliverMatched is deliverEnabled by evaluating c's guards for m on
+// event evi.
+func deliverMatched(c *Ctrl, evi int, m *Msg) bool {
+	t, ok, err := c.matchEv(evi, m)
+	return err != nil || !ok || !t.Stall
 }
 
 // Apply executes one rule, returning the performed accesses.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -318,5 +319,18 @@ func TestUnparsableSourceFails(t *testing.T) {
 	}
 	if v = waitSettled(t, srv, v.ID); v.Status != StatusFailed || v.Error != perr.Error() {
 		t.Fatalf("unparsable source ended %s with %q, want failed with %q", v.Status, v.Error, perr.Error())
+	}
+}
+
+// TestCappedVerifyNotOK: a verify job its state cap stops with no
+// violation is done, but not ok. Its summary names the run INCOMPLETE.
+func TestCappedVerifyNotOK(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1})
+	v := waitSettled(t, srv, submitView(t, srv, verifyBody("MSI", "nonstalling", 500)).ID)
+	if v.Status != StatusDone || v.OK == nil || *v.OK {
+		t.Fatalf("capped job: %+v, want done with ok false", v)
+	}
+	if !strings.Contains(v.Summary, "(capped) — INCOMPLETE") {
+		t.Errorf("capped job's summary %q does not say INCOMPLETE", v.Summary)
 	}
 }

@@ -92,9 +92,11 @@ func verifyJob(req Request) (protogen.VerifyJob, error) {
 }
 
 // verifyOutcome is the outcome of a verify job that came back with res,
-// whether a runner ran it or the submit answered it from the cache.
+// whether a runner ran it or the submit answered it from the cache. Only
+// a PASS is ok: a capped run with no violation reads ok false, and its
+// summary names it INCOMPLETE.
 func verifyOutcome(res *protogen.VerifyResult) Outcome {
-	out := doneOutcome(res.String(), res.OK(), res.Canceled, res)
+	out := doneOutcome(res.String(), res.Verdict() == protogen.Pass, res.Canceled, res)
 	out.Cached = res.Cached
 	return out
 }

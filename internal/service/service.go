@@ -272,7 +272,8 @@ type JobView struct {
 	Cached bool `json:"cached,omitempty"`
 	// Canceled marks a partial result (job canceled mid-run).
 	Canceled bool `json:"canceled,omitempty"`
-	// OK reports the verdict once done: verification passed / campaign
+	// OK reports the verdict once done: verification PASS (complete, no
+	// violation; a capped run is INCOMPLETE and not ok) / campaign
 	// all-pass / simulation SC-clean.
 	OK *bool `json:"ok,omitempty"`
 	// Error carries the failure message of a failed or dead job.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // budgetStates caps the 3-cache MSI rows: large enough that the
@@ -12,7 +13,7 @@ import (
 const budgetStates = 50_000
 
 // perStateBudget lists the explorations whose per-state cost is held to
-// a ceiling, with the readings the ceilings derive from. All three
+// a ceiling, with the readings the ceilings derive from. All four
 // columns are counts, not timings: at Parallelism 1 they repeat run
 // after run (the first two to three decimals, the third exactly), so the
 // ceiling is the recorded reading + 10 % and a trip is a structural
@@ -23,17 +24,25 @@ const budgetStates = 50_000
 // ordinals to replay; a label per successor creeping back trips every
 // row. The kept column was added then. The bytes column also moves by a
 // percent with the key hash — shards double one by one — and was left
-// where it was.)
+// where it was.) Allocs were re-recorded downward again, and the alloc
+// column added, when expansion stopped allocating per successor: a
+// level's successors sit in one buffer per worker, with no pointer in a
+// clean one, and the next frontier reuses the array of two levels back.
+// The per-parent successor slice, 70 % of the bytes, is gone. Allocs
+// went 3.80/1.49/1.85/3.58 → 3.03/0.71/0.89/2.12 and allocated bytes per
+// state 1424/1088/2347/1203 → 1084/748/2122/433; a per-parent buffer
+// creeping back trips both columns on every row.
 var perStateBudget = []struct {
 	name, mode string
 	cfg        func() Config
 	states     int
 	allocs     float64 // heap allocations per explored state
+	alloc      float64 // heap bytes allocated per explored state
 	bytes      float64 // retained visited-set bytes per state
 	kept       int     // bytes the checker's own columns hold at the end (keptBytes)
 }{
-	{"3-cache/exact", "nonstalling", func() Config { return budget3Cache(false) }, budgetStates, 3.803, 145.7, 663552},
-	{"3-cache/fingerprint", "nonstalling", func() Config { return budget3Cache(true) }, budgetStates, 1.485, 26.5, 663552},
+	{"3-cache/exact", "nonstalling", func() Config { return budget3Cache(false) }, budgetStates, 3.030, 1084, 145.7, 663552},
+	{"3-cache/fingerprint", "nonstalling", func() Config { return budget3Cache(true) }, budgetStates, 0.712, 748, 26.5, 663552},
 	// TestFourCacheGolden's capped run: the cache count the
 	// factorial-free canonicalization unlocks.
 	{"4-cache/fingerprint", "nonstalling", func() Config {
@@ -42,14 +51,14 @@ var perStateBudget = []struct {
 		cfg.MaxStates = 40_000
 		cfg.Fingerprint = true
 		return cfg
-	}, 40_000, 1.846, 19.7, 1212416},
+	}, 40_000, 0.893, 2122, 19.7, 1212416},
 	// The registry's most fusible design under partial-order reduction
 	// (4929 states, TestReducedGoldenCounts).
 	{"2-cache/reduced", "stalling", func() Config {
 		cfg := QuickConfig()
 		cfg.Reduce = true
 		return cfg
-	}, 4929, 3.618, 100.9, 156672},
+	}, 4929, 2.118, 433, 100.9, 156672},
 }
 
 func budget3Cache(fingerprint bool) Config {
@@ -93,12 +102,16 @@ func TestFingerprintBytesReduction(t *testing.T) {
 		}
 		results[row.name] = res
 		allocs := float64(m1.Mallocs-m0.Mallocs) / float64(res.States)
+		alloc := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.States)
 		bytes := float64(res.VisitedBytes) / float64(res.States)
 		kept := keptBytes(c)
-		t.Logf("%s: %.3f allocs/state, %.1f visited bytes/state, %d bytes kept beside the table (%.1f/state)",
-			row.name, allocs, bytes, kept, float64(kept)/float64(res.States))
+		t.Logf("%s: %.3f allocs/state, %.0f allocated bytes/state, %.1f visited bytes/state, %d bytes kept beside the table (%.1f/state)",
+			row.name, allocs, alloc, bytes, kept, float64(kept)/float64(res.States))
 		if allocs > 1.10*row.allocs {
 			t.Errorf("%s: %.3f allocs/state, over the recorded %.3f + 10%%", row.name, allocs, row.allocs)
+		}
+		if alloc > 1.10*row.alloc {
+			t.Errorf("%s: %.0f allocated bytes/state, over the recorded %.0f + 10%%", row.name, alloc, row.alloc)
 		}
 		if bytes > 1.10*row.bytes {
 			t.Errorf("%s: %.1f visited bytes/state, over the recorded %.1f + 10%%", row.name, bytes, row.bytes)
@@ -115,5 +128,18 @@ func TestFingerprintBytesReduction(t *testing.T) {
 	if ratio := float64(exact.VisitedBytes) / float64(fp.VisitedBytes); ratio < 5 {
 		t.Errorf("visited-set reduction %.1fx, want ≥5x (exact %d B, fingerprint %d B)",
 			ratio, exact.VisitedBytes, fp.VisitedBytes)
+	}
+}
+
+// TestSuccOutSize: every successor of a level sits in its worker's
+// buffer until the merge, so succOut's width is resident memory on the
+// deep configurations (it was 160 bytes, pointers throughout, when each
+// parent allocated its own successor slice).
+func TestSuccOutSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes recorded for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(succOut{}); got > 56 {
+		t.Errorf("succOut is %d bytes, over the recorded 56", got)
 	}
 }

@@ -346,16 +346,17 @@ func (w *worker) fusible(sys *engine.System, depth int) []int {
 
 // collapse recursively normalizes sys — applying every rule of the
 // lowest fusible node, branching where that set has several rules — and
-// appends the resulting normal-form successors to out; w.chain holds the
+// appends the resulting normal-form successors to w.succs; w.chain holds the
 // edge from stored state parent to sys. seedQ accumulates "a quiescent
 // state was fused through on this path", which finishSucc hands to merge
 // as the parent's liveness witness. sys is consumed: the last branch
 // applies in place, the others run on the level's own scratch, and
 // whoever owns sys reverts it afterwards.
-func (w *worker) collapse(sys *engine.System, parent int32, depth int, seedQ bool, out []succOut) []succOut {
+func (w *worker) collapse(sys *engine.System, parent int32, depth int, seedQ bool) {
 	en := w.fusible(sys, depth)
 	if len(en) == 0 || depth >= maxFuseDepth {
-		return append(out, w.finishSucc(sys, seedQ))
+		w.succs = append(w.succs, w.finishSucc(sys, seedQ))
+		return
 	}
 	// sys is about to be collapsed through, not stored; if it is
 	// quiescent, record the witness before it disappears.
@@ -380,7 +381,7 @@ func (w *worker) collapse(sys *engine.System, parent int32, depth int, seedQ boo
 		if err != nil {
 			// Contradicts invisibility (a static-analysis bug); surface it
 			// as the error verdict it would have been uncollapsed.
-			out = append(out, succOut{knownIdx: -1, edge: w.edge(), hasErr: true, applyErr: err.Error()})
+			w.succErr(err)
 			w.chain = w.chain[:len(w.chain)-1]
 			continue
 		}
@@ -391,10 +392,9 @@ func (w *worker) collapse(sys *engine.System, parent int32, depth int, seedQ boo
 			}
 		}
 		w.fused++
-		out = w.collapse(child, parent, depth+1, seedQ, out)
+		w.collapse(child, parent, depth+1, seedQ)
 		w.chain = w.chain[:len(w.chain)-1]
 	}
-	return out
 }
 
 // branch returns level depth's scratch System holding a copy of sys, for
@@ -424,29 +424,37 @@ func (w *worker) branch(sys *engine.System, depth int, first bool) *engine.Syste
 // after they were observed.
 func (w *worker) finishSucc(succ *engine.System, seedQ bool) succOut {
 	so := succOut{knownIdx: -1, seedParent: seedQ}
-	so.dataViol, w.pendViol = w.pendViol, nil
+	if len(w.pendViol) > 0 {
+		so.cold = &succCold{dataViol: w.pendViol}
+		w.pendViol = nil
+	}
 	key := w.enc.Canonical(succ, w.c.perms)
 	so.hash = engine.Fingerprint(key)
 	if idx, ok := w.c.visited.Lookup(so.hash, key); ok {
 		so.knownIdx = idx
 		// The edge is only needed for violation traces and new states; a
 		// clean already-visited successor skips it.
-		if len(so.dataViol) > 0 {
-			so.edge = w.edge()
+		if so.cold != nil {
+			so.edgeLo, so.edgeHi = w.edge()
 		}
-	} else {
-		so.edge = w.edge()
-		if !w.c.cfg.Fingerprint {
-			// Skipping this copy is fingerprint mode's frontier memory win.
-			so.key = string(key)
+		return so
+	}
+	so.edgeLo, so.edgeHi = w.edge()
+	if !w.c.cfg.Fingerprint {
+		// Skipping this copy is fingerprint mode's frontier memory win.
+		so.key = string(key)
+	}
+	so.snapLo = uint32(len(w.slab))
+	w.slab = succ.AppendSnapshot(w.slab)
+	so.snapHi = uint32(len(w.slab))
+	if found := w.checkState(succ); found != nil {
+		if so.cold == nil {
+			so.cold = &succCold{}
 		}
-		start := len(w.slab)
-		w.slab = succ.AppendSnapshot(w.slab)
-		so.snap = w.slab[start:len(w.slab):len(w.slab)]
-		so.stateViol = w.checkState(succ)
-		if w.c.cfg.CheckLiveness {
-			so.quiet = quiescent(succ)
-		}
+		so.cold.stateViol = found
+	}
+	if w.c.cfg.CheckLiveness {
+		so.quiet = quiescent(succ)
 	}
 	return so
 }

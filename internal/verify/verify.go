@@ -235,21 +235,67 @@ type Result struct {
 	CommuteMismatches int64 `json:"CommuteMismatches,omitempty"`
 }
 
-// OK reports whether the exploration finished with no violations.
+// OK reports whether the exploration found no violation. A run a bound
+// stopped can be OK and still not PASS; Verdict is the verdict.
 func (r *Result) OK() bool { return len(r.Violations) == 0 }
+
+// Verdict is a check's three-valued outcome.
+type Verdict int
+
+// The verdicts. Fail wins over Incomplete: a violation found on an
+// explored prefix is a real one.
+const (
+	Pass       Verdict = iota // complete, with no violation
+	Fail                      // a violation, complete or not
+	Incomplete                // stopped by a bound (Result.Bound), with no violation
+)
+
+func (v Verdict) String() string {
+	switch v {
+	case Pass:
+		return "PASS"
+	case Fail:
+		return "FAIL"
+	}
+	return "INCOMPLETE"
+}
+
+// Verdict is the run's verdict. It is the one place PASS is decided:
+// String, the CLI's exit status, the experiments' claims and the
+// service's ok all read it.
+func (r *Result) Verdict() Verdict {
+	switch {
+	case len(r.Violations) > 0:
+		return Fail
+	case !r.Complete:
+		return Incomplete
+	}
+	return Pass
+}
+
+// Bound names what stopped an incomplete run: "canceled" when its
+// context was, "capped" when it reached Config.MaxStates; "" on a
+// complete run.
+func (r *Result) Bound() string {
+	switch {
+	case r.Canceled:
+		return "canceled"
+	case !r.Complete:
+		return "capped"
+	}
+	return ""
+}
 
 func (r *Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %d states, %d edges, depth %d", r.Protocol, r.States, r.Edges, r.Depth)
-	if r.Canceled {
-		b.WriteString(" (canceled)")
-	} else if !r.Complete {
-		b.WriteString(" (capped)")
+	if bound := r.Bound(); bound != "" {
+		fmt.Fprintf(&b, " (%s)", bound)
 	}
-	if r.OK() {
-		b.WriteString(" — PASS")
-	} else {
+	if v := r.Verdict(); v == Fail {
 		fmt.Fprintf(&b, " — FAIL: %s", r.Violations[0])
+	} else {
+		fmt.Fprintf(&b, " — %s", v)
 	}
 	return b.String()
 }
@@ -268,23 +314,25 @@ type finding struct {
 	kind, detail string
 }
 
-// succOut is one successor computed during parallel expansion.
+// succOut is one successor computed during parallel expansion, kept in
+// its worker's succs buffer. A clean successor holds no pointer but its
+// exact-mode key: what lies in the worker's buffers it names by offsets,
+// and the rare findings sit behind cold (TestSuccOutSize holds it to 56
+// bytes on 64-bit targets).
 type succOut struct {
-	// edge (see checker.edges) sits in the worker's arena and is filled only
-	// where merge can need it: unseen successor, error, data-value violation.
-	edge     []uint32
-	applyErr string
-	hasErr   bool
-	dataViol []string // data-value violations observed on performed loads
-	knownIdx int32    // visited index at expansion time; -1 if unseen then
-	key      string   // canonical key (exact mode, and only when knownIdx < 0)
-	hash     uint64
-	// snap and stateViol describe the successor itself, and only when
-	// knownIdx < 0: its snapshot for the next frontier and what checkState
-	// found on it. Merge uses both only if the state turns out fresh.
-	snap      []byte
-	stateViol []finding
-	quiet     bool
+	hash uint64
+	key  string // canonical key (exact mode, and only when knownIdx < 0)
+	cold *succCold
+	// edge (see checker.edges) is arena[edgeLo:edgeHi] of the producing
+	// worker, filled only where merge can need it — unseen successor,
+	// error, data-value violation — and empty otherwise. snap, the
+	// successor's snapshot for the next frontier, is slab[snapLo:snapHi],
+	// filled only when knownIdx < 0; merge uses it only if the state turns
+	// out fresh.
+	edgeLo, edgeHi uint32
+	snapLo, snapHi uint32
+	knownIdx       int32 // visited index at expansion time; -1 if unseen then
+	quiet          bool
 	// seedParent: the collapse fused through a quiescent intermediate on
 	// the way to this normal form. The quiescence witness belongs to the
 	// PARENT (which really reaches that intermediate), not the normal
@@ -292,11 +340,22 @@ type succOut struct {
 	seedParent bool
 }
 
-// expansion is everything the merge needs about one frontier item.
+// succCold is what a successor that errs or violates carries; nil on
+// every clean one.
+type succCold struct {
+	applyErr  string
+	hasErr    bool
+	dataViol  []string  // data-value violations observed on performed loads
+	stateViol []finding // checkState's findings (knownIdx < 0 only)
+}
+
+// expansion is everything the merge needs about one frontier item: its
+// successors are w.succs[lo:hi] of the worker that expanded it.
 type expansion struct {
+	w        *worker
+	lo, hi   int
 	deadlock bool
 	inFlight int
-	succs    []succOut
 }
 
 // checker carries exploration state.
@@ -332,10 +391,15 @@ type checker struct {
 	perms   [][]int
 	workers int
 	// pool holds one persistent worker per expansion goroutine: encoders,
-	// rule buffers, scratch Systems and snapshot slabs survive across BFS
-	// levels, so the steady-state expansion loop allocates only keys and
-	// slab and arena growth for states that may enter the frontier.
+	// rule buffers, scratch Systems, snapshot slabs and successor buffers
+	// survive across BFS levels, so the steady-state expansion loop
+	// allocates only keys (exact mode) and buffer growth.
 	pool []*worker
+	// exps is expand's result, reused every level; spare is the frontier
+	// of two levels back, dead once its level is expanded, whose array
+	// merge builds the next frontier in.
+	exps  []expansion
+	spare []frontierItem
 	// red holds the partial-order reducer (reduce.go); nil when
 	// Config.Reduce is off or the dependence analysis refused the
 	// protocol (Result.ReduceUnsafe).
@@ -486,8 +550,12 @@ func (c *checker) expand(frontier []frontierItem) []expansion {
 	for _, w := range c.pool {
 		w.slab, w.prev = w.prev[:0], w.slab
 		w.arena = w.arena[:0] // the last merge copied out every edge it kept
+		w.succs = w.succs[:0]
 	}
-	out := make([]expansion, len(frontier))
+	if cap(c.exps) < len(frontier) {
+		c.exps = make([]expansion, len(frontier))
+	}
+	out := c.exps[:len(frontier)]
 	workers := min(c.workers, len(frontier))
 	if workers <= 1 {
 		w := c.pool[0]
@@ -538,7 +606,8 @@ type worker struct {
 	// grandparent level wrote and no snapshot is ever written while
 	// another goroutine can read it.
 	slab, prev []byte
-	arena      []uint32           // this level's succOut.edge values, back to back
+	arena      []uint32           // this level's succOut edges, back to back
+	succs      []succOut          // this level's successors, back to back
 	hits       []engine.LoadCheck // checkState scratch
 
 	// Partial-order reduction state (used only when checker.red != nil;
@@ -576,20 +645,22 @@ func (w *worker) expandItem(it frontierItem) expansion {
 	w.par.Restore(it.snap)
 	w.rules = w.par.AppendRules(w.rules[:0])
 	rules := w.rules
+	exp := expansion{w: w, lo: len(w.succs), hi: len(w.succs)}
 	if len(rules) == 0 && !quiescent(w.par) {
-		return expansion{deadlock: true, inFlight: w.par.Net.InFlight()}
+		exp.deadlock, exp.inFlight = true, w.par.Net.InFlight()
+		return exp
 	}
 	w.par.CloneInto(w.work)
-	exp := expansion{succs: make([]succOut, 0, len(rules))}
 	if w.c.red != nil {
 		w.candTotal += int64(len(rules))
 		w.stateFused = false
 	}
 	for ri := range rules {
-		exp.succs = w.computeSuccs(it.idx, ri, exp.succs)
+		w.computeSuccs(it.idx, ri)
 	}
+	exp.hi = len(w.succs)
 	if w.c.red != nil {
-		w.emitTotal += int64(len(exp.succs))
+		w.emitTotal += int64(exp.hi - exp.lo)
 		if w.stateFused {
 			w.redStates++
 		}
@@ -598,17 +669,18 @@ func (w *worker) expandItem(it frontierItem) expansion {
 }
 
 // computeSuccs applies rule ri of state parent to the scratch copy,
-// appends the resulting successor(s) to out and reverts the scratch.
+// appends the resulting successor(s) to w.succs and reverts the scratch.
 // Without reduction that is exactly one normal canonicalized successor;
 // with reduction the successor is collapsed to its normal forms first
 // (reduce.go), which can branch into several.
-func (w *worker) computeSuccs(parent int32, ri int, out []succOut) []succOut {
+func (w *worker) computeSuccs(parent int32, ri int) {
 	succ := w.work
 	defer succ.RevertTo(w.par)
 	w.chain = append(w.chain[:0], uint32(ri))
 	performs, err := succ.Apply(w.rules[ri])
 	if err != nil {
-		return append(out, succOut{knownIdx: -1, edge: w.edge(), hasErr: true, applyErr: err.Error()})
+		w.succErr(err)
+		return
 	}
 	w.pendViol = nil
 	for _, pf := range performs {
@@ -618,17 +690,25 @@ func (w *worker) computeSuccs(parent int32, ri int, out []succOut) []succOut {
 		}
 	}
 	if w.c.red == nil {
-		return append(out, w.finishSucc(succ, false))
+		w.succs = append(w.succs, w.finishSucc(succ, false))
+		return
 	}
-	return w.collapse(succ, parent, 0, false, out)
+	w.collapse(succ, parent, 0, false)
+}
+
+// succErr records a successor whose rule failed with err.
+func (w *worker) succErr(err error) {
+	so := succOut{knownIdx: -1, cold: &succCold{hasErr: true, applyErr: err.Error()}}
+	so.edgeLo, so.edgeHi = w.edge()
+	w.succs = append(w.succs, so)
 }
 
 // edge copies the chain — the applied rule's ordinal and the fused tail —
-// into the level arena.
-func (w *worker) edge() []uint32 {
-	start := len(w.arena)
+// into the level arena and returns its bounds there.
+func (w *worker) edge() (lo, hi uint32) {
+	lo = uint32(len(w.arena))
 	w.arena = append(w.arena, w.chain...)
-	return w.arena[start:len(w.arena):len(w.arena)]
+	return lo, uint32(len(w.arena))
 }
 
 // merge folds a level's expansions into the exploration in frontier
@@ -638,7 +718,8 @@ func (w *worker) edge() []uint32 {
 // come out identical regardless of how many workers expanded the level.
 func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierItem {
 	limit := max(1, c.cfg.MaxViolations)
-	var next []frontierItem
+	next := c.spare[:0]
+	c.spare = frontier
 	for i := range exps {
 		if len(c.res.Violations) >= limit {
 			return nil
@@ -653,14 +734,20 @@ func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierIte
 			}
 			continue
 		}
-		for _, so := range exp.succs {
-			if so.hasErr {
-				c.violate("error", so.applyErr, int(parent), so.edge)
+		w := exp.w
+		for k := exp.lo; k < exp.hi; k++ {
+			so := &w.succs[k]
+			edge := w.arena[so.edgeLo:so.edgeHi]
+			cold := so.cold
+			if cold != nil && cold.hasErr {
+				c.violate("error", cold.applyErr, int(parent), edge)
 				continue
 			}
 			c.res.Edges++
-			for _, d := range so.dataViol {
-				c.violate("data-value", d, int(parent), so.edge)
+			if cold != nil {
+				for _, d := range cold.dataViol {
+					c.violate("data-value", d, int(parent), edge)
+				}
 			}
 			if so.seedParent && c.cfg.CheckLiveness {
 				c.quiet[parent] = true
@@ -678,19 +765,21 @@ func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierIte
 			if !fresh {
 				continue
 			}
-			c.edges = append(c.edges, so.edge...)
+			c.edges = append(c.edges, edge...)
 			c.parent, c.edgeEnd = append(c.parent, parent), append(c.edgeEnd, uint32(len(c.edges)))
 			if c.cfg.CheckLiveness {
 				c.quiet = append(c.quiet, so.quiet)
 			}
-			for _, f := range so.stateViol {
-				c.violate(f.kind, f.detail, int(ni), nil)
+			if cold != nil {
+				for _, f := range cold.stateViol {
+					c.violate(f.kind, f.detail, int(ni), nil)
+				}
 			}
 			if len(c.parent) >= c.cfg.MaxStates {
 				c.res.Complete = false
 				return nil
 			}
-			next = append(next, frontierItem{snap: so.snap, idx: ni})
+			next = append(next, frontierItem{snap: w.slab[so.snapLo:so.snapHi:so.snapHi], idx: ni})
 		}
 		// Parent's successor run is complete; seal its CSR row. Rows are
 		// sealed in state-index order because the frontier is built in
@@ -841,12 +930,12 @@ func quiescent(s *engine.System) bool {
 	return d.StIdx >= 0 && d.L.StableAt[d.StIdx] && len(d.DeferQ) == 0
 }
 
-// violate records a violation on state idx or, when edge is non-nil, on
-// that edge out of it: the witness is the replayed path to idx plus the
-// edge's own label.
+// violate records a violation on state idx or, when edge is non-empty,
+// on that edge out of it: the witness is the replayed path to idx plus
+// the edge's own label.
 func (c *checker) violate(kind, detail string, idx int, edge []uint32) {
 	tr, sys := c.trace(idx)
-	if edge != nil {
+	if len(edge) > 0 {
 		tr = append(tr, replay(sys, edge))
 	}
 	c.res.Violations = append(c.res.Violations, Violation{Kind: kind, Detail: detail, Trace: tr})

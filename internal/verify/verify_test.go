@@ -250,3 +250,28 @@ func TestSymmetryAgreement(t *testing.T) {
 		t.Errorf("2-cache reduction factor cannot exceed 2: %d vs %d", roff.States, ron.States)
 	}
 }
+
+// TestVerdict: PASS needs a complete run with no violation. A run a
+// bound stopped is INCOMPLETE and names the bound, and a violation is
+// FAIL whether or not the run completed.
+func TestVerdict(t *testing.T) {
+	p := goldenProtocol(t, "MSI", "nonstalling")
+	cfg := QuickConfig()
+	cfg.Parallelism = 1
+	if r := Check(p, cfg); r.Verdict() != Pass || r.Bound() != "" || !strings.HasSuffix(r.String(), " — PASS") {
+		t.Errorf("complete run: %v (verdict %v)", r, r.Verdict())
+	}
+	cfg.MaxStates = 500
+	r := Check(p, cfg)
+	if r.Verdict() != Incomplete || r.Bound() != "capped" || !strings.HasSuffix(r.String(), "(capped) — INCOMPLETE") {
+		t.Errorf("capped run: %v (verdict %v, bound %q)", r, r.Verdict(), r.Bound())
+	}
+	r.Violations = []Violation{{Kind: "SWMR", Detail: "2 writers, 0 readers"}}
+	if r.Verdict() != Fail || !strings.Contains(r.String(), "(capped) — FAIL: SWMR") {
+		t.Errorf("capped run with a violation: %v (verdict %v)", r, r.Verdict())
+	}
+	canceled := &Result{Protocol: "MSI", Canceled: true}
+	if canceled.Verdict() != Incomplete || !strings.HasSuffix(canceled.String(), "(canceled) — INCOMPLETE") {
+		t.Errorf("canceled run: %v (verdict %v)", canceled, canceled.Verdict())
+	}
+}

@@ -72,11 +72,21 @@ type (
 	VerifyConfig = verify.Config
 	// VerifyResult is an exploration summary with violations and traces.
 	VerifyResult = verify.Result
+	// Verdict is a VerifyResult's three-valued outcome: Pass, Fail, or
+	// Incomplete when a bound stopped the run with no violation found.
+	Verdict = verify.Verdict
 	// Violation is one invariant failure.
 	Violation = verify.Violation
 	// VerifyResultCache memoizes verify results across runs, persisted
 	// as JSONL under a cache directory (see docs/CACHING.md).
 	VerifyResultCache = verify.ResultCache
+)
+
+// The verdicts VerifyResult.Verdict returns.
+const (
+	Pass       = verify.Pass
+	Fail       = verify.Fail
+	Incomplete = verify.Incomplete
 )
 
 // Simulation.
