@@ -122,6 +122,11 @@ func verify(ctx context.Context, args []string, stdout io.Writer) error {
 	default:
 		fmt.Fprintf(stdout, "%s  (%.1fs)\n", res, time.Since(start).Seconds())
 	}
+	if cfg.CheckLiveness && !res.Complete {
+		// Liveness needs the whole state space; the verdict line alone
+		// does not say that it was skipped.
+		fmt.Fprintf(stdout, "liveness: not checked (%s)\n", res.Bound())
+	}
 	if !*fpMode {
 		fmt.Fprintf(stdout, "fingerprint collisions: %d over %d states\n", res.FalseMerges, res.States)
 	}

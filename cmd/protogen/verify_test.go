@@ -24,10 +24,14 @@ func TestRunVerifyCanceledPartial(t *testing.T) {
 	if !strings.Contains(s, "(canceled)") || !strings.Contains(s, "interrupted at depth") {
 		t.Errorf("partial-result report missing:\n%s", s)
 	}
+	if !strings.Contains(s, "\nliveness: not checked (canceled)\n") {
+		t.Errorf("canceled run must say liveness was not checked:\n%s", s)
+	}
 }
 
 // TestRunVerifyCappedIncomplete: a run the state cap stops with no
-// violation is INCOMPLETE, not PASS, and exits non-zero.
+// violation is INCOMPLETE, not PASS, exits non-zero and says on its own
+// line that liveness was not checked.
 func TestRunVerifyCappedIncomplete(t *testing.T) {
 	var out strings.Builder
 	err := runBG([]string{"verify", "-protocol", "MSI", "-caches", "3", "-max", "1000", "-parallel", "1"}, &out)
@@ -36,6 +40,9 @@ func TestRunVerifyCappedIncomplete(t *testing.T) {
 	}
 	if s := out.String(); !strings.Contains(s, "(capped) — INCOMPLETE") || strings.Contains(s, "PASS") {
 		t.Errorf("capped run must print INCOMPLETE and no PASS:\n%s", s)
+	}
+	if s := out.String(); !strings.Contains(s, "\nliveness: not checked (capped)\n") {
+		t.Errorf("capped run must say liveness was not checked:\n%s", s)
 	}
 }
 

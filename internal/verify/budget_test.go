@@ -31,7 +31,15 @@ const budgetStates = 50_000
 // The per-parent successor slice, 70 % of the bytes, is gone. Allocs
 // went 3.80/1.49/1.85/3.58 → 3.03/0.71/0.89/2.12 and allocated bytes per
 // state 1424/1088/2347/1203 → 1084/748/2122/433; a per-parent buffer
-// creeping back trips both columns on every row.
+// creeping back trips both columns on every row. The two liveness rows'
+// kept and allocated bytes were re-recorded downward when liveness
+// stopped keeping a successor graph (a CSR of 4 bytes per edge plus row
+// offsets, inverted into a predecessor graph of the same size at the
+// end) and kept one drain pointer per state instead: kept went 30.3 →
+// 16.4 B/state on 4-cache/fingerprint and 31.8 → 20.2 on 2-cache/reduced,
+// whose fused-edge ordinals alone hold 15 of those bytes, and allocated
+// bytes 2122/433 → 2067/373. An edge column creeping back trips kept on
+// both rows.
 var perStateBudget = []struct {
 	name, mode string
 	cfg        func() Config
@@ -51,31 +59,31 @@ var perStateBudget = []struct {
 		cfg.MaxStates = 40_000
 		cfg.Fingerprint = true
 		return cfg
-	}, 40_000, 0.893, 2122, 19.7, 1212416},
+	}, 40_000, 0.893, 2067, 19.7, 655360},
 	// The registry's most fusible design under partial-order reduction
 	// (4929 states, TestReducedGoldenCounts).
 	{"2-cache/reduced", "stalling", func() Config {
 		cfg := QuickConfig()
 		cfg.Reduce = true
 		return cfg
-	}, 4929, 2.118, 433, 100.9, 156672},
+	}, 4929, 2.118, 373, 100.9, 99328},
 }
 
 func budget3Cache(fingerprint bool) Config {
 	cfg := DefaultConfig()
 	cfg.MaxStates = budgetStates
-	cfg.CheckLiveness = false // the edge graph is identical in both modes
+	cfg.CheckLiveness = false // the liveness columns are identical in both modes
 	cfg.Fingerprint = fingerprint
 	return cfg
 }
 
 // keptBytes is what the checker retains outside the visited table: the
 // parent and edge columns of every stored state and, with liveness on,
-// the successor graph and the quiescence flags. It is the allocated
+// the drain pointers and the quiescence flags. It is the allocated
 // size, capacity not length, since that is what a memory bound must
 // count.
 func keptBytes(c *checker) int {
-	return 4*(cap(c.parent)+cap(c.edgeEnd)+cap(c.edges)+cap(c.edgeOff)+cap(c.edgeDst)) + cap(c.quiet)
+	return 4*(cap(c.parent)+cap(c.edgeEnd)+cap(c.edges)+cap(c.drain)) + cap(c.quiet)
 }
 
 // TestFingerprintBytesReduction is the checker's per-state budget: every

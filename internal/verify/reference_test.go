@@ -22,6 +22,7 @@ import (
 // predecessor lists until nothing changes.
 type refResult struct {
 	states, edges, depth, quiescent int
+	stuck                           int              // states quiescence is unreachable from
 	kinds                           map[string]bool  // violation kinds seen anywhere in the space
 	index                           map[string]int32 // the reachable set: snapshot bytes → discovery index
 }
@@ -84,6 +85,7 @@ func refExplore(p *ir.Protocol, cfg Config) refResult {
 			res.quiescent++
 		}
 		if !reach[j] {
+			res.stuck++
 			res.kinds["stuck"] = true
 		}
 	}

@@ -14,6 +14,11 @@
 //   - Deadlock: no reachable state without enabled rules, and (optional)
 //     no reachable state from which quiescence is unreachable — the
 //     terminal-SCC formulation that also catches stuck transactions.
+//     No edge graph is kept for it: each state keeps one drain pointer,
+//     the successor its first delivery rule reaches, and a state is live
+//     when it is quiescent or its drain successor is live. On a correct
+//     protocol that one walk proves every state; only the states it
+//     leaves open are re-expanded, to settle the verdict exactly.
 //
 // Exploration is a level-synchronized parallel BFS: each depth level's
 // frontier is expanded by a worker pool (successor generation, invariant
@@ -67,7 +72,7 @@ type Config struct {
 	MaxStates     int  // exploration cap; Complete=false when hit
 	CheckSWMR     bool // single-writer/multiple-reader over stable states
 	CheckValues   bool // data-value invariant (disable for TSO-CC)
-	CheckLiveness bool // quiescence reachability (needs the edge graph)
+	CheckLiveness bool // quiescence reachability (keeps a drain pointer per state)
 	Symmetry      bool // canonicalize cache identities (Murphi scalarset)
 	MaxViolations int
 	// Parallelism is the worker count for frontier expansion: 0 means
@@ -356,6 +361,9 @@ type expansion struct {
 	lo, hi   int
 	deadlock bool
 	inFlight int
+	// drain is the index in w.succs of the first clean successor of the
+	// state's first delivery rule (see checker.drain); -1 if none.
+	drain int
 }
 
 // checker carries exploration state.
@@ -380,14 +388,15 @@ type checker struct {
 	parent  []int32
 	edgeEnd []uint32
 	edges   []uint32
-	// The successor graph (only when CheckLiveness), stored in compressed
-	// sparse row form: state p's successors are edgeDst[edgeOff[p]:
-	// edgeOff[p+1]]. Valid because merge expands states in index order,
-	// so each state's successor run is contiguous — no per-state slice
-	// headers, no per-state growth reallocations.
-	edgeOff []int32
-	edgeDst []int32
+	// What liveness keeps (only when CheckLiveness): quiet[i], state i
+	// is quiescent or the collapse into it fused through a quiescent
+	// state, and drain[i], the index of the successor state i's first
+	// delivery rule reaches (after any collapse), or -1 when it has no
+	// delivery rule. merge appends drain in state-index order, since that
+	// is the order it expands states in. No successor graph is kept:
+	// livenessCheck re-expands the few states the drain walk cannot prove.
 	quiet   []bool
+	drain   []int32
 	perms   [][]int
 	workers int
 	// pool holds one persistent worker per expansion goroutine: encoders,
@@ -417,7 +426,7 @@ func Check(p *ir.Protocol, cfg Config) *Result {
 // point of the level-parallel exploration — so a canceled check returns
 // within one level's worth of work, with the partial counts explored so
 // far and Result.Canceled set (verdicts on the explored prefix stand;
-// the liveness pass, which needs the complete graph, is skipped).
+// the liveness pass, which needs the complete state space, is skipped).
 func CheckCtx(ctx context.Context, p *ir.Protocol, cfg Config) *Result {
 	return explore(ctx, p, cfg).res
 }
@@ -469,7 +478,6 @@ func explore(ctx context.Context, p *ir.Protocol, cfg Config) *checker {
 	c.visited.Insert(engine.Fingerprint(key), string(key), 0)
 	c.parent, c.edgeEnd = append(c.parent, -1), append(c.edgeEnd, 0)
 	if cfg.CheckLiveness {
-		c.edgeOff = append(c.edgeOff, 0)
 		c.quiet = append(c.quiet, quiescent(init))
 	}
 	for _, f := range c.pool[0].checkState(init) {
@@ -533,7 +541,7 @@ func explore(ctx context.Context, p *ir.Protocol, cfg Config) *checker {
 		}
 	}
 	if cfg.CheckLiveness && c.res.Complete && len(c.res.Violations) == 0 {
-		c.livenessCheck()
+		c.livenessCheck(c.succsOf)
 	}
 	return c
 }
@@ -643,9 +651,14 @@ type worker struct {
 // adjudicate.
 func (w *worker) expandItem(it frontierItem) expansion {
 	w.par.Restore(it.snap)
+	return w.expandPar(it.idx)
+}
+
+// expandPar is expandItem on the state already in w.par, index idx.
+func (w *worker) expandPar(idx int32) expansion {
 	w.rules = w.par.AppendRules(w.rules[:0])
 	rules := w.rules
-	exp := expansion{w: w, lo: len(w.succs), hi: len(w.succs)}
+	exp := expansion{w: w, lo: len(w.succs), hi: len(w.succs), drain: -1}
 	if len(rules) == 0 && !quiescent(w.par) {
 		exp.deadlock, exp.inFlight = true, w.par.Net.InFlight()
 		return exp
@@ -656,7 +669,17 @@ func (w *worker) expandItem(it frontierItem) expansion {
 		w.stateFused = false
 	}
 	for ri := range rules {
-		w.computeSuccs(it.idx, ri)
+		lo := len(w.succs)
+		w.computeSuccs(idx, ri)
+		// AppendRules lists accesses first, so the first delivery rule is
+		// where the kind changes.
+		if rules[ri].Kind == engine.RuleDeliver && (ri == 0 || rules[ri-1].Kind != engine.RuleDeliver) {
+			for k := lo; k < len(w.succs) && exp.drain < 0; k++ {
+				if cold := w.succs[k].cold; cold == nil || !cold.hasErr {
+					exp.drain = k
+				}
+			}
+		}
 	}
 	exp.hi = len(w.succs)
 	if w.c.red != nil {
@@ -730,11 +753,12 @@ func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierIte
 			c.violate("deadlock",
 				fmt.Sprintf("no enabled rules with %d messages in flight", exp.inFlight), int(parent), nil) // vethotpath:ignore — cold: violation path
 			if c.cfg.CheckLiveness {
-				c.edgeOff = append(c.edgeOff, int32(len(c.edgeDst)))
+				c.drain = append(c.drain, -1)
 			}
 			continue
 		}
 		w := exp.w
+		drain := int32(-1)
 		for k := exp.lo; k < exp.hi; k++ {
 			so := &w.succs[k]
 			edge := w.arena[so.edgeLo:so.edgeHi]
@@ -759,8 +783,8 @@ func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierIte
 				// one probe either finds that claim or stakes this one.
 				ni, fresh = c.visited.Insert(so.hash, so.key, int32(len(c.parent)))
 			}
-			if c.cfg.CheckLiveness {
-				c.edgeDst = append(c.edgeDst, ni)
+			if k == exp.drain {
+				drain = ni
 			}
 			if !fresh {
 				continue
@@ -781,11 +805,10 @@ func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierIte
 			}
 			next = append(next, frontierItem{snap: w.slab[so.snapLo:so.snapHi:so.snapHi], idx: ni})
 		}
-		// Parent's successor run is complete; seal its CSR row. Rows are
-		// sealed in state-index order because the frontier is built in
+		// Parents come in state-index order: the frontier is built in
 		// discovery order and every state is expanded exactly once.
 		if c.cfg.CheckLiveness {
-			c.edgeOff = append(c.edgeOff, int32(len(c.edgeDst)))
+			c.drain = append(c.drain, drain)
 		}
 	}
 	return next
@@ -859,51 +882,62 @@ func (w *worker) checkState(s *engine.System) []finding {
 	return out
 }
 
+// Liveness classes of a state (livenessCheck).
+const (
+	liveUnseen  uint8 = iota
+	liveWalking       // on the drain walk in progress
+	liveGood          // quiescence is reachable
+	liveOpen          // the drain walk could not tell
+	liveStuck         // quiescence is unreachable
+)
+
 // livenessCheck verifies that quiescence is reachable from every state
-// (AG EF quiescent): reverse reachability from the quiescent set; any
-// unreached state is a stuck transaction (livelock or partial deadlock).
-func (c *checker) livenessCheck() {
+// (AG EF quiescent); a state it is not reachable from is a stuck
+// transaction (livelock or partial deadlock). succs appends a state's
+// successor indices to out: the checker passes succsOf, a test a
+// hand-built graph.
+//
+// The drain walk comes first: a state is good if it is quiescent or its
+// drain successor is good, which one pass along the drain pointers
+// settles; a pointer cycle or a state without a delivery rule leaves the
+// states behind it open. On a correct protocol nothing is left open, so
+// a passing run expands no state here. The open states are then settled
+// exactly: each is expanded once, and goodness flows backwards from the
+// good states over the edges among them; an open state it does not
+// reach is stuck.
+func (c *checker) livenessCheck(succs func(s int32, out []int32) []int32) {
 	n := len(c.parent)
-	// Invert the CSR successor graph into a CSR predecessor graph:
-	// count in-degrees, prefix-sum into row offsets, then fill — two
-	// passes, no per-state slices.
-	predOff := make([]int32, n+1)
-	for _, to := range c.edgeDst {
-		predOff[to+1]++
-	}
-	for i := 0; i < n; i++ {
-		predOff[i+1] += predOff[i]
-	}
-	predDst := make([]int32, len(c.edgeDst))
-	cursor := append([]int32(nil), predOff[:n]...)
-	for p := 0; p+1 < len(c.edgeOff); p++ {
-		for _, to := range c.edgeDst[c.edgeOff[p]:c.edgeOff[p+1]] {
-			predDst[cursor[to]] = int32(p)
-			cursor[to]++
+	class := make([]uint8, n)
+	for i, q := range c.quiet {
+		if q {
+			class[i] = liveGood
+			c.res.Quiescent++
 		}
 	}
-	reach := make([]bool, n)
-	var stack []int32
-	for i := 0; i < n; i++ {
-		if c.quiet[i] {
-			reach[i] = true
-			stack = append(stack, int32(i))
-		}
-	}
-	c.res.Quiescent = len(stack)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range predDst[predOff[v]:predOff[v+1]] {
-			if !reach[p] {
-				reach[p] = true
-				stack = append(stack, p)
+	var walk []int32
+	for i := range class {
+		v := int32(i)
+		for class[v] == liveUnseen {
+			class[v] = liveWalking
+			walk = append(walk, v)
+			if c.drain[v] < 0 {
+				break
 			}
+			v = c.drain[v]
 		}
+		fate := liveOpen // a cycle (v is on this walk) or no delivery rule
+		if class[v] == liveGood {
+			fate = liveGood
+		}
+		for _, u := range walk {
+			class[u] = fate
+		}
+		walk = walk[:0]
 	}
+	settleOpen(class, succs)
 	stuck, first := 0, -1
-	for i := 0; i < n; i++ {
-		if !reach[i] {
+	for i := range class {
+		if class[i] == liveStuck {
 			stuck++
 			if first < 0 {
 				first = i
@@ -914,6 +948,103 @@ func (c *checker) livenessCheck() {
 		c.violate("stuck",
 			fmt.Sprintf("quiescence unreachable from %d of %d states (stuck transaction)", stuck, n), first, nil) // vethotpath:ignore — cold: violation path
 	}
+}
+
+// settleOpen classifies every open state good or stuck. The open states
+// are numbered in index order: open[j] is the j-th, pos maps it back,
+// and its successors are dst[off[j]:off[j+1]].
+func settleOpen(class []uint8, succs func(int32, []int32) []int32) {
+	var open []int32
+	for i := range class {
+		if class[i] == liveOpen {
+			open = append(open, int32(i))
+		}
+	}
+	if len(open) == 0 {
+		return
+	}
+	pos := make([]int32, len(class))
+	off, dst := make([]int32, 1, len(open)+1), []int32(nil)
+	for j, u := range open {
+		pos[u] = int32(j)
+		dst = succs(u, dst)
+		off = append(off, int32(len(dst)))
+	}
+	// The edges among open states reversed: the positions with an edge
+	// into position k are back[backOff[k]:backOff[k+1]].
+	m := len(open)
+	backOff := make([]int32, m+1)
+	for _, v := range dst {
+		if class[v] == liveOpen {
+			backOff[pos[v]+1]++
+		}
+	}
+	for k := range m {
+		backOff[k+1] += backOff[k]
+	}
+	back, at := make([]int32, backOff[m]), append([]int32(nil), backOff[:m]...)
+	for j := range m {
+		for _, v := range dst[off[j]:off[j+1]] {
+			if class[v] == liveOpen {
+				back[at[pos[v]]] = int32(j)
+				at[pos[v]]++
+			}
+		}
+	}
+	var good []int32 // positions turned good whose predecessors are still to visit
+	for j, u := range open {
+		for _, v := range dst[off[j]:off[j+1]] {
+			if class[v] == liveGood && class[u] == liveOpen {
+				class[u] = liveGood
+				good = append(good, int32(j))
+			}
+		}
+	}
+	for len(good) > 0 {
+		k := good[len(good)-1]
+		good = good[:len(good)-1]
+		for _, j := range back[backOff[k]:backOff[k+1]] {
+			if class[open[j]] == liveOpen {
+				class[open[j]] = liveGood
+				good = append(good, j)
+			}
+		}
+	}
+	for _, u := range open {
+		if class[u] == liveOpen {
+			class[u] = liveStuck
+		}
+	}
+}
+
+// succsOf appends the visited indices of state idx's successors to out,
+// as the exploration found them: the state is replayed in the frame it
+// was discovered in, the way trace replays it but naming no rule, and
+// the worker expands it the way it expanded it then, reduction and
+// symmetry included. The run is complete, so every successor is in the
+// visited table already.
+func (c *checker) succsOf(idx int32, out []int32) []int32 {
+	w := c.pool[0]
+	var path []int32
+	for i := idx; i > 0; i = c.parent[i] {
+		path = append(path, i)
+	}
+	c.init.CloneInto(w.par)
+	for k := len(path) - 1; k >= 0; k-- {
+		for _, ord := range c.edges[c.edgeEnd[path[k]-1]:c.edgeEnd[path[k]]] {
+			w.rules = w.par.AppendRules(w.rules[:0])
+			_, _ = w.par.Apply(w.rules[ord]) // every rule on a stored state's path applied cleanly
+		}
+	}
+	w.succs, w.arena, w.slab = w.succs[:0], w.arena[:0], w.slab[:0]
+	exp := w.expandPar(idx)
+	for _, so := range w.succs[exp.lo:exp.hi] {
+		if so.knownIdx < 0 {
+			panic(fmt.Sprintf("verify: liveness: a successor of state %d is not in the visited table", idx)) // vethotpath:ignore — cold: broken invariant
+		}
+		out = append(out, so.knownIdx)
+	}
+	return out
 }
 
 // quiescent: nothing in flight, everything stable, no deferred work.

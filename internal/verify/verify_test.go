@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -121,13 +122,23 @@ func TestLivenessCountsAllStuckStates(t *testing.T) {
 	// the 3/4 cycle is a livelock — two states stuck out of five. State 3
 	// hangs off the initial state by that state's rule 1, every other
 	// state off its parent by rule 0.
+	// The drain pointers send 0 into the cycle and 1 to quiescence, so the
+	// drain walk proves 1 good and leaves 0, 3 and 4 open, which are the
+	// states, each once, that settling them must expand.
 	c.parent = []int32{-1, 0, 1, 0, 3}
 	c.edgeEnd = []uint32{0, 1, 2, 3, 4}
 	c.edges = []uint32{0, 0, 1, 0}
-	c.edgeOff = []int32{0, 2, 3, 4, 5, 6}
-	c.edgeDst = []int32{1, 3, 2, 2, 4, 3}
 	c.quiet = []bool{false, false, true, false, false}
-	c.livenessCheck()
+	c.drain = []int32{3, 2, -1, 4, 3}
+	graph := [][]int32{{1, 3}, {2}, {2}, {4}, {3}}
+	var expanded []int32
+	c.livenessCheck(func(s int32, out []int32) []int32 {
+		expanded = append(expanded, s)
+		return append(out, graph[s]...)
+	})
+	if fmt.Sprint(expanded) != "[0 3 4]" {
+		t.Errorf("expanded %v, want the open states [0 3 4] once each", expanded)
+	}
 	if len(c.res.Violations) != 1 {
 		t.Fatalf("expected one stuck violation, got %v", c.res.Violations)
 	}

@@ -4,7 +4,8 @@ package verify
 //
 // Two pins over the same failing configurations (the fuzz corpus
 // reproducers and the no-invalidate MSI, every generation mode, 2 and 3
-// caches, reduction on and off, Parallelism 1 and 4):
+// caches; the stuck mutants of liveness_test.go at 2 caches; reduction on
+// and off, Parallelism 1 and 4):
 //
 //   - TestWitnessGolden holds a digest of every violation's
 //     Kind|Detail|Trace against testdata/witness.golden. Traces are rule
@@ -102,6 +103,20 @@ func witnessCases(t *testing.T) []witnessCase {
 					})
 				}
 			}
+		}
+	}
+	// The stuck mutants (liveness_test.go) at 2 caches: the only
+	// configurations whose witness is a stuck one.
+	for _, m := range stuckMutants {
+		p := m.build(t)
+		for _, reduce := range []bool{false, true} {
+			cfg := reduceCfg(m.protocol)
+			cfg.Reduce = reduce
+			out = append(out, witnessCase{
+				name: fmt.Sprintf("%s/%s/caches=2/reduce=%t", m.name, m.mode, reduce),
+				p:    p,
+				cfg:  cfg,
+			})
 		}
 	}
 	return out
