@@ -1,9 +1,16 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"protogen"
 )
+
+var update = flag.Bool("update", false, "rewrite the testdata/fsm goldens from the current generator")
 
 // TestRunOutputs: every output backend renders through the real CLI
 // path, and -machine dir and directory both pick the directory.
@@ -29,6 +36,41 @@ func TestRunOutputs(t *testing.T) {
 		}
 		if !strings.Contains(out.String(), c.want) {
 			t.Errorf("%q: output lacks %q:\n%.400s", c.args, c.want, out.String())
+		}
+	}
+}
+
+// TestFSMGolden holds `generate -out fsm` for every registry protocol in
+// every mode to the text under testdata/fsm, so a generator change shows
+// up as a reviewable diff of controller tables rather than a moved hash.
+// Regenerate with: go test ./cmd/protogen -run TestFSMGolden -update
+func TestFSMGolden(t *testing.T) {
+	for _, e := range protogen.Builtins() {
+		for _, mode := range protogen.Modes {
+			name := e.Name + "_" + mode
+			t.Run(name, func(t *testing.T) {
+				var out strings.Builder
+				if err := runBG([]string{"generate", "-protocol", e.Name, "-mode", mode, "-out", "fsm"}, &out); err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join("testdata", "fsm", name+".fsm")
+				if *update {
+					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("%v (record with -update)", err)
+				}
+				if out.String() != string(want) {
+					t.Errorf("generate -out fsm differs from %s (go test -run TestFSMGolden -update rewrites it; review the diff)", path)
+				}
+			})
 		}
 	}
 }
