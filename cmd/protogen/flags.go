@@ -85,7 +85,7 @@ func (f *SpecFlags) Bind(fs *flag.FlagSet, sets Flag) {
 	fs.StringVar(&f.File, "file", f.File, "read the SSP from this file instead of the registry")
 	fs.StringVar(&f.Mode, "mode", f.Mode, "generation mode: "+strings.Join(protogen.Modes, ", "))
 	if sets&All != 0 {
-		fs.BoolVar(&f.All, "all", f.All, "take every registry protocol as a subject")
+		fs.BoolVar(&f.All, "all", f.All, "take every built-in protocol as a subject")
 	}
 	if sets&Corpus != 0 {
 		fs.BoolVar(&f.Corpus, "corpus", f.Corpus, "take every committed fuzz-corpus reproducer as a subject")
@@ -98,8 +98,8 @@ type Subject struct {
 	Spec *protogen.Spec
 }
 
-// Subjects resolves the flags into parsed specs: the -all registry
-// entries, the -corpus reproducers, -file, then -protocol; MSI when
+// Subjects resolves the flags into parsed specs: the -all builtins,
+// the -corpus reproducers, -file, then -protocol; MSI when
 // none of them is given.
 func (f *SpecFlags) Subjects() ([]Subject, error) {
 	var subs []Subject
@@ -112,7 +112,7 @@ func (f *SpecFlags) Subjects() ([]Subject, error) {
 		return nil
 	}
 	if f.All {
-		for _, e := range protogen.RegistryEntries() {
+		for _, e := range protogen.Builtins() {
 			if err := add(e.Name, e.Source); err != nil {
 				return nil, err
 			}

@@ -49,9 +49,13 @@ func TestSubjectResolution(t *testing.T) {
 		t.Errorf("-file and -protocol: %v", got)
 	}
 	got := names("-all", "-corpus", "-protocol", "MOSI")
-	reg, corpus := protogen.RegistryEntries(), mustCorpus(t)
+	reg, corpus := protogen.Builtins(), mustCorpus(t)
 	if len(got) != len(reg)+len(corpus)+1 || got[0] != reg[0].Name || got[len(reg)] != corpus[0].Name || got[len(got)-1] != "MOSI" {
 		t.Errorf("-all -corpus -protocol order wrong: %v", got)
+	}
+
+	if got := names("-all"); len(got) != 6 || got[0] != "MSI" || got[5] != "TSO_CC" {
+		t.Errorf("-all: %v, want the six builtins", got)
 	}
 
 	f := SpecFlags{Protocol: "MOSI", File: path, Mode: "stalling"}
@@ -164,6 +168,35 @@ func TestFields(t *testing.T) {
 	} {
 		if got := Fields(in); !reflect.DeepEqual(got, want) {
 			t.Errorf("Fields(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestRegistryNamesResolve: a fuzz family exemplar and a corpus
+// reproducer resolve by name in every verb, with no setup step first,
+// and generate -list prints each name it resolves.
+func TestRegistryNamesResolve(t *testing.T) {
+	var out strings.Builder
+	if err := runBG([]string{"verify", "-protocol", "FZ_MESI_upg", "-caches", "2", "-parallel", "1"}, &out); err != nil {
+		t.Fatalf("verify FZ_MESI_upg: %v\n%s", err, out.String())
+	}
+	if !strings.HasPrefix(out.String(), "FZ_MESI_upg: ") || !strings.Contains(out.String(), " — PASS") {
+		t.Errorf("verify FZ_MESI_upg printed no verdict:\n%s", out.String())
+	}
+	out.Reset()
+	if err := runBG([]string{"generate", "-protocol", "corpus/FZ_MSI_no_invalidate"}, &out); err != nil {
+		t.Fatalf("generate corpus/FZ_MSI_no_invalidate: %v", err)
+	}
+	if !strings.HasPrefix(out.String(), "protocol FZ_MSI_no_invalidate ") {
+		t.Errorf("generate corpus/FZ_MSI_no_invalidate:\n%.200s", out.String())
+	}
+	out.Reset()
+	if err := runBG([]string{"generate", "-list"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"MSI ", "TSO_CC ", "FZ_MESI_upg ", "corpus/FZ_MSI_no_invalidate "} {
+		if !strings.Contains(out.String(), "\n"+name) && !strings.HasPrefix(out.String(), name) {
+			t.Errorf("generate -list lacks %q:\n%s", name, out.String())
 		}
 	}
 }

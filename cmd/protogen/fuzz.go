@@ -185,9 +185,6 @@ func report(stdout io.Writer, rep *protogen.FuzzReport, jsonOut, corpusDir strin
 
 // listEntries prints the family pools and the committed corpus.
 func listEntries(stdout io.Writer) error {
-	if err := protogen.RegisterFuzzEntries(); err != nil {
-		return err
-	}
 	fmt.Fprintln(stdout, "shipped families (random seeds draw from these):")
 	for _, p := range protogen.FuzzShapes() {
 		fmt.Fprintf(stdout, "  %s\n", p.Name())

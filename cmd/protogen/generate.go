@@ -20,14 +20,18 @@ func generate(_ context.Context, args []string, stdout io.Writer) error {
 		out     = fs.String("out", "summary", "output: summary, table, dsl, murphi, dot, fsm")
 		machine = fs.String("machine", "cache", "which controller to print: cache, dir")
 		stale   = fs.Bool("stale", false, "show generated stale handling in tables")
-		list    = fs.Bool("list", false, "list registry protocols (builtins plus registered entries)")
+		list    = fs.Bool("list", false, "list registry protocols (builtins, fuzz family exemplars, corpus reproducers)")
 	)
 	if err := parse(fs, args); err != nil {
 		return err
 	}
 
 	if *list {
-		for _, e := range protogen.RegistryEntries() {
+		entries, err := protogen.RegistryEntries()
+		if err != nil {
+			return err
+		}
+		for _, e := range entries {
 			fmt.Fprintf(stdout, "%-14s %s\n", e.Name, e.Paper)
 		}
 		return nil

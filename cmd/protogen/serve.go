@@ -9,7 +9,6 @@ import (
 	"net/http/pprof"
 	"time"
 
-	"protogen"
 	"protogen/internal/service"
 )
 
@@ -34,12 +33,6 @@ func serve(ctx context.Context, args []string, stdout io.Writer) error {
 		debug   = fs.String("debug-addr", "", "serve net/http/pprof on this address (opt-in; bind loopback, the endpoints are unauthenticated)")
 	)
 	if err := parse(fs, args); err != nil {
-		return err
-	}
-
-	// Fuzz family exemplars and corpus reproducers become addressable
-	// by name in submitted jobs, same as fuzz -list.
-	if err := protogen.RegisterFuzzEntries(); err != nil {
 		return err
 	}
 

@@ -9,7 +9,8 @@
 //
 // Running it over ./... is safe: packages outside the concurrent set
 // (internal/store, internal/service, internal/verify, internal/fuzz,
-// internal/engine, internal/sim, and the root package) are no-ops.
+// internal/engine, internal/sim, internal/jobstore, internal/bus,
+// internal/linelog, and the root package) are no-ops.
 //
 // Checks (stable codes; see docs/ANALYSIS.md for the full contract):
 //

@@ -25,8 +25,10 @@ import (
 // ProgressEvent is one typed progress snapshot from a running job.
 // The concrete types are VerifyProgress (states/edges/depth/frontier,
 // one per BFS level), FuzzProgress (seeds completed/failed, checks run,
-// cache hits, one per seed) and SimProgress (steps/transactions, one
-// per stride); Kind returns "verify", "fuzz" or "simulate" accordingly.
+// cache hits, one per seed), SimProgress (steps/transactions, one per
+// stride) and LitmusProgress (tests done, states, forbidden outcomes so
+// far, one per test); Kind returns "verify", "fuzz", "simulate" or
+// "litmus" accordingly.
 type ProgressEvent interface {
 	Kind() string
 	String() string
@@ -556,7 +558,6 @@ func (e *Engine) Litmus(ctx context.Context, job LitmusJob) (*LitmusReport, erro
 		Caches: job.Caches, MaxStates: job.MaxStates,
 		Exhaustive: job.Exhaustive || job.Runs == 0,
 		Runs:       job.Runs, Seed: job.Seed,
-		Parallelism: e.parallelism,
 	}
 	var sink func(litmus.Progress)
 	if fn := job.OnProgress; fn != nil {
@@ -608,9 +609,27 @@ func LoadSpec(name, file string) (*Spec, error) {
 		}
 		return dsl.Parse(string(b))
 	}
-	e, ok := protocols.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown protocol %q", name)
+	e, err := lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return dsl.Parse(e.Source)
+}
+
+// lookup resolves a registry name. Builtins resolve from protocols.All
+// without touching the fuzz package; only a miss lists fuzz.Entries.
+func lookup(name string) (BuiltinEntry, error) {
+	if e, ok := protocols.Lookup(name); ok {
+		return e, nil
+	}
+	more, err := fuzz.Entries()
+	if err != nil {
+		return BuiltinEntry{}, err
+	}
+	for _, e := range more {
+		if e.Name == name {
+			return e, nil
+		}
+	}
+	return BuiltinEntry{}, fmt.Errorf("unknown protocol %q", name)
 }

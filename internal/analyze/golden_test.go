@@ -20,7 +20,7 @@ var allModes = []string{"stalling", "nonstalling", "deferred"}
 // the false-positive policy and allowed), and each full spec must lint
 // in well under the 100ms budget — the analyzer never explores states.
 func TestRegistryLintsClean(t *testing.T) {
-	for _, e := range protocols.Entries() {
+	for _, e := range protocols.All {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			spec, err := dsl.Parse(e.Source)

@@ -72,10 +72,8 @@ func Generate(spec *ir.Spec, opts Options) (*ir.Protocol, error) {
 	if err := g.lateFwdPass(); err != nil {
 		return nil, fmt.Errorf("generate %s: %w", spec.Name, err)
 	}
-	if opts.StaleFwd {
-		if err := g.staleFwdPass(); err != nil {
-			return nil, fmt.Errorf("generate %s: %w", spec.Name, err)
-		}
+	if err := g.staleFwdPass(); err != nil {
+		return nil, fmt.Errorf("generate %s: %w", spec.Name, err)
 	}
 	g.permissions()
 	mergeStates(g.cache)

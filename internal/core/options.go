@@ -41,13 +41,6 @@ type Options struct {
 	// design tolerates dangling sharers. Default on, matching the primer's
 	// directory; the no-prune ablation reproduces the deadlocks.
 	PruneSharerOnStalePut bool
-
-	// StaleFwd adds acknowledge-and-stay handling for forwarded requests
-	// whose responses are data-free (invalidations) arriving in states
-	// where the SSP does not expect them — the symmetric counterpart of
-	// the directory's stale-Put rule, needed because the directory does
-	// not prune sharers on stale Puts.
-	StaleFwd bool
 }
 
 // DefaultLimit is the default pending-transaction limit L.
@@ -61,7 +54,6 @@ func NonStallingOpts() Options {
 		ImmediateResponses:    true,
 		TransientAccess:       true,
 		PendingLimit:          DefaultLimit,
-		StaleFwd:              true,
 		PruneSharerOnStalePut: true,
 	}
 }
@@ -73,7 +65,6 @@ func StallingOpts() Options {
 		NonStalling:           false,
 		TransientAccess:       true,
 		PendingLimit:          DefaultLimit,
-		StaleFwd:              true,
 		PruneSharerOnStalePut: true,
 	}
 }
@@ -112,11 +103,13 @@ func OptionsForMode(mode string) (Options, error) {
 // Every Options field must appear here: an omitted field would let two
 // differently generated protocols share a cache entry. Changing the
 // rendering (or adding a field) invalidates previously cached entries,
-// which is the safe direction.
+// which is the safe direction. The constant "stalefwd=true" names the
+// stale-forward pass every generation runs; it stays so that keys
+// recorded when the pass was an option still match.
 func (o Options) KeyString() string {
-	return fmt.Sprintf("nonstalling=%t immediate=%t transient=%t limit=%d prune=%t stalefwd=%t",
+	return fmt.Sprintf("nonstalling=%t immediate=%t transient=%t limit=%d prune=%t stalefwd=true",
 		o.NonStalling, o.ImmediateResponses, o.TransientAccess,
-		o.PendingLimit, o.PruneSharerOnStalePut, o.StaleFwd)
+		o.PendingLimit, o.PruneSharerOnStalePut)
 }
 
 // Note renders the options for protocol reports.

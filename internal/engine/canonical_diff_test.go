@@ -57,7 +57,7 @@ func walkDiff(t *testing.T, label string, p *ir.Protocol, caches int, seed int64
 // snapshot/revert property test (snapshot_test.go) share.
 func eachRegistryProtocol(t *testing.T, fn func(label string, p *ir.Protocol)) {
 	t.Helper()
-	for _, e := range protocols.Entries() {
+	for _, e := range protocols.All {
 		spec, err := dsl.Parse(e.Source)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)

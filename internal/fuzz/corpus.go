@@ -200,42 +200,29 @@ func WriteReproducers(dir string, rep *Report) ([]string, error) {
 	return files, first
 }
 
-// RegisterEntries adds one exemplar per shipped family plus every corpus
-// reproducer to the protocols registry, so protogen fuzz -list (and any
-// other registry consumer) can address them by name. Idempotent: an
-// entry already registered with the identical source is skipped (a
-// service restarting its setup in-process must not fail), while a name
-// claimed by a different source still errors through Register.
-func RegisterEntries() error {
-	reg := func(e protocols.Entry) error {
-		if prev, ok := protocols.Lookup(e.Name); ok && prev.Source == e.Source {
-			return nil
-		}
-		return protocols.Register(e)
+// Entries lists the registry names the fuzz package owns, after the
+// builtins: one exemplar per shipped family, then every corpus
+// reproducer as "corpus/<name>", so every verb can address them.
+func Entries() ([]protocols.Entry, error) {
+	corpus, err := Corpus()
+	if err != nil {
+		return nil, err
 	}
-	for _, p := range Shapes() {
-		err := reg(protocols.Entry{
+	shapes := Shapes()
+	out := make([]protocols.Entry, 0, len(shapes)+len(corpus))
+	for _, p := range shapes {
+		out = append(out, protocols.Entry{
 			Name:   p.Name(),
 			Source: p.Source(),
 			Paper:  "fuzz family exemplar",
 		})
-		if err != nil {
-			return err
-		}
 	}
-	entries, err := Corpus()
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		err := reg(protocols.Entry{
+	for _, e := range corpus {
+		out = append(out, protocols.Entry{
 			Name:   "corpus/" + e.Name,
 			Source: e.Source,
 			Paper:  fmt.Sprintf("fuzz corpus reproducer (%s, expect %s)", e.Family, e.Expect),
 		})
-		if err != nil {
-			return err
-		}
 	}
-	return nil
+	return out, nil
 }

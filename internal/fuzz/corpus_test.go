@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"protogen/internal/dsl"
 	"protogen/internal/protocols"
 )
 
@@ -67,29 +68,40 @@ func TestCorpusRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRegisterEntries: families and corpus reproducers land in the
-// protocols registry and are addressable by name; re-registration of
-// the identical entries is a no-op (a restarting service must not
-// fail), and the registry stays duplicate-free.
-func TestRegisterEntries(t *testing.T) {
-	if err := RegisterEntries(); err != nil {
+// TestEntries: every family exemplar and corpus reproducer is listed
+// once, no name repeats or shadows a builtin (builtins resolve first, so
+// a shadowed entry could never be reached), and every source parses.
+func TestEntries(t *testing.T) {
+	entries, err := Entries()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := protocols.Lookup("FZ_MESI_upg"); !ok {
-		t.Error("family exemplar not registered")
+	corpus, err := Corpus()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := protocols.Lookup("corpus/FZ_MI_double_grant"); !ok {
-		t.Error("corpus reproducer not registered")
+	if want := len(Shapes()) + len(corpus); len(entries) != want {
+		t.Errorf("%d entries, want %d exemplars plus %d reproducers", len(entries), len(Shapes()), len(corpus))
 	}
-	before := len(protocols.Entries())
-	if err := RegisterEntries(); err != nil {
-		t.Errorf("identical re-registration must be a no-op, got %v", err)
+	seen := map[string]bool{}
+	for _, e := range protocols.All {
+		seen[e.Name] = true
 	}
-	if after := len(protocols.Entries()); after != before {
-		t.Errorf("re-registration grew the registry: %d -> %d", before, after)
+	for _, e := range entries {
+		if e.Name == "" || e.Source == "" || e.Paper == "" {
+			t.Errorf("entry %q incomplete", e.Name)
+		}
+		if seen[e.Name] {
+			t.Errorf("name %q repeats or shadows a builtin", e.Name)
+		}
+		seen[e.Name] = true
+		if _, err := dsl.Parse(e.Source); err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+		}
 	}
-	// A name claimed by a different source still collides.
-	if err := protocols.Register(protocols.Entry{Name: "FZ_MESI_upg", Source: "protocol Bogus;"}); err == nil {
-		t.Error("conflicting source must still be rejected")
+	for _, name := range []string{"FZ_MESI_upg", "corpus/FZ_MI_double_grant"} {
+		if !seen[name] {
+			t.Errorf("%s not listed", name)
+		}
 	}
 }

@@ -47,7 +47,7 @@ func TestCatalogExhaustiveRegistry(t *testing.T) {
 				p := gen(t, e.Source, opts)
 				ax := DefaultAxiom(p)
 				rep := RunSuite(context.Background(), p, Catalog(), ax,
-					Options{Caches: 3, Exhaustive: true, Parallelism: 2}, nil)
+					Options{Caches: 3, Exhaustive: true}, nil)
 				for _, r := range rep.Results {
 					if !r.Complete {
 						t.Errorf("%s: exploration incomplete after %d states", r.Test, r.States)
@@ -77,22 +77,25 @@ func TestSampledSubsetOfExhaustive(t *testing.T) {
 		runs = 500
 	}
 	for _, name := range []string{"MSI", "MESI", "TSO_CC"} {
-		e, ok := protocols.Lookup(name)
-		if !ok {
-			t.Fatalf("registry is missing %s", name)
-		}
-		p := gen(t, e.Source, core.NonStallingOpts())
-		ax := DefaultAxiom(p)
-		rep := RunSuite(context.Background(), p, Catalog(), ax,
-			Options{Caches: 3, Exhaustive: true, Runs: runs, Seed: 1, Parallelism: 4}, nil)
-		for _, r := range rep.Results {
-			if r.Failed() {
-				t.Errorf("%s/%s: forbidden=%v stuck=%v err=%q", name, r.Test, r.Forbidden, r.Stuck, r.Err)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			e, ok := protocols.Lookup(name)
+			if !ok {
+				t.Fatalf("registry is missing %s", name)
 			}
-			if !r.Complete {
-				t.Errorf("%s/%s: exhaustive search incomplete", name, r.Test)
+			p := gen(t, e.Source, core.NonStallingOpts())
+			ax := DefaultAxiom(p)
+			rep := RunSuite(context.Background(), p, Catalog(), ax,
+				Options{Caches: 3, Exhaustive: true, Runs: runs, Seed: 1}, nil)
+			for _, r := range rep.Results {
+				if r.Failed() {
+					t.Errorf("%s: forbidden=%v stuck=%v err=%q", r.Test, r.Forbidden, r.Stuck, r.Err)
+				}
+				if !r.Complete {
+					t.Errorf("%s: exhaustive search incomplete", r.Test)
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -6,19 +6,17 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"protogen/internal/ir"
 )
 
 // Options configures an oracle run.
 type Options struct {
-	Caches      int   // composed system size (min: thread count; default 3)
-	MaxStates   int   // exhaustive budget per test (default DefaultMaxStates)
-	Exhaustive  bool  // run the exhaustive explorer
-	Runs        int   // randomized sample size (0: skip sampling)
-	Seed        int64 // sampling seed
-	Parallelism int   // concurrent tests (default 1)
+	Caches     int   // composed system size (min: thread count; default 3)
+	MaxStates  int   // exhaustive budget per test (default DefaultMaxStates)
+	Exhaustive bool  // run the exhaustive explorer
+	Runs       int   // randomized sample size (0: skip sampling)
+	Seed       int64 // sampling seed
 }
 
 // OutcomeRow is one observed outcome with its axiom verdict.
@@ -205,58 +203,23 @@ func RunTest(ctx context.Context, p *ir.Protocol, t *Test, ax Axiom, opts Option
 	return res
 }
 
-// RunSuite runs every test in the suite under ax, fanning tests across
-// opts.Parallelism workers. The progress callback (may be nil) receives
-// one event per finished test; invocations are serialized under the
-// suite mutex (workers finish tests concurrently) and must return
-// promptly.
+// RunSuite runs every test in the suite under ax, in order. The
+// progress callback (may be nil) receives one event per finished test
+// and must return promptly. Parallelism lives above the suite: the
+// service runs jobs side by side, the fuzz campaign runs seeds side by
+// side.
 func RunSuite(ctx context.Context, p *ir.Protocol, tests []*Test, ax Axiom, opts Options, progress func(Progress)) *Report {
 	rep := &Report{Axiom: string(ax), Results: make([]Result, len(tests))}
-	par := opts.Parallelism
-	if par < 1 {
-		par = 1
+	forbidden := 0
+	for i, t := range tests {
+		r := RunTest(ctx, p, t, ax, opts)
+		rep.Results[i] = r
+		forbidden += len(r.Forbidden)
+		if progress != nil {
+			progress(Progress{Done: i + 1, Total: len(tests), Test: r.Test,
+				States: r.States, Forbidden: forbidden})
+		}
 	}
-	if par > len(tests) {
-		par = len(tests)
-	}
-
-	var (
-		mu        sync.Mutex
-		next      int //protogen:guardedby mu
-		done      int //protogen:guardedby mu
-		forbidden int //protogen:guardedby mu
-	)
-	var wg sync.WaitGroup
-	for i := 0; i < par; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if next >= len(tests) {
-					mu.Unlock()
-					return
-				}
-				idx := next
-				next++
-				mu.Unlock()
-
-				r := RunTest(ctx, p, tests[idx], ax, opts)
-
-				mu.Lock()
-				rep.Results[idx] = r
-				done++
-				forbidden += len(r.Forbidden)
-				if progress != nil {
-					// Serialized under mu: the documented callback contract.
-					progress(Progress{Done: done, Total: len(tests), Test: r.Test,
-						States: r.States, Forbidden: forbidden})
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
 	rep.Canceled = ctx.Err() != nil
 	return rep
 }

@@ -34,39 +34,6 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestRegister: runtime registration makes entries listable and
-// addressable, rejects duplicates, and leaves the builtin list alone.
-func TestRegister(t *testing.T) {
-	before := len(protocols.All)
-	e := protocols.Entry{Name: "Registered_Test_SSP", Source: "protocol X;", Paper: "test"}
-	if err := protocols.Register(e); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	if err := protocols.Register(e); err == nil {
-		t.Error("duplicate Register must fail")
-	}
-	if err := protocols.Register(protocols.Entry{Name: "MSI", Source: "x"}); err == nil {
-		t.Error("Register shadowing a builtin must fail")
-	}
-	if err := protocols.Register(protocols.Entry{Name: "", Source: ""}); err == nil {
-		t.Error("Register of an empty entry must fail")
-	}
-	if len(protocols.All) != before {
-		t.Errorf("Register must not grow the builtin list")
-	}
-	got, ok := protocols.Lookup("Registered_Test_SSP")
-	if !ok || got.Source != e.Source {
-		t.Errorf("Lookup of a registered entry does not round-trip")
-	}
-	all := protocols.Entries()
-	if len(all) != before+len(protocols.Registered()) {
-		t.Errorf("Entries() = %d entries, want builtins+registered", len(all))
-	}
-	if all[len(all)-1].Name != "Registered_Test_SSP" && len(protocols.Registered()) == 1 {
-		t.Errorf("registered entry missing from Entries()")
-	}
-}
-
 // TestBuiltinsParse: every built-in SSP parses and validates.
 func TestBuiltinsParse(t *testing.T) {
 	for _, e := range protocols.All {

@@ -1,22 +1,19 @@
 package protocols
 
-import "fmt"
-
 // Entry describes one SSP known to the registry: a built-in from the
-// paper's suite, a registered fuzz family exemplar, or a corpus
-// reproducer.
+// paper's suite, a fuzz family exemplar, or a corpus reproducer (the
+// last two are listed by fuzz.Entries).
 type Entry struct {
 	Name   string
 	Source string
 	// Paper ties this SSP to the evaluation section it appears in; for
-	// registered entries it describes their provenance instead.
+	// fuzz entries it describes their provenance instead.
 	Paper string
 }
 
 // All lists every built-in SSP in the order the paper evaluates them.
 // The package holds only sources (no parser dependency); parse them with
-// dsl.Parse or the root protogen package. Entries registered at runtime
-// via Register are listed by Registered / Entries, not here.
+// dsl.Parse or the root protogen package.
 var All = []Entry{
 	{Name: "MSI", Source: MSI, Paper: "Tables I/II, Table VI, §VI-A/B"},
 	{Name: "MESI", Source: MESI, Paper: "§VI-A/B"},
@@ -26,48 +23,9 @@ var All = []Entry{
 	{Name: "TSO_CC", Source: TSOCC, Paper: "§VI-D"},
 }
 
-// registered holds entries added at runtime (fuzz families, corpus
-// reproducers). Registration happens during initialization of the
-// packages that own the entries, so no locking is provided.
-var registered []Entry
-
-// Register adds an entry to the registry so generated families and
-// corpus reproducers are listable and addressable by name alongside the
-// builtins. Duplicate names are rejected.
-func Register(e Entry) error {
-	if e.Name == "" || e.Source == "" {
-		return fmt.Errorf("protocols: Register needs a name and a source")
-	}
-	if _, ok := Lookup(e.Name); ok {
-		return fmt.Errorf("protocols: entry %q already registered", e.Name)
-	}
-	registered = append(registered, e)
-	return nil
-}
-
-// Registered lists runtime-registered entries in registration order.
-func Registered() []Entry {
-	return append([]Entry(nil), registered...)
-}
-
-// Entries lists the full registry: builtins first, then registered
-// entries in registration order.
-func Entries() []Entry {
-	out := make([]Entry, 0, len(All)+len(registered))
-	out = append(out, All...)
-	out = append(out, registered...)
-	return out
-}
-
-// Lookup returns the source of a registry SSP (built-in or registered)
-// by name.
+// Lookup returns a built-in SSP by name.
 func Lookup(name string) (Entry, bool) {
 	for _, e := range All {
-		if e.Name == name {
-			return e, true
-		}
-	}
-	for _, e := range registered {
 		if e.Name == name {
 			return e, true
 		}

@@ -114,8 +114,8 @@ const (
 )
 
 // Request is the submit body. Kind selects the job; the subject is a
-// registry protocol name or inline DSL source (verify/simulate/lint),
-// or a seed range (fuzz). Zero-valued tuning fields inherit the
+// registry protocol name or inline DSL source (verify/simulate/lint/
+// litmus), or a seed range (fuzz). Zero-valued tuning fields inherit the
 // library defaults.
 type Request struct {
 	Kind string `json:"kind"` // verify | fuzz | simulate | lint | litmus

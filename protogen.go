@@ -171,12 +171,24 @@ type BuiltinEntry = protocols.Entry
 // Builtins lists every built-in SSP in paper order.
 func Builtins() []BuiltinEntry { return protocols.All }
 
-// RegistryEntries lists the full protocol registry: builtins plus any
-// runtime-registered entries (fuzz families, corpus reproducers).
-func RegistryEntries() []BuiltinEntry { return protocols.Entries() }
+// RegistryEntries lists the full protocol registry: the builtins, then
+// one exemplar per shipped fuzz family, then the corpus reproducers
+// ("corpus/<name>").
+func RegistryEntries() ([]BuiltinEntry, error) {
+	more, err := fuzz.Entries()
+	if err != nil {
+		return nil, err
+	}
+	return append(append([]BuiltinEntry(nil), protocols.All...), more...), nil
+}
 
-// LookupBuiltin finds a registry SSP (built-in or registered) by name.
-func LookupBuiltin(name string) (BuiltinEntry, bool) { return protocols.Lookup(name) }
+// LookupBuiltin finds a registry SSP by name. A builtin is answered
+// without touching the fuzz package; any other name is looked up among
+// the fuzz family exemplars and corpus reproducers.
+func LookupBuiltin(name string) (BuiltinEntry, bool) {
+	e, err := lookup(name)
+	return e, err == nil
+}
 
 // Parse parses DSL source into a validated SSP.
 func Parse(src string) (*Spec, error) { return dsl.Parse(src) }
@@ -275,10 +287,6 @@ func WriteFuzzReproducers(dir string, rep *FuzzReport) ([]string, error) {
 // FuzzTxnCount counts a spec source's SSP processes — the reproducer
 // size metric.
 func FuzzTxnCount(src string) (int, error) { return fuzz.TxnCount(src) }
-
-// RegisterFuzzEntries adds the fuzz family exemplars and corpus
-// reproducers to the protocol registry.
-func RegisterFuzzEntries() error { return fuzz.RegisterEntries() }
 
 // EmitMurphi renders the protocol as Murphi source (§IV-B backend).
 func EmitMurphi(p *Protocol, o MurphiOptions) string { return murphi.Emit(p, o) }

@@ -94,7 +94,6 @@ func TestQuickOptionsAlwaysGenerate(t *testing.T) {
 			ImmediateResponses:    immediate,
 			TransientAccess:       transient,
 			PendingLimit:          int(limit % 5),
-			StaleFwd:              true,
 			PruneSharerOnStalePut: prune,
 		}
 		p, err := protogen.Generate(spec, opts)
