@@ -156,8 +156,9 @@ func TestMemConformance(t *testing.T) {
 	t.Run("QueueRebalance", func(t *testing.T) {
 		b := open(t)
 		gone, stay := &recorder{t: t}, &recorder{t: t}
-		queueSubscribe(t, b, "t.rebalance", gone).Unsubscribe()
+		subGone := queueSubscribe(t, b, "t.rebalance", gone)
 		queueSubscribe(t, b, "t.rebalance", stay)
+		subGone.Unsubscribe()
 		publish(t, b, "t.rebalance", 1, 2, 3)
 		eventually(t, "the survivor to take the stream", func() bool { return stay.count() == 3 })
 		if gone.count() != 0 {
