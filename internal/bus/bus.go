@@ -27,9 +27,9 @@ type Handler func(msg Message)
 // ErrClosed is returned by Publish/Subscribe on a closed bus.
 var ErrClosed = fmt.Errorf("bus: closed")
 
-// buffer is the per-subscription queue capacity. A full queue
+// defaultBuffer is the per-subscription queue capacity. A full queue
 // backpressures publishers rather than dropping.
-const buffer = 256
+const defaultBuffer = 256
 
 // Mem is the bus: lossless, at-most-once, ordered per subscriber.
 // Each subscription owns a buffered queue and a delivery goroutine, so
@@ -40,6 +40,7 @@ type Mem struct {
 	mu       sync.Mutex
 	channels map[string]*memChannel //protogen:guardedby mu
 	closed   bool                   //protogen:guardedby mu
+	buffer   int                    // per-subscription queue capacity
 }
 
 // memChannel is one channel's subscriber registry.
@@ -67,8 +68,13 @@ type Subscription struct {
 }
 
 // NewMem builds a bus.
-func NewMem() *Mem {
-	return &Mem{channels: map[string]*memChannel{}}
+func NewMem() *Mem { return newMem(defaultBuffer) }
+
+// newMem builds a bus whose subscriptions queue at most buffer
+// messages each; the tests shrink it to keep every send near the
+// backpressure path.
+func newMem(buffer int) *Mem {
+	return &Mem{channels: map[string]*memChannel{}, buffer: buffer}
 }
 
 // Publish delivers payload to the channel's plain subscribers and one
@@ -142,7 +148,7 @@ func (m *Mem) subscribe(ctx context.Context, channel, queue string, h Handler) (
 		channel: channel,
 		queue:   queue,
 		h:       h,
-		ch:      make(chan Message, buffer),
+		ch:      make(chan Message, m.buffer),
 		done:    make(chan struct{}),
 	}
 	m.mu.Lock()

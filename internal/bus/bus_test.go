@@ -22,10 +22,10 @@ func body(seq int) string { return fmt.Sprintf("payload-%d-abcdefghij", seq) }
 
 func msg(seq int) wire { return wire{Seq: seq, Body: body(seq)} }
 
-// open builds a bus and schedules its teardown.
-func open(t *testing.T) *bus.Mem {
+// open builds a bus with newBus and schedules its teardown.
+func open(t *testing.T, newBus func() *bus.Mem) *bus.Mem {
 	t.Helper()
-	b := bus.NewMem()
+	b := newBus()
 	t.Cleanup(func() {
 		if err := b.Close(); err != nil {
 			t.Errorf("close: %v", err)
@@ -103,9 +103,19 @@ func queueSubscribe(t *testing.T, b *bus.Mem, channel string, r *recorder) *bus.
 // TestMemConformance pins the bus's delivery contract: lossless,
 // at-most-once and ordered per subscriber, with queue groups splitting
 // the stream and Unsubscribe, Close and ctx cancellation honoured.
-func TestMemConformance(t *testing.T) {
+func TestMemConformance(t *testing.T) { conformance(t, bus.NewMem) }
+
+// TestMemSmallBufferConformance re-runs the contract with a one-message
+// per-subscription queue, so the backpressure path (blocking sends) is
+// exercised throughout.
+func TestMemSmallBufferConformance(t *testing.T) {
+	conformance(t, func() *bus.Mem { return bus.NewMemBuffer(1) })
+}
+
+// conformance runs the delivery-contract cases on buses built by newBus.
+func conformance(t *testing.T, newBus func() *bus.Mem) {
 	t.Run("RoundTrip", func(t *testing.T) {
-		b := open(t)
+		b := open(t, newBus)
 		r := &recorder{t: t}
 		subscribe(t, b, "t.roundtrip", r)
 		publish(t, b, "t.roundtrip", 7)
@@ -116,7 +126,7 @@ func TestMemConformance(t *testing.T) {
 	})
 
 	t.Run("FanOut", func(t *testing.T) {
-		b := open(t)
+		b := open(t, newBus)
 		a, c := &recorder{t: t}, &recorder{t: t}
 		subscribe(t, b, "t.fanout", a)
 		subscribe(t, b, "t.fanout", c)
@@ -125,7 +135,7 @@ func TestMemConformance(t *testing.T) {
 	})
 
 	t.Run("QueueGroup", func(t *testing.T) {
-		b := open(t)
+		b := open(t, newBus)
 		const n = 120
 		members := []*recorder{{t: t}, {t: t}, {t: t}}
 		for _, m := range members {
@@ -154,7 +164,7 @@ func TestMemConformance(t *testing.T) {
 	})
 
 	t.Run("QueueRebalance", func(t *testing.T) {
-		b := open(t)
+		b := open(t, newBus)
 		gone, stay := &recorder{t: t}, &recorder{t: t}
 		subGone := queueSubscribe(t, b, "t.rebalance", gone)
 		queueSubscribe(t, b, "t.rebalance", stay)
@@ -167,7 +177,7 @@ func TestMemConformance(t *testing.T) {
 	})
 
 	t.Run("Ordered", func(t *testing.T) {
-		b := open(t)
+		b := open(t, newBus)
 		r := &recorder{t: t}
 		subscribe(t, b, "t.ordered", r)
 		const n = 100
@@ -183,7 +193,7 @@ func TestMemConformance(t *testing.T) {
 	})
 
 	t.Run("Unsubscribe", func(t *testing.T) {
-		b := open(t)
+		b := open(t, newBus)
 		r := &recorder{t: t}
 		sub := subscribe(t, b, "t.unsub", r)
 		publish(t, b, "t.unsub", 1)
@@ -200,7 +210,7 @@ func TestMemConformance(t *testing.T) {
 	})
 
 	t.Run("Close", func(t *testing.T) {
-		b := bus.NewMem()
+		b := newBus()
 		if err := b.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +226,7 @@ func TestMemConformance(t *testing.T) {
 	})
 
 	t.Run("ConcurrentPublishers", func(t *testing.T) {
-		b := open(t)
+		b := open(t, newBus)
 		r := &recorder{t: t}
 		subscribe(t, b, "t.concurrent", r)
 		const pubs, per = 8, 25
@@ -245,7 +255,7 @@ func TestMemConformance(t *testing.T) {
 	})
 
 	t.Run("CanceledContext", func(t *testing.T) {
-		b := open(t)
+		b := open(t, newBus)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		if _, err := b.Subscribe(ctx, "t.ctx", func(bus.Message) {}); !errors.Is(err, context.Canceled) {
@@ -268,7 +278,7 @@ func TestMemConformance(t *testing.T) {
 // subscription's queue; the next Publish blocks rather than dropping,
 // and yields to ctx cancellation.
 func TestMemBackpressure(t *testing.T) {
-	b := open(t)
+	b := open(t, bus.NewMem)
 	release := make(chan struct{})
 	defer close(release)
 	entered := make(chan struct{}, 1)
