@@ -10,7 +10,7 @@ import (
 	"protogen"
 )
 
-var update = flag.Bool("update", false, "rewrite the testdata/fsm goldens from the current generator")
+var update = flag.Bool("update", false, "rewrite the testdata/fsm and testdata/table goldens from the current generator")
 
 // TestRunOutputs: every output backend renders through the real CLI
 // path, and -machine dir and directory both pick the directory.
@@ -45,15 +45,35 @@ func TestRunOutputs(t *testing.T) {
 // up as a reviewable diff of controller tables rather than a moved hash.
 // Regenerate with: go test ./cmd/protogen -run TestFSMGolden -update
 func TestFSMGolden(t *testing.T) {
+	testGolden(t, "fsm", []string{"-out", "fsm"})
+}
+
+// TestTableGolden holds `generate -out table -stale` for every registry
+// protocol in every mode, the cache's table followed by the directory's,
+// to the text under testdata/table: the byte-identity net for the table
+// renderer, whose other tests check substrings only.
+// Regenerate with: go test ./cmd/protogen -run TestTableGolden -update
+func TestTableGolden(t *testing.T) {
+	testGolden(t, "table",
+		[]string{"-out", "table", "-stale", "-machine", "cache"},
+		[]string{"-out", "table", "-stale", "-machine", "dir"})
+}
+
+// testGolden runs `generate -protocol P -mode M` with each argument list
+// in turn for every registry protocol P and mode M, and holds the joined
+// output to testdata/<kind>/P_M.<kind>; -update rewrites the files.
+func testGolden(t *testing.T, kind string, runs ...[]string) {
 	for _, e := range protogen.Builtins() {
 		for _, mode := range protogen.Modes {
 			name := e.Name + "_" + mode
 			t.Run(name, func(t *testing.T) {
 				var out strings.Builder
-				if err := runBG([]string{"generate", "-protocol", e.Name, "-mode", mode, "-out", "fsm"}, &out); err != nil {
-					t.Fatal(err)
+				for _, args := range runs {
+					if err := runBG(append([]string{"generate", "-protocol", e.Name, "-mode", mode}, args...), &out); err != nil {
+						t.Fatal(err)
+					}
 				}
-				path := filepath.Join("testdata", "fsm", name+".fsm")
+				path := filepath.Join("testdata", kind, name+"."+kind)
 				if *update {
 					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 						t.Fatal(err)
@@ -68,7 +88,7 @@ func TestFSMGolden(t *testing.T) {
 					t.Fatalf("%v (record with -update)", err)
 				}
 				if out.String() != string(want) {
-					t.Errorf("generate -out fsm differs from %s (go test -run TestFSMGolden -update rewrites it; review the diff)", path)
+					t.Errorf("generate %q differs from %s (-update rewrites it; review the diff)", runs, path)
 				}
 			})
 		}
