@@ -234,7 +234,7 @@ func (l *lab) figure2(w io.Writer) error {
 
 func (l *lab) table6(w io.Writer) error {
 	p := mustGen("MSI", "nonstalling")
-	fmt.Fprintln(w, protogen.RenderTable(p.Cache, protogen.TableOptions{ShowGuards: true}))
+	fmt.Fprintln(w, protogen.RenderTable(p.Cache, protogen.TableOptions{}))
 	s, tr, st := p.Cache.Counts()
 	fmt.Fprintf(w, "cache: %d states, %d transitions (+%d stall cells)\n\n", s, tr, st)
 	r := protogen.CompareWithBaseline(p.Cache, protogen.PrimerNonStallingMSI())

@@ -62,7 +62,7 @@ func generate(_ context.Context, args []string, stdout io.Writer) error {
 	case "summary":
 		printSummary(stdout, p)
 	case "table":
-		fmt.Fprint(stdout, protogen.RenderTable(m, protogen.TableOptions{ShowGuards: true, ShowStale: *stale}))
+		fmt.Fprint(stdout, protogen.RenderTable(m, protogen.TableOptions{ShowStale: *stale}))
 	case "dsl":
 		fmt.Fprint(stdout, protogen.FormatSSP(spec))
 	case "murphi":

@@ -225,8 +225,8 @@ type FuzzJob struct {
 	// Config tunes the campaign; nil uses DefaultFuzzConfig. The
 	// engine's parallelism fills in when Config.Parallelism is 0, the
 	// engine's result cache when Config.Cache is nil, and
-	// DefaultFuzzConfig's value for each of Caches, Capacity and
-	// MaxStates that is zero or negative.
+	// DefaultFuzzConfig's value for each of Caches and MaxStates that is
+	// zero or negative.
 	Config *FuzzConfig
 	// OnProgress receives the job's progress events; nil drops them.
 	OnProgress ProgressFunc
@@ -580,7 +580,6 @@ func (e *Engine) Fuzz(ctx context.Context, job FuzzJob) (*FuzzReport, error) {
 	if cfg.Caches, err = resolveCaches(cfg.Caches, def.Caches); err != nil {
 		return nil, err
 	}
-	cfg.Capacity = orDefault(cfg.Capacity, def.Capacity)
 	cfg.MaxStates = orDefault(cfg.MaxStates, def.MaxStates)
 	if cfg.Parallelism == 0 && e.parallelism > 0 {
 		cfg.Parallelism = e.parallelism

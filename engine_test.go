@@ -299,7 +299,6 @@ func TestPartlyFilledConfig(t *testing.T) {
 		"verify/Values=0":    verify(func(c *protogen.VerifyConfig) { c.Values = 0 }),
 		"verify/Capacity=0":  verify(func(c *protogen.VerifyConfig) { c.Capacity = 0 }),
 		"verify/MaxStates=0": verify(func(c *protogen.VerifyConfig) { c.MaxStates = 0 }),
-		"fuzz/Capacity=0":    fuzz(func(c *protogen.FuzzConfig) { c.Capacity = 0 }),
 		"fuzz/MaxStates=0":   fuzz(func(c *protogen.FuzzConfig) { c.MaxStates = 0 }),
 	}
 	for name, run := range rows {

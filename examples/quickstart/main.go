@@ -31,7 +31,7 @@ func main() {
 		cs, ct, ds, dt)
 
 	// 3. Print the cache controller the way the paper's Table VI does.
-	fmt.Println(protogen.RenderTable(p.Cache, protogen.TableOptions{ShowGuards: true}))
+	fmt.Println(protogen.RenderTable(p.Cache, protogen.TableOptions{}))
 
 	// 4. Model-check it: SWMR, data values, deadlock freedom.
 	cfg := protogen.QuickVerifyConfig()

@@ -20,7 +20,7 @@ func main() {
 	fmt.Printf("network ordered: %v\n\n", p.Ordered)
 
 	fmt.Println("Directory controller (busy states hold the serialization):")
-	fmt.Println(protogen.RenderTable(p.Dir, protogen.TableOptions{ShowGuards: true}))
+	fmt.Println(protogen.RenderTable(p.Dir, protogen.TableOptions{}))
 
 	fmt.Println("Verifying on an unordered network (messages delivered in any order):")
 	cfg := protogen.QuickVerifyConfig()

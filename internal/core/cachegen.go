@@ -456,7 +456,7 @@ func (g *gen) isPut(m ir.MsgType) bool {
 // a stale invalidation reaches a cache whose sharer-list entry is dangling
 // because the directory does not prune sharers on stale Puts; the
 // requestor is counting acknowledgments, so the cache must still respond.
-func (g *gen) staleFwdPass() error {
+func (g *gen) staleFwdPass() {
 	fwdNames := make([]ir.MsgType, 0, len(g.fwds))
 	for f := range g.fwds {
 		fwdNames = append(fwdNames, f)
@@ -480,7 +480,6 @@ func (g *gen) staleFwdPass() error {
 			})
 		}
 	}
-	return nil
 }
 
 // dataFreeResponse returns the common data-free response actions of a

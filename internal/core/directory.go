@@ -105,9 +105,7 @@ func (g *gen) generateDirectory() error {
 		}
 	}
 
-	if err := g.stalePutRules(); err != nil {
-		return err
-	}
+	g.stalePutRules()
 	g.reinterpretRules()
 	return nil
 }
@@ -168,7 +166,7 @@ func (g *gen) computePutAcks() error {
 // stalePutRules adds Put handling to every stable directory state where
 // the SSP has none (or only a sender-constrained handler): acknowledge and
 // stay, optionally pruning the sharer list (paper §V-F).
-func (g *gen) stalePutRules() error {
+func (g *gen) stalePutRules() {
 	var puts []ir.MsgType
 	for _, d := range g.spec.Msgs {
 		if d.Put {
@@ -206,7 +204,6 @@ func (g *gen) stalePutRules() error {
 			}
 		}
 	}
-	return nil
 }
 
 // reinterpretRules copies handlers so that a request the cache may leave

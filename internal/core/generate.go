@@ -69,12 +69,8 @@ func Generate(spec *ir.Spec, opts Options) (*ir.Protocol, error) {
 	if err := g.processQueue(); err != nil {
 		return nil, fmt.Errorf("generate %s: %w", spec.Name, err)
 	}
-	if err := g.lateFwdPass(); err != nil {
-		return nil, fmt.Errorf("generate %s: %w", spec.Name, err)
-	}
-	if err := g.staleFwdPass(); err != nil {
-		return nil, fmt.Errorf("generate %s: %w", spec.Name, err)
-	}
+	g.lateFwdPass()
+	g.staleFwdPass()
 	g.permissions()
 	mergeStates(g.cache)
 	if err := g.generateDirectory(); err != nil {

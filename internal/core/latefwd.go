@@ -25,7 +25,7 @@ import (
 // requestor is waiting for data the cache still holds); staying is correct
 // because the response the cache already consumed was computed by the
 // directory after F was serialized.
-func (g *gen) lateFwdPass() error {
+func (g *gen) lateFwdPass() {
 	fwdNames := make([]ir.MsgType, 0, len(g.fwds))
 	for f := range g.fwds {
 		fwdNames = append(fwdNames, f)
@@ -52,7 +52,6 @@ func (g *gen) lateFwdPass() error {
 			}
 		}
 	}
-	return nil
 }
 
 // lateClosure returns the states reachable from x's own transactions by

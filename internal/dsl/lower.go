@@ -28,9 +28,6 @@ func Lower(f *File) (*ir.Spec, error) {
 		for _, s := range m.States {
 			ms.Stable = append(ms.Stable, ir.StableDecl{Name: ir.StateName(s)})
 		}
-		if spec.Machine(m.Role) == ms {
-			// unreachable; Machine returns stored pointers below
-		}
 		if m.Role == ir.KindDirectory {
 			if spec.Dir != nil {
 				return nil, fmt.Errorf("dsl: duplicate directory machine")

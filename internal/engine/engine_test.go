@@ -114,7 +114,7 @@ func TestStoreWithInvalidation(t *testing.T) {
 		t.Fatalf("LastWrite = %d", s.LastWrite)
 	}
 	// cache 1 now hits on loads with the stored value.
-	hits := s.HitLoads()
+	hits := s.AppendHitLoads(nil)
 	if len(hits) != 1 || hits[0].Cache != 1 || hits[0].Value != 1 {
 		t.Fatalf("hit loads = %v", hits)
 	}

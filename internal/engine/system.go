@@ -13,12 +13,6 @@ type Config struct {
 	Values   int // data value domain size (stores rotate 1..Values)
 }
 
-// DefaultConfig mirrors the paper's verification setup: three caches (the
-// most Murphi could handle), small value domain.
-func DefaultConfig() Config {
-	return Config{Caches: 3, Capacity: 6, Values: 2}
-}
-
 // Perform records a completed core access, for invariant checking.
 type Perform struct {
 	Node   int
@@ -588,11 +582,6 @@ type LoadCheck struct {
 	Cache int
 	Value int
 	State ir.StateName
-}
-
-// HitLoads reports every cache whose current state allows a load hit.
-func (s *System) HitLoads() []LoadCheck {
-	return s.AppendHitLoads(nil)
 }
 
 // AppendHitLoads appends the load-hit-capable caches to buf, reusing its

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"context"
 	"testing"
 
 	"protogen/internal/verify"
@@ -21,7 +22,7 @@ func TestCampaignResultCache(t *testing.T) {
 	cfg.Parallelism = 2
 	cfg.Cache = cache
 
-	cold, err := Run(0, 8, cfg)
+	cold, err := RunCtx(context.Background(), 0, 8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestCampaignResultCache(t *testing.T) {
 		t.Fatalf("cold run reported %d cached checks", cold.CachedChecks)
 	}
 
-	warm, err := Run(0, 8, cfg)
+	warm, err := RunCtx(context.Background(), 0, 8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestCampaignResultCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Cache = re
-	again, err := Run(0, 8, cfg)
+	again, err := RunCtx(context.Background(), 0, 8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,11 +29,11 @@ type Config struct {
 	// every shipped (non-defective) shape. Broken shapes participate only
 	// when named explicitly.
 	Families []string
-	// Caches / MaxStates / Capacity configure the model checker. The
-	// campaign checks at small scale by design: 2 caches explore every
-	// interleaving class the generator distinguishes, in milliseconds.
+	// Caches / MaxStates configure the model checker; channels keep
+	// verify.DefaultConfig's capacity. The campaign checks at small
+	// scale by design: 2 caches explore every interleaving class the
+	// generator distinguishes, in milliseconds.
 	Caches    int
-	Capacity  int
 	MaxStates int
 	// SimSteps drives the randomized-schedule SC check; 0 disables it.
 	SimSteps int
@@ -98,7 +98,6 @@ func (p Progress) String() string {
 func DefaultConfig() Config {
 	return Config{
 		Caches:      2,
-		Capacity:    4,
 		MaxStates:   500_000,
 		SimSteps:    3000,
 		Parallelism: 0,
@@ -220,6 +219,22 @@ type SpecReport struct {
 // OK reports a clean spec run.
 func (r *SpecReport) OK() bool { return r.Failure.IsZero() }
 
+// checks counts the spec's model checks that were explored and those
+// served from the result cache. A generate/mode failure appends a zero
+// ModeResult before CheckSource returns — no exploration ran, so it
+// counts as neither; every real check has ≥1 state.
+func (r *SpecReport) checks() (ran, cached int) {
+	for _, mr := range r.Modes {
+		switch {
+		case mr.Cached:
+			cached++
+		case mr.States > 0:
+			ran++
+		}
+	}
+	return ran, cached
+}
+
 // Report aggregates a campaign.
 type Report struct {
 	Specs    []SpecReport `json:"specs"`
@@ -271,14 +286,9 @@ func (s *progressSink) seedDone(r *SpecReport) {
 	if !r.OK() {
 		s.cur.Fail++
 	}
-	for _, mr := range r.Modes {
-		switch {
-		case mr.Cached:
-			s.cur.CacheHits++
-		case mr.States > 0:
-			s.cur.RanChecks++
-		}
-	}
+	ran, cached := r.checks()
+	s.cur.RanChecks += ran
+	s.cur.CacheHits += cached
 	s.fn(s.cur)
 	s.mu.Unlock()
 }
@@ -322,21 +332,15 @@ func (cfg Config) pool() ([]Params, error) {
 	return out, nil
 }
 
-// Run executes the differential campaign over the half-open seed range
-// [first, last): each seed's spec is generated in all three modes, model
-// checked in each, the verdicts cross-checked, and the simulator's SC
-// checker run on the non-stalling protocol. Failing specs are shrunk to
-// minimal reproducers when cfg.Shrink is set. Reports come back in seed
-// order regardless of parallelism. It is RunCtx without cancellation.
-func Run(first, last uint64, cfg Config) (*Report, error) {
-	return RunCtx(context.Background(), first, last, cfg)
-}
-
-// RunCtx executes the campaign under ctx. Workers observe cancellation
-// before claiming each seed (and the model checker inside a claimed
-// seed observes it at BFS level boundaries), so the pool drains within
-// one level's worth of work. The report then covers only the seeds that
-// completed — still in seed order — with Report.Canceled set.
+// RunCtx executes the differential campaign over the half-open seed
+// range [first, last): each seed's spec is generated in all three modes,
+// model checked in each, the verdicts cross-checked, and the simulator's
+// SC checker run on the non-stalling protocol; failing specs are shrunk
+// to minimal reproducers when cfg.Shrink is set. Reports come back in
+// seed order regardless of parallelism. Workers observe ctx before
+// claiming each seed (the checker inside a seed, at BFS level
+// boundaries); a canceled campaign's report covers only the seeds that
+// completed, with Report.Canceled set.
 func RunCtx(ctx context.Context, first, last uint64, cfg Config) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -358,7 +362,7 @@ func RunCtx(ctx context.Context, first, last uint64, cfg Config) (*Report, error
 	rep := &Report{SeedsTotal: n}
 	workers := cfg.Parallelism
 	if workers <= 0 {
-		workers = defaultParallelism()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, n)
 	var cursor atomic.Int64
@@ -434,17 +438,9 @@ func RunCtx(ctx context.Context, first, last uint64, cfg Config) (*Report, error
 		} else {
 			rep.Fail++
 		}
-		for _, mr := range r.Modes {
-			switch {
-			case mr.Cached:
-				rep.CachedChecks++
-			case mr.States > 0:
-				// A generate/mode failure appends a zero ModeResult
-				// before CheckSource returns — no exploration ran, so
-				// it counts as neither; every real check has ≥1 state.
-				rep.RanChecks++
-			}
-		}
+		ran, cached := r.checks()
+		rep.RanChecks += ran
+		rep.CachedChecks += cached
 	}
 	for f := range fams {
 		rep.Families = append(rep.Families, f)
@@ -711,7 +707,7 @@ func checkMode(ctx context.Context, spec *ir.Spec, mode string, limit int, cfg C
 	}
 	opts.PendingLimit = limit
 	vcfg := verify.DefaultConfig()
-	vcfg.Caches, vcfg.Capacity, vcfg.MaxStates = cfg.Caches, cfg.Capacity, cfg.MaxStates
+	vcfg.Caches, vcfg.MaxStates = cfg.Caches, cfg.MaxStates
 	vcfg.Parallelism = 1 // campaign workers provide the parallelism
 	vcfg.Reduce = reduce
 	var key string
@@ -730,24 +726,10 @@ func checkMode(ctx context.Context, spec *ir.Spec, mode string, limit int, cfg C
 	return mr, Failure{}
 }
 
-// defaultParallelism mirrors the verify package's worker default.
-func defaultParallelism() int {
-	return runtime.GOMAXPROCS(0)
-}
-
 // FamilyNames lists the shipped family names in canonical order.
 func FamilyNames() []string {
 	var out []string
 	for _, p := range Shapes() {
-		out = append(out, p.Name())
-	}
-	return out
-}
-
-// BrokenFamilyNames lists the defective demonstration families.
-func BrokenFamilyNames() []string {
-	var out []string
-	for _, p := range BrokenShapes() {
 		out = append(out, p.Name())
 	}
 	return out

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -15,7 +16,7 @@ func TestCampaignShippedSeeds(t *testing.T) {
 	if testing.Short() {
 		last = 8
 	}
-	rep, err := Run(0, last, cfg)
+	rep, err := RunCtx(context.Background(), 0, last, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +45,11 @@ func TestCampaignDeterministic(t *testing.T) {
 	seq.Parallelism = 1
 	par := cfg
 	par.Parallelism = 4
-	a, err := Run(3, 9, seq)
+	a, err := RunCtx(context.Background(), 3, 9, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(3, 9, par)
+	b, err := RunCtx(context.Background(), 3, 9, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +215,11 @@ func TestShrinkRejectsPassingSpec(t *testing.T) {
 // TestRunRejectsBadInput: seed ranges and family names are validated.
 func TestRunRejectsBadInput(t *testing.T) {
 	cfg := DefaultConfig()
-	if _, err := Run(5, 2, cfg); err == nil {
+	if _, err := RunCtx(context.Background(), 5, 2, cfg); err == nil {
 		t.Error("inverted seed range must error")
 	}
 	cfg.Families = []string{"no-such-family"}
-	if _, err := Run(0, 1, cfg); err == nil {
+	if _, err := RunCtx(context.Background(), 0, 1, cfg); err == nil {
 		t.Error("unknown family must error")
 	}
 }
@@ -231,7 +232,7 @@ func TestLitmusVerdictDimension(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Shrink = false
 	cfg.SimSteps = 0
-	rep, err := Run(0, 4, cfg)
+	rep, err := RunCtx(context.Background(), 0, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestLitmusVerdictDimension(t *testing.T) {
 
 	capped := cfg
 	capped.LitmusMaxStates = 3
-	rep, err = Run(0, 2, capped)
+	rep, err = RunCtx(context.Background(), 0, 2, capped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestLitmusVerdictDimension(t *testing.T) {
 
 	off := cfg
 	off.NoLitmus = true
-	rep, err = Run(0, 2, off)
+	rep, err = RunCtx(context.Background(), 0, 2, off)
 	if err != nil {
 		t.Fatal(err)
 	}

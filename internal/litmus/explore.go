@@ -34,7 +34,7 @@ func Explore(ctx context.Context, p *ir.Protocol, t *Test, caches, maxStates int
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
-	r := newRunner(p, t, caches, 8)
+	r := newRunner(p, t, caches)
 	w0, err := r.newWorld()
 	if err != nil {
 		return nil, err

@@ -38,7 +38,7 @@ func splitmix64(x uint64) uint64 {
 // enabled choices at every step. A stuck configuration is a hard error
 // (same diagnostic as the explorer), not a silent retry.
 func Sample(ctx context.Context, p *ir.Protocol, t *Test, caches, runs int, seed int64) (*Sampled, error) {
-	r := newRunner(p, t, caches, 8)
+	r := newRunner(p, t, caches)
 	// The warm-up is deterministic, so every run starts from the same
 	// configuration: build it once, clone per run.
 	w0, err := r.newWorld()

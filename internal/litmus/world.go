@@ -38,7 +38,6 @@ type runner struct {
 	p      *ir.Protocol
 	test   *Test
 	caches int
-	cap    int
 	regIdx map[string]int // qualified register -> regs slot
 	enc    *engine.Encoder
 	keyBuf []byte
@@ -54,14 +53,13 @@ type choice struct {
 	del    engine.Deliverable
 }
 
-func newRunner(p *ir.Protocol, t *Test, caches, capacity int) *runner {
-	if capacity <= 0 {
-		capacity = 8
-	}
+const capacity = 8 // every channel's bound in a litmus system
+
+func newRunner(p *ir.Protocol, t *Test, caches int) *runner {
 	if caches < len(t.Threads) {
 		caches = len(t.Threads)
 	}
-	r := &runner{p: p, test: t, caches: caches, cap: capacity,
+	r := &runner{p: p, test: t, caches: caches,
 		regIdx: map[string]int{}, enc: engine.NewEncoder(p)}
 	for i, reg := range t.Registers() {
 		r.regIdx[reg] = i
@@ -78,7 +76,7 @@ func (r *runner) newWorld() (*world, error) {
 	}
 	for a := range w.systems {
 		w.systems[a] = engine.NewSystem(r.p, engine.Config{
-			Caches: r.caches, Capacity: r.cap, Values: 1 << 30,
+			Caches: r.caches, Capacity: capacity, Values: 1 << 30,
 		})
 	}
 	for i := range w.ts {

@@ -34,8 +34,7 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 	defer cancel()
 	cfg := Config{
 		Caches: 2, Steps: 50_000_000, Seed: 3, Workload: Contended{},
-		ProgressEvery: 1000,
-		Progress:      func(Progress) { cancel() },
+		Progress: func(Progress) { cancel() },
 	}
 	start := time.Now()
 	st, err := RunCtx(ctx, p, cfg)
@@ -68,15 +67,14 @@ func TestRunCtxPreCanceled(t *testing.T) {
 	}
 }
 
-// TestRunProgressStride: progress fires on the configured stride with
+// TestRunProgressStride: progress fires every progressStride steps with
 // growing step counts, and an unset callback changes nothing.
 func TestRunProgressStride(t *testing.T) {
 	p := nonStallingMSI(t)
 	var events []Progress
 	cfg := Config{
-		Caches: 2, Steps: 10_000, Seed: 5, Workload: Contended{},
-		ProgressEvery: 2000,
-		Progress:      func(pr Progress) { events = append(events, pr) },
+		Caches: 2, Steps: 50_000, Seed: 5, Workload: Contended{},
+		Progress: func(pr Progress) { events = append(events, pr) },
 	}
 	st, err := Run(p, cfg)
 	if err != nil {
@@ -85,11 +83,11 @@ func TestRunProgressStride(t *testing.T) {
 	if st.Canceled {
 		t.Fatalf("spurious cancel: %+v", st)
 	}
-	if len(events) != 4 { // steps 2000, 4000, 6000, 8000
+	if len(events) != 4 { // steps 10000, 20000, 30000, 40000
 		t.Fatalf("got %d progress events, want 4: %+v", len(events), events)
 	}
 	for i, ev := range events {
-		if ev.Steps != (i+1)*2000 || ev.TotalSteps != 10_000 {
+		if ev.Steps != (i+1)*progressStride || ev.TotalSteps != 50_000 {
 			t.Errorf("event %d: %+v", i, ev)
 		}
 		if ev.Kind() != "simulate" {
@@ -98,7 +96,7 @@ func TestRunProgressStride(t *testing.T) {
 	}
 	// Same seed without the callback: identical stats (hooks observe,
 	// never perturb).
-	plain, err := Run(p, Config{Caches: 2, Steps: 10_000, Seed: 5, Workload: Contended{}})
+	plain, err := Run(p, Config{Caches: 2, Steps: 50_000, Seed: 5, Workload: Contended{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,16 +49,12 @@ type Config struct {
 	Caches   int
 	Steps    int
 	Seed     int64
-	Capacity int
 	Workload Workload
-	// Progress, when non-nil, is called every ProgressEvery steps with a
-	// snapshot of the run so far. It runs on the scheduler goroutine and
-	// must return promptly; nil costs nothing on the step loop's hot
+	// Progress, when non-nil, is called every progressStride steps with
+	// a snapshot of the run so far. It runs on the scheduler goroutine
+	// and must return promptly; nil costs nothing on the step loop's hot
 	// path beyond the cancellation stride check.
 	Progress func(Progress)
-	// ProgressEvery is the step stride between Progress calls
-	// (default 10000).
-	ProgressEvery int
 }
 
 // Progress is one snapshot of a running simulation.
@@ -75,10 +71,14 @@ func (p Progress) String() string {
 	return fmt.Sprintf("simulate: step %d/%d, %d transactions", p.Steps, p.TotalSteps, p.Transactions)
 }
 
-// cancelStride is how many scheduler steps run between context checks:
-// coarse enough to keep ctx.Err() off the per-step profile, fine enough
-// that cancellation lands in microseconds.
-const cancelStride = 256
+const (
+	// cancelStride is how many scheduler steps run between context
+	// checks: coarse enough to keep ctx.Err() off the per-step profile,
+	// fine enough that cancellation lands in microseconds.
+	cancelStride   = 256
+	progressStride = 10_000 // scheduler steps between Progress calls
+	capacity       = 8      // every channel's bound
+)
 
 // Run drives one protocol under a workload for cfg.Steps scheduler steps.
 // The per-location SC checker observes every load and store. It is
@@ -95,15 +95,9 @@ func RunCtx(ctx context.Context, p *ir.Protocol, cfg Config) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Capacity == 0 {
-		cfg.Capacity = 8
-	}
-	if cfg.ProgressEvery <= 0 {
-		cfg.ProgressEvery = 10_000
-	}
 	sys := engine.NewSystem(p, engine.Config{
 		Caches:   cfg.Caches,
-		Capacity: cfg.Capacity,
+		Capacity: capacity,
 		Values:   1 << 30, // monotonic values: exact per-location SC checking
 	})
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -125,7 +119,7 @@ func RunCtx(ctx context.Context, p *ir.Protocol, cfg Config) (Stats, error) {
 			st.Canceled = true
 			return st, nil
 		}
-		if cfg.Progress != nil && step > 0 && step%cfg.ProgressEvery == 0 {
+		if cfg.Progress != nil && step > 0 && step%progressStride == 0 {
 			cfg.Progress(Progress{Steps: step, TotalSteps: cfg.Steps, Transactions: st.Transactions})
 		}
 		st.Steps++

@@ -11,11 +11,11 @@ import (
 	"protogen/internal/ir"
 )
 
-// Options tune rendering.
+// Options tune rendering. Guarded variants of an event always get
+// columns of their own.
 type Options struct {
-	ShowStale  bool // include generator-added stale handling rows
-	MaxCell    int  // wrap width per cell (0 = unlimited)
-	ShowGuards bool // split guarded variants into separate columns
+	ShowStale bool // include generator-added stale handling rows
+	MaxCell   int  // wrap width per cell (0 = unlimited)
 }
 
 // Render produces the ASCII table of one machine.
@@ -83,10 +83,7 @@ func columns(m *ir.Machine, o Options) []column {
 			if t.Stale && !o.ShowStale {
 				continue
 			}
-			l := ""
-			if o.ShowGuards {
-				l = shorten(t.GuardLabel)
-			}
+			l := shorten(t.GuardLabel)
 			if !labels[l] {
 				labels[l] = true
 				ordered = append(ordered, l)
@@ -118,7 +115,7 @@ func cell(m *ir.Machine, s ir.StateName, c column, o Options) string {
 		if t.Stale && !o.ShowStale {
 			continue
 		}
-		if o.ShowGuards && shorten(t.GuardLabel) != c.label {
+		if shorten(t.GuardLabel) != c.label {
 			continue
 		}
 		parts = append(parts, renderTransition(m, t, c))

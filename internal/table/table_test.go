@@ -23,7 +23,7 @@ func renderMSI(t *testing.T, o Options) string {
 }
 
 func TestRenderTableVIShape(t *testing.T) {
-	out := renderMSI(t, Options{ShowGuards: true})
+	out := renderMSI(t, Options{})
 	for _, want := range []string{
 		"IMADS", "IMADSI", "ISDI", "IMAS =SMAS",
 		"send Inv-Ack to Req", "send Data to Req", "stall", "hit",
@@ -39,8 +39,8 @@ func TestRenderTableVIShape(t *testing.T) {
 }
 
 func TestRenderShowStale(t *testing.T) {
-	withStale := renderMSI(t, Options{ShowGuards: true, ShowStale: true})
-	without := renderMSI(t, Options{ShowGuards: true})
+	withStale := renderMSI(t, Options{ShowStale: true})
+	without := renderMSI(t, Options{})
 	// The table is fixed-width, so compare cell occurrences, not length:
 	// stale invalidation acks appear in far more rows when shown.
 	cWith := strings.Count(withStale, "send Inv-Ack to Req")
@@ -51,7 +51,7 @@ func TestRenderShowStale(t *testing.T) {
 }
 
 func TestRenderFlushExpansion(t *testing.T) {
-	out := renderMSI(t, Options{ShowGuards: true, MaxCell: 200})
+	out := renderMSI(t, Options{MaxCell: 200})
 	// IMADS's completion must show the flushed Data sends, like the paper's
 	// "send Data to Req and Dir/S".
 	if !strings.Contains(out, "send Data to Req; send Data to Dir/S") &&

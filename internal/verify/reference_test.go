@@ -3,7 +3,9 @@ package verify
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
+	"strings"
 	"testing"
 
 	"protogen/internal/core"
@@ -25,14 +27,22 @@ type refResult struct {
 	stuck                           int              // states quiescence is unreachable from
 	kinds                           map[string]bool  // violation kinds seen anywhere in the space
 	index                           map[string]int32 // the reachable set: snapshot bytes → discovery index
+	rest                            map[string]bool  // the quiescent states, keyed by refProject
 }
 
 func refExplore(p *ir.Protocol, cfg Config) refResult {
 	init := engine.NewSystem(p, engine.Config{Caches: cfg.Caches, Capacity: cfg.Capacity, Values: cfg.Values})
-	res := refResult{kinds: map[string]bool{}}
+	res := refResult{kinds: map[string]bool{}, rest: map[string]bool{}}
 	index := map[string]int32{string(init.AppendSnapshot(nil)): 0}
 	queue, depth, preds := []*engine.System{init}, []int{0}, [][]int32{nil}
-	quiet := []bool{refInspect(p, cfg, init, res.kinds)}
+	inspect := func(s *engine.System) bool {
+		q := refInspect(p, cfg, s, res.kinds)
+		if q {
+			res.rest[refProject(s)] = true
+		}
+		return q
+	}
+	quiet := []bool{inspect(init)}
 	for i := 0; i < len(queue); i++ {
 		s := queue[i]
 		queue[i] = nil // expanded once, then only its index is needed
@@ -62,7 +72,7 @@ func refExplore(p *ir.Protocol, cfg Config) refResult {
 				j = int32(len(queue))
 				index[key] = j
 				queue, depth, preds = append(queue, n), append(depth, depth[i]+1), append(preds, nil)
-				quiet = append(quiet, refInspect(p, cfg, n, res.kinds))
+				quiet = append(quiet, inspect(n))
 				res.depth = max(res.depth, depth[j])
 			}
 			preds[j] = append(preds[j], int32(i))
@@ -146,6 +156,29 @@ func refInspect(p *ir.Protocol, cfg Config, s *engine.System, kinds map[string]b
 		kinds["SWMR"] = true
 	}
 	return quiescent
+}
+
+// refProject keys a quiescent state by what the SSP itself declares:
+// every controller's state name, its data value and the variables its
+// MachineSpec declares (ints and id-sets, which the generator copies to
+// ir.Machine.Vars), plus LastWrite. Names, not a design's state indices
+// or snapshot bytes, so the stalling, non-stalling and deferred designs
+// of one SSP — each an implementation of the same atomic protocol —
+// can be held to one set of keys.
+func refProject(s *engine.System) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "last=%d", s.LastWrite)
+	for _, c := range append([]*engine.Ctrl{s.Dir}, s.Caches...) {
+		fmt.Fprintf(&b, " | %s data=%d", c.State, c.Data())
+		for _, v := range c.L.M.Vars {
+			if v.Type == ir.VIDSet {
+				fmt.Fprintf(&b, " %s=%b", v.Name, c.Masks[c.L.SetIdx[v.Name]])
+			} else {
+				fmt.Fprintf(&b, " %s=%d", v.Name, c.Ints[c.L.IntIdx[v.Name]])
+			}
+		}
+	}
+	return b.String()
 }
 
 // permute returns s with cache i renamed perm[i], written against the
@@ -252,11 +285,17 @@ func refOrbits(t *testing.T, p *ir.Protocol, cfg Config, index map[string]int32)
 // keys — is one the reference reached. (d) is also the property test of
 // the edge columns: every recorded edge, on every protocol and mode,
 // replays to the very state it was recorded for, which is a reachable one.
+// (e) The three modes implement one atomic SSP, so under reduceCfg their
+// quiescent states, projected by refProject, are one set per protocol:
+// pinned by size, and each size is the reference's Quiescent count, so
+// the projection merges no two quiescent states of one design.
 func TestReferenceExplorer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explores every registry protocol unreduced, seven times")
 	}
+	restSizes := map[string]int{"MSI": 415, "MESI": 437, "MOSI": 695, "MSI_Upgrade": 415, "MSI_Unordered": 415, "TSO_CC": 131}
 	for _, e := range protocols.All {
+		rests := map[string]map[string]bool{} // mode → its quiescent states under reduceCfg
 		for _, mode := range core.Modes {
 			p := gen(t, e.Source, optsForMode(t, mode))
 			cfgs := []Config{reduceCfg(e.Name)}
@@ -266,6 +305,12 @@ func TestReferenceExplorer(t *testing.T) {
 			for _, cfg := range cfgs {
 				name := fmt.Sprintf("%s %s swmr=%v", e.Name, mode, cfg.CheckSWMR)
 				ref := refExplore(p, cfg)
+				if rests[mode] == nil {
+					rests[mode] = ref.rest
+					if len(ref.rest) != ref.quiescent {
+						t.Errorf("%s: %d quiescent states project to %d keys", name, ref.quiescent, len(ref.rest))
+					}
+				}
 				got := Check(p, cfg)
 				if got.OK() != (len(ref.kinds) == 0) {
 					t.Errorf("%s: checker %s, reference found %v", name, got, ref.kinds)
@@ -322,5 +367,27 @@ func TestReferenceExplorer(t *testing.T) {
 				}
 			}
 		}
+		want := rests[core.Modes[0]]
+		if len(want) != restSizes[e.Name] {
+			t.Errorf("%s %s: %d quiescent states, pinned %d", e.Name, core.Modes[0], len(want), restSizes[e.Name])
+		}
+		for _, mode := range core.Modes[1:] {
+			if got := rests[mode]; !maps.Equal(got, want) {
+				t.Errorf("%s: %d %s quiescent states, %d %s; only %s has %q, only %s has %q",
+					e.Name, len(got), mode, len(want), core.Modes[0],
+					mode, refOnlyIn(got, want), core.Modes[0], refOnlyIn(want, got))
+			}
+		}
 	}
+}
+
+// refOnlyIn returns the least key of a that b lacks, or "".
+func refOnlyIn(a, b map[string]bool) string {
+	least := ""
+	for k := range a {
+		if !b[k] && (least == "" || k < least) {
+			least = k
+		}
+	}
+	return least
 }

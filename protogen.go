@@ -13,7 +13,7 @@
 //
 //	spec, _ := protogen.Parse(protogen.BuiltinMSI)
 //	p, _ := protogen.Generate(spec, protogen.NonStalling())
-//	fmt.Println(protogen.RenderTable(p.Cache, protogen.TableOptions{ShowGuards: true}))
+//	fmt.Println(protogen.RenderTable(p.Cache, protogen.TableOptions{}))
 //	cfg := protogen.QuickVerifyConfig()
 //	res, _ := protogen.NewEngine().Verify(ctx, protogen.VerifyJob{Protocol: p, Config: &cfg})
 //	fmt.Println(res)

@@ -19,7 +19,7 @@ func TestAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := protogen.RenderTable(p.Cache, protogen.TableOptions{ShowGuards: true})
+	out := protogen.RenderTable(p.Cache, protogen.TableOptions{})
 	if !strings.Contains(out, "IMADS") {
 		t.Errorf("table missing IMADS")
 	}
