@@ -343,10 +343,7 @@ func (l *lab) expD(w io.Writer) error {
 	p := mustGen("TSO_CC", "nonstalling")
 	s, tr, _ := p.Cache.Counts()
 	fmt.Fprintf(w, "TSO_CC: %d cache states, %d transitions\n", s, tr)
-	cfg := l.verifyCfg()
-	cfg.CheckSWMR = false
-	cfg.CheckValues = false
-	res := l.verifyP(p, cfg)
+	res := l.verifyP(p, l.verifyCfg())
 	fmt.Fprintf(w, "deadlock freedom: %s\n\n", res)
 	if err := claim(res, "TSO-CC deadlocks"); err != nil {
 		return err

@@ -30,7 +30,10 @@
 //	protogen generate -file my.ssp -mode stalling -out murphi
 //
 // verify model-checks SWMR, the data-value invariant, deadlock freedom
-// and quiescence reachability — the role Murphi plays in the paper.
+// and quiescence reachability — the role Murphi plays in the paper. A
+// protocol with acquire fences (TSO_CC) promises neither SWMR nor the
+// data-value invariant, so for it verify checks deadlock freedom and
+// quiescence only; litmus holds it to its memory model.
 // -fingerprint keeps 64-bit state fingerprints instead of full keys
 // (5.2-5.6x less visited-set memory); every exact run prints
 // "fingerprint collisions: N over M states", the states it would
@@ -44,7 +47,7 @@
 // 1, like a FAIL.
 //
 //	protogen verify -protocol MSI -mode nonstalling -caches 2
-//	protogen verify -protocol TSO_CC -no-swmr -no-values   # deadlock only
+//	protogen verify -protocol TSO_CC -caches 2             # no SWMR: deadlock and quiescence
 //	protogen verify -protocol MSI -max-violations 5 -trace # all witnesses
 //	protogen verify -protocol MSI -mode stalling -reduce -audit-commute
 //	protogen verify -protocol MOSI -caches 3 -cache-dir .vcache

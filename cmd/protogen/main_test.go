@@ -29,7 +29,7 @@ func runBG(args []string, out io.Writer) error { return run(context.Background()
 // gained, lost or re-defaulted.
 var surface = map[string]string{
 	"generate":    "L=0 file= list=false machine=cache mode=nonstalling out=summary protocol= stale=false",
-	"verify":      "audit-commute=false cache-dir= caches=3 capacity=4 cpuprofile= file= fingerprint=false max=4000000 max-violations=1 memprofile= mode=nonstalling no-lint=false no-liveness=false no-prune=false no-swmr=false no-symmetry=false no-values=false parallel=0 progress=false protocol= reduce=false timeout=0s trace=false",
+	"verify":      "audit-commute=false cache-dir= caches=3 capacity=4 cpuprofile= file= fingerprint=false max=4000000 max-violations=1 memprofile= mode=nonstalling no-lint=false no-liveness=false no-prune=false no-symmetry=false parallel=0 progress=false protocol= reduce=false timeout=0s trace=false",
 	"lint":        "all=false code= corpus=false dep-stats=false expect-dirty=false file= json=false mode= protocol= spec-only=false v=false",
 	"litmus":      "all=false axiom= caches=0 exhaustive=true file= json=false list=false max-states=0 mode= protocol= runs=0 seed=1 test=",
 	"fuzz":        "cache-dir= caches=2 corpus= family= json= list=false litmus-states=0 max=500000 no-lint=false no-litmus=false no-por=false parallel=0 replay=false seeds=0:100 shrink=true sim-steps=3000 timeout=0s v=false",

@@ -25,8 +25,6 @@ func verify(ctx context.Context, args []string, stdout io.Writer) error {
 		capacity = fs.Int("capacity", 4, "per-channel capacity (0 = default)")
 		maxSts   = fs.Int("max", 4_000_000, "state cap (0 = default)")
 		maxViol  = fs.Int("max-violations", 1, "stop after this many violations")
-		noSWMR   = fs.Bool("no-swmr", false, "skip the SWMR invariant")
-		noVals   = fs.Bool("no-values", false, "skip the data-value invariant")
 		noLive   = fs.Bool("no-liveness", false, "skip quiescence reachability")
 		noSym    = fs.Bool("no-symmetry", false, "disable symmetry reduction")
 		noPrune  = fs.Bool("no-prune", false, "disable sharer pruning on stale Puts (ablation)")
@@ -83,8 +81,6 @@ func verify(ctx context.Context, args []string, stdout io.Writer) error {
 	cfg.Capacity = *capacity
 	cfg.MaxStates = *maxSts
 	cfg.MaxViolations = *maxViol
-	cfg.CheckSWMR = !*noSWMR
-	cfg.CheckValues = !*noVals
 	cfg.CheckLiveness = !*noLive
 	cfg.Symmetry = !*noSym
 	cfg.Fingerprint = *fpMode

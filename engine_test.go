@@ -65,6 +65,19 @@ func TestEngineGoldenNumbersEveryParallelism(t *testing.T) {
 	}
 }
 
+// TestEngineVerifyTSOCCDefault: a TSO_CC job with no Config passes. The
+// protocol's acquire fences, not an option, exempt it from SWMR and the
+// data-value invariant, which its stale Shared copies break by design.
+func TestEngineVerifyTSOCCDefault(t *testing.T) {
+	res, err := protogen.NewEngine().Verify(context.Background(), protogen.VerifyJob{Source: protogen.BuiltinTSOCC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict() != protogen.Pass {
+		t.Fatalf("TSO_CC at the default configuration: %v", res)
+	}
+}
+
 // TestEngineVerifyCacheFlow: cold run computes, warm run serves the
 // Cached copy with identical counts, canceled runs never pollute the
 // cache.

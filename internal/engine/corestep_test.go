@@ -32,13 +32,13 @@ func drain(t *testing.T, s *System) {
 // only, M hits loads and stores and returns the value written.
 func TestTryHit(t *testing.T) {
 	s := system(t, protocols.MSI, core.NonStallingOpts())
-	key := s.Key()
+	key := string(NewEncoder(s.P).Key(s))
 	for _, a := range []ir.AccessType{ir.AccessLoad, ir.AccessStore} {
 		if hit, _ := s.TryHit(0, a); hit {
 			t.Errorf("%v hit in I", a)
 		}
 	}
-	if s.Key() != key {
+	if string(NewEncoder(s.P).Key(s)) != key {
 		t.Fatal("a missed TryHit changed the system")
 	}
 

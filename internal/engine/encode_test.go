@@ -36,10 +36,10 @@ func TestPermutations(t *testing.T) {
 func TestCanonicalKeyIdentity(t *testing.T) {
 	s := randomSystem(t, 3, 17)
 	id := [][]int{{0, 1, 2}}
-	if s.CanonicalKey(id) != s.Key() {
+	if string(NewEncoder(s.P).Canonical(s, id)) != string(NewEncoder(s.P).Key(s)) {
 		t.Errorf("identity canonical key differs from plain key")
 	}
-	if s.CanonicalKey(nil) != s.Key() {
+	if string(NewEncoder(s.P).Canonical(s, nil)) != string(NewEncoder(s.P).Key(s)) {
 		t.Errorf("nil perms must give the plain key")
 	}
 }
@@ -82,7 +82,7 @@ func TestQuickSymmetryInvariance(t *testing.T) {
 				t.Logf("B apply: %v", err)
 				return false
 			}
-			if a.CanonicalKey(perms) != b.CanonicalKey(perms) {
+			if string(NewEncoder(a.P).Canonical(a, perms)) != string(NewEncoder(b.P).Canonical(b, perms)) {
 				return false
 			}
 		}
@@ -225,7 +225,7 @@ func TestWideMessageFields(t *testing.T) {
 		if err := s.Net.Send(Msg{Type: mt, Src: 0, Dst: 1, Req: NoID, Acks: acks, Class: 0}); err != nil {
 			t.Fatal(err)
 		}
-		k := s.CanonicalKey(perms)
+		k := string(NewEncoder(s.P).Canonical(s, perms))
 		if prev, dup := keys[k]; dup {
 			t.Errorf("acks=%d collides with acks=%d", acks, prev)
 		}
@@ -235,7 +235,7 @@ func TestWideMessageFields(t *testing.T) {
 	s := NewSystem(p, Config{Caches: 2, Capacity: 6, Values: 2})
 	_ = s.Net.Send(Msg{Type: mt, Src: 0, Dst: 1, Req: NoID, Acks: 1, Class: 0})
 	_ = s.Net.Send(Msg{Type: mt, Src: 0, Dst: 1, Req: NoID, Acks: 99999, Class: 0})
-	if s.Key() == "" {
+	if string(NewEncoder(s.P).Key(s)) == "" {
 		t.Fatal("empty key")
 	}
 }

@@ -157,20 +157,6 @@ func (s *System) CloneInto(dst *System) *System {
 	return dst
 }
 
-// Key returns the canonical encoding of the system state. It allocates a
-// fresh Encoder per call; hot paths (the model checker) hold a reusable
-// Encoder instead.
-func (s *System) Key() string {
-	return string(NewEncoder(s.P).Key(s))
-}
-
-// CanonicalKey returns the lexicographically smallest encoding of the
-// system state over the given cache-identity permutations; see
-// Encoder.Canonical for the allocation-free form.
-func (s *System) CanonicalKey(perms [][]int) string {
-	return string(NewEncoder(s.P).Canonical(s, perms))
-}
-
 // ctrlAt returns the controller of node id.
 func (s *System) ctrlAt(id int) *Ctrl {
 	if id == s.DirID() {

@@ -67,8 +67,7 @@ func TestCommuteAuditSeeds(t *testing.T) {
 					}
 					res := verify.Check(p, verify.Config{
 						Caches: 2, Capacity: 4, Values: 2, MaxStates: 500_000,
-						CheckSWMR: true, CheckValues: true, CheckLiveness: true,
-						Symmetry: true, MaxViolations: 1, Parallelism: 1,
+						CheckLiveness: true, Symmetry: true, MaxViolations: 1, Parallelism: 1,
 						Reduce: true, CommuteAudit: true,
 					})
 					if res.CommuteMismatches != 0 {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"protogen/internal/core"
 	"protogen/internal/dsl"
 	"protogen/internal/protocols"
 )
@@ -102,6 +103,30 @@ func TestEntries(t *testing.T) {
 	for _, name := range []string{"FZ_MESI_upg", "corpus/FZ_MI_double_grant"} {
 		if !seen[name] {
 			t.Errorf("%s not listed", name)
+		}
+	}
+}
+
+// TestAcquiresTSOCCOnly: of the builtins, the family exemplars and the
+// corpus reproducers, only TSO_CC has acquire fences, so only TSO_CC is
+// exempt from the checker's SWMR and data-value invariants and held to
+// the weak litmus axiom.
+func TestAcquiresTSOCCOnly(t *testing.T) {
+	entries, err := Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range append(append([]protocols.Entry(nil), protocols.All...), entries...) {
+		spec, err := dsl.Parse(e.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		p, err := core.Generate(spec, core.NonStallingOpts())
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if got := p.Acquires(); got != (e.Name == "TSO_CC") {
+			t.Errorf("%s: Acquires() = %v", e.Name, got)
 		}
 	}
 }

@@ -354,6 +354,21 @@ func (p *Protocol) ClassOf(s StateName) StateName {
 	return s
 }
 
+// Acquires reports whether the cache controller implements acquire
+// fences. That is the mark of a self-invalidating design such as TSO-CC,
+// whose Shared copies may go stale between synchronization points: it
+// is held to a weak memory model, not to single-writer/multiple-reader
+// and the data-value invariant. The litmus oracle's default axiom and
+// the model checker's invariants both follow from it.
+func (p *Protocol) Acquires() bool {
+	for _, t := range p.Cache.Trans {
+		if t.Ev == AccessEvent(AccessAcq) {
+			return true
+		}
+	}
+	return false
+}
+
 // Machine returns the controller of the given kind.
 func (p *Protocol) Machine(k MachineKind) *Machine {
 	if k == KindDirectory {

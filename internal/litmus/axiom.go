@@ -43,16 +43,13 @@ func ParseAxiom(s string) (Axiom, error) {
 }
 
 // DefaultAxiom picks the axiom a generated protocol should be held to:
-// protocols that implement acquire fences (self-invalidation designs
-// like TSO-CC, where Shared copies go stale between synchronization
-// points) are checked under Weak; eager-invalidation protocols — every
-// SWMR design the generator's standard families produce — are checked
-// under SC.
+// protocols that implement acquire fences (ir.Protocol.Acquires:
+// self-invalidation designs like TSO-CC) are checked under Weak;
+// eager-invalidation protocols — every SWMR design the generator's
+// standard families produce — are checked under SC.
 func DefaultAxiom(p *ir.Protocol) Axiom {
-	for _, t := range p.Cache.Trans {
-		if t.Ev.Kind == ir.EvAccess && t.Ev.Access == ir.AccessAcq {
-			return Weak
-		}
+	if p.Acquires() {
+		return Weak
 	}
 	return SC
 }

@@ -220,7 +220,7 @@ func (c *coordinator) requeueLocked(rec *job, cause string, charged bool, now ti
 // outcome, found in the result cache at submit: the job is recorded
 // done with it in that one store write, started and finished as it is
 // submitted, and never queued — so a full queue does not refuse it.
-func (c *coordinator) submit(req Request, answer *report) (JobView, error) {
+func (c *coordinator) submit(req Request, answer *Outcome) (JobView, error) {
 	raw, err := json.Marshal(req)
 	if err != nil {
 		return JobView{}, errStore{err}
@@ -524,7 +524,7 @@ func (c *coordinator) progress(a attempt, v ProgressView) {
 // settle records an attempt's outcome if the record is still running
 // that attempt. An outcome from an attempt a shutdown deadline released
 // is dropped, never written.
-func (c *coordinator) settle(a attempt, out report) {
+func (c *coordinator) settle(a attempt, out Outcome) {
 	a.cancel()
 	now := time.Now()
 	c.mu.Lock()
@@ -544,7 +544,7 @@ func (c *coordinator) settle(a attempt, out report) {
 // outcome, whether a runner produced it on attempt n or the cache
 // answered the submit (n = 0). A failure joins the failure chain with its stack,
 // if it was a panic.
-func apply(rec *job, out report, n int, now time.Time) jobstore.State {
+func apply(rec *job, out Outcome, n int, now time.Time) jobstore.State {
 	fin := now
 	rec.Finished = &fin
 	rec.Summary = out.Summary

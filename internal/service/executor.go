@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -35,18 +36,23 @@ func engineExecutor(eng *protogen.Engine, corpusDir string) Executor {
 
 // failed is a failure outcome.
 func failed(err error) Outcome {
-	return Outcome{Status: StatusFailed, Err: err}
+	return Outcome{Status: StatusFailed, Error: err.Error()}
 }
 
-// doneOutcome maps a completed engine run onto done or canceled.
+// doneOutcome maps a completed engine run onto done or canceled, with
+// result encoded as JSON; a result that does not encode is a failure.
 func doneOutcome(summary string, ok bool, canceled bool, result any) Outcome {
+	raw, err := json.Marshal(result)
+	if err != nil {
+		return Outcome{Status: StatusFailed, Summary: summary, Error: fmt.Sprintf("encode result: %v", err)}
+	}
 	ok = ok && !canceled
 	out := Outcome{
 		Status:   StatusDone,
 		Summary:  summary,
 		OK:       &ok,
 		Canceled: canceled,
-		Result:   result,
+		Result:   raw,
 	}
 	if canceled {
 		out.Status = StatusCanceled

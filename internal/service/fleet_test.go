@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -49,7 +50,7 @@ func syntheticExec() Executor {
 			Status:  StatusDone,
 			Summary: fmt.Sprintf("synthetic seed %d", req.Seed),
 			OK:      &ok,
-			Result:  map[string]int64{"seed": req.Seed},
+			Result:  json.RawMessage(fmt.Sprintf(`{"seed":%d}`, req.Seed)),
 		}
 	}
 }
@@ -238,7 +239,7 @@ func TestShutdownDeadlineReleasesRunning(t *testing.T) {
 			<-block // wedged: ignores ctx, outlives any deadline
 		}
 		ok := true
-		return Outcome{Status: StatusDone, Summary: "after restart", OK: &ok, Result: map[string]bool{"rerun": true}}
+		return Outcome{Status: StatusDone, Summary: "after restart", OK: &ok, Result: json.RawMessage(`{"rerun":true}`)}
 	}
 	srv, err := New(cfg)
 	if err != nil {

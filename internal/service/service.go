@@ -429,11 +429,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // answer looks a verify request up in the engine's result cache and, on
-// a hit, returns the report a runner serving that hit would record. Nil
+// a hit, returns the outcome a runner serving that hit would record. Nil
 // queues the job: a miss, another kind, an error or a panic here, each
 // of which the runner meets again and handles as it always has. A
 // panic is also warned about here, since it is a bug.
-func (s *Server) answer(req Request) (m *report) {
+func (s *Server) answer(req Request) (m *Outcome) {
 	if req.Kind != "verify" {
 		return nil
 	}
@@ -451,8 +451,8 @@ func (s *Server) answer(req Request) (m *report) {
 	if err != nil || !ok {
 		return nil
 	}
-	rep := outcomeReport(verifyOutcome(res))
-	return &rep
+	out := verifyOutcome(res)
+	return &out
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"protogen/internal/core"
 	"protogen/internal/jobstore"
 )
 
@@ -162,6 +163,22 @@ func TestVerifyJobLifecycle(t *testing.T) {
 	getJSON(t, ts.URL+"/healthz", &health)
 	if health.Status != "ok" || health.Cache.Entries == 0 || health.Cache.Hits == 0 {
 		t.Fatalf("health: %+v", health)
+	}
+}
+
+// TestTSOCCVerifyJob: a verify job on TSO_CC passes in every generation
+// mode with nothing in the request about invariants — its acquire fences
+// exempt it from SWMR and the data-value invariant, so the checker holds
+// it to deadlock freedom and quiescence.
+func TestTSOCCVerifyJob(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for _, mode := range core.Modes {
+		var sub JobView
+		postJSON(t, ts.URL+"/jobs", `{"kind":"verify","protocol":"TSO_CC","caches":2,"mode":"`+mode+`"}`, http.StatusAccepted, &sub)
+		v := pollUntil(t, ts.URL+"/jobs/"+sub.ID, 60*time.Second, isTerminal)
+		if v.Status != StatusDone || v.OK == nil || !*v.OK {
+			t.Errorf("TSO_CC %s: %s %q %q", mode, v.Status, v.Summary, v.Error)
+		}
 	}
 }
 

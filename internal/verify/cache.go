@@ -28,8 +28,10 @@ const cacheFile = "verify-cache.jsonl"
 // Result grew the reduction counters. v4: the Config part of the key is
 // derived from the struct rather than a hand-kept field list, and an
 // exact-mode Result's FalseMerges became a measurement (v3 entries all
-// stored 0).
-const cacheKeyVersion = "v4"
+// stored 0). v5: Config lost its SWMR and data-value switches, which
+// the protocol now decides (ir.Protocol.Acquires) — a v4 TSO_CC entry
+// at default flags holds a FAIL the derived contract does not reproduce.
+const cacheKeyVersion = "v5"
 
 // CacheKey derives the result-cache key for one verification:
 // SHA-256 over the canonical spec text (dsl.Format output, so

@@ -42,27 +42,34 @@ var stuckMutants = []stuckMutant{
 // build generates the mutant's protocol.
 func (m stuckMutant) build(t *testing.T) *ir.Protocol {
 	t.Helper()
-	e, ok := protocols.Lookup(m.protocol)
-	if !ok {
-		t.Fatalf("unknown builtin %s", m.protocol)
-	}
-	p := gen(t, e.Source, optsForMode(t, m.mode))
-	ts := append([]ir.Transition(nil), p.Cache.Trans...)
-	hit := 0
-	for i := range ts {
-		tr := &ts[i]
-		if tr.From != m.from || tr.Ev != ir.MsgEvent(m.msg) || tr.GuardLabel != m.guard {
-			continue
-		}
-		hit++
+	return mutate(t, m.protocol, m.mode, m.from, m.msg, m.guard, func(tr *ir.Transition) {
 		if m.self {
 			tr.Next = tr.From
 		} else {
 			tr.Stall, tr.Actions, tr.Next = true, nil, tr.From
 		}
+	})
+}
+
+// mutate generates the registry protocol in mode and applies edit to the
+// one cache transition out of from on msg whose GuardLabel is guard.
+func mutate(t *testing.T, protocol, mode string, from ir.StateName, msg ir.MsgType, guard string, edit func(*ir.Transition)) *ir.Protocol {
+	t.Helper()
+	e, ok := protocols.Lookup(protocol)
+	if !ok {
+		t.Fatalf("unknown builtin %s", protocol)
+	}
+	p := gen(t, e.Source, optsForMode(t, mode))
+	ts := append([]ir.Transition(nil), p.Cache.Trans...)
+	hit := 0
+	for i := range ts {
+		if tr := &ts[i]; tr.From == from && tr.Ev == ir.MsgEvent(msg) && tr.GuardLabel == guard {
+			hit++
+			edit(tr)
+		}
 	}
 	if hit != 1 {
-		t.Fatalf("%s: %d transitions match, want 1", m.name, hit)
+		t.Fatalf("%s %s: %d transitions out of %s on %s match, want 1", protocol, mode, hit, from, msg)
 	}
 	p.Cache.SetTransitions(ts)
 	return p
@@ -80,7 +87,7 @@ func TestStuckMutants(t *testing.T) {
 			if reduce {
 				want = m.reduced
 			}
-			cfg := reduceCfg(m.protocol)
+			cfg := QuickConfig()
 			cfg.Reduce = reduce
 			var first *Violation
 			for _, par := range []int{1, 4} {
@@ -113,9 +120,9 @@ func TestStuckMutants(t *testing.T) {
 func TestStuckMutantsMatchReference(t *testing.T) {
 	for _, m := range stuckMutants {
 		p := m.build(t)
-		cfg := reduceCfg(m.protocol)
+		cfg := QuickConfig()
 		cfg.Symmetry = false
-		ref := refExplore(p, cfg)
+		ref := refExplore(p, cfg, false)
 		if len(ref.kinds) != 1 || !ref.kinds["stuck"] {
 			t.Fatalf("%s: the reference found %v, want stuck alone", m.name, ref.kinds)
 		}
@@ -136,7 +143,7 @@ func TestDrainProvesPassingRuns(t *testing.T) {
 			p := gen(t, e.Source, optsForMode(t, mode))
 			for _, reduce := range []bool{false, true} {
 				name := fmt.Sprintf("%s %s reduce=%t", e.Name, mode, reduce)
-				cfg := reduceCfg(e.Name)
+				cfg := QuickConfig()
 				cfg.Reduce = reduce
 				c := explore(context.Background(), p, cfg)
 				if c.res.Verdict() != Pass {

@@ -386,7 +386,7 @@ func (w *worker) collapse(sys *engine.System, parent int32, depth int, seedQ boo
 			continue
 		}
 		for _, pf := range performs {
-			if pf.Access == ir.AccessLoad && !pf.Exempt && w.c.cfg.CheckValues && pf.Value != child.LastWrite {
+			if pf.Access == ir.AccessLoad && !pf.Exempt && w.c.coherent && pf.Value != child.LastWrite {
 				w.pendViol = append(w.pendViol,
 					fmt.Sprintf("cache %d load returned %d, last write is %d", pf.Node, pf.Value, child.LastWrite)) // vethotpath:ignore — cold: violation path
 			}

@@ -22,18 +22,6 @@ func optsForMode(t *testing.T, mode string) core.Options {
 	return o
 }
 
-// reduceCfg is the sweep's base configuration. TSO-CC relaxes SWMR and
-// the data-value invariant by design (stale Shared copies), mirroring
-// the registry verification tests.
-func reduceCfg(name string) Config {
-	cfg := QuickConfig()
-	if name == "TSO_CC" {
-		cfg.CheckSWMR = false
-		cfg.CheckValues = false
-	}
-	return cfg
-}
-
 func violationKinds(r *Result) string {
 	kinds := make([]string, 0, len(r.Violations))
 	for _, v := range r.Violations {
@@ -54,11 +42,11 @@ func TestReducedMatchesFullVerdicts(t *testing.T) {
 	for _, e := range protocols.All {
 		for _, mode := range reduceModes {
 			p := gen(t, e.Source, optsForMode(t, mode))
-			full := Check(p, reduceCfg(e.Name))
+			full := Check(p, QuickConfig())
 			var pin *Result
 			for _, par := range []int{1, 2, 4} {
 				for _, fp := range []bool{false, true} {
-					cfg := reduceCfg(e.Name)
+					cfg := QuickConfig()
 					cfg.Reduce = true
 					cfg.Parallelism = par
 					cfg.Fingerprint = fp
@@ -140,7 +128,7 @@ func TestReducedGoldenCounts(t *testing.T) {
 			}
 			seen[key] = true
 			p := gen(t, e.Source, optsForMode(t, mode))
-			cfg := reduceCfg(e.Name)
+			cfg := QuickConfig()
 			cfg.Reduce = true
 			red := Check(p, cfg)
 			if red.States != want[0] || red.Edges != want[1] {
@@ -167,7 +155,7 @@ func TestReduction4CacheAcceptance(t *testing.T) {
 		t.Skip("4-cache sweep is a few seconds; skipped under -short")
 	}
 	p := gen(t, protocols.TSOCC, optsForMode(t, "stalling"))
-	cfg := reduceCfg("TSO_CC")
+	cfg := QuickConfig()
 	cfg.Caches = 4
 	cfg.Capacity = 3
 	cfg.Values = 1
@@ -198,7 +186,7 @@ func TestCommuteAuditRegistryClean(t *testing.T) {
 	for _, e := range protocols.All {
 		for _, mode := range reduceModes {
 			p := gen(t, e.Source, optsForMode(t, mode))
-			cfg := reduceCfg(e.Name)
+			cfg := QuickConfig()
 			cfg.Reduce = true
 			cfg.CommuteAudit = true
 			cfg.Parallelism = 4
@@ -229,7 +217,7 @@ func TestCommuteAuditCatchesCorruptFusion(t *testing.T) {
 	testCorruptFusion = true
 	defer func() { testCorruptFusion = false }()
 	p := gen(t, protocols.MSI, optsForMode(t, "stalling"))
-	cfg := reduceCfg("MSI")
+	cfg := QuickConfig()
 	cfg.Reduce = true
 	cfg.CommuteAudit = true
 	cfg.MaxViolations = 8

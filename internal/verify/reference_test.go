@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -21,7 +22,9 @@ import (
 // Systems, a map keyed by snapshot bytes (no Encoder, no symmetry, no
 // fingerprint, no reduction, no store.Table), invariants and quiescence
 // read off the ir state machine, and AG EF quiescent by sweeping the
-// predecessor lists until nothing changes.
+// predecessor lists until nothing changes. Which invariants hold is the
+// checker's rule, ir.Protocol.Acquires: SWMR and data-value for a
+// protocol without acquire fences, neither for one with them.
 type refResult struct {
 	states, edges, depth, quiescent int
 	stuck                           int              // states quiescence is unreachable from
@@ -30,13 +33,17 @@ type refResult struct {
 	rest                            map[string]bool  // the quiescent states, keyed by refProject
 }
 
-func refExplore(p *ir.Protocol, cfg Config) refResult {
+// refExplore explores p at cfg's scale. force holds p to SWMR and the
+// data-value invariant even when it has acquire fences, which the
+// checker never does: it shows what a weak protocol breaks by design.
+func refExplore(p *ir.Protocol, cfg Config, force bool) refResult {
+	coherent := force || !p.Acquires()
 	init := engine.NewSystem(p, engine.Config{Caches: cfg.Caches, Capacity: cfg.Capacity, Values: cfg.Values})
 	res := refResult{kinds: map[string]bool{}, rest: map[string]bool{}}
 	index := map[string]int32{string(init.AppendSnapshot(nil)): 0}
 	queue, depth, preds := []*engine.System{init}, []int{0}, [][]int32{nil}
 	inspect := func(s *engine.System) bool {
-		q := refInspect(p, cfg, s, res.kinds)
+		q := refInspect(p, coherent, s, res.kinds)
 		if q {
 			res.rest[refProject(s)] = true
 		}
@@ -59,7 +66,7 @@ func refExplore(p *ir.Protocol, cfg Config) refResult {
 			}
 			res.edges++
 			for _, pf := range performs {
-				if cfg.CheckValues && pf.Access == ir.AccessLoad && !pf.Exempt && pf.Value != n.LastWrite {
+				if coherent && pf.Access == ir.AccessLoad && !pf.Exempt && pf.Value != n.LastWrite {
 					res.kinds["data-value"] = true
 				}
 			}
@@ -119,10 +126,11 @@ func sortBags(n *engine.System) {
 	}
 }
 
-// refInspect records the state invariants s breaks and reports whether s
+// refInspect records the state invariants s breaks — SWMR and data-value
+// are checked only when coherent — and reports whether s
 // is quiescent: nothing in flight or deferred, every controller in a
 // state the protocol declares stable.
-func refInspect(p *ir.Protocol, cfg Config, s *engine.System, kinds map[string]bool) (quiescent bool) {
+func refInspect(p *ir.Protocol, coherent bool, s *engine.System, kinds map[string]bool) (quiescent bool) {
 	hits := func(c *engine.Ctrl, a ir.AccessType) bool { // a is a hit that stays put in c's state
 		for _, t := range p.Cache.Trans { // a scan of its own, not the ir index
 			if t.From != c.State || t.Ev != ir.AccessEvent(a) {
@@ -148,11 +156,11 @@ func refInspect(p *ir.Protocol, cfg Config, s *engine.System, kinds map[string]b
 		case stable && load:
 			readers++
 		}
-		if cfg.CheckValues && (load || stable && store) && c.Data() != s.LastWrite {
+		if coherent && (load || stable && store) && c.Data() != s.LastWrite {
 			kinds["data-value"] = true
 		}
 	}
-	if cfg.CheckSWMR && (writers > 1 || writers == 1 && readers > 0) {
+	if coherent && (writers > 1 || writers == 1 && readers > 0) {
 		kinds["SWMR"] = true
 	}
 	return quiescent
@@ -285,86 +293,87 @@ func refOrbits(t *testing.T, p *ir.Protocol, cfg Config, index map[string]int32)
 // keys — is one the reference reached. (d) is also the property test of
 // the edge columns: every recorded edge, on every protocol and mode,
 // replays to the very state it was recorded for, which is a reachable one.
-// Last (ROADMAP item 11, part o): the three modes implement one atomic
-// SSP, so under reduceCfg their quiescent states, projected by
-// refProject, are one set per protocol: pinned by size, and each size is
-// the reference's Quiescent count, so the projection merges no two
-// quiescent states of one design.
+// TSO_CC passes on both sides, since its acquire fences exempt it from
+// SWMR and data-value; the reference forced to check them finds both
+// broken in every mode, which is that exemption's reason. Last (ROADMAP
+// item 11, part o): the three modes implement one atomic SSP, so at
+// QuickConfig their quiescent states, projected by refProject, are one
+// set per protocol: pinned by size, and each size is the reference's
+// Quiescent count, so the projection merges no two quiescent states of
+// one design.
 func TestReferenceExplorer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explores every registry protocol unreduced, seven times")
 	}
 	restSizes := map[string]int{"MSI": 415, "MESI": 437, "MOSI": 695, "MSI_Upgrade": 415, "MSI_Unordered": 415, "TSO_CC": 131}
 	for _, e := range protocols.All {
-		rests := map[string]map[string]bool{} // mode → its quiescent states under reduceCfg
+		rests := map[string]map[string]bool{} // mode → its quiescent states
 		for _, mode := range core.Modes {
 			p := gen(t, e.Source, optsForMode(t, mode))
-			cfgs := []Config{reduceCfg(e.Name)}
-			if e.Name == "TSO_CC" { // and once with the invariants it breaks by design
-				cfgs = append(cfgs, QuickConfig())
+			cfg := QuickConfig()
+			name := e.Name + " " + mode
+			if p.Acquires() {
+				if got := joinKinds(refExplore(p, cfg, true).kinds); got != "SWMR,data-value" {
+					t.Errorf("%s: the reference held to SWMR and data-value finds %q, want both broken", name, got)
+				}
 			}
-			for k, cfg := range cfgs {
-				name := fmt.Sprintf("%s %s swmr=%v", e.Name, mode, cfg.CheckSWMR)
-				ref := refExplore(p, cfg)
-				if k == 0 {
-					rests[mode] = ref.rest
-					if len(ref.rest) != ref.quiescent {
-						t.Errorf("%s: %d quiescent states project to %d keys", name, ref.quiescent, len(ref.rest))
-					}
+			ref := refExplore(p, cfg, false)
+			rests[mode] = ref.rest
+			if len(ref.rest) != ref.quiescent {
+				t.Errorf("%s: %d quiescent states project to %d keys", name, ref.quiescent, len(ref.rest))
+			}
+			got := Check(p, cfg)
+			if got.OK() != (len(ref.kinds) == 0) {
+				t.Errorf("%s: checker %s, reference found %v", name, got, ref.kinds)
+			}
+			for _, v := range got.Violations {
+				if !ref.kinds[v.Kind] {
+					t.Errorf("%s: checker reports %s, the reference only %v", name, v.Kind, ref.kinds)
 				}
-				got := Check(p, cfg)
-				if got.OK() != (len(ref.kinds) == 0) {
-					t.Errorf("%s: checker %s, reference found %v", name, got, ref.kinds)
-				}
-				for _, v := range got.Violations {
-					if !ref.kinds[v.Kind] {
-						t.Errorf("%s: checker reports %s, the reference only %v", name, v.Kind, ref.kinds)
-					}
-				}
-				if len(ref.kinds) > 0 {
-					continue // the checker stops at its first violation: no counts to compare
-				}
-				cfg.Symmetry = false
-				for _, par := range []int{1, 4} {
-					for _, fp := range []bool{false, true} {
-						cfg.Parallelism, cfg.Fingerprint = par, fp
-						r := Check(p, cfg)
-						if r.States != ref.states || r.Edges != ref.edges || r.Depth != ref.depth || r.Quiescent != ref.quiescent {
-							t.Errorf("%s P=%d fingerprint=%v: states/edges/depth/quiescent = %d/%d/%d/%d, reference %d/%d/%d/%d",
-								name, par, fp, r.States, r.Edges, r.Depth, r.Quiescent, ref.states, ref.edges, ref.depth, ref.quiescent)
-						}
-					}
-				}
-				orbits := refOrbits(t, p, cfg, ref.index)
-				cfg.Symmetry, cfg.Parallelism = true, 1
+			}
+			if len(ref.kinds) > 0 {
+				continue // the checker stops at its first violation: no counts to compare
+			}
+			cfg.Symmetry = false
+			for _, par := range []int{1, 4} {
 				for _, fp := range []bool{false, true} {
-					cfg.Fingerprint = fp
-					if r := Check(p, cfg); r.States != orbits {
-						t.Errorf("%s fingerprint=%v: %d states with symmetry on, the reference's %d states fall into %d orbits",
-							name, fp, r.States, ref.states, orbits)
+					cfg.Parallelism, cfg.Fingerprint = par, fp
+					r := Check(p, cfg)
+					if r.States != ref.states || r.Edges != ref.edges || r.Depth != ref.depth || r.Quiescent != ref.quiescent {
+						t.Errorf("%s P=%d fingerprint=%v: states/edges/depth/quiescent = %d/%d/%d/%d, reference %d/%d/%d/%d",
+							name, par, fp, r.States, r.Edges, r.Depth, r.Quiescent, ref.states, ref.edges, ref.depth, ref.quiescent)
 					}
 				}
-				cfg.Symmetry, cfg.Fingerprint, cfg.Reduce = false, false, true
-				c := explore(context.Background(), p, cfg)
-				if !c.res.OK() {
-					t.Errorf("%s: reduced checker %s, the reference is clean", name, c.res)
+			}
+			orbits := refOrbits(t, p, cfg, ref.index)
+			cfg.Symmetry, cfg.Parallelism = true, 1
+			for _, fp := range []bool{false, true} {
+				cfg.Fingerprint = fp
+				if r := Check(p, cfg); r.States != orbits {
+					t.Errorf("%s fingerprint=%v: %d states with symmetry on, the reference's %d states fall into %d orbits",
+						name, fp, r.States, ref.states, orbits)
 				}
-				enc := engine.NewEncoder(p)
-				for i := range c.parent {
-					_, s := c.trace(i)
-					// Any enabled rule leads somewhere reachable, so membership
-					// alone would pass a wrong ordinal: the replay must also end
-					// in the state the checker stored under index i.
-					key := enc.Canonical(s, nil)
-					if j, ok := c.visited.Lookup(engine.Fingerprint(key), key); !ok || int(j) != i {
-						t.Fatalf("%s: the reduced run's state %d replays to its state %d (stored: %v)", name, i, j, ok)
-					}
-					if !p.Ordered {
-						sortBags(s)
-					}
-					if _, ok := ref.index[string(s.AppendSnapshot(nil))]; !ok {
-						t.Fatalf("%s: the reduced run's state %d replays to a state the reference never reached", name, i)
-					}
+			}
+			cfg.Symmetry, cfg.Fingerprint, cfg.Reduce = false, false, true
+			c := explore(context.Background(), p, cfg)
+			if !c.res.OK() {
+				t.Errorf("%s: reduced checker %s, the reference is clean", name, c.res)
+			}
+			enc := engine.NewEncoder(p)
+			for i := range c.parent {
+				_, s := c.trace(i)
+				// Any enabled rule leads somewhere reachable, so membership
+				// alone would pass a wrong ordinal: the replay must also end
+				// in the state the checker stored under index i.
+				key := enc.Canonical(s, nil)
+				if j, ok := c.visited.Lookup(engine.Fingerprint(key), key); !ok || int(j) != i {
+					t.Fatalf("%s: the reduced run's state %d replays to its state %d (stored: %v)", name, i, j, ok)
+				}
+				if !p.Ordered {
+					sortBags(s)
+				}
+				if _, ok := ref.index[string(s.AppendSnapshot(nil))]; !ok {
+					t.Fatalf("%s: the reduced run's state %d replays to a state the reference never reached", name, i)
 				}
 			}
 		}
@@ -380,6 +389,67 @@ func TestReferenceExplorer(t *testing.T) {
 			}
 		}
 	}
+}
+
+// retargetMutants are non-stalling MSI with one cache transition sent to
+// the wrong stable state, built on the generated ir like the stuck
+// mutants. kinds is the set of violation kinds both explorers find,
+// states the checker's count at QuickConfig with no violation cap, and
+// rest the number of the reference's quiescent keys (refProject), which
+// the registry MSI's modes pin at 415.
+var retargetMutants = []struct {
+	name         string
+	from         ir.StateName
+	msg          ir.MsgType
+	next         ir.StateName
+	kinds        string
+	states, rest int
+}{
+	// The old owner keeps a readable copy while the new one writes.
+	{"MSI_M_Fwd_GetM_S", "M", "Fwd_GetM", "S", "SWMR,data-value", 14603, 687},
+	// Coherent, so the checker passes it, but not the SSP: the SSP's
+	// owner keeps S after a Fwd_GetS. Only the quiescent sets tell.
+	{"MSI_M_Fwd_GetS_I", "M", "Fwd_GetS", "I", "", 16416, 503},
+}
+
+// TestRetargetMutants holds the checker's SWMR and data-value verdicts to
+// the reference's on a protocol that breaks them, and shows that the
+// three-mode quiescent-set check of TestReferenceExplorer catches a
+// protocol the checker passes: the mutant's quiescent keys are not the
+// registry MSI's.
+func TestRetargetMutants(t *testing.T) {
+	cfg := QuickConfig()
+	want := refExplore(gen(t, protocols.MSI, optsForMode(t, core.Modes[0])), cfg, false).rest
+	for _, m := range retargetMutants {
+		p := mutate(t, "MSI", "nonstalling", m.from, m.msg, "", func(tr *ir.Transition) { tr.Next = m.next })
+		ref := refExplore(p, cfg, false)
+		all := cfg
+		all.MaxViolations = math.MaxInt
+		r := Check(p, all)
+		got := map[string]bool{}
+		for _, v := range r.Violations {
+			got[v.Kind] = true
+		}
+		if joinKinds(got) != m.kinds || joinKinds(ref.kinds) != m.kinds {
+			t.Errorf("%s: checker finds %q, reference %q, want %q", m.name, joinKinds(got), joinKinds(ref.kinds), m.kinds)
+		}
+		if r.States != m.states || len(ref.rest) != m.rest {
+			t.Errorf("%s: %d states and %d quiescent keys, pinned %d and %d", m.name, r.States, len(ref.rest), m.states, m.rest)
+		}
+		if maps.Equal(ref.rest, want) {
+			t.Errorf("%s: its quiescent states are the registry MSI's", m.name)
+		}
+	}
+}
+
+// joinKinds lists a set of violation kinds sorted and comma-joined.
+func joinKinds(set map[string]bool) string {
+	kinds := make([]string, 0, len(set))
+	for k := range set {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	return strings.Join(kinds, ",")
 }
 
 // refOnlyIn returns the least key of a that b lacks, or "".

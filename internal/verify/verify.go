@@ -20,6 +20,10 @@
 //     protocol that one walk proves every state; only the states it
 //     leaves open are re-expanded, to settle the verdict exactly.
 //
+// The protocol decides whether the first two apply: one with acquire
+// fences (ir.Protocol.Acquires, TSO-CC) keeps stale Shared copies by
+// design and is checked for deadlock and quiescence only.
+//
 // Exploration is a level-synchronized parallel BFS: each depth level's
 // frontier is expanded by a worker pool (successor generation, invariant
 // evaluation, binary canonical keys, visited-set probes all run
@@ -70,8 +74,6 @@ type Config struct {
 	Capacity      int
 	Values        int
 	MaxStates     int  // exploration cap; Complete=false when hit
-	CheckSWMR     bool // single-writer/multiple-reader over stable states
-	CheckValues   bool // data-value invariant (disable for TSO-CC)
 	CheckLiveness bool // quiescence reachability (keeps a drain pointer per state)
 	Symmetry      bool // canonicalize cache identities (Murphi scalarset)
 	MaxViolations int
@@ -162,8 +164,8 @@ func CheckCaches(n int) error {
 func DefaultConfig() Config {
 	return Config{
 		Caches: 3, Capacity: 4, Values: 2,
-		MaxStates: 4_000_000, CheckSWMR: true, CheckValues: true,
-		CheckLiveness: true, Symmetry: true, MaxViolations: 1,
+		MaxStates: 4_000_000, CheckLiveness: true, Symmetry: true,
+		MaxViolations: 1,
 	}
 }
 
@@ -372,6 +374,9 @@ type checker struct {
 	p       *ir.Protocol
 	res     *Result
 	visited *store.Table
+	// coherent holds the protocol to SWMR and the data-value invariant:
+	// true unless it has acquire fences (see the package comment).
+	coherent bool
 	// writerAt/readerAt classify the cache machine's stable states by
 	// permission, indexed by state index (Ctrl.StIdx) so checkState
 	// avoids per-cache map probes.
@@ -707,7 +712,7 @@ func (w *worker) computeSuccs(parent int32, ri int) {
 	}
 	w.pendViol = nil
 	for _, pf := range performs {
-		if pf.Access == ir.AccessLoad && !pf.Exempt && w.c.cfg.CheckValues && pf.Value != succ.LastWrite {
+		if pf.Access == ir.AccessLoad && !pf.Exempt && w.c.coherent && pf.Value != succ.LastWrite {
 			w.pendViol = append(w.pendViol,
 				fmt.Sprintf("cache %d load returned %d, last write is %d", pf.Node, pf.Value, succ.LastWrite)) // vethotpath:ignore — cold: violation path
 		}
@@ -814,9 +819,12 @@ func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierIte
 	return next
 }
 
-// classifyPermissions derives reader/writer stable states from the FSM,
-// into tables indexed by the cache machine's state index.
+// classifyPermissions decides whether the protocol is held to SWMR and
+// the data-value invariant (checker.coherent) and derives reader/writer
+// stable states from the FSM, into tables indexed by the cache machine's
+// state index.
 func (c *checker) classifyPermissions() {
+	c.coherent = !c.p.Acquires()
 	order := c.p.Cache.Order
 	c.writerAt = make([]bool, len(order))
 	c.readerAt = make([]bool, len(order))
@@ -842,41 +850,41 @@ func (c *checker) classifyPermissions() {
 }
 
 // checkState evaluates the per-state invariants on s and returns what it
-// found — nil on a sound state. It runs on the worker that produced s;
+// found — nil on a sound state, and always nil when the protocol is not
+// held to them (checker.coherent). It runs on the worker that produced s;
 // merge turns the findings into violations if s proves fresh, in this
 // order.
 func (w *worker) checkState(s *engine.System) []finding {
 	c := w.c
+	if !c.coherent {
+		return nil
+	}
 	var out []finding
-	if c.cfg.CheckSWMR {
-		writers, readers := 0, 0
-		for _, cc := range s.Caches {
-			if cc.StIdx < 0 {
-				continue
-			}
-			if c.writerAt[cc.StIdx] {
-				writers++
-			} else if c.readerAt[cc.StIdx] {
-				readers++
-			}
+	writers, readers := 0, 0
+	for _, cc := range s.Caches {
+		if cc.StIdx < 0 {
+			continue
 		}
-		if writers > 1 || (writers == 1 && readers > 0) {
-			out = append(out, finding{"SWMR", fmt.Sprintf("%d writers, %d readers", writers, readers)}) // vethotpath:ignore — cold: violation path
+		if c.writerAt[cc.StIdx] {
+			writers++
+		} else if c.readerAt[cc.StIdx] {
+			readers++
 		}
 	}
-	if c.cfg.CheckValues {
-		for i, cc := range s.Caches {
-			if cc.StIdx >= 0 && (c.writerAt[cc.StIdx] || c.readerAt[cc.StIdx]) && cc.Data() != s.LastWrite {
-				out = append(out, finding{"data-value",
-					fmt.Sprintf("cache %d in %s holds %d, last write is %d", i, cc.State, cc.Data(), s.LastWrite)}) // vethotpath:ignore — cold: violation path
-			}
+	if writers > 1 || (writers == 1 && readers > 0) {
+		out = append(out, finding{"SWMR", fmt.Sprintf("%d writers, %d readers", writers, readers)}) // vethotpath:ignore — cold: violation path
+	}
+	for i, cc := range s.Caches {
+		if cc.StIdx >= 0 && (c.writerAt[cc.StIdx] || c.readerAt[cc.StIdx]) && cc.Data() != s.LastWrite {
+			out = append(out, finding{"data-value",
+				fmt.Sprintf("cache %d in %s holds %d, last write is %d", i, cc.State, cc.Data(), s.LastWrite)}) // vethotpath:ignore — cold: violation path
 		}
-		w.hits = s.AppendHitLoads(w.hits[:0])
-		for _, h := range w.hits {
-			if h.Value != s.LastWrite {
-				out = append(out, finding{"data-value",
-					fmt.Sprintf("cache %d transient load hit in %s reads %d, last write is %d", h.Cache, h.State, h.Value, s.LastWrite)}) // vethotpath:ignore — cold: violation path
-			}
+	}
+	w.hits = s.AppendHitLoads(w.hits[:0])
+	for _, h := range w.hits {
+		if h.Value != s.LastWrite {
+			out = append(out, finding{"data-value",
+				fmt.Sprintf("cache %d transient load hit in %s reads %d, last write is %d", h.Cache, h.State, h.Value, s.LastWrite)}) // vethotpath:ignore — cold: violation path
 		}
 	}
 	return out

@@ -110,7 +110,7 @@ func witnessCases(t *testing.T) []witnessCase {
 	for _, m := range stuckMutants {
 		p := m.build(t)
 		for _, reduce := range []bool{false, true} {
-			cfg := reduceCfg(m.protocol)
+			cfg := QuickConfig()
 			cfg.Reduce = reduce
 			out = append(out, witnessCase{
 				name: fmt.Sprintf("%s/%s/caches=2/reduce=%t", m.name, m.mode, reduce),
