@@ -210,6 +210,25 @@ func TestTSOCCDeadlockFree(t *testing.T) {
 	}
 }
 
+// TestTSOCCBreaksSWMRVisibly: the checker exempts TSO-CC from SWMR and
+// data-value because of its acquire fences, not because the protocol is
+// secretly coherent. Held to both, over the same reachable space, TSO-CC
+// must break both — evidence the checker distinguishes consistency
+// classes rather than passing everything.
+func TestTSOCCBreaksSWMRVisibly(t *testing.T) {
+	p := gen(t, protocols.TSOCC, core.NonStallingOpts())
+	cfg := QuickConfig()
+	cfg.CheckLiveness = false
+	r := Check(p, cfg)
+	t.Log(r)
+	if !r.OK() {
+		t.Fatalf("TSO-CC must pass the checker, which holds it to no SWMR: %v", r.Violations[0])
+	}
+	if got := joinKinds(refExplore(p, cfg, true).kinds); got != "SWMR,data-value" {
+		t.Fatalf("TSO-CC held to SWMR and data-value finds %q, want both broken by design", got)
+	}
+}
+
 // TestValueDomainThree: a larger rotating value domain must not change
 // the verdict (value aliasing robustness).
 func TestValueDomainThree(t *testing.T) {
