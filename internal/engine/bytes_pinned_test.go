@@ -6,16 +6,25 @@ package engine_test
 // same way, or one that makes the encoding non-injective. This test can:
 // it hashes what the encoder, the snapshot and the rule enumeration emit
 // along the seeded walks the differential tests take and compares the
-// digests with literals recorded on commit fac9266 (the last tree with the
-// per-queue network grid, map-keyed layouts and FNV-1a keys).
+// digests with recorded literals.
+//
+// The anchor is commit fac9266 (the last tree with the per-queue network
+// grid, map-keyed layouts and FNV-1a keys). Its keys wrote one length
+// prefix per ordered queue, empties included; keys now write only the
+// queues that hold messages. AppendDenseKey (export_test.go) still writes
+// the old section, so its digests are held to the fac9266 literals, and
+// the live keys are held to it by partition: over the same walk states,
+// two states share a live key exactly when they share a reference key.
 //
 // The walks pick rules[rng.Intn(len(rules))], so a change in rule order
-// also moves every later state and shows in all four digests.
+// also moves every later state and shows in all the digests.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"math/rand"
 	"testing"
@@ -24,12 +33,27 @@ import (
 	"protogen/internal/ir"
 )
 
-// Recorded by running this test on fac9266.
+// The live digests, recorded when keys went sparse. The snapshot and rules
+// digests are fac9266's and did not move.
 const (
-	pinnedKeyDigest       = "93fcfbdee0e2b2105a866a916939feacb50f0545ac77bb8d72d237606194db8d"
-	pinnedCanonicalDigest = "67dfb59b748c79133be284ca92662b648234b93471eb627c27e68b217476ab92"
+	pinnedKeyDigest       = "78ffed3aaac73bb9f0c4474c47cdadacdfb97279d30ca01887bc185f0160138e"
+	pinnedCanonicalDigest = "3ebef190c95453c084879abf73ab1a7153b48aae523723fa6a13c7b3ad967b0c"
 	pinnedSnapshotDigest  = "1419b0571486566bda1b294f6790bd569578475017ba25254bbf7ed3c1bd2e4c"
 	pinnedRulesDigest     = "5c1a5c166189caf847d5caeb44337a3d82f9ae75008d38c2e7b9c79f4ae4e419"
+)
+
+// Recorded by running this test on fac9266: AppendDenseKey's digests
+// reproduce them.
+const (
+	pinnedDenseKeyDigest       = "93fcfbdee0e2b2105a866a916939feacb50f0545ac77bb8d72d237606194db8d"
+	pinnedDenseCanonicalDigest = "67dfb59b748c79133be284ca92662b648234b93471eb627c27e68b217476ab92"
+)
+
+// Total Canonical key bytes over the walks, live and reference: what a
+// visited set of these states would hold in its key column.
+const (
+	pinnedCanonicalBytes      = 1_032_777
+	pinnedDenseCanonicalBytes = 1_750_527
 )
 
 // writeRecord hashes one length-prefixed record, so the digest of a
@@ -41,21 +65,59 @@ func writeRecord(h hash.Hash, b []byte) {
 	h.Write(b)
 }
 
+// samePartition checks that live and reference keys of one configuration
+// name the same states: live→reference and reference→live are both
+// functions.
+type samePartition struct{ fwd, back map[string]string }
+
+func (sp *samePartition) add(t *testing.T, what string, live, ref []byte) {
+	t.Helper()
+	if r, ok := sp.fwd[string(live)]; ok && r != string(ref) {
+		t.Fatalf("%s: one live key, two reference keys (live %x)", what, live)
+	}
+	if l, ok := sp.back[string(ref)]; ok && l != string(live) {
+		t.Fatalf("%s: one reference key, two live keys (reference %x)", what, ref)
+	}
+	sp.fwd[string(live)], sp.back[string(ref)] = string(ref), string(live)
+}
+
 func TestKeyAndSnapshotBytesPinned(t *testing.T) {
 	keys, canon, snaps, ruleH := sha256.New(), sha256.New(), sha256.New(), sha256.New()
-	states := 0
-	var snap, rec []byte
+	denseKeys, denseCanon := sha256.New(), sha256.New()
+	states, canonBytes, denseCanonBytes := 0, 0, 0
+	var snap, rec, dense, denseMin []byte
 	eachRegistryProtocol(t, func(label string, p *ir.Protocol) {
 		enc := engine.NewEncoder(p)
 		for _, caches := range []int{2, 3, 4} {
 			perms := engine.Permutations(caches)
+			keyPart := samePartition{map[string]string{}, map[string]string{}}
+			canonPart := samePartition{map[string]string{}, map[string]string{}}
+			what := fmt.Sprintf("%s, %d caches", label, caches)
 			for seed := int64(0); seed < 6; seed++ {
 				sys := engine.NewSystem(p, engine.Config{Caches: caches, Capacity: 6, Values: 2})
 				rng := rand.New(rand.NewSource(seed))
 				for i := 0; i < 60; i++ {
 					states++
-					writeRecord(keys, enc.Key(sys))
-					writeRecord(canon, enc.Canonical(sys, perms))
+					key := enc.Key(sys)
+					writeRecord(keys, key)
+					dense = enc.AppendDenseKey(dense[:0], sys, nil)
+					writeRecord(denseKeys, dense)
+					keyPart.add(t, what+", Key", key, dense)
+
+					key = enc.Canonical(sys, perms)
+					writeRecord(canon, key)
+					canonBytes += len(key)
+					denseMin = denseMin[:0]
+					for j, perm := range perms {
+						dense = enc.AppendDenseKey(dense[:0], sys, perm)
+						if j == 0 || bytes.Compare(dense, denseMin) < 0 {
+							denseMin = append(denseMin[:0], dense...)
+						}
+					}
+					writeRecord(denseCanon, denseMin)
+					denseCanonBytes += len(denseMin)
+					canonPart.add(t, what+", Canonical", key, denseMin)
+
 					snap = sys.AppendSnapshot(snap[:0])
 					writeRecord(snaps, snap)
 					rules := sys.Rules()
@@ -76,7 +138,7 @@ func TestKeyAndSnapshotBytesPinned(t *testing.T) {
 			}
 		}
 	})
-	t.Logf("%d states hashed", states)
+	t.Logf("%d states hashed; Canonical key bytes %d, reference %d", states, canonBytes, denseCanonBytes)
 	for _, d := range []struct {
 		name string
 		h    hash.Hash
@@ -84,11 +146,17 @@ func TestKeyAndSnapshotBytesPinned(t *testing.T) {
 	}{
 		{"Encoder.Key", keys, pinnedKeyDigest},
 		{"Encoder.Canonical", canon, pinnedCanonicalDigest},
+		{"AppendDenseKey", denseKeys, pinnedDenseKeyDigest},
+		{"AppendDenseKey minimum", denseCanon, pinnedDenseCanonicalDigest},
 		{"AppendSnapshot", snaps, pinnedSnapshotDigest},
 		{"Rules", ruleH, pinnedRulesDigest},
 	} {
 		if got := hex.EncodeToString(d.h.Sum(nil)); got != d.want {
 			t.Errorf("%s bytes moved: digest %s, pinned %s", d.name, got, d.want)
 		}
+	}
+	if canonBytes != pinnedCanonicalBytes || denseCanonBytes != pinnedDenseCanonicalBytes {
+		t.Errorf("Canonical key bytes %d (reference %d), pinned %d (%d)",
+			canonBytes, denseCanonBytes, pinnedCanonicalBytes, pinnedDenseCanonicalBytes)
 	}
 }

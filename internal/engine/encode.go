@@ -38,9 +38,10 @@ func Permutations(n int) [][]int {
 // Encoder renders System states as compact binary keys for the model
 // checker's visited set. The encoding is injective for a fixed protocol
 // and system configuration: every variable-length section (defer queues,
-// network queues) is length-prefixed, every scalar is written through the
-// self-delimiting putInt form, and messages pack into single uint64 words
-// written big-endian so byte order equals numeric order.
+// network queues) is length-prefixed, an ordered network writes only the
+// queues that hold messages and closes with -1, every scalar is written
+// through the self-delimiting putInt form, and messages pack into single
+// uint64 words written big-endian so byte order equals numeric order.
 //
 // An Encoder owns reusable scratch buffers and is NOT safe for concurrent
 // use; give each checker worker its own.
@@ -359,14 +360,12 @@ func (e *Encoder) encodeCtrl(b []byte, c *Ctrl, perm []int) []byte {
 	return b
 }
 
-// encodeNet appends the interconnect. Ordered networks emit every
-// (class, src, dst) FIFO in renumbered coordinate order (length-prefixed,
-// empties included, so the layout is fixed); unordered networks emit each
-// class bag sorted, so permutations of the same multiset encode
-// identically. The fixed layout is written from the few messages in
-// flight: their renumbered queue coordinates are sorted (stably, so a FIFO
-// keeps its arrival order) and the stretches of empty queues between them
-// are copied from a constant.
+// encodeNet appends the interconnect. Ordered networks emit each
+// non-empty (class, src, dst) FIFO in renumbered coordinate order as its
+// coordinate, its length and its messages, then -1 (the snapshot's form:
+// coordinates are >= 0, so the terminator is unambiguous); unordered
+// networks emit each class bag sorted, so permutations of the same
+// multiset encode identically.
 func (e *Encoder) encodeNet(b []byte, n *Network, perm []int) []byte {
 	if !n.Ordered {
 		from := 0
@@ -395,34 +394,18 @@ func (e *Encoder) encodeNet(b []byte, n *Network, perm []int) []byte {
 		}
 		e.ord[at] = w
 	}
-	next := 0 // first queue coordinate not yet emitted
 	for i := 0; i < len(e.ord); {
 		q, end := int(e.ord[i]>>32), i+1
 		for end < len(e.ord) && int(e.ord[end]>>32) == q {
 			end++
 		}
-		b = appendEmptyQueues(b, q-next)
+		b = putInt(b, q)
 		b = putInt(b, end-i)
 		for ; i < end; i++ {
 			b = e.appendMsg(b, &n.msgs[uint32(e.ord[i])], perm)
 		}
-		next = q + 1
 	}
-	return appendEmptyQueues(b, n.NumQueues()-next)
-}
-
-// emptyQueues is a run of empty-queue length prefixes (putInt(0) each).
-const emptyQueues = "\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01" +
-	"\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01" +
-	"\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01" +
-	"\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01"
-
-// appendEmptyQueues appends the length prefixes of count empty queues.
-func appendEmptyQueues(b []byte, count int) []byte {
-	for ; count > len(emptyQueues); count -= len(emptyQueues) {
-		b = append(b, emptyQueues...)
-	}
-	return append(b, emptyQueues[:count]...)
+	return putInt(b, -1)
 }
 
 // appendBag appends an unordered message bag in canonical (sorted) order,

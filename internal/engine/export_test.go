@@ -28,3 +28,46 @@ func (s *System) AppendRulesByMatch(buf []Rule) []Rule {
 	}
 	return buf
 }
+
+// AppendDenseKey appends s's key under perm (nil: identity) with the
+// network section in the layout keys had up to fac9266: on an ordered
+// network, one length prefix per (class, src, dst) queue in renumbered
+// coordinate order, empties included, and no terminator. It is the
+// reference the sparse section is held to (bytes_pinned_test.go); its
+// minimum over all permutations is the old Canonical.
+func (e *Encoder) AppendDenseKey(b []byte, s *System, perm []int) []byte {
+	if perm == nil {
+		for _, c := range s.Caches {
+			b = e.encodeCtrl(b, c, nil)
+		}
+	} else {
+		e.setInv(perm)
+		for j := range perm {
+			b = e.encodeCtrl(b, s.Caches[e.inv[j]], perm)
+		}
+	}
+	b = e.encodeCtrl(b, s.Dir, perm)
+	b = putInt(b, s.LastWrite)
+	n := s.Net
+	if !n.Ordered {
+		return e.encodeNet(b, n, perm)
+	}
+	coord := func(m *Msg) int {
+		return (m.Class*n.Nodes+permID(perm, m.Src))*n.Nodes + permID(perm, m.Dst)
+	}
+	for q := 0; q < NumClasses*n.Nodes*n.Nodes; q++ {
+		count := 0
+		for i := range n.msgs {
+			if coord(&n.msgs[i]) == q {
+				count++
+			}
+		}
+		b = putInt(b, count)
+		for i := range n.msgs {
+			if coord(&n.msgs[i]) == q {
+				b = e.appendMsg(b, &n.msgs[i], perm)
+			}
+		}
+	}
+	return b
+}

@@ -78,15 +78,6 @@ func (n *Network) QueueOf(m *Msg) int {
 	return m.Class
 }
 
-// NumQueues reports the number of queues (ordered: one per class×src×dst
-// triple; unordered: one bag per class).
-func (n *Network) NumQueues() int {
-	if n.Ordered {
-		return NumClasses * n.Nodes * n.Nodes
-	}
-	return NumClasses
-}
-
 // Msgs exposes the messages in flight, in queue-index then arrival order,
 // read-only for the verifier's reduction scans (id-freeness, capacity
 // headroom). Callers must not mutate or retain the returned slice past the

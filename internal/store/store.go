@@ -11,14 +11,15 @@
 // pair (fingerprint + state index) per state at ≤75% load.
 //
 // NewExact is the same table plus one column of full canonical keys
-// (~60-150 bytes each), indexed by state index. A fingerprint match
-// whose key differs is not a match — probing continues — so membership
-// is certain, and every state stored behind such a match is counted
-// (Collisions): an exact run measures how many states a fingerprint run
-// over the same space would falsely merge. The column is what exact
-// mode costs: measured 5.2-5.6x the plain table's bytes per state on
-// the 3-cache MSI exploration (149 vs 28.7 B/state, bench/README.md;
-// the ≥5x floor is pinned by verify's TestFingerprintBytesReduction).
+// (60 bytes each on average at 3 caches, 73-77 at 4), indexed by state
+// index. A fingerprint match whose key differs is not a match — probing
+// continues — so membership is certain, and every state stored behind
+// such a match is counted (Collisions): an exact run measures how many
+// states a fingerprint run over the same space would falsely merge. The
+// column is what exact mode costs: measured 3.6-4.0x the plain table's
+// bytes per state on 3-cache MSI explorations (107 vs 29.6 B/state on
+// bench's deep-full, 103 vs 26 on the capped budget row; the ≥3.6x floor
+// is pinned by verify's TestFingerprintBytesReduction).
 //
 // Layout: fingerprints are distributed over 64 shards by their top six
 // bits; within a shard, linear probing over a power-of-two slot array

@@ -39,7 +39,11 @@ const budgetStates = 50_000
 // 16.4 B/state on 4-cache/fingerprint and 31.8 → 20.2 on 2-cache/reduced,
 // whose fused-edge ordinals alone hold 15 of those bytes, and allocated
 // bytes 2122/433 → 2067/373. An edge column creeping back trips kept on
-// both rows.
+// both rows. The exact rows' visited and allocated bytes were re-recorded
+// downward when the canonical key stopped writing a length byte for every
+// empty ordered queue and wrote only the queues that hold messages: 3-cache
+// visited 145.7 → 103.2 and allocated 1084 → 986, 2-cache/reduced 100.9 →
+// 78.1 and 373 → 347. An empty-queue prefix creeping back trips both.
 var perStateBudget = []struct {
 	name, mode string
 	cfg        func() Config
@@ -49,7 +53,7 @@ var perStateBudget = []struct {
 	bytes      float64 // retained visited-set bytes per state
 	kept       int     // bytes the checker's own columns hold at the end (keptBytes)
 }{
-	{"3-cache/exact", "nonstalling", func() Config { return budget3Cache(false) }, budgetStates, 3.030, 1084, 145.7, 663552},
+	{"3-cache/exact", "nonstalling", func() Config { return budget3Cache(false) }, budgetStates, 3.030, 986, 103.2, 663552},
 	{"3-cache/fingerprint", "nonstalling", func() Config { return budget3Cache(true) }, budgetStates, 0.712, 748, 26.5, 663552},
 	// TestFourCacheGolden's capped run: the cache count the
 	// factorial-free canonicalization unlocks.
@@ -66,7 +70,7 @@ var perStateBudget = []struct {
 		cfg := QuickConfig()
 		cfg.Reduce = true
 		return cfg
-	}, 4929, 2.118, 373, 100.9, 99328},
+	}, 4929, 2.118, 347, 78.1, 99328},
 }
 
 func budget3Cache(fingerprint bool) Config {
@@ -89,8 +93,12 @@ func keptBytes(c *checker) int {
 // TestFingerprintBytesReduction is the checker's per-state budget: every
 // row of perStateBudget stays under its allocs/state, bytes/state and
 // kept-bytes ceilings, and fingerprint mode keeps its headline memory
-// claim — the table without its key column retains at least 5x fewer
+// claim — the table without its key column retains at least 3.6x fewer
 // bytes per state than with it, while exploring the identical state space.
+// The floor is the reading (4.0x on the 3-cache rows) ÷ 1.1, derived as the
+// rows are; it read 5.4x while keys wrote every empty queue. The exact and
+// fingerprint ceilings guard each mode on its own; the ratio guards only
+// that the key column still dominates.
 func TestFingerprintBytesReduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3- and 4-cache explorations in -short mode")
@@ -133,8 +141,8 @@ func TestFingerprintBytesReduction(t *testing.T) {
 		t.Fatalf("modes diverged: exact %d/%d/%d, fingerprint %d/%d/%d",
 			exact.States, exact.Edges, exact.Depth, fp.States, fp.Edges, fp.Depth)
 	}
-	if ratio := float64(exact.VisitedBytes) / float64(fp.VisitedBytes); ratio < 5 {
-		t.Errorf("visited-set reduction %.1fx, want ≥5x (exact %d B, fingerprint %d B)",
+	if ratio := float64(exact.VisitedBytes) / float64(fp.VisitedBytes); ratio < 3.6 {
+		t.Errorf("visited-set reduction %.1fx, want ≥3.6x (exact %d B, fingerprint %d B)",
 			ratio, exact.VisitedBytes, fp.VisitedBytes)
 	}
 }

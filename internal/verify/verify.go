@@ -46,8 +46,8 @@
 // table, built by one of its two constructors (Config.Fingerprint):
 // exact mode adds a column of full canonical keys, so membership is
 // certain and fingerprint collisions are counted (Result.FalseMerges);
-// fingerprint mode keeps the 64-bit fingerprints alone — 5.2-5.6x less
-// visited-set memory as measured (≥5x pinned by
+// fingerprint mode keeps the 64-bit fingerprints alone — 3.6-4.0x less
+// visited-set memory as measured on 3-cache MSI (≥3.6x pinned by
 // TestFingerprintBytesReduction), which is what bounds large cache
 // counts. Verify results can also be memoized across runs through
 // ResultCache, keyed by the canonical spec text plus generation and
@@ -83,7 +83,7 @@ type Config struct {
 	Parallelism int
 	// Fingerprint switches the visited set from full canonical keys to
 	// 64-bit state fingerprints (hash compaction, as in Murphi's -b):
-	// 5.2-5.6x less memory per state as measured on 3-cache MSI (≥5x is
+	// 3.6-4.0x less memory per state as measured on 3-cache MSI (≥3.6x is
 	// pinned by TestFingerprintBytesReduction), at a false-merge
 	// probability of about n²/2⁶⁵ — negligible below tens of millions of
 	// states. States, Edges, Depth and traces match exact mode whenever
