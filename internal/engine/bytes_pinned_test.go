@@ -10,11 +10,13 @@ package engine_test
 //
 // The anchor is commit fac9266 (the last tree with the per-queue network
 // grid, map-keyed layouts and FNV-1a keys). Its keys wrote one length
-// prefix per ordered queue, empties included; keys now write only the
-// queues that hold messages. AppendDenseKey (export_test.go) still writes
-// the old section, so its digests are held to the fac9266 literals, and
-// the live keys are held to it by partition: over the same walk states,
-// two states share a live key exactly when they share a reference key.
+// prefix per ordered queue, empties included; keys now write the count
+// of messages in flight and the messages. AppendDenseKey (export_test.go)
+// still writes the old section, so its digests are held to the fac9266
+// literals, and the live keys are held to it by partition: over the same
+// walk states, two states share a live key exactly when they share a
+// reference key. The walks never differ only behind a queue's head, so
+// TestKeySeparatesFIFOTails checks that case on hand-built states.
 //
 // The walks pick rules[rng.Intn(len(rules))], so a change in rule order
 // also moves every later state and shows in all the digests.
@@ -29,15 +31,19 @@ import (
 	"math/rand"
 	"testing"
 
+	"protogen/internal/core"
+	"protogen/internal/dsl"
 	"protogen/internal/engine"
 	"protogen/internal/ir"
+	"protogen/internal/protocols"
 )
 
-// The live digests, recorded when keys went sparse. The snapshot and rules
+// The live digests, recorded when keys came to hold only the messages in
+// flight. The snapshot and rules
 // digests are fac9266's and did not move.
 const (
-	pinnedKeyDigest       = "78ffed3aaac73bb9f0c4474c47cdadacdfb97279d30ca01887bc185f0160138e"
-	pinnedCanonicalDigest = "3ebef190c95453c084879abf73ab1a7153b48aae523723fa6a13c7b3ad967b0c"
+	pinnedKeyDigest       = "bff5e956374aa96f843912e07acd7898df07a584b350ae20c346da633b76c7ee"
+	pinnedCanonicalDigest = "78f165bd13b7e81025b8968425ae66e3ae468d69b50831d2848f7ba279469d58"
 	pinnedSnapshotDigest  = "1419b0571486566bda1b294f6790bd569578475017ba25254bbf7ed3c1bd2e4c"
 	pinnedRulesDigest     = "5c1a5c166189caf847d5caeb44337a3d82f9ae75008d38c2e7b9c79f4ae4e419"
 )
@@ -52,7 +58,7 @@ const (
 // Total Canonical key bytes over the walks, live and reference: what a
 // visited set of these states would hold in its key column.
 const (
-	pinnedCanonicalBytes      = 1_032_777
+	pinnedCanonicalBytes      = 956_727
 	pinnedDenseCanonicalBytes = 1_750_527
 )
 
@@ -158,5 +164,81 @@ func TestKeyAndSnapshotBytesPinned(t *testing.T) {
 	if canonBytes != pinnedCanonicalBytes || denseCanonBytes != pinnedDenseCanonicalBytes {
 		t.Errorf("Canonical key bytes %d (reference %d), pinned %d (%d)",
 			canonBytes, denseCanonBytes, pinnedCanonicalBytes, pinnedDenseCanonicalBytes)
+	}
+}
+
+// TestKeySeparatesFIFOTails: the walks never hold two states that differ
+// only behind a queue's head, so the partition check above cannot see an
+// encoder that drops or reorders the messages after a head. These
+// hand-built ordered networks (3-cache non-stalling MSI, requests to the
+// directory) differ only there or in how the same messages split into
+// FIFOs; every two of them must differ in Key and in Canonical. The last
+// one is the first with caches 0 and 1 swapped: its Key differs, its
+// Canonical must not.
+func TestKeySeparatesFIFOTails(t *testing.T) {
+	spec, err := dsl.Parse(protocols.MSI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.Generate(spec, core.NonStallingOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Ordered {
+		t.Fatal("MSI's network is not ordered")
+	}
+	var reqs []ir.MsgDecl
+	for _, d := range p.Msgs {
+		if d.Class == ir.ClassRequest {
+			reqs = append(reqs, d)
+		}
+	}
+	if len(reqs) < 2 {
+		t.Fatalf("MSI declares %d request types, want 2", len(reqs))
+	}
+	const caches = 3
+	msg := func(d ir.MsgDecl, src, data int) engine.Msg {
+		return engine.Msg{Type: string(d.Type), Src: src, Dst: caches, Req: engine.NoID, Data: data, Class: int(d.Class)}
+	}
+	a, b := reqs[0], reqs[1]
+	states := [][]engine.Msg{
+		{msg(a, 0, 0), msg(b, 0, 0)},
+		{msg(a, 0, 0), msg(b, 0, 1)}, // tail's data differs
+		{msg(a, 0, 0), msg(a, 0, 0)}, // tail's type differs
+		{msg(b, 0, 0), msg(a, 0, 0)}, // same messages, other order
+		{msg(a, 0, 0)},               // no tail
+		{msg(a, 0, 0), msg(b, 1, 0)}, // tail on another FIFO
+	}
+	twin := []engine.Msg{msg(a, 1, 0), msg(b, 1, 0)} // states[0], caches 0 and 1 swapped
+	enc := engine.NewEncoder(p)
+	perms := engine.Permutations(caches)
+	build := func(msgs []engine.Msg) (key, canon string) {
+		t.Helper()
+		sys := engine.NewSystem(p, engine.Config{Caches: caches, Capacity: 6, Values: 2})
+		for _, m := range msgs {
+			if err := sys.Net.Send(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		key = string(enc.Key(sys)) // copied before Canonical reuses the buffer
+		return key, string(enc.Canonical(sys, perms))
+	}
+	keys, canons := map[string]int{}, map[string]int{}
+	for i, msgs := range states {
+		key, canon := build(msgs)
+		if j, ok := keys[key]; ok {
+			t.Errorf("states %d and %d share a Key", j, i)
+		}
+		if j, ok := canons[canon]; ok {
+			t.Errorf("states %d and %d share a Canonical", j, i)
+		}
+		keys[key], canons[canon] = i, i
+	}
+	key, canon := build(twin)
+	if j, ok := keys[key]; ok {
+		t.Errorf("the swapped twin shares a Key with state %d", j)
+	}
+	if j, ok := canons[canon]; !ok || j != 0 {
+		t.Errorf("the swapped twin's Canonical is not state 0's (matched %d, %v)", j, ok)
 	}
 }

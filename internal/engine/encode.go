@@ -38,10 +38,10 @@ func Permutations(n int) [][]int {
 // Encoder renders System states as compact binary keys for the model
 // checker's visited set. The encoding is injective for a fixed protocol
 // and system configuration: every variable-length section (defer queues,
-// network queues) is length-prefixed, an ordered network writes only the
-// queues that hold messages and closes with -1, every scalar is written
-// through the self-delimiting putInt form, and messages pack into single
-// uint64 words written big-endian so byte order equals numeric order.
+// network bags, the ordered network's messages in flight) is
+// length-prefixed, every scalar is written through the self-delimiting
+// putInt form, and messages pack into single uint64 words written
+// big-endian so byte order equals numeric order.
 //
 // An Encoder owns reusable scratch buffers and is NOT safe for concurrent
 // use; give each checker worker its own.
@@ -360,12 +360,13 @@ func (e *Encoder) encodeCtrl(b []byte, c *Ctrl, perm []int) []byte {
 	return b
 }
 
-// encodeNet appends the interconnect. Ordered networks emit each
-// non-empty (class, src, dst) FIFO in renumbered coordinate order as its
-// coordinate, its length and its messages, then -1 (the snapshot's form:
-// coordinates are >= 0, so the terminator is unambiguous); unordered
-// networks emit each class bag sorted, so permutations of the same
-// multiset encode identically.
+// encodeNet appends the interconnect. Ordered networks emit the count of
+// messages in flight, then the messages in renumbered (class, src, dst)
+// coordinate order, arrival order within a FIFO. No coordinate is
+// written: a message's type fixes its class and its encoding holds its
+// src and dst, so the sequence splits back into every FIFO in order.
+// Unordered networks emit each class bag sorted, so permutations of the
+// same multiset encode identically.
 func (e *Encoder) encodeNet(b []byte, n *Network, perm []int) []byte {
 	if !n.Ordered {
 		from := 0
@@ -394,18 +395,11 @@ func (e *Encoder) encodeNet(b []byte, n *Network, perm []int) []byte {
 		}
 		e.ord[at] = w
 	}
-	for i := 0; i < len(e.ord); {
-		q, end := int(e.ord[i]>>32), i+1
-		for end < len(e.ord) && int(e.ord[end]>>32) == q {
-			end++
-		}
-		b = putInt(b, q)
-		b = putInt(b, end-i)
-		for ; i < end; i++ {
-			b = e.appendMsg(b, &n.msgs[uint32(e.ord[i])], perm)
-		}
+	b = putInt(b, len(e.ord))
+	for _, w := range e.ord {
+		b = e.appendMsg(b, &n.msgs[uint32(w)], perm)
 	}
-	return putInt(b, -1)
+	return b
 }
 
 // appendBag appends an unordered message bag in canonical (sorted) order,

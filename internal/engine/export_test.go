@@ -33,7 +33,7 @@ func (s *System) AppendRulesByMatch(buf []Rule) []Rule {
 // network section in the layout keys had up to fac9266: on an ordered
 // network, one length prefix per (class, src, dst) queue in renumbered
 // coordinate order, empties included, and no terminator. It is the
-// reference the sparse section is held to (bytes_pinned_test.go); its
+// reference the live section is held to (bytes_pinned_test.go); its
 // minimum over all permutations is the old Canonical.
 func (e *Encoder) AppendDenseKey(b []byte, s *System, perm []int) []byte {
 	if perm == nil {

@@ -11,15 +11,15 @@
 // pair (fingerprint + state index) per state at ≤75% load.
 //
 // NewExact is the same table plus one column of full canonical keys
-// (60 bytes each on average at 3 caches, 73-77 at 4), indexed by state
+// (54 bytes each on average at 3 caches, 66-69 at 4), indexed by state
 // index. A fingerprint match whose key differs is not a match — probing
 // continues — so membership is certain, and every state stored behind
 // such a match is counted (Collisions): an exact run measures how many
 // states a fingerprint run over the same space would falsely merge. The
-// column is what exact mode costs: measured 3.6-4.0x the plain table's
-// bytes per state on 3-cache MSI explorations (107 vs 29.6 B/state on
-// bench's deep-full, 103 vs 26 on the capped budget row; the ≥3.6x floor
-// is pinned by verify's TestFingerprintBytesReduction).
+// column is what exact mode costs: measured 3.4-3.7x the plain table's
+// bytes per state on 3-cache MSI explorations (101 vs 29.6 B/state on
+// bench's deep-full, 98.5 vs 26.3 on the capped budget row; the ≥3.6x
+// floor on that row is pinned by verify's TestFingerprintBytesReduction).
 //
 // Layout: fingerprints are distributed over 64 shards by their top six
 // bits; within a shard, linear probing over a power-of-two slot array

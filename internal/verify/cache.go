@@ -31,9 +31,10 @@ const cacheFile = "verify-cache.jsonl"
 // stored 0). v5: Config lost its SWMR and data-value switches, which
 // the protocol now decides (ir.Protocol.Acquires) — a v4 TSO_CC entry
 // at default flags holds a FAIL the derived contract does not reproduce.
-// v6: the canonical key writes only the ordered queues that hold
-// messages, so an exact run's VisitedBytes reads about 30 % less (31.5 →
-// 22.8 MB on 3-cache stalling MSI at one value); a v5 entry serves the
+// v6: the canonical key writes only the ordered network's messages in
+// flight, no per-queue lengths, so an exact run's VisitedBytes reads
+// about 32 % less (31.5 →
+// 21.5 MB on 3-cache stalling MSI at one value); a v5 entry serves the
 // old figure.
 const cacheKeyVersion = "v6"
 

@@ -46,12 +46,12 @@
 // table, built by one of its two constructors (Config.Fingerprint):
 // exact mode adds a column of full canonical keys, so membership is
 // certain and fingerprint collisions are counted (Result.FalseMerges);
-// fingerprint mode keeps the 64-bit fingerprints alone — 3.6-4.0x less
-// visited-set memory as measured on 3-cache MSI (≥3.6x pinned by
-// TestFingerprintBytesReduction), which is what bounds large cache
-// counts. Verify results can also be memoized across runs through
-// ResultCache, keyed by the canonical spec text plus generation and
-// checker configuration (see docs/CACHING.md).
+// fingerprint mode keeps the 64-bit fingerprints alone — 3.4-3.7x less
+// visited-set memory as measured on 3-cache MSI (≥3.6x pinned on
+// TestFingerprintBytesReduction's capped run), which is what bounds
+// large cache counts. Verify results can also be memoized across runs
+// through ResultCache, keyed by the canonical spec text plus generation
+// and checker configuration (see docs/CACHING.md).
 package verify
 
 import (
@@ -83,12 +83,13 @@ type Config struct {
 	Parallelism int
 	// Fingerprint switches the visited set from full canonical keys to
 	// 64-bit state fingerprints (hash compaction, as in Murphi's -b):
-	// 3.6-4.0x less memory per state as measured on 3-cache MSI (≥3.6x is
-	// pinned by TestFingerprintBytesReduction), at a false-merge
-	// probability of about n²/2⁶⁵ — negligible below tens of millions of
-	// states. States, Edges, Depth and traces match exact mode whenever
-	// no fingerprint collision occurs; to learn whether one does on a
-	// new protocol, run exact mode once and read Result.FalseMerges.
+	// 3.4-3.7x less memory per state as measured on 3-cache MSI (≥3.6x
+	// is pinned on TestFingerprintBytesReduction's capped run), at a
+	// false-merge probability of about n²/2⁶⁵ — negligible below tens of
+	// millions of states. States, Edges, Depth and traces match exact
+	// mode whenever no fingerprint collision occurs; to learn whether one
+	// does on a new protocol, run exact mode once and read
+	// Result.FalseMerges.
 	Fingerprint bool
 	// Reduce enables partial-order reduction: states whose enabled rules
 	// at one cache node are statically invisible (internal/depend) and
