@@ -3,6 +3,7 @@ package verify
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -44,7 +45,17 @@ const budgetStates = 50_000
 // ordered queue and wrote only the count of messages in flight and the
 // messages: 3-cache visited 145.7 → 98.5 and allocated 1084 → 978,
 // 2-cache/reduced 100.9 → 73.9 and 373 → 343. A per-queue prefix creeping
-// back trips both.
+// back trips both. Allocs and allocated bytes were re-recorded downward
+// when a worker stopped treating a state it had already found unseen in
+// the level as new: a repeat names the first occurrence, writes no
+// snapshot or key string, and keeps an edge only for a violation. The counter that fell is the snapshots
+// written (TestSnapshotOncePerState): at Parallelism 1, run to the level
+// boundary past each row's cap, 115,989 → 51,739 on both 3-cache rows,
+// 178,929 → 63,117 at four caches and 6,592 → 4,928 reduced. The exact
+// row falls most, since its key string is made once per distinct state:
+// allocs 3.03/0.71/0.89/2.12 → 1.75/0.71/0.89/1.77 and allocated bytes
+// 978/748/2067/343 → 715/567/1312/321. A per-repeat snapshot or key
+// creeping back trips the alloc column on every row.
 var perStateBudget = []struct {
 	name, mode string
 	cfg        func() Config
@@ -54,8 +65,8 @@ var perStateBudget = []struct {
 	bytes      float64 // retained visited-set bytes per state
 	kept       int     // bytes the checker's own columns hold at the end (keptBytes)
 }{
-	{"3-cache/exact", "nonstalling", func() Config { return budget3Cache(false) }, budgetStates, 3.030, 978, 98.5, 663552},
-	{"3-cache/fingerprint", "nonstalling", func() Config { return budget3Cache(true) }, budgetStates, 0.712, 748, 26.5, 663552},
+	{"3-cache/exact", "nonstalling", func() Config { return budget3Cache(false) }, budgetStates, 1.745, 715, 98.5, 663552},
+	{"3-cache/fingerprint", "nonstalling", func() Config { return budget3Cache(true) }, budgetStates, 0.712, 567, 26.5, 663552},
 	// TestFourCacheGolden's capped run: the cache count the
 	// factorial-free canonicalization unlocks.
 	{"4-cache/fingerprint", "nonstalling", func() Config {
@@ -64,14 +75,14 @@ var perStateBudget = []struct {
 		cfg.MaxStates = 40_000
 		cfg.Fingerprint = true
 		return cfg
-	}, 40_000, 0.893, 2067, 19.7, 655360},
+	}, 40_000, 0.892, 1312, 19.7, 655360},
 	// The registry's most fusible design under partial-order reduction
 	// (4929 states, TestReducedGoldenCounts).
 	{"2-cache/reduced", "stalling", func() Config {
 		cfg := QuickConfig()
 		cfg.Reduce = true
 		return cfg
-	}, 4929, 2.118, 343, 73.9, 99328},
+	}, 4929, 1.774, 321, 73.9, 99328},
 }
 
 func budget3Cache(fingerprint bool) Config {
@@ -160,5 +171,61 @@ func TestSuccOutSize(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(succOut{}); got > 56 {
 		t.Errorf("succOut is %d bytes, over the recorded 56", got)
+	}
+}
+
+// TestSnapshotOncePerState: a worker snapshots a state the first time a
+// level reaches it unseen and never again, so at Parallelism 1 — one
+// worker, every successor of a level in one buffer — the snapshots
+// written are exactly the states stored after the initial one. With
+// four workers a state two workers both reach in a level is
+// snapshotted by each, so the count may only be larger, and nothing the
+// merge keeps may differ. Each perStateBudget row runs to the first
+// level boundary at or past its cap, since a cap cuts a level whose
+// successors are already snapshotted.
+func TestSnapshotOncePerState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3- and 4-cache explorations in -short mode")
+	}
+	for _, row := range perStateBudget {
+		p := goldenProtocol(t, "MSI", row.mode)
+		run := func(par int) (*checker, int64) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg := row.cfg()
+			cfg.MaxStates = DefaultConfig().MaxStates
+			cfg.Parallelism = par
+			cfg.Progress = func(pr Progress) {
+				if pr.States >= row.states {
+					cancel()
+				}
+			}
+			c := explore(ctx, p, cfg)
+			var snaps int64
+			for _, w := range c.pool {
+				snaps += w.snaps
+			}
+			return c, snaps
+		}
+		seq, seqSnaps := run(1)
+		res := seq.res
+		if len(res.Violations) > 0 || res.States < row.states {
+			t.Fatalf("%s: want ≥%d states and no violation, got %v", row.name, row.states, res)
+		}
+		if seqSnaps != int64(res.States-1) {
+			t.Errorf("%s P1: %d snapshots written for %d states after the initial one", row.name, seqSnaps, res.States-1)
+		}
+		par, parSnaps := run(4)
+		if got := par.res; got.States != res.States || got.Edges != res.Edges || got.Depth != res.Depth {
+			t.Errorf("%s P4: %d/%d/%d states/edges/depth, P1 %d/%d/%d", row.name,
+				got.States, got.Edges, got.Depth, res.States, res.Edges, res.Depth)
+		}
+		if !slices.Equal(par.parent, seq.parent) || !slices.Equal(par.edgeEnd, seq.edgeEnd) || !slices.Equal(par.edges, seq.edges) {
+			t.Errorf("%s P4: the parent or edge columns differ from P1's", row.name)
+		}
+		if parSnaps < int64(res.States-1) {
+			t.Errorf("%s P4: %d snapshots written for %d states after the initial one", row.name, parSnaps, res.States-1)
+		}
+		t.Logf("%s: %d states, depth %d; snapshots P1 %d, P4 %d", row.name, res.States, res.Depth, seqSnaps, parSnaps)
 	}
 }

@@ -417,11 +417,13 @@ func (w *worker) branch(sys *engine.System, depth int, first bool) *engine.Syste
 }
 
 // finishSucc canonicalizes one normal form and resolves it against the
-// visited store — the shared tail of successor generation; an unseen one
-// is checked and snapshotted into the worker's slab while it is still
-// live on the scratch System. Pending data-value violations (from the
-// root apply or fused performs) attach to the first normal form emitted
-// after they were observed.
+// visited store — the shared tail of successor generation — and an
+// unseen one against the states this worker already found unseen in the
+// level. Only the first occurrence of an unseen state is checked and
+// snapshotted into the worker's slab, while it is still live on the
+// scratch System; a repeat names the first. Pending data-value
+// violations (from the root apply or fused performs) attach to the
+// first normal form emitted after they were observed.
 func (w *worker) finishSucc(succ *engine.System, seedQ bool) succOut {
 	so := succOut{knownIdx: -1, seedParent: seedQ}
 	if len(w.pendViol) > 0 {
@@ -430,10 +432,16 @@ func (w *worker) finishSucc(succ *engine.System, seedQ bool) succOut {
 	}
 	key := w.enc.Canonical(succ, w.c.perms)
 	so.hash = engine.Fingerprint(key)
-	if idx, ok := w.c.visited.Lookup(so.hash, key); ok {
+	idx, ok := w.c.visited.Lookup(so.hash, key)
+	if !ok {
+		if k := w.firstUnseen(so.hash, key); k >= 0 {
+			idx, ok = -2-k, true
+		}
+	}
+	if ok {
 		so.knownIdx = idx
 		// The edge is only needed for violation traces and new states; a
-		// clean already-visited successor skips it.
+		// clean successor of a known state skips it.
 		if so.cold != nil {
 			so.edgeLo, so.edgeHi = w.edge()
 		}
@@ -447,6 +455,7 @@ func (w *worker) finishSucc(succ *engine.System, seedQ bool) succOut {
 	so.snapLo = uint32(len(w.slab))
 	w.slab = succ.AppendSnapshot(w.slab)
 	so.snapHi = uint32(len(w.slab))
+	w.snaps++
 	if found := w.checkState(succ); found != nil {
 		if so.cold == nil {
 			so.cold = &succCold{}

@@ -329,18 +329,23 @@ type finding struct {
 // bytes on 64-bit targets).
 type succOut struct {
 	hash uint64
-	key  string // canonical key (exact mode, and only when knownIdx < 0)
+	key  string // canonical key (exact mode, and only when knownIdx is -1)
 	cold *succCold
 	// edge (see checker.edges) is arena[edgeLo:edgeHi] of the producing
-	// worker, filled only where merge can need it — unseen successor,
-	// error, data-value violation — and empty otherwise. snap, the
-	// successor's snapshot for the next frontier, is slab[snapLo:snapHi],
-	// filled only when knownIdx < 0; merge uses it only if the state turns
-	// out fresh.
+	// worker, filled only where merge can need it — first occurrence of an
+	// unseen state, error, data-value violation — and empty otherwise.
+	// snap, the successor's snapshot for the next frontier, is
+	// slab[snapLo:snapHi], filled only when knownIdx is -1; merge uses it
+	// only if the state turns out fresh.
 	edgeLo, edgeHi uint32
 	snapLo, snapHi uint32
-	knownIdx       int32 // visited index at expansion time; -1 if unseen then
-	quiet          bool
+	// knownIdx is the visited index at expansion time, or, for a state
+	// unseen then, -1 on the first successor of the level to reach it in
+	// this worker and -2-k on every later one, k being the first's index
+	// in succs. merge overwrites the -1 with the index Insert resolves,
+	// which is where a -2-k reads it.
+	knownIdx int32
+	quiet    bool
 	// seedParent: the collapse fused through a quiescent intermediate on
 	// the way to this normal form. The quiescence witness belongs to the
 	// PARENT (which really reaches that intermediate), not the normal
@@ -354,7 +359,7 @@ type succCold struct {
 	applyErr  string
 	hasErr    bool
 	dataViol  []string  // data-value violations observed on performed loads
-	stateViol []finding // checkState's findings (knownIdx < 0 only)
+	stateViol []finding // checkState's findings (knownIdx -1 only)
 }
 
 // expansion is everything the merge needs about one frontier item: its
@@ -564,7 +569,7 @@ func (c *checker) expand(frontier []frontierItem) []expansion {
 	for _, w := range c.pool {
 		w.slab, w.prev = w.prev[:0], w.slab
 		w.arena = w.arena[:0] // the last merge copied out every edge it kept
-		w.succs = w.succs[:0]
+		w.resetSuccs()
 	}
 	if cap(c.exps) < len(frontier) {
 		c.exps = make([]expansion, len(frontier))
@@ -623,6 +628,11 @@ type worker struct {
 	arena      []uint32           // this level's succOut edges, back to back
 	succs      []succOut          // this level's successors, back to back
 	hits       []engine.LoadCheck // checkState scratch
+	// unseen finds the first occurrence of a state in this level's succs
+	// (firstUnseen); snaps counts the snapshots written into the slab,
+	// read only by tests.
+	unseen levelSet
+	snaps  int64
 
 	// Partial-order reduction state (used only when checker.red != nil;
 	// see reduce.go). lvls is the collapse recursion's per-depth scratch
@@ -740,6 +750,64 @@ func (w *worker) edge() (lo, hi uint32) {
 	return lo, uint32(len(w.arena))
 }
 
+// levelSet is a worker's open-addressed table of the states it found
+// unseen in the level being expanded. A slot holds the w.succs index of
+// a state's first occurrence plus one, so zero is a free slot; probing
+// is linear from the low bits of the hash, at most half full.
+type levelSet struct {
+	slots []int32
+	n     int
+}
+
+// resetSuccs empties the successor buffer and, with it, the table of
+// first occurrences that indexes it.
+func (w *worker) resetSuccs() {
+	w.succs = w.succs[:0]
+	if w.unseen.n > 0 {
+		clear(w.unseen.slots)
+		w.unseen.n = 0
+	}
+}
+
+// firstUnseen returns the w.succs index of the level's first successor
+// in this worker that reached the unseen state (hash, key), or -1 after
+// recording the successor about to be appended as that first one. It
+// matches as the visited table does: on the hash alone in fingerprint
+// mode, on the hash and the key in exact mode.
+func (w *worker) firstUnseen(hash uint64, key []byte) int32 {
+	t := &w.unseen
+	if 2*(t.n+1) > len(t.slots) {
+		w.growUnseen()
+	}
+	mask := uint64(len(t.slots) - 1)
+	i := hash & mask
+	for ; t.slots[i] != 0; i = (i + 1) & mask {
+		if so := &w.succs[t.slots[i]-1]; so.hash == hash && (w.c.cfg.Fingerprint || so.key == string(key)) {
+			return t.slots[i] - 1
+		}
+	}
+	t.slots[i] = int32(len(w.succs)) + 1
+	t.n++
+	return -1
+}
+
+// growUnseen doubles the table of first occurrences and rehashes it.
+func (w *worker) growUnseen() {
+	old := w.unseen.slots
+	slots := make([]int32, max(256, 2*len(old)))
+	mask := uint64(len(slots) - 1)
+	for _, s := range old {
+		if s == 0 {
+			continue
+		}
+		i := w.succs[s-1].hash & mask
+		for ; slots[i] != 0; i = (i + 1) & mask {
+		}
+		slots[i] = s
+	}
+	w.unseen.slots = slots
+}
+
 // merge folds a level's expansions into the exploration in frontier
 // order — the single writer of the visited set, state columns, edge lists
 // and violations. Because items and successors are consumed in the same
@@ -783,11 +851,19 @@ func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierIte
 				c.quiet[parent] = true
 			}
 			ni, fresh := so.knownIdx, false
-			if ni < 0 {
-				// Unseen at expansion time, but an earlier successor of
-				// this same level may have claimed the state since: the
-				// one probe either finds that claim or stakes this one.
+			switch {
+			case ni == -1:
+				// Unseen at expansion time, but a successor of this level
+				// that another worker found, earlier in frontier order,
+				// may have claimed the state since: the one probe either
+				// finds that claim or stakes this one. The index goes back
+				// into the buffer for this worker's repeats of the state.
 				ni, fresh = c.visited.Insert(so.hash, so.key, int32(len(c.parent)))
+				so.knownIdx = ni
+			case ni < -1:
+				// A repeat: this worker expands items in frontier order,
+				// so the first occurrence has been merged already.
+				ni = w.succs[-2-ni].knownIdx
 			}
 			if k == exp.drain {
 				drain = ni
@@ -1045,7 +1121,8 @@ func (c *checker) succsOf(idx int32, out []int32) []int32 {
 			_, _ = w.par.Apply(w.rules[ord]) // every rule on a stored state's path applied cleanly
 		}
 	}
-	w.succs, w.arena, w.slab = w.succs[:0], w.arena[:0], w.slab[:0]
+	w.arena, w.slab = w.arena[:0], w.slab[:0]
+	w.resetSuccs()
 	exp := w.expandPar(idx)
 	for _, so := range w.succs[exp.lo:exp.hi] {
 		if so.knownIdx < 0 {

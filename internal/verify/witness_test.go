@@ -278,3 +278,69 @@ func TestWitnessReplay(t *testing.T) {
 	}
 	t.Logf("replayed %d witnesses", replayed)
 }
+
+// everyViolation pins, per configuration of FZ_MSI_lost_writeback, the
+// witnessLine of a run that keeps every violation (MaxViolations 1000,
+// no state cap below DefaultConfig's): the 2-cache runs complete and
+// report all of theirs, the 3-cache ones stop at the thousandth. Each
+// is a data-value violation on a load's edge, and many of those edges
+// reach a state another edge of the same level reached first, so the
+// lines move if a repeated successor ever loses its edge or its report.
+// Recorded before the per-level dedup of unseen successors.
+var everyViolation = map[string]string{
+	"stalling/caches=2/reduce=false":    "7376fec80962a12e 624 data-value (trace 12): cache 1 load returned 0, last write is 1",
+	"stalling/caches=2/reduce=true":     "2e824f7067191858 552 data-value (trace 11): cache 1 load returned 0, last write is 1",
+	"stalling/caches=3/reduce=false":    "825e944da34b18a6 1000 data-value (trace 8): cache 1 load returned 0, last write is 1",
+	"stalling/caches=3/reduce=true":     "f1543c13071e12ae 1000 data-value (trace 6): cache 1 load returned 0, last write is 1",
+	"nonstalling/caches=2/reduce=false": "1ee6465681e3438b 624 data-value (trace 12): cache 1 load returned 0, last write is 1",
+	"nonstalling/caches=2/reduce=true":  "a0658cc965d68e19 552 data-value (trace 11): cache 1 load returned 0, last write is 1",
+	"nonstalling/caches=3/reduce=false": "2d9d41b5b2a68099 1000 data-value (trace 8): cache 1 load returned 0, last write is 1",
+	"nonstalling/caches=3/reduce=true":  "e1278c3c0da0f24f 1000 data-value (trace 6): cache 1 load returned 0, last write is 1",
+	"deferred/caches=2/reduce=false":    "149aa9c4194fd947 624 data-value (trace 12): cache 1 load returned 0, last write is 1",
+	"deferred/caches=2/reduce=true":     "a0658cc965d68e19 552 data-value (trace 11): cache 1 load returned 0, last write is 1",
+	"deferred/caches=3/reduce=false":    "5e478dabc54dfc3b 1000 data-value (trace 8): cache 1 load returned 0, last write is 1",
+	"deferred/caches=3/reduce=true":     "2cb184f89ac102b9 1000 data-value (trace 6): cache 1 load returned 0, last write is 1",
+}
+
+// TestEveryViolation: with the violation cap lifted, the whole list of
+// (Kind, Detail, Trace) is the recorded one at Parallelism 1 and 4, not
+// only the first few that TestWitnessGolden pins. -short keeps the
+// 2-cache half.
+func TestEveryViolation(t *testing.T) {
+	b, err := os.ReadFile("../fuzz/corpus/FZ_MSI_lost_writeback.ssp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := dsl.Parse(string(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cacheCounts := []int{2, 3}
+	if testing.Short() {
+		cacheCounts = []int{2}
+	}
+	for _, mode := range []string{"stalling", "nonstalling", "deferred"} {
+		opts, err := core.OptionsForMode(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.PendingLimit = 1
+		p, err := core.Generate(spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, caches := range cacheCounts {
+			for _, reduce := range []bool{false, true} {
+				name := fmt.Sprintf("%s/caches=%d/reduce=%t", mode, caches, reduce)
+				want := name + " " + everyViolation[name]
+				for _, par := range []int{1, 4} {
+					cfg := DefaultConfig()
+					cfg.Caches, cfg.Reduce, cfg.MaxViolations, cfg.Parallelism = caches, reduce, 1000, par
+					if got := witnessLine(name, Check(p, cfg)); got != want {
+						t.Errorf("P%d:\n  got:  %s\n  want: %s", par, got, want)
+					}
+				}
+			}
+		}
+	}
+}
