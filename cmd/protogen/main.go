@@ -35,7 +35,7 @@
 // data-value invariant, so for it verify checks deadlock freedom and
 // quiescence only; litmus holds it to its memory model.
 // -fingerprint keeps 64-bit state fingerprints instead of full keys
-// (3.4-3.7x less visited-set memory); every exact run prints
+// (3.0-3.2x less visited-set memory); every exact run prints
 // "fingerprint collisions: N over M states", the states it would
 // falsely merge. -reduce is partial-order reduction (identical
 // verdicts, fewer states); -audit-commute re-executes its fused rules

@@ -29,7 +29,7 @@ func verify(ctx context.Context, args []string, stdout io.Writer) error {
 		noSym    = fs.Bool("no-symmetry", false, "disable symmetry reduction")
 		noPrune  = fs.Bool("no-prune", false, "disable sharer pruning on stale Puts (ablation)")
 		trace    = fs.Bool("trace", false, "print every violation's counterexample trace")
-		fpMode   = fs.Bool("fingerprint", false, "store 64-bit state fingerprints instead of full keys in the visited set (measured 3.4-3.7x less memory; false-merge odds ~n²/2⁶⁵ — an exact run prints how many actually occur)")
+		fpMode   = fs.Bool("fingerprint", false, "store 64-bit state fingerprints instead of full keys in the visited set (measured 3.0-3.2x less memory; false-merge odds ~n²/2⁶⁵ — an exact run prints how many actually occur)")
 		reduce   = fs.Bool("reduce", false, "enable partial-order reduction: identical verdicts, deterministically fewer states/edges (see docs/PERFORMANCE.md)")
 		commute  = fs.Bool("audit-commute", false, "with -reduce: re-execute fused rules and sampled rule pairs at runtime and fail hard on any discrepancy with the static independence relation (bypasses the result cache)")
 		noLint   = fs.Bool("no-lint", false, "suppress the pre-exploration static-analyzer warnings (see docs/ANALYSIS.md)")

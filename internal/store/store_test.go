@@ -182,6 +182,111 @@ func TestExactMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// TestExactArenaRoundTrip: exact keys of every length from empty to
+// several chunks come back byte for byte, whether they fill a chunk to
+// its end, open the next one or get one of their own; a fingerprint
+// twin with a different key is stored beside its twin and counted once;
+// and Bytes counts every chunk at its capacity plus a position per state.
+func TestExactArenaRoundTrip(t *testing.T) {
+	const chunk = 1 << chunkBits
+	lengths := []int{0, 1, 54, 0, chunk - 3, 5, chunk, chunk + 1, 3*chunk + 7, 2, chunk - 1, 1, 0, 69}
+	for i := 0; i < 3000; i++ {
+		lengths = append(lengths, 40+i%50) // fills the doubling chunks and several full-size ones
+	}
+	tbl := NewExact()
+	keys := make([][]byte, len(lengths))
+	for i, n := range lengths {
+		keys[i] = make([]byte, n)
+		for j := range keys[i] {
+			keys[i][j] = byte(splitmix64(uint64(i)<<32 | uint64(j)))
+		}
+		fp := splitmix64(uint64(i))
+		if i == 3 {
+			fp = splitmix64(2) // key 3 is key 2's fingerprint twin
+		}
+		if idx, fresh := tbl.InsertBytes(fp, keys[i], int32(i)); idx != int32(i) || !fresh {
+			t.Fatalf("key %d (%d B): insert = (%d, %v), want (%d, true)", i, n, idx, fresh, i)
+		}
+	}
+	if tbl.Len() != len(keys) || tbl.Collisions() != 1 {
+		t.Fatalf("len/collisions = %d/%d, want %d/1", tbl.Len(), tbl.Collisions(), len(keys))
+	}
+	for i, k := range keys {
+		fp := splitmix64(uint64(i))
+		if i == 3 {
+			fp = splitmix64(2)
+		}
+		if got := tbl.key(int32(i)); string(got) != string(k) {
+			t.Fatalf("key %d: %d B stored, %d B inserted, or the bytes differ", i, len(got), len(k))
+		}
+		if idx, ok := tbl.Lookup(fp, k); !ok || idx != int32(i) {
+			t.Fatalf("key %d (%d B): lookup = (%d, %v), want (%d, true)", i, len(k), idx, ok, i)
+		}
+		if idx, fresh := tbl.Insert(fp, string(k), int32(len(keys))); idx != int32(i) || fresh {
+			t.Fatalf("key %d re-offered: (%d, %v), want (%d, false)", i, idx, fresh, i)
+		}
+		if len(k) > 0 {
+			if _, ok := tbl.Lookup(fp, k[:len(k)-1]); ok {
+				t.Fatalf("key %d: a proper prefix of it is reported present", i)
+			}
+		}
+	}
+	var want int64
+	for i := range tbl.shards {
+		want += int64(cap(tbl.shards[i].fps))*8 + int64(cap(tbl.shards[i].idxs))*4
+	}
+	var keyBytes int64
+	for _, c := range tbl.chunks {
+		want += int64(cap(c))
+		keyBytes += int64(len(c))
+		if len(c) > chunk && len(c) != cap(c) {
+			t.Fatalf("an oversized key's chunk holds %d of %d bytes; it must hold that key alone", len(c), cap(c))
+		}
+	}
+	want += int64(cap(tbl.chunks))*24 + int64(cap(tbl.keyAt))*4
+	if got := tbl.Bytes(); got != want {
+		t.Fatalf("Bytes = %d, want %d: chunk capacity, chunk headers, positions and slots", got, want)
+	}
+	var total int64
+	for _, k := range keys {
+		total += int64(len(k))
+	}
+	if keyBytes != total {
+		t.Fatalf("the chunks hold %d key bytes, the keys are %d", keyBytes, total)
+	}
+}
+
+// TestExactInsertOrder: an exact table stores its keys in state-index
+// order, so storing a state under any index but the next dense one
+// panics and leaves the table usable; re-offering a stored state under
+// any index is still an answer, not an error.
+func TestExactInsertOrder(t *testing.T) {
+	tbl := NewExact()
+	tbl.Insert(1, "state-A", 0)
+	for _, idx := range []int32{0, 2, 7} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("storing a new state under index %d (next is 1) did not panic", idx)
+				}
+			}()
+			tbl.Insert(2, "state-B", idx)
+		}()
+	}
+	if idx, fresh := tbl.Insert(1, "state-A", 5); idx != 0 || fresh {
+		t.Fatalf("re-offer = (%d, %v), want (0, false)", idx, fresh)
+	}
+	if idx, fresh := tbl.Insert(2, "state-B", 1); idx != 1 || !fresh || tbl.Len() != 2 {
+		t.Fatalf("in-order insert after the panics = (%d, %v), len %d; want (1, true), len 2", idx, fresh, tbl.Len())
+	}
+	// A plain table keeps no keys and takes any index.
+	plain := New()
+	plain.Insert(1, "", 9)
+	if idx, ok := plain.Lookup(1, nil); !ok || idx != 9 {
+		t.Fatalf("plain table: (%d, %v), want (9, true)", idx, ok)
+	}
+}
+
 func TestBytesGrowWithLoad(t *testing.T) {
 	tbl := New()
 	empty := tbl.Bytes()

@@ -103,12 +103,14 @@ func TestSeedBaselinePinned(t *testing.T) {
 // registry protocol in both generation modes: identical States, Edges,
 // Depth and Quiescent, at sequential and parallel settings, with the
 // exact run confirming that no reachable state shares a fingerprint
-// with another (so nothing was merged) and the visited set at least 3x
-// leaner than exact mode's. (3x, not the headline 5x: these
-// 2-cache spaces are small enough that the table's fixed 64-shard
-// minimum footprint and power-of-two resize granularity still show; the
-// ≥5x bound is asserted at 3-cache benchmark scale in
-// TestFingerprintBytesReduction.)
+// with another (so nothing was merged) and the visited set at least 2.6x
+// leaner than exact mode's. (2.6x, not the 3.1x of
+// TestFingerprintBytesReduction's 3-cache row: these 2-cache spaces are
+// small enough that the table's fixed 64-shard minimum footprint and
+// power-of-two resize granularity still show, and their keys are
+// shorter. The rows read 2.68x (MOSI non-stalling) to 3.19x since exact
+// mode keeps its keys in one byte arena; they read 3x and more while
+// each key was a string of its own.)
 func TestFingerprintMatchesExact(t *testing.T) {
 	for _, g := range seedGolden {
 		p := goldenProtocol(t, g.protocol, g.mode)
@@ -129,8 +131,8 @@ func TestFingerprintMatchesExact(t *testing.T) {
 					g.protocol, g.mode, par, r.States, r.Edges, r.Depth, r.Quiescent,
 					g.states, g.edges, g.depth, g.quiescent)
 			}
-			if r.VisitedBytes*3 > er.VisitedBytes {
-				t.Errorf("%s %s fingerprint P=%d: visited bytes %d not ≥3x below exact %d",
+			if float64(er.VisitedBytes) < 2.6*float64(r.VisitedBytes) {
+				t.Errorf("%s %s fingerprint P=%d: visited bytes %d not ≥2.6x below exact %d",
 					g.protocol, g.mode, par, r.VisitedBytes, er.VisitedBytes)
 			}
 		}

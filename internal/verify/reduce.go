@@ -450,7 +450,9 @@ func (w *worker) finishSucc(succ *engine.System, seedQ bool) succOut {
 	so.edgeLo, so.edgeHi = w.edge()
 	if !w.c.cfg.Fingerprint {
 		// Skipping this copy is fingerprint mode's frontier memory win.
-		so.key = string(key)
+		so.keyLo = uint32(len(w.keys))
+		w.keys = append(w.keys, key...)
+		so.keyHi = uint32(len(w.keys))
 	}
 	so.snapLo = uint32(len(w.slab))
 	w.slab = succ.AppendSnapshot(w.slab)
@@ -619,7 +621,7 @@ func (w *worker) findRule(s *engine.System, r engine.Rule) (engine.Rule, bool) {
 }
 
 // drainAudit moves the workers' commutation discrepancies into
-// violations, in deterministic order, respecting MaxViolations. Runs on
+// violations, in deterministic order, up to MaxViolations. Runs on
 // the merge goroutine between expand and merge.
 func (c *checker) drainAudit() {
 	n := 0
@@ -640,11 +642,7 @@ func (c *checker) drainAudit() {
 		}
 		return all[i].detail < all[j].detail
 	})
-	limit := max(1, c.cfg.MaxViolations)
 	for _, ae := range all {
-		if len(c.res.Violations) >= limit {
-			return
-		}
 		c.violate("por-audit", ae.detail, int(ae.parent), nil)
 	}
 }

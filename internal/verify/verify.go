@@ -44,10 +44,10 @@
 //
 // The visited set is internal/store's open-addressing fingerprint
 // table, built by one of its two constructors (Config.Fingerprint):
-// exact mode adds a column of full canonical keys, so membership is
+// exact mode adds an arena of full canonical keys, so membership is
 // certain and fingerprint collisions are counted (Result.FalseMerges);
-// fingerprint mode keeps the 64-bit fingerprints alone — 3.4-3.7x less
-// visited-set memory as measured on 3-cache MSI (≥3.6x pinned on
+// fingerprint mode keeps the 64-bit fingerprints alone — 3.0-3.2x less
+// visited-set memory as measured on 3-cache MSI (≥3.1x pinned on
 // TestFingerprintBytesReduction's capped run), which is what bounds
 // large cache counts. Verify results can also be memoized across runs
 // through ResultCache, keyed by the canonical spec text plus generation
@@ -83,7 +83,7 @@ type Config struct {
 	Parallelism int
 	// Fingerprint switches the visited set from full canonical keys to
 	// 64-bit state fingerprints (hash compaction, as in Murphi's -b):
-	// 3.4-3.7x less memory per state as measured on 3-cache MSI (≥3.6x
+	// 3.0-3.2x less memory per state as measured on 3-cache MSI (≥3.1x
 	// is pinned on TestFingerprintBytesReduction's capped run), at a
 	// false-merge probability of about n²/2⁶⁵ — negligible below tens of
 	// millions of states. States, Edges, Depth and traces match exact
@@ -323,13 +323,12 @@ type finding struct {
 }
 
 // succOut is one successor computed during parallel expansion, kept in
-// its worker's succs buffer. A clean successor holds no pointer but its
-// exact-mode key: what lies in the worker's buffers it names by offsets,
-// and the rare findings sit behind cold (TestSuccOutSize holds it to 56
-// bytes on 64-bit targets).
+// its worker's succs buffer. A clean successor holds no pointer: what
+// lies in the worker's buffers it names by offsets, and the rare
+// findings sit behind cold (TestSuccOutSize holds it to 48 bytes on
+// 64-bit targets).
 type succOut struct {
 	hash uint64
-	key  string // canonical key (exact mode, and only when knownIdx is -1)
 	cold *succCold
 	// edge (see checker.edges) is arena[edgeLo:edgeHi] of the producing
 	// worker, filled only where merge can need it — first occurrence of an
@@ -339,6 +338,11 @@ type succOut struct {
 	// only if the state turns out fresh.
 	edgeLo, edgeHi uint32
 	snapLo, snapHi uint32
+	// key, the canonical key, is keys[keyLo:keyHi] of the producing
+	// worker, written with the snapshot in exact mode and empty in
+	// fingerprint mode; merge copies it into the visited table if the
+	// state turns out fresh.
+	keyLo, keyHi uint32
 	// knownIdx is the visited index at expansion time, or, for a state
 	// unseen then, -1 on the first successor of the level to reach it in
 	// this worker and -2-k on every later one, k being the first's index
@@ -413,7 +417,7 @@ type checker struct {
 	// pool holds one persistent worker per expansion goroutine: encoders,
 	// rule buffers, scratch Systems, snapshot slabs and successor buffers
 	// survive across BFS levels, so the steady-state expansion loop
-	// allocates only keys (exact mode) and buffer growth.
+	// allocates only buffer growth.
 	pool []*worker
 	// exps is expand's result, reused every level; spare is the frontier
 	// of two levels back, dead once its level is expanded, whose array
@@ -486,7 +490,7 @@ func explore(ctx context.Context, p *ir.Protocol, cfg Config) *checker {
 		}
 	}
 	key := c.pool[0].enc.Canonical(init, c.perms)
-	c.visited.Insert(engine.Fingerprint(key), string(key), 0)
+	c.visited.InsertBytes(engine.Fingerprint(key), key, 0)
 	c.parent, c.edgeEnd = append(c.parent, -1), append(c.edgeEnd, 0)
 	if cfg.CheckLiveness {
 		c.quiet = append(c.quiet, quiescent(init))
@@ -496,7 +500,7 @@ func explore(ctx context.Context, p *ir.Protocol, cfg Config) *checker {
 	}
 
 	frontier := []frontierItem{{snap: init.AppendSnapshot(nil), idx: 0}}
-	for len(frontier) > 0 && len(c.res.Violations) < max(1, c.cfg.MaxViolations) && c.res.Complete {
+	for len(frontier) > 0 && !c.full() && c.res.Complete {
 		if ctx.Err() != nil {
 			c.res.Canceled = true
 			c.res.Complete = false
@@ -568,7 +572,8 @@ func (c *checker) expand(frontier []frontierItem) []expansion {
 	// read-only from here to the merge.
 	for _, w := range c.pool {
 		w.slab, w.prev = w.prev[:0], w.slab
-		w.arena = w.arena[:0] // the last merge copied out every edge it kept
+		// The last merge copied out every edge and key it kept.
+		w.arena, w.keys = w.arena[:0], w.keys[:0]
 		w.resetSuccs()
 	}
 	if cap(c.exps) < len(frontier) {
@@ -626,6 +631,7 @@ type worker struct {
 	// another goroutine can read it.
 	slab, prev []byte
 	arena      []uint32           // this level's succOut edges, back to back
+	keys       []byte             // this level's succOut keys, back to back
 	succs      []succOut          // this level's successors, back to back
 	hits       []engine.LoadCheck // checkState scratch
 	// unseen finds the first occurrence of a state in this level's succs
@@ -782,7 +788,7 @@ func (w *worker) firstUnseen(hash uint64, key []byte) int32 {
 	mask := uint64(len(t.slots) - 1)
 	i := hash & mask
 	for ; t.slots[i] != 0; i = (i + 1) & mask {
-		if so := &w.succs[t.slots[i]-1]; so.hash == hash && (w.c.cfg.Fingerprint || so.key == string(key)) {
+		if so := &w.succs[t.slots[i]-1]; so.hash == hash && (w.c.cfg.Fingerprint || string(w.keys[so.keyLo:so.keyHi]) == string(key)) {
 			return t.slots[i] - 1
 		}
 	}
@@ -814,11 +820,10 @@ func (w *worker) growUnseen() {
 // order the sequential FIFO BFS would produce, indices, counts and edges
 // come out identical regardless of how many workers expanded the level.
 func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierItem {
-	limit := max(1, c.cfg.MaxViolations)
 	next := c.spare[:0]
 	c.spare = frontier
 	for i := range exps {
-		if len(c.res.Violations) >= limit {
+		if c.full() {
 			return nil
 		}
 		exp := &exps[i]
@@ -834,6 +839,11 @@ func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierIte
 		w := exp.w
 		drain := int32(-1)
 		for k := exp.lo; k < exp.hi; k++ {
+			// The cap stops the run at the violation that reaches it,
+			// not at the end of the item that found it.
+			if c.full() {
+				return nil
+			}
 			so := &w.succs[k]
 			edge := w.arena[so.edgeLo:so.edgeHi]
 			cold := so.cold
@@ -858,7 +868,7 @@ func (c *checker) merge(frontier []frontierItem, exps []expansion) []frontierIte
 				// may have claimed the state since: the one probe either
 				// finds that claim or stakes this one. The index goes back
 				// into the buffer for this worker's repeats of the state.
-				ni, fresh = c.visited.Insert(so.hash, so.key, int32(len(c.parent)))
+				ni, fresh = c.visited.InsertBytes(so.hash, w.keys[so.keyLo:so.keyHi], int32(len(c.parent)))
 				so.knownIdx = ni
 			case ni < -1:
 				// A repeat: this worker expands items in frontier order,
@@ -1121,7 +1131,7 @@ func (c *checker) succsOf(idx int32, out []int32) []int32 {
 			_, _ = w.par.Apply(w.rules[ord]) // every rule on a stored state's path applied cleanly
 		}
 	}
-	w.arena, w.slab = w.arena[:0], w.slab[:0]
+	w.arena, w.keys, w.slab = w.arena[:0], w.keys[:0], w.slab[:0]
 	w.resetSuccs()
 	exp := w.expandPar(idx)
 	for _, so := range w.succs[exp.lo:exp.hi] {
@@ -1147,10 +1157,19 @@ func quiescent(s *engine.System) bool {
 	return d.StIdx >= 0 && d.L.StableAt[d.StIdx] && len(d.DeferQ) == 0
 }
 
+// full reports whether the run holds Config.MaxViolations violations
+// (at least one): exploration stops there, and violate records no more.
+func (c *checker) full() bool {
+	return len(c.res.Violations) >= max(1, c.cfg.MaxViolations)
+}
+
 // violate records a violation on state idx or, when edge is non-empty,
 // on that edge out of it: the witness is the replayed path to idx plus
-// the edge's own label.
+// the edge's own label. A run that is full drops it.
 func (c *checker) violate(kind, detail string, idx int, edge []uint32) {
+	if c.full() {
+		return
+	}
 	tr, sys := c.trace(idx)
 	if len(edge) > 0 {
 		tr = append(tr, replay(sys, edge))

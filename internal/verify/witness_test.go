@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -139,8 +140,11 @@ func witnessLine(name string, r *Result) string {
 
 // TestWitnessGolden: Kind, Detail and the full witness trace of every
 // violation are byte-identical to the recorded run, at Parallelism 1 and
-// 4. A missing golden file is recorded from this run (and the test fails,
-// so a recording is never mistaken for a pass).
+// 4. A run holds at most MaxViolations of them, and they are the first
+// ones a run with twice the cap reports: the cap cuts the list where it
+// is reached, even inside one state's successors, and never reorders
+// it. A missing golden file is recorded from this run (and the test
+// fails, so a recording is never mistaken for a pass).
 func TestWitnessGolden(t *testing.T) {
 	want := map[string]string{}
 	data, err := os.ReadFile(witnessGolden)
@@ -158,7 +162,17 @@ func TestWitnessGolden(t *testing.T) {
 	for _, wc := range witnessCases(t) {
 		cfg := wc.cfg
 		cfg.Parallelism = 1
-		line := witnessLine(wc.name, Check(wc.p, cfg))
+		res := Check(wc.p, cfg)
+		line := witnessLine(wc.name, res)
+		if limit := max(1, cfg.MaxViolations); len(res.Violations) > limit {
+			t.Errorf("%s: %d violations, over the cap of %d", wc.name, len(res.Violations), limit)
+		} else if len(res.Violations) == limit {
+			wide := cfg
+			wide.MaxViolations = 2 * limit
+			if more := Check(wc.p, wide).Violations; len(more) < limit || !reflect.DeepEqual(res.Violations, more[:limit]) {
+				t.Errorf("%s: the %d violations are not the first of the %d a cap of %d reports", wc.name, limit, len(more), wide.MaxViolations)
+			}
+		}
 		cfg.Parallelism = 4
 		if p4 := witnessLine(wc.name, Check(wc.p, cfg)); p4 != line {
 			t.Errorf("Parallelism 4 moved the witness:\n  P1: %s\n  P4: %s", line, p4)
