@@ -189,9 +189,15 @@ func TestExactMatchesMapOracle(t *testing.T) {
 // and Bytes counts every chunk at its capacity plus a position per state.
 func TestExactArenaRoundTrip(t *testing.T) {
 	const chunk = 1 << chunkBits
-	lengths := []int{0, 1, 54, 0, chunk - 3, 5, chunk, chunk + 1, 3*chunk + 7, 2, chunk - 1, 1, 0, 69}
+	lengths := []int{0, 1, 54, 0, chunk - 3, 5, chunk, chunk + 1, 0, 3*chunk + 7, 2, chunk - 1, 1, 0, 69}
 	for i := 0; i < 3000; i++ {
 		lengths = append(lengths, 40+i%50) // fills the doubling chunks and several full-size ones
+	}
+	fpOf := func(i int) uint64 {
+		if i == 3 {
+			i = 2 // key 3 is key 2's fingerprint twin
+		}
+		return splitmix64(uint64(i))
 	}
 	tbl := NewExact()
 	keys := make([][]byte, len(lengths))
@@ -200,11 +206,7 @@ func TestExactArenaRoundTrip(t *testing.T) {
 		for j := range keys[i] {
 			keys[i][j] = byte(splitmix64(uint64(i)<<32 | uint64(j)))
 		}
-		fp := splitmix64(uint64(i))
-		if i == 3 {
-			fp = splitmix64(2) // key 3 is key 2's fingerprint twin
-		}
-		if idx, fresh := tbl.InsertBytes(fp, keys[i], int32(i)); idx != int32(i) || !fresh {
+		if idx, fresh := tbl.InsertBytes(fpOf(i), keys[i], int32(i)); idx != int32(i) || !fresh {
 			t.Fatalf("key %d (%d B): insert = (%d, %v), want (%d, true)", i, n, idx, fresh, i)
 		}
 	}
@@ -212,10 +214,7 @@ func TestExactArenaRoundTrip(t *testing.T) {
 		t.Fatalf("len/collisions = %d/%d, want %d/1", tbl.Len(), tbl.Collisions(), len(keys))
 	}
 	for i, k := range keys {
-		fp := splitmix64(uint64(i))
-		if i == 3 {
-			fp = splitmix64(2)
-		}
+		fp := fpOf(i)
 		if got := tbl.key(int32(i)); string(got) != string(k) {
 			t.Fatalf("key %d: %d B stored, %d B inserted, or the bytes differ", i, len(got), len(k))
 		}

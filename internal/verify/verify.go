@@ -206,7 +206,7 @@ type Result struct {
 	// the serving layer sets it on the returned copy.
 	Cached bool `json:"Cached,omitempty"`
 	// VisitedBytes is the visited table's allocated footprint: its slot
-	// arrays, plus the key column and key bytes in exact mode.
+	// arrays, plus the key arena's chunks and positions in exact mode.
 	VisitedBytes int64
 	// FalseMerges counts the states fingerprint mode would falsely merge:
 	// reachable states whose fingerprint equals an earlier, different
