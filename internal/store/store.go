@@ -112,7 +112,9 @@ func New() *Table {
 // stores must be dense and increasing: the state Insert stores fresh
 // must carry the index Len would report, 0 first. Insert panics on any
 // other; the checker numbers its states exactly so. A state already
-// present may be offered under any index — it keeps its first.
+// present may be offered under any index — it keeps its first. The
+// arena holds up to 4 GB of keys, what uint32 positions address; Insert
+// panics past that.
 //
 // The arena belongs to the whole table, so the per-shard contract above
 // is not enough: on an exact table EVERY Insert must be ordered against
